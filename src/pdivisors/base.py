@@ -281,11 +281,12 @@ class BaseVariety:
         maxes = [c for c in self.fan]
         if any(c.dim() != n for c in maxes):
             return False
-        # complete iff no maximal cone has a boundary facet
+        # complete iff no maximal cone has a boundary facet; the fan is
+        # pointed, so a facet is the cone over the rays tight on its normal
         for c in maxes:
             for a in c.ineqs:
-                facet = Cone.from_inequalities(c.ineqs, list(c.eqs) + [a], c.n)
-                shared = sum(1 for d in maxes if d.contains_cone(facet))
+                tight = [r for r in c.rays if vdot(a, r) == 0]
+                shared = sum(1 for d in maxes if all(d.contains(r) for r in tight))
                 if shared < 2:
                     return False
         return True
@@ -297,6 +298,25 @@ class BaseVariety:
             if not cone_is_smooth(c):
                 return False
         return True
+
+    def carrier_rays(self, x) -> list[Vec] | None:
+        """Rays of the smallest fan face containing x, None if no cone does.
+
+        Over overlapping cones the first face of least dimension wins.  In a
+        cone c that face is spanned by the rays of c tight on every
+        inequality of c that is tight at x.
+        """
+        x = vec(x)
+        best = None
+        for c in self.fan:
+            if not c.contains(x):
+                continue
+            tight = [a for a in c.ineqs if vdot(a, x) == 0]
+            rays = [r for r in c.rays if all(vdot(a, r) == 0 for a in tight)]
+            dim = rank(rays) if rays else 0
+            if best is None or dim < best[0]:
+                best = (dim, rays)
+        return None if best is None else best[1]
 
     def subfan_without_rays(self, removed_rays) -> list[Cone]:
         removed = {vec(r) for r in removed_rays}

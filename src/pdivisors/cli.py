@@ -424,7 +424,7 @@ def _report(args, payload, exit_code=0):
     payload["defaults"] = {
         "k_bound": args.k_bound,
         "window": args.window,
-        "parallelism": _parallelism(),
+        "parallelism": 1,
     }
     if args.format == "text":
         lines = [f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(payload.items())]
@@ -439,14 +439,6 @@ def _report(args, payload, exit_code=0):
     else:
         sys.stdout.write(out)
     return exit_code
-
-
-def _parallelism() -> int:
-    raw = os.environ.get("PDIVISORS_PARALLELISM", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def cmd_eval(args):

@@ -439,15 +439,9 @@ def _toric_divisor_multiplicity(target: BaseVariety, point, h_ray):
 
     if all(x == 0 for x in point):
         return Fraction(0)
-    carrier = None
-    for c in target.fan:
-        if c.contains(point):
-            for f in c.faces():
-                if f.contains(point) and (carrier is None or f.dim() < carrier.dim()):
-                    carrier = f
-    if carrier is None:
+    rays = target.carrier_rays(point)
+    if rays is None:
         raise UnsupportedBase("ray image misses the target fan")
-    rays = list(carrier.rays)
     lam = solve([list(x) for x in zip(*rays)], point)
     out = Fraction(0)
     for coef, r in zip(lam, rays):

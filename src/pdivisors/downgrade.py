@@ -18,6 +18,7 @@ from .errors import (
     BoxNotFullDimensional,
     MarksMissingSupport,
     NotProper,
+    RoutesDisagree,
     WeightOutsideCone,
 )
 from .lattice import LatticeMap, smith_split
@@ -163,7 +164,7 @@ def fan_from(psi: PLDivisorMap, marks):
         if tails is None:
             tails = t
         elif tails != t:
-            raise ValueError("dual subdivision tailfans differ between primes")
+            raise RoutesDisagree("dual subdivision tailfans differ between primes")
     members = []
     n = psi.box.n
     for label, (_, _, cells) in duals.items():
@@ -264,7 +265,7 @@ def downgrade(d: PolyhedralDivisor, ctx: DowngradeContext):
         pieces = [f.map_image(pi_rows) for f in coeff.faces()]
         xi = chamber_complex(pieces)
         if set(xi.cells) != set(fan.slice_of(label).cells):
-            raise ValueError(
+            raise RoutesDisagree(
                 f"slice routes disagree at {label.id}: {xi.cells} vs {fan.slice_of(label).cells}"
             )
     # coefficients from the fiber formulas

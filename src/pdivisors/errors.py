@@ -67,10 +67,6 @@ class NotQCartier(PDivError):
         super().__init__(message or f"no affine extension on cell {cell!r}")
 
 
-class SearchBoundExceeded(PDivError):
-    """A witness search ran out of its window; the result is inconclusive."""
-
-
 class BoxNotFullDimensional(PDivError):
     pass
 

@@ -41,10 +41,6 @@ def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
-
 def vscale(s, a: Vec) -> Vec:
     s = frac(s)
     return tuple(s * x for x in a)
@@ -90,13 +86,6 @@ def primitive(v) -> Vec:
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(Fraction(x // g) for x in ints)
-
-
-def clear_denominators(v) -> tuple[Vec, int]:
-    """Return (m*v, m) with m the least positive integer making v integral."""
-    denoms = [frac(x).denominator for x in v]
-    m = lcm(*denoms) if denoms else 1
-    return tuple(frac(x) * m for x in v), m
 
 
 def rref(rows) -> tuple[list, list[int]]:

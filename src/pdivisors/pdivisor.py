@@ -323,24 +323,6 @@ def convexity_check(d: PolyhedralDivisor, samples=()) -> bool:
     return d.convexity_check(samples)
 
 
-def evaluation_table_convex(table: dict) -> bool:
-    """Convexity of a raw weight -> divisor table.
-
-    Checks D(u) + D(u') <= D(u + u') for every pair of table weights whose
-    sum is again a table key.  A divisor built from polyhedral coefficients
-    passes automatically; a hand-built table need not.
-    """
-    keys = list(table)
-    for u in keys:
-        for v in keys:
-            w = tuple(a + b for a, b in zip(u, v))
-            if w not in table:
-                continue
-            if not table[u].add(table[v]).leq(table[w]):
-                return False
-    return True
-
-
 def is_proper(d: PolyhedralDivisor) -> PropernessReport:
     return d.is_proper()
 
@@ -361,15 +343,9 @@ def _toric_base_pullback(d, base_map: LatticeMap, new_base: BaseVariety):
     coeffs = {}
     for r in new_base.rays():
         img = tuple(vdot(row, r) for row in rows)
-        carrier = None
-        for c in d.base.fan:
-            if c.contains(img):
-                for f in c.faces():
-                    if f.contains(img) and (carrier is None or f.dim() < carrier.dim()):
-                        carrier = f
-        if carrier is None:
+        rays = d.base.carrier_rays(img)
+        if rays is None:
             raise IndeterminateBaseMap(f"ray image {img} misses the target fan")
-        rays = list(carrier.rays)
         if not rays:
             continue
         lam = solve([list(x) for x in zip(*rays)], img)

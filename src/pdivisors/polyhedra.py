@@ -153,6 +153,32 @@ def dual_rep(rays, lines, n: int) -> tuple[list[Vec], list[Vec]]:
     return dd_cone(rays, lines, n)
 
 
+def _face_sets(gens, normals) -> list[tuple[int, ...]]:
+    """Generator index sets of all faces, the full set first.
+
+    `gens` are the extreme rays and `normals` the facet normals of a
+    canonical cone.  Every face is cut out by the facets containing it, so
+    its generator set is the intersection of their incidence sets, and
+    distinct faces have distinct sets (Fukuda-Prodon, "Double description
+    method revisited", 1996).  Each set comes back sorted.
+    """
+    incidence = [
+        frozenset(i for i, g in enumerate(gens) if vdot(a, g) == 0) for a in normals
+    ]
+    seen = dict.fromkeys([frozenset(range(len(gens)))])
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for f in incidence:
+                t = s & f
+                if t not in seen:
+                    seen[t] = None
+                    nxt.append(t)
+        frontier = nxt
+    return [tuple(sorted(s)) for s in seen]
+
+
 # ---------------------------------------------------------------------------
 # cones
 # ---------------------------------------------------------------------------
@@ -267,19 +293,11 @@ class Cone:
         )
 
     def faces(self) -> list["Cone"]:
-        """All faces, the cone itself included (via facet intersections)."""
-        seen = {self: None}
-        frontier = [self]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for a in c.ineqs:
-                    f = Cone.from_inequalities(c.ineqs, list(c.eqs) + [a], c.n)
-                    if f not in seen:
-                        seen[f] = None
-                        nxt.append(f)
-            frontier = nxt
-        return list(seen)
+        """All faces, the cone itself first."""
+        sets = _face_sets(self.rays, self.ineqs)
+        return [self] + [
+            Cone.from_rays([self.rays[i] for i in s], self.lines, self.n) for s in sets[1:]
+        ]
 
     def map_image(self, rows) -> "Cone":
         rows = [vec(r) for r in rows]
@@ -603,21 +621,26 @@ class Polyhedron:
         return other.with_equalities(tight) == self
 
     def faces(self) -> list["Polyhedron"]:
-        """All nonempty faces, the polyhedron itself included."""
+        """All nonempty faces, the polyhedron itself first."""
         if self.empty:
             return []
-        seen = {self: None}
-        frontier = [self]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for a, b in c.ineqs:
-                    f = c.with_equalities([(a, b)])
-                    if not f.empty and f not in seen:
-                        seen[f] = None
-                        nxt.append(f)
-            frontier = nxt
-        return list(seen)
+        nv = len(self.vertices)
+        sets = _face_sets(
+            [v + (F1,) for v in self.vertices] + [r + (F0,) for r in self.rays],
+            [a + (-b,) for a, b in self.ineqs],
+        )
+        # generator sets without a vertex are faces at infinity of the
+        # homogenized cone, not faces of the polyhedron
+        return [self] + [
+            Polyhedron.from_generators(
+                [self.vertices[i] for i in s if i < nv],
+                [self.rays[i - nv] for i in s if i >= nv],
+                self.lines,
+                self.n,
+            )
+            for s in sets[1:]
+            if s and s[0] < nv
+        ]
 
     # -- lattice points ----------------------------------------------------
 

@@ -70,9 +70,10 @@ class DivisorialFan:
             [m.tail.as_polyhedron() for m in self.members], validate=validate
         )
         if validate:
+            tail_faces = set(self._tailfan.all_faces())
             for label, sl in self._slices.items():
                 for c in sl.cells:
-                    if c.tail().as_polyhedron() not in set(self._tailfan.all_faces()):
+                    if c.tail().as_polyhedron() not in tail_faces:
                         raise ValueError(
                             f"slice cell tail at {label.id} missing from the tailfan"
                         )

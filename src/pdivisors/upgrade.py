@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .base import INF, BaseVariety
 from .errors import NoDegreeMap
-from .linalg import vec, zero_vec
+from .linalg import vdot, vec, zero_vec
 from .pdivisor import PolyhedralDivisor, PropernessReport
 from .polyhedra import Cone, Polyhedron
 from .tvariety import DivisorialFan, invariant_prime_divisors
@@ -288,8 +288,10 @@ def _stellar(cones, w):
         if not c.contains(w):
             out.append(c)
             continue
-        for f in c.faces():
-            if f.contains(w) or f.dim() != c.dim() - 1:
+        # every facet of c not containing w, in the order of c.ineqs
+        for a in c.ineqs:
+            if vdot(a, w) == 0:
                 continue
-            out.append(Cone.from_rays(list(f.rays) + [w], f.lines, c.n))
+            facet = [r for r in c.rays if vdot(a, r) == 0]
+            out.append(Cone.from_rays(facet + [w], c.lines, c.n))
     return out

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from pdivisors import cli
-from pdivisors.errors import SchemaError, VersionMismatch
+from pdivisors.errors import RoutesDisagree, SchemaError, VersionMismatch
 
 F = Fraction
 FIX = Path(__file__).parent / "fixtures"
@@ -152,8 +153,8 @@ def test_deform_upgrade_golden_byte_stable(tmp_path, capsys):
     assert data["report"]["proper"] is True
 
 
-def test_downgrade_subcommand(tmp_path, capsys):
-    # a rank-two divisor on the line, projected to its second coordinate
+def _rank2_divisor():
+    # a rank-two divisor on the line
     from pdivisors.base import BaseVariety, point_label
     from pdivisors.pdivisor import PolyhedralDivisor
     from pdivisors.polyhedra import Cone, hull
@@ -161,7 +162,7 @@ def test_downgrade_subcommand(tmp_path, capsys):
     P1 = BaseVariety.projective_line()
     sigma = Cone.from_rays([(1, 0), (0, 1)])
     sp = sigma.as_polyhedron()
-    d = PolyhedralDivisor(
+    return PolyhedralDivisor(
         P1,
         2,
         sigma,
@@ -170,11 +171,34 @@ def test_downgrade_subcommand(tmp_path, capsys):
             point_label(1): hull([(0, 0), (1, 1)]).minkowski(sp),
         },
     )
+
+
+def test_downgrade_subcommand(tmp_path, capsys):
     p = tmp_path / "d.json"
-    p.write_bytes(cli.emit(d, "pdivisor"))
+    p.write_bytes(cli.emit(_rank2_divisor(), "pdivisor"))
     code, out = run(capsys, "downgrade", str(p), "--projection", '[["0","1"]]')
     assert code == 0
     assert out["fan"]["members"]
+
+
+def test_downgrade_routes_disagree_exit_one(tmp_path, capsys, monkeypatch):
+    # a wrong second slice route must surface as a typed error, not a traceback
+    from pdivisors.lattice import Lattice, LatticeMap
+    from pdivisors.polyhedra import PolyhedralComplex
+
+    # the package re-exports the function `downgrade` under the module's name
+    dg = importlib.import_module("pdivisors.downgrade")
+    monkeypatch.setattr(dg, "chamber_complex", lambda pieces: PolyhedralComplex([]))
+    d = _rank2_divisor()
+    pr = LatticeMap(Lattice(2), Lattice(1), [[0, 1]])
+    with pytest.raises(RoutesDisagree):
+        dg.downgrade(d, dg.DowngradeContext.from_projection(pr))
+    p = tmp_path / "d.json"
+    p.write_bytes(cli.emit(d, "pdivisor"))
+    assert cli.main(["downgrade", str(p), "--projection", '[["0","1"]]']) == 1
+    err = capsys.readouterr().err
+    assert "slice routes disagree" in err
+    assert "Traceback" not in err
 
 
 def test_cox_subcommand(tmp_path, capsys):

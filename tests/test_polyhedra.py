@@ -374,6 +374,73 @@ def test_faces_of_square():
     assert dims == [0, 0, 0, 0, 1, 1, 1, 1, 2]
 
 
+def _facet_walk_cone(c):
+    """Reference: close the face set under 'add one facet as an equation'."""
+    seen = {c: None}
+    frontier = [c]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for a in f.ineqs:
+                g = Cone.from_inequalities(f.ineqs, list(f.eqs) + [a], f.n)
+                if g not in seen:
+                    seen[g] = None
+                    nxt.append(g)
+        frontier = nxt
+    return list(seen)
+
+
+def _facet_walk_polyhedron(p):
+    seen = {p: None}
+    frontier = [p]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for a, b in f.ineqs:
+                g = f.with_equalities([(a, b)])
+                if not g.empty and g not in seen:
+                    seen[g] = None
+                    nxt.append(g)
+        frontier = nxt
+    return list(seen)
+
+
+def _assert_same_faces(obj, faces, reference):
+    assert len(faces) == len(set(faces))
+    assert set(faces) == set(reference)
+    assert any(f is obj for f in faces)
+
+
+def test_faces_match_facet_walk_random():
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        rays = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, 5))]
+        lines = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(0, 1))]
+        c = Cone.from_rays([r for r in rays if any(r)], [l for l in lines if any(l)], n=n)
+        _assert_same_faces(c, c.faces(), _facet_walk_cone(c))
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        verts = [[F(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        rays = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        lines = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(0, 1))]
+        p = Polyhedron.from_generators(
+            verts, [r for r in rays if any(r)], [l for l in lines if any(l)], n
+        )
+        _assert_same_faces(p, p.faces(), _facet_walk_polyhedron(p))
+
+
+def test_faces_with_lineality():
+    # a wedge times a line, and a half-strip times a line, so both kinds of
+    # lineality are covered whatever the random draw
+    c = Cone.from_rays([(1, 0, 0), (1, 1, 0)], [(1, 1, 1)])
+    assert c.lines
+    _assert_same_faces(c, c.faces(), _facet_walk_cone(c))
+    p = Polyhedron.from_generators([(0, 0, 0), (0, 1, 0)], [(1, 0, 1)], [(0, 1, 1)])
+    assert p.rays and p.lines
+    _assert_same_faces(p, p.faces(), _facet_walk_polyhedron(p))
+
+
 def test_lattice_points_triangle():
     t = hull([(0, 0), (2, 0), (0, 2)])
     pts = t.lattice_points()
