@@ -398,7 +398,12 @@ def parse(text, expected_kind: str | None = None):
         raise SchemaError(f"expected a {expected_kind!r} document, found {kind!r}")
     if kind not in _PARSERS:
         raise SchemaError(f"cannot parse kind {kind!r}")
-    return _PARSERS[kind](doc["payload"]), doc
+    try:
+        return _PARSERS[kind](doc["payload"]), doc
+    except (KeyError, TypeError, ValueError) as exc:
+        # a missing field, a wrong type or a length or shape the data
+        # structures reject: the document is at fault
+        raise SchemaError(f"bad {kind} payload: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +413,20 @@ def parse(text, expected_kind: str | None = None):
 
 def _weight(arg: str):
     return tuple(str_to_rational(x) for x in arg.split(","))
+
+
+def _vectors(arg: str, length: int, flag: str):
+    """The JSON list of rational vectors given to `flag`, each of `length` entries."""
+    try:
+        data = json.loads(arg)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{flag} is not valid JSON: {exc}")
+    if not isinstance(data, list):
+        raise SchemaError(f"{flag} expects a list of vectors")
+    out = [json_to_vec(v) for v in data]
+    if any(len(v) != length for v in out):
+        raise SchemaError(f"{flag} vectors must have {length} entries")
+    return out
 
 
 def _load(path, kind):
@@ -527,8 +546,8 @@ def cmd_correct(args):
 
 def cmd_downgrade(args):
     d, doc = _load(args.input, "pdivisor")
-    rows = [json_to_vec(r) for r in json.loads(args.projection)]
     m = d.n
+    rows = _vectors(args.projection, m, "--projection")
     pr = LatticeMap(Lattice(m, "M"), Lattice(len(rows), "Mbar"), rows)
     ctx = DowngradeContext.from_projection(pr)
     fan, dbar = downgrade(d, ctx)
@@ -542,7 +561,7 @@ def cmd_downgrade(args):
 
 def cmd_toric_downgrade(args):
     delta, doc = _load(args.input, "cone")
-    cols = [json_to_vec(c) for c in json.loads(args.sublattice)]
+    cols = _vectors(args.sublattice, delta.n, "--sublattice")
     k = len(cols)
     sub = LatticeMap(
         Lattice(k, "Nbar"),

@@ -68,6 +68,9 @@ class PolyhedralDivisor:
                 continue
             data[label] = p
         self.coeffs = dict(sorted(data.items(), key=lambda kv: kv[0].id))
+        # the divisor is immutable, so these are computed once, on first use
+        self._chambers = None
+        self._proper = None
 
     # -- basics -----------------------------------------------------------
 
@@ -118,6 +121,11 @@ class PolyhedralDivisor:
 
     def evaluation_chambers(self) -> PolyhedralComplex:
         """Domains of linearity of u -> D(u) inside the weight cone."""
+        if self._chambers is None:
+            self._chambers = self._linearity_domains()
+        return self._chambers
+
+    def _linearity_domains(self) -> PolyhedralComplex:
         omega = self.weight_cone().as_polyhedron()
         complexes = []
         for label, p in self.coeffs.items():
@@ -148,6 +156,11 @@ class PolyhedralDivisor:
     # -- properness -----------------------------------------------------------
 
     def is_proper(self) -> "PropernessReport":
+        if self._proper is None:
+            self._proper = self._properness()
+        return self._proper
+
+    def _properness(self) -> "PropernessReport":
         omega = self.weight_cone()
         fulldim = omega.dim() == self.n
         loc_semiproj = self._locus_semiprojective()

@@ -284,3 +284,45 @@ def test_text_format(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "report" in out
+
+
+def _drop(key):
+    def edit(doc):
+        del doc["payload"][key]
+
+    return edit
+
+
+def _degree_too_long(doc):
+    doc["payload"]["degree"].append("0")
+
+
+@pytest.mark.parametrize(
+    "name, argv, edit",
+    [
+        ("a1_deformation.json", ["deform-upgrade"], _drop("deltas")),
+        ("a1_deformation.json", ["deform-upgrade"], _degree_too_long),
+        ("c3_like_threefold.json", ["proper"], _drop("lattice_rank")),
+        ("downgrade_difficulties.json", ["toric-downgrade", "--sublattice", '[["1","0","0"]]'], None),
+        ("downgrade_difficulties.json", ["toric-downgrade", "--sublattice", "not json"], None),
+    ],
+    ids=["missing-deltas", "degree-length", "missing-rank", "sublattice-length", "sublattice-json"],
+)
+def test_malformed_input_is_schema_error(tmp_path, capsys, name, argv, edit):
+    doc = json.loads((FIX / name).read_text())
+    if edit is not None:
+        edit(doc)
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main([argv[0], str(p)] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
+def test_projection_length_is_schema_error(tmp_path, capsys):
+    p = tmp_path / "d.json"
+    p.write_bytes(cli.emit(_rank2_divisor(), "pdivisor"))
+    assert cli.main(["downgrade", str(p), "--projection", '[["0","1","1"]]']) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err

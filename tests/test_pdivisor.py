@@ -122,6 +122,38 @@ def test_proper_downgrade_difficulties_input():
     assert rep.proper
 
 
+def test_properness_and_chambers_computed_once(monkeypatch):
+    import pdivisors.pdivisor as pdivisor_module
+    from pdivisors.downgrade import DowngradeContext, downgrade
+
+    calls = []
+    real = pdivisor_module.linearity_regions
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pdivisor_module, "linearity_regions", counting)
+    sigma = Cone.from_rays([(1, 0), (0, 1)])
+    sp = sigma.as_polyhedron()
+    d = PolyhedralDivisor(
+        P1,
+        2,
+        sigma,
+        {
+            point_label(0): hull([(1, 0), (0, 1)]).minkowski(sp),
+            point_label(1): hull([(2, 0), (0, 1)]).minkowski(sp),
+        },
+    )
+    rep = d.is_proper()
+    assert rep.proper and d.is_proper() == rep
+    # one linearity-region complex per coefficient: the chambers' body ran once
+    assert len(calls) == len(d.coeffs)
+    ctx = DowngradeContext.from_projection(LatticeMap(Lattice(2), Lattice(1), [[0, 1]]))
+    downgrade(d, ctx)
+    assert len(calls) == len(d.coeffs)
+
+
 def test_sigma_only_divisor_fails_bigness():
     d = PolyhedralDivisor(P1, 1, Cone.from_rays([(1,)]), {})
     rep = d.is_proper()
