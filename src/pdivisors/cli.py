@@ -94,12 +94,21 @@ def cone_to_json(c: Cone):
     }
 
 
+def json_to_vecs(data, length: int, what: str):
+    """A list of coordinate lists, each of `length` entries."""
+    out = [json_to_vec(v) for v in data]
+    if any(len(v) != length for v in out):
+        raise SchemaError(f"{what} vectors must have {length} entries")
+    return out
+
+
 def json_to_cone(data) -> Cone:
     try:
+        n = int(data["ambient"])
         return Cone.from_rays(
-            [json_to_vec(r) for r in data["rays"]],
-            [json_to_vec(l) for l in data.get("lines", [])],
-            int(data["ambient"]),
+            json_to_vecs(data["rays"], n, "cone ray"),
+            json_to_vecs(data.get("lines", []), n, "cone line"),
+            n,
         )
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad cone payload: {exc}")
@@ -122,11 +131,12 @@ def json_to_polyhedron(data, ambient=None) -> Polyhedron:
             raise SchemaError("empty polyhedron needs an ambient dimension")
         return Polyhedron.empty_polyhedron(ambient)
     try:
+        n = int(data["ambient"])
         return Polyhedron.from_generators(
-            [json_to_vec(v) for v in data["vertices"]],
-            [json_to_vec(r) for r in data.get("rays", [])],
-            [json_to_vec(l) for l in data.get("lines", [])],
-            int(data["ambient"]),
+            json_to_vecs(data["vertices"], n, "polyhedron vertex"),
+            json_to_vecs(data.get("rays", []), n, "polyhedron ray"),
+            json_to_vecs(data.get("lines", []), n, "polyhedron line"),
+            n,
         )
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad polyhedron payload: {exc}")
@@ -134,6 +144,13 @@ def json_to_polyhedron(data, ambient=None) -> Polyhedron:
 
 def complex_to_json(c: PolyhedralComplex):
     return {"cells": [polyhedron_to_json(p) for p in c.cells]}
+
+
+def json_to_complexes(data) -> list[PolyhedralComplex]:
+    complexes = data["complexes"]
+    if not isinstance(complexes, list) or not all(isinstance(cells, list) for cells in complexes):
+        raise SchemaError("complexes must be a list of lists of polyhedra")
+    return [PolyhedralComplex([json_to_polyhedron(p) for p in cells]) for cells in complexes]
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +379,7 @@ _PARSERS = {
     "divisorial_fan": json_to_fan,
     "invariant_pdivisor": json_to_invariant_pdivisor,
     "deformation": json_to_deformation,
+    "complexes": json_to_complexes,
 }
 
 
@@ -423,10 +441,7 @@ def _vectors(arg: str, length: int, flag: str):
         raise SchemaError(f"{flag} is not valid JSON: {exc}")
     if not isinstance(data, list):
         raise SchemaError(f"{flag} expects a list of vectors")
-    out = [json_to_vec(v) for v in data]
-    if any(len(v) != length for v in out):
-        raise SchemaError(f"{flag} vectors must have {length} entries")
-    return out
+    return json_to_vecs(data, length, flag)
 
 
 def _load(path, kind):
@@ -610,16 +625,12 @@ def cmd_deform_upgrade(args):
 def cmd_refine(args):
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
-            doc = parse_document(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise SchemaError(str(exc))
-    if doc["kind"] != "complexes":
+    if parse_document(text)["kind"] != "complexes":
         raise SchemaError("refine expects a 'complexes' document")
-    complexes = []
-    for cells in doc["payload"]["complexes"]:
-        complexes.append(
-            PolyhedralComplex([json_to_polyhedron(p) for p in cells])
-        )
+    complexes, _ = parse(text)
     out = common_refinement(complexes)
     payload = {"kind": "refine", "complex": complex_to_json(out)}
     return _report(args, payload)

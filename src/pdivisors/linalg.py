@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals and integers.
 
-Vectors are tuples of Fraction, matrices are tuples of row tuples.  Nothing
-here ever touches a float; all eliminations, normal forms and the simplex
-solver below run on exact rationals.
+Vectors are tuples of numbers, matrices are tuples of row tuples.  The
+public vector helpers take and return Fractions.  Rank, kernel and row
+space run on one fraction-free elimination over integer rows (`_echelon`);
+`solve`, `det` and the simplex solver below run on exact rationals.
+Nothing here ever touches a float.
 """
 
 from __future__ import annotations
@@ -75,17 +77,21 @@ def int_identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _int_row(v) -> tuple:
+    """The primitive integer row on the ray of a rational row; zero stays zero."""
+    v = [x if type(x) is int else frac(x) for x in v]
+    m = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (m // x.denominator) for x in v]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
 def primitive(v) -> Vec:
     """Scale a nonzero rational vector to the primitive integer vector on its ray."""
-    denoms = [frac(x).denominator for x in v]
-    m = lcm(*denoms) if denoms else 1
-    ints = [int(frac(x) * m) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
+    ints = _int_row(v)
+    if not any(ints):
         raise ValueError("zero vector has no primitive representative")
-    return tuple(Fraction(x // g) for x in ints)
+    return tuple(map(Fraction, ints))
 
 
 def rref(rows) -> tuple[list, list[int]]:
@@ -114,8 +120,61 @@ def rref(rows) -> tuple[list, list[int]]:
     return [tuple(row) for row in a[:r]], pivots
 
 
+def _echelon(rows) -> tuple[list[tuple], list[int]]:
+    """Fraction-free Gauss-Jordan elimination; returns (rows, pivot columns).
+
+    Each rational row is first scaled to its primitive integer row.  A row
+    update is `p * row - f * pivot_row` with the pivot p > 0, followed by
+    division by the row content (where Bareiss 1968 divides by the previous
+    pivot), so the rows stay primitive and every returned row is a positive
+    multiple of the matching row of the reduced row echelon form.
+    """
+    a = [list(_int_row(r)) for r in rows]
+    if not a:
+        return [], []
+    m, n = len(a), len(a[0])
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        prow = a[r]
+        p = prow[c]
+        if p < 0:
+            prow = a[r] = [-x for x in prow]
+            p = -p
+        for i in range(m):
+            f = a[i][c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(a[i], prow)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return [tuple(row) for row in a[:r]], pivots
+
+
+def _kernel(rows, n: int) -> list[tuple]:
+    """Primitive integer basis of {x : A x = 0}, canonical from the RREF."""
+    red, pivots = _echelon(rows)
+    scale = lcm(*(row[c] for row, c in zip(red, pivots)))
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[fc] = scale
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc] * (scale // row[pc])
+        g = gcd(*v)
+        basis.append(tuple(x // g for x in v))
+    return basis
+
+
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    return len(_echelon(rows)[1])
 
 
 def kernel_basis(rows, n: int | None = None) -> list[Vec]:
@@ -127,16 +186,7 @@ def kernel_basis(rows, n: int | None = None) -> list[Vec]:
         if not rows:
             raise ValueError("need ambient dimension for empty matrix")
         n = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [F0] * n
-        v[fc] = F1
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(primitive(v))
-    return basis
+    return [tuple(map(Fraction, v)) for v in _kernel(rows, n)]
 
 
 def solve(rows, b) -> Vec | None:
@@ -159,8 +209,8 @@ def solve(rows, b) -> Vec | None:
 
 
 def row_space_basis(rows) -> list[Vec]:
-    red, _ = rref(rows)
-    return [primitive(r) for r in red if not is_zero_vec(r)]
+    """Primitive integer rows on the rays of the nonzero RREF rows."""
+    return [tuple(map(Fraction, r)) for r in _echelon(rows)[0]]
 
 
 def det(rows) -> Fraction:

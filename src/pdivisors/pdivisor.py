@@ -109,6 +109,8 @@ class PolyhedralDivisor:
 
     def evaluate(self, u) -> QDivisor:
         u = vec(u)
+        if len(u) != self.n:
+            raise AmbientMismatch(f"weight has {len(u)} entries, the divisor has rank {self.n}")
         if not self.weight_cone().contains(u):
             raise WeightOutsideCone(f"{u} is outside the weight cone")
         out = {}

@@ -1,9 +1,11 @@
 """Exact convex geometry: cones, polyhedra and polyhedral complexes in Q^n.
 
 Both representations (generators and halfspaces) are kept in sync on every
-object.  Conversion runs the double description method on exact rationals;
-canonicalization is by double dualization, so structural equality of the
-stored data coincides with equality of the underlying sets.
+object and stored as tuples of Fractions.  Conversion runs the double
+description method on primitive integer rows (`dd_cone`), which converts
+back to Fractions on the way out; canonicalization is by double
+dualization, so structural equality of the stored data coincides with
+equality of the underlying sets.
 
 The empty polyhedron is a first-class value: sums and intersections treat it
 as absorbing, images of it are empty.  Infinity never appears here; divisor
@@ -16,20 +18,22 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import AmbientMismatch, NotConcave
 from .linalg import (
     F0,
     F1,
     Vec,
+    _echelon,
+    _int_row,
+    _kernel,
     frac,
+    int_identity,
     is_zero_vec,
-    kernel_basis,
     mat_vec,
-    primitive,
     rank,
     row_space_basis,
-    rref,
     transpose,
     vadd,
     vdot,
@@ -44,40 +48,37 @@ from .linalg import (
 # ---------------------------------------------------------------------------
 
 
-def _dd_pointed(rows: list[Vec], d: int) -> list[Vec]:
+def _dd_pointed(rows: list[tuple], d: int) -> list[tuple]:
     """Extreme rays of the pointed cone {w in Q^d : <row, w> >= 0 for all rows}.
 
-    Requires rank(rows) == d.  Classic incremental double description with
-    the combinatorial adjacency test.
+    Integer rows in, primitive integer rays out.  Requires rank(rows) == d.
+    Classic incremental double description with the combinatorial adjacency
+    test.
     """
     if d == 0:
         return []
-    # greedy lex-first independent subset as the initial simplicial cone
-    base_idx: list[int] = []
-    cur: list[Vec] = []
-    for i, r in enumerate(rows):
-        if rank(cur + [r]) > len(cur):
-            base_idx.append(i)
-            cur.append(r)
-        if len(cur) == d:
-            break
-    if len(cur) < d:
+    # the lex-first independent rows span the initial simplicial cone; they
+    # are the pivot columns of the transposed matrix
+    base_idx = _echelon(list(zip(*rows)))[1]
+    if len(base_idx) < d:
         raise ValueError("cone is not pointed (constraint rank deficient)")
-    # rays = columns of the inverse of the base matrix
-    aug = [list(cur[i]) + [F1 if j == i else F0 for j in range(d)] for i in range(d)]
-    red, _ = rref(aug)
-    inv_cols = [tuple(red[i][d + j] for i in range(d)) for j in range(d)]
-    rays = [primitive(c) for c in inv_cols]
-    processed = list(base_idx)
-    tight = []
-    for j, r in enumerate(rays):
-        tight.append(frozenset(i for i in processed if vdot(rows[i], r) == 0))
+    # rays = columns of the inverse of the base matrix B: eliminating [B | I]
+    # leaves row i as a positive multiple of (e_i | row i of the inverse)
+    red, _ = _echelon([rows[k] + tuple(e) for k, e in zip(base_idx, int_identity(d))])
+    scale = math.lcm(*(red[i][i] for i in range(d)))
+    rays = []
+    for j in range(d):
+        col = [red[i][d + j] * (scale // red[i][i]) for i in range(d)]
+        g = math.gcd(*col)
+        rays.append(tuple(x // g for x in col))
+    # ray j is tight exactly on the base rows other than row j
+    tight = [frozenset(base_idx[:j] + base_idx[j + 1:]) for j in range(d)]
+    base = set(base_idx)
     for i, a in enumerate(rows):
-        if i in base_idx:
+        if i in base:
             continue
-        vals = [vdot(a, r) for r in rays]
+        vals = [sum(map(mul, a, r)) for r in rays]
         if all(v >= 0 for v in vals):
-            processed.append(i)
             tight = [
                 t | {i} if v == 0 else t for t, v in zip(tight, vals)
             ]
@@ -85,7 +86,7 @@ def _dd_pointed(rows: list[Vec], d: int) -> list[Vec]:
         plus = [j for j, v in enumerate(vals) if v > 0]
         zero = [j for j, v in enumerate(vals) if v == 0]
         minus = [j for j, v in enumerate(vals) if v < 0]
-        new_rays: list[Vec] = []
+        new_rays: list[tuple] = []
         new_tight: list[frozenset] = []
         seen = set()
         for p, q in itertools.product(plus, minus):
@@ -97,13 +98,18 @@ def _dd_pointed(rows: list[Vec], d: int) -> list[Vec]:
                     break
             if not adjacent:
                 continue
-            r = primitive(vsub(vscale(vals[p], rays[q]), vscale(vals[q], rays[p])))
+            vp, vq = vals[p], vals[q]
+            r = [vp * x - vq * y for x, y in zip(rays[q], rays[p])]
+            g = math.gcd(*r)
+            r = tuple(x // g for x in r)
             if r in seen:
                 continue
             seen.add(r)
             new_rays.append(r)
-            new_tight.append(frozenset(k for k in processed if vdot(rows[k], r) == 0) | {i})
-        processed.append(i)
+            # r is a positive combination of rays p and q, and every row
+            # processed so far is >= 0 on both, so r is tight exactly where
+            # both are
+            new_tight.append(common | {i})
         rays = [rays[j] for j in plus] + [rays[j] for j in zero] + new_rays
         tight = (
             [tight[j] for j in plus]
@@ -122,49 +128,49 @@ DD_CACHE_SIZE = 512
 def dd_cone(ineqs, eqs, n: int) -> tuple[list[Vec], list[Vec]]:
     """Extreme rays and lineality basis of {x : eqs.x = 0, ineqs.x >= 0}.
 
-    Memoized on the normalized rows (`_dd_cone_cached`); every call gets
-    fresh lists, so a caller that mutates them cannot corrupt the memo.
+    Each row is scaled once to its primitive integer row, which leaves the
+    cone unchanged; the memo `_dd_cone_cached` is keyed on these rows and
+    computes on integers only.  Rays and lines come back as Fraction tuples
+    in fresh lists, so a caller that mutates them cannot corrupt the memo.
     """
-    ineqs = tuple(v for v in map(vec, ineqs) if not is_zero_vec(v))
-    eqs = tuple(v for v in map(vec, eqs) if not is_zero_vec(v))
+    ineqs = tuple(r for r in map(_int_row, ineqs) if any(r))
+    eqs = tuple(r for r in map(_int_row, eqs) if any(r))
     rays, lines = _dd_cone_cached(n, ineqs, eqs)
-    return list(rays), list(lines)
+    return [tuple(map(Fraction, r)) for r in rays], [tuple(map(Fraction, l)) for l in lines]
 
 
 @functools.lru_cache(maxsize=DD_CACHE_SIZE)
 def _dd_cone_cached(n: int, ineqs: tuple, eqs: tuple) -> tuple[tuple, tuple]:
-    """dd_cone on nonzero rows of Fractions; returns tuples so a cached
-    value is immutable."""
+    """dd_cone on nonzero primitive integer rows; returns tuples of
+    primitive integer vectors, so a cached value is immutable."""
     if eqs:
-        sbasis = kernel_basis(eqs, n)
+        sbasis = _kernel(eqs, n)
     else:
-        sbasis = [tuple(F1 if j == i else F0 for j in range(n)) for i in range(n)]
-    s = len(sbasis)
-    if s == 0:
+        sbasis = int_identity(n)
+    if not sbasis:
         return (), ()
-    aprime = [tuple(vdot(a, bj) for bj in sbasis) for a in ineqs]
-    aprime = [r for r in aprime if not is_zero_vec(r)]
+    aprime = [tuple(sum(map(mul, a, b)) for b in sbasis) for a in ineqs]
+    aprime = [r for r in aprime if any(r)]
     if not aprime:
-        return (), tuple(sorted(row_space_basis(sbasis)))
-    lprime = kernel_basis(aprime, s)
-    lines = row_space_basis([mix_basis(lv, sbasis) for lv in lprime]) if lprime else []
-    rspace = row_space_basis(aprime)
-    d = len(rspace)
-    a2 = [tuple(vdot(ap, w) for w in rspace) for ap in aprime]
-    wrays = _dd_pointed(a2, d)
-    rays = []
-    for w in wrays:
-        zv = mix_basis(w, rspace)
-        rays.append(primitive(mix_basis(zv, sbasis)))
-    return tuple(sorted(set(rays))), tuple(sorted(set(lines)))
+        return (), tuple(sorted(_echelon(sbasis)[0]))
+    lprime = _kernel(aprime, len(sbasis))
+    lines = _echelon([mix_basis(lv, sbasis) for lv in lprime])[0] if lprime else []
+    rspace = _echelon(aprime)[0]
+    a2 = [tuple(sum(map(mul, ap, w)) for w in rspace) for ap in aprime]
+    rays = {
+        _int_row(mix_basis(mix_basis(w, rspace), sbasis))
+        for w in _dd_pointed(a2, len(rspace))
+    }
+    return tuple(sorted(rays)), tuple(sorted(lines))
 
 
-def mix_basis(coords: Vec, basis: list[Vec]) -> Vec:
-    out = zero_vec(len(basis[0]))
+def mix_basis(coords, basis) -> tuple:
+    """The combination of the basis vectors with the given coefficients."""
+    out = [0] * len(basis[0])
     for c, b in zip(coords, basis):
-        if c != 0:
-            out = vadd(out, vscale(c, b))
-    return out
+        if c:
+            out = [x + c * y for x, y in zip(out, b)]
+    return tuple(out)
 
 
 def dual_rep(rays, lines, n: int) -> tuple[list[Vec], list[Vec]]:
@@ -224,8 +230,7 @@ class Cone:
             if not src:
                 raise ValueError("ambient dimension required for the zero cone")
             n = len(src[0])
-        gens = [primitive(r) for r in rays if not is_zero_vec(r)]
-        ineqs, eqs = dual_rep(gens, [l for l in lines if not is_zero_vec(l)], n)
+        ineqs, eqs = dual_rep(rays, lines, n)
         crays, clines = dd_cone(ineqs, eqs, n)
         return cls(n, crays, clines, ineqs, eqs)
 
@@ -408,7 +413,7 @@ class Polyhedron:
             if t > 0:
                 verts.append(tuple(x / t for x in r[:n]))
             else:
-                rays.append(primitive(r[:n]))
+                rays.append(r[:n])
         if not verts:
             return cls.empty_polyhedron(n)
         lines = sorted(row_space_basis([l[:n] for l in hc.lines])) if hc.lines else []

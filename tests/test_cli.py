@@ -100,6 +100,18 @@ def test_sections(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["eval", "sections"])
+@pytest.mark.parametrize("weight", ["1,2", "1,0,0"])
+def test_wrong_length_weight_exit_one(capsys, command, weight):
+    # the threefold divisor has rank one
+    code = cli.main([command, fixture("c3_like_threefold.json"), "--weight", weight])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "entries, the divisor has rank 1" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_upgrade_noncf_exit_two(capsys):
     code, out = run(capsys, "upgrade", fixture("noncf_p2.json"))
     assert code == 2
@@ -268,6 +280,29 @@ def test_refine_subcommand(tmp_path, capsys):
     code, out = run(capsys, "refine", str(p))
     assert code == 0
     assert out["complex"]["cells"]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        {"complexes": 5},
+        {"complexes": [5]},
+        {"complexes": [[{"ambient": 1}]]},
+        {"complexes": [[{"ambient": 2, "vertices": [["1"]]}]]},
+        {"complexes": [[{"ambient": "one", "vertices": [["1"]]}]]},
+        {"complexes": [["empty"]]},
+    ],
+    ids=["no-complexes", "list", "not-list", "cells-not-list", "no-vertices", "vertex-length", "ambient", "empty-cell"],
+)
+def test_refine_malformed_payload_exit_one(tmp_path, capsys, payload):
+    p = tmp_path / "cc.json"
+    p.write_text(json.dumps({"schema_version": "1", "kind": "complexes", "payload": payload}))
+    assert cli.main(["refine", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
 
 
 def test_input_error_exit_one(tmp_path, capsys):

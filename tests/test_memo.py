@@ -1,10 +1,13 @@
-"""The dd_cone memo: bounded, never corrupted, and invisible in the results."""
+"""The dd_cone memo: bounded, never corrupted, and invisible in the results;
+the integer DD core behind it equals the Fraction route it replaced."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
+from fraction_route import fraction_dd_cone
 from helpers import random_proper_rank2
 from pdivisors import cli, polyhedra
 from pdivisors.downgrade import DowngradeContext, downgrade
@@ -77,3 +80,100 @@ def test_report_same_with_memo_cold_warm_or_off(tmp_path, monkeypatch):
     monkeypatch.setattr(polyhedra, "_dd_cone_cached", memo.__wrapped__)
     off = report("off.json")
     assert cold == warm == off
+
+
+# -- the integer core --------------------------------------------------------
+
+F2 = Fraction(1, 2)
+
+
+def _random_row(rng, n):
+    scale = rng.choice([1, 1, 2, Fraction(1, 3), Fraction(7, 10**12 + 39)])
+    return tuple(scale * rng.randint(-3, 3) for _ in range(n))
+
+
+def _dd_inputs(seed, count):
+    """Seeded dd_cone inputs with equations, lineality and positively scaled
+    duplicate rows."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        # fewer inequalities than the dimension leave a lineality space;
+        # orienting every row to be >= 0 on w keeps the cone away from {0}
+        w = [rng.randint(-2, 2) for _ in range(n)]
+        ineqs = []
+        for _ in range(rng.randint(0, 2 * n + 2)):
+            row = _random_row(rng, n)
+            ineqs.append(row if sum(a * b for a, b in zip(row, w)) >= 0 else tuple(-x for x in row))
+        for row in rng.sample(ineqs, min(len(ineqs), rng.randint(0, 2))):
+            ineqs.insert(rng.randrange(len(ineqs) + 1), tuple(Fraction(5, 2) * x for x in row))
+        eqs = [_random_row(rng, n) for _ in range(rng.choice([0, 0, 1, 2]))]
+        yield ineqs, eqs, n
+
+
+def test_dd_matches_fraction_route():
+    for ineqs, eqs, n in _dd_inputs(seed=11, count=300):
+        got = polyhedra.dd_cone(ineqs, eqs, n)
+        want = fraction_dd_cone(ineqs, eqs, n)
+        assert got == want
+        for vectors in got:
+            assert all(type(x) is Fraction for v in vectors for x in v)
+
+
+def test_scaled_rows_share_memo_entry():
+    ineqs = [(1, 2, 0), (0, 1, 1), (-1, 0, 1)]
+    eqs = [(1, 1, 1)]
+    memo.cache_clear()
+    first = polyhedra.dd_cone(ineqs, eqs, 3)
+    scaled = [(3, 6, 0), (0, F2, F2), (-1, 0, 1)]
+    assert polyhedra.dd_cone(scaled, [(7, 7, 7)], 3) == first
+    info = memo.cache_info()
+    assert (info.hits, info.currsize) == (1, 1)
+
+
+def test_memo_holds_integers_only(monkeypatch):
+    seen = []
+
+    def recording(n, ineqs, eqs):
+        out = memo(n, ineqs, eqs)
+        seen.append((ineqs, eqs, out))
+        return out
+
+    monkeypatch.setattr(polyhedra, "_dd_cone_cached", recording)
+    _round_trips(1, seed=3)
+    for ineqs, eqs in (([(F2, 1), (0, F2)], []), ([(1, 0, 0)], [(0, F2, 1)])):
+        polyhedra.dd_cone(ineqs, eqs, len(ineqs[0]))
+    assert len(seen) > 50
+    for ineqs, eqs, (rays, lines) in seen:
+        for vectors in (ineqs, eqs, rays, lines):
+            assert type(vectors) is tuple
+            assert all(type(v) is tuple and all(type(x) is int for x in v) for v in vectors)
+
+
+def _stored(obj):
+    """Every coordinate a Cone or Polyhedron stores."""
+    if isinstance(obj, polyhedra.Cone):
+        groups = (obj.rays, obj.lines, obj.ineqs, obj.eqs)
+    else:
+        groups = (obj.vertices, obj.rays, obj.lines) + tuple(
+            [a + (b,) for a, b in pairs] for pairs in (obj.ineqs, obj.eqs)
+        )
+    return [x for g in groups for v in g for x in v]
+
+
+def test_stored_coordinates_are_fractions():
+    rng = random.Random(23)
+    objects = []
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        pts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        rays = [tuple(rng.randint(-1, 2) for _ in range(n)) for _ in range(rng.randint(0, 2))]
+        p = polyhedra.Polyhedron.from_generators(pts, rays, n=n)
+        q = polyhedra.Polyhedron.from_H([(r, rng.randint(-4, 0)) for r in pts], n=n)
+        c = polyhedra.Cone.from_rays(pts, n=n)
+        objects += [p, q, c, c.dual(), p.tail(), p.minkowski(p), p.intersect(q), p.scale(F2)]
+        objects += p.faces() + c.faces()
+        objects.append(p.map_image([tuple(rng.randint(-1, 1) for _ in range(n))]))
+        objects.append(polyhedra.Cone.from_inequalities(pts, n=n))
+    for obj in objects:
+        assert all(type(x) is Fraction for x in _stored(obj)), obj

@@ -14,7 +14,7 @@ from pdivisors.base import (
     point_label,
     ray_label,
 )
-from pdivisors.errors import WeightOutsideCone
+from pdivisors.errors import AmbientMismatch, WeightOutsideCone
 from pdivisors.lattice import Lattice, LatticeMap
 from pdivisors.linalg import vec
 from pdivisors.pdivisor import (
@@ -87,6 +87,14 @@ def test_evaluate_outside_cone():
     )
     with pytest.raises(WeightOutsideCone):
         d.evaluate((-1,))
+
+
+def test_evaluate_wrong_length_weight():
+    rank1 = c3_like(F(5, 6))
+    rank2 = PolyhedralDivisor(P1, 2, Cone.zero(2), {point_label(0): hull([(1, 0), (0, 1)])})
+    for d, u in ((rank1, (1, 2)), (rank1, ()), (rank2, (1,)), (rank2, (1, 0, 0))):
+        with pytest.raises(AmbientMismatch):
+            d.evaluate(u)
 
 
 def test_evaluate_min_over_vertices_random():
