@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedBase,
     ZeroFunction,
 )
-from .linalg import Vec, frac, integral_solve, rank, solve, vdot, vec
+from .linalg import Vec, frac, integral_solve, rank, smith_normal_form, solve, vdot, vec
 from .polyhedra import Cone, Polyhedron
 
 
@@ -103,11 +103,6 @@ class PrimeDivisorLabel:
     ray: tuple | None = None
     class_rep: tuple = ()  # tuple of (ray, Fraction) pairs for declared kind
     degree: Fraction | None = None
-
-    def degree_or_raise(self) -> Fraction:
-        if self.degree is None:
-            raise NoDegreeMap(f"prime {self.id} has no declared degree")
-        return self.degree
 
 
 def point_label(x) -> PrimeDivisorLabel:
@@ -206,20 +201,6 @@ class BaseVariety:
 
     def __repr__(self):
         return f"BaseVariety({self.name})"
-
-    def is_projective(self) -> bool:
-        if self.kind == "P1":
-            return True
-        if self.kind == "toric":
-            return self.fan_is_complete()
-        return False
-
-    def is_affine(self) -> bool:
-        if self.kind == "open_p1":
-            return True
-        if self.kind == "toric":
-            return len(self.fan) == 1
-        return False
 
     def rays(self) -> list[Vec]:
         out = {}
@@ -337,21 +318,22 @@ class BaseVariety:
         return uniq
 
 
+def cone_index(c: Cone) -> int:
+    """Index of the lattice spanned by the rays of c in its saturation.
+
+    The product of the Smith invariant factors of the ray matrix; 0 when the
+    rays are linearly dependent, that is when c is not simplicial.
+    """
+    k = len(c.rays)
+    if k > c.n:
+        return 0
+    _, d, _ = smith_normal_form([[int(x) for x in r] for r in c.rays])
+    return abs(math.prod(d[i][i] for i in range(k)))
+
+
 def cone_is_smooth(c: Cone) -> bool:
     """Simplicial with an extendable lattice basis (all SNF factors 1)."""
-    if not c.is_pointed():
-        return False
-    k = len(c.rays)
-    if k == 0:
-        return True
-    if rank(list(c.rays)) != k:
-        return False
-    from .linalg import smith_normal_form
-
-    a = [[int(x) for x in r] for r in c.rays]
-    _, d, _ = smith_normal_form(a)
-    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-    return all(abs(x) == 1 for x in diag[:k])
+    return c.is_pointed() and cone_index(c) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +478,6 @@ class CurveFunction:
     def inverse(self) -> "CurveFunction":
         return CurveFunction({a: -k for a, k in self.factors.items()})
 
-    def power(self, k: int) -> "CurveFunction":
-        return CurveFunction({a: k * n for a, n in self.factors.items()})
-
     def order_at(self, x) -> int:
         x = INF if is_inf(x) else frac(x)
         fin = {a: k for a, k in self.factors.items() if not is_inf(a)}
@@ -612,14 +591,14 @@ class SectionSpace:
     truncated: bool = False
 
 
-def global_sections(d: QDivisor, pole_bound: int | None = None, box=None) -> SectionSpace:
+def global_sections(d: QDivisor, pole_bound: int | None = None) -> SectionSpace:
     """Basis description of L(d) = {f : div(f) + d >= 0}.
 
     P^1: explicit rational-function basis of dimension deg(floor d) + 1.
     Open subsets of P^1 (or infinite coefficients): poles at removed primes
     are unbounded; they are truncated at `pole_bound`.
-    Toric with invariant d: characters in the section polytope, enumerated
-    inside `box` when unbounded.
+    Toric with invariant d: characters in the section polytope; an unbounded
+    polytope gives no basis and dimension None.
     """
     base = d.base
     if base.kind in ("P1", "open_p1"):
@@ -666,12 +645,7 @@ def global_sections(d: QDivisor, pole_bound: int | None = None, box=None) -> Sec
             pts = poly.lattice_points()
             basis = tuple(ToricFunction({m: 1}) for m in pts)
             return SectionSpace(len(pts), basis, polytope=poly)
-        if box is None:
-            return SectionSpace(None, (), polytope=poly)
-        boxed = poly.intersect(box)
-        pts = boxed.lattice_points() if boxed.is_bounded() else []
-        basis = tuple(ToricFunction({m: 1}) for m in pts)
-        return SectionSpace(None, basis, polytope=poly, truncated=True)
+        return SectionSpace(None, (), polytope=poly)
     raise UnsupportedBase(base.kind)
 
 

@@ -81,6 +81,13 @@ def json_to_vec(data):
     return tuple(out)
 
 
+def json_to_count(data, what: str) -> int:
+    """A JSON integer >= 0; floats, booleans and strings are rejected."""
+    if type(data) is not int or data < 0:
+        raise SchemaError(f"{what} must be an integer >= 0, got {data!r}")
+    return data
+
+
 # ---------------------------------------------------------------------------
 # geometry encoding
 # ---------------------------------------------------------------------------
@@ -104,7 +111,7 @@ def json_to_vecs(data, length: int, what: str):
 
 def json_to_cone(data) -> Cone:
     try:
-        n = int(data["ambient"])
+        n = json_to_count(data["ambient"], "ambient")
         return Cone.from_rays(
             json_to_vecs(data["rays"], n, "cone ray"),
             json_to_vecs(data.get("lines", []), n, "cone line"),
@@ -131,7 +138,7 @@ def json_to_polyhedron(data, ambient=None) -> Polyhedron:
             raise SchemaError("empty polyhedron needs an ambient dimension")
         return Polyhedron.empty_polyhedron(ambient)
     try:
-        n = int(data["ambient"])
+        n = json_to_count(data["ambient"], "ambient")
         return Polyhedron.from_generators(
             json_to_vecs(data["vertices"], n, "polyhedron vertex"),
             json_to_vecs(data.get("rays", []), n, "polyhedron ray"),
@@ -257,7 +264,7 @@ def pdivisor_to_json(d: PolyhedralDivisor):
 
 def json_to_pdivisor(data) -> PolyhedralDivisor:
     base = json_to_base(data["base"])
-    n = int(data["lattice_rank"])
+    n = json_to_count(data["lattice_rank"], "lattice_rank")
     tail = json_to_cone(data["tail"])
     coeffs = {}
     for lab, poly in data["coefficients"]:
@@ -284,7 +291,7 @@ def fan_to_json(fan: DivisorialFan):
 
 def json_to_fan(data) -> DivisorialFan:
     base = json_to_base(data["base"])
-    n = int(data["lattice_rank"])
+    n = json_to_count(data["lattice_rank"], "lattice_rank")
     members = []
     for m in data["members"]:
         tail = json_to_cone(m["tail"])
@@ -316,7 +323,7 @@ def invariant_pdivisor_to_json(d: InvariantPDivisorOnFan):
 
 def json_to_invariant_pdivisor(data) -> InvariantPDivisorOnFan:
     fan = json_to_fan(data["fan"])
-    n = int(data["lattice_rank"])
+    n = json_to_count(data["lattice_rank"], "lattice_rank")
     tail = json_to_cone(data["tail"])
     base = fan.base
     rays = [json_to_vec(r) for r in data["rays"]] if data.get("rays") is not None else None
@@ -354,7 +361,9 @@ def json_to_deformation(data) -> DeformationInput:
         delta,
         json_to_vec(data["degree"]),
         tuple(json_to_polyhedron(p, ambient=n) for p in data["deltas"]),
-        tuple(data["multiplicities"]) if data.get("multiplicities") else None,
+        tuple(json_to_count(m, "a multiplicity") for m in data["multiplicities"])
+        if data.get("multiplicities")
+        else None,
     )
 
 
@@ -456,7 +465,7 @@ def _load(path, kind):
 def _report(args, payload, exit_code=0):
     payload = dict(payload)
     payload["defaults"] = {
-        "k_bound": args.k_bound,
+        "k_bound": 12,
         "window": args.window,
         "parallelism": 1,
     }
@@ -642,7 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--format", choices=["json", "text"], default="json")
     ap.add_argument("--out", default=None, help="write the report to a file")
-    ap.add_argument("--k-bound", dest="k_bound", type=int, default=12)
     ap.add_argument("--window", type=int, default=1)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -178,7 +178,7 @@ def fan_from(psi: PLDivisorMap, marks):
     # support divisor from the dual values: h_P = Psi_P*
     ray_coeffs = {}
     for r in fan.rays():
-        ray_coeffs[r] = -min(vdot(r, u) for u, _ in _graph_points(psi))
+        ray_coeffs[r] = -min(vdot(r, u) for u in psi.box.vertices)
     vertex_coeffs = {}
     for label, (_, psi_star, cells) in duals.items():
         for c in cells:
@@ -186,12 +186,6 @@ def fan_from(psi: PLDivisorMap, marks):
                 vertex_coeffs[(label, v)] = -psi_star.value(v)
     dstar = TInvariantDivisor(fan, ray_coeffs, vertex_coeffs)
     return fan, duals, dstar
-
-
-def _graph_points(psi: PLDivisorMap):
-    box = psi.box
-    pts = [(v, Fraction(0)) for v in box.vertices]
-    return pts
 
 
 # ---------------------------------------------------------------------------

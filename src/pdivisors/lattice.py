@@ -3,7 +3,10 @@
 A lattice is just a rank with a name; vectors are tuples of Fraction.  The
 interesting content is `smith_split`, which splits a surjection of lattices
 into a section, a compatible cosection and a kernel basis, canonicalized so
-that repeated runs (and hand-written tests) see identical matrices.
+that repeated runs (and hand-written tests) see identical matrices.  It
+works on integer lists throughout: one Smith normal form gives the section
+and the kernel, and one fraction-free elimination inverts [section | kernel]
+to give the cosection.
 """
 
 from __future__ import annotations
@@ -15,14 +18,15 @@ from math import lcm
 from .errors import NotSurjective, ZeroVector
 from .linalg import (
     Vec,
+    _echelon,
     frac,
     identity,
+    int_identity,
     mat,
     mat_mul,
     mat_vec,
     primitive,
     smith_normal_form,
-    transpose,
     vec,
 )
 
@@ -84,9 +88,6 @@ class LatticeMap:
         if other.target.rank != self.source.rank:
             raise ValueError("composition rank mismatch")
         return LatticeMap(other.source, self.target, mat_mul(self.matrix, other.matrix))
-
-    def dual_map(self) -> "LatticeMap":
-        return LatticeMap(self.target.dual(), self.source.dual(), transpose(self.matrix))
 
     @staticmethod
     def identity_on(lat: Lattice) -> "LatticeMap":
@@ -174,8 +175,8 @@ def smith_split(pr: LatticeMap, *, canonical: bool = True, pivot_order=None):
     a = pr.int_rows()
     mbar, m = pr.target.rank, pr.source.rank
     if mbar == 0:
-        kern = LatticeMap(pr.source, pr.source, identity(m))
-        t = LatticeMap(pr.source, pr.source, identity(m))
+        kern = LatticeMap(pr.source, pr.source, int_identity(m))
+        t = LatticeMap(pr.source, pr.source, int_identity(m))
         s_star = LatticeMap(pr.target, pr.source, [[] for _ in range(m)])
         return s_star, t, kern
     u, d, v = smith_normal_form(a, col_order=pivot_order)
@@ -187,36 +188,26 @@ def smith_split(pr: LatticeMap, *, canonical: bool = True, pivot_order=None):
         if d[i][i] == -1:
             for r in range(m):
                 v[r][i] = -v[r][i]
-    # section: columns 0..mbar-1 of V * U ; kernel: columns mbar.. of V
-    vmat = mat(v)
-    umat = mat(u)
-    sec_cols = [[int(vmat[r][i]) for r in range(m)] for i in range(mbar)]
-    s_mat = mat_mul(mat([[c[r] for c in sec_cols] for r in range(m)]), umat)
-    ker_cols = [[int(vmat[r][i]) for r in range(m)] for i in range(mbar, m)]
+    # section S = V[:, :mbar] . U ; kernel K = column HNF of V[:, mbar:]
+    s_cols = [
+        [sum(v[r][k] * u[k][j] for k in range(mbar)) for r in range(m)] for j in range(mbar)
+    ]
     # the kernel basis is always canonical (column HNF), so Cl-style
     # coordinates agree across pivot choices; only the section varies
-    ker_cols = _hnf_columns(ker_cols)
+    ker_cols = _hnf_columns([[v[r][i] for r in range(m)] for i in range(mbar, m)])
     if canonical:
-        s_cols = [[int(s_mat[r][i]) for r in range(m)] for i in range(mbar)]
         s_cols = [_reduce_mod_columns(c, ker_cols) for c in s_cols]
-        s_mat = mat([[s_cols[j][r] for j in range(mbar)] for r in range(m)])
+    cols = s_cols + ker_cols
+    # [S | K] is unimodular with inverse [pr; t]: t is the last m - mbar rows
+    # of the inverse, read off one elimination of [S | K | I]
+    red, pivots = _echelon(
+        [[c[r] for c in cols] + [int(r == j) for j in range(m)] for r in range(m)]
+    )
+    if pivots != list(range(m)) or any(red[i][i] != 1 for i in range(m)):
+        raise NotSurjective("section and kernel do not span the lattice (internal)")
     kern_rank = m - mbar
     ker_lat = Lattice(kern_rank, pr.source.name + "'")
-    kern = LatticeMap(ker_lat, pr.source, [[ker_cols[j][r] for j in range(kern_rank)] for r in range(m)])
-    s_star = LatticeMap(pr.target, pr.source, s_mat)
-    # cosection t with kernel . t = id - s_star . pr  (exact integer solve)
-    idm = identity(m)
-    sp = mat_mul(s_mat, pr.matrix)
-    target_mat = [[idm[r][c2] - sp[r][c2] for c2 in range(m)] for r in range(m)]
-    kcolmat = [[frac(ker_cols[j][r]) for j in range(kern_rank)] for r in range(m)]
-    from .linalg import solve as lin_solve
-
-    t_cols = []
-    for c2 in range(m):
-        col = [target_mat[r][c2] for r in range(m)]
-        sol = lin_solve(kcolmat, col) if kern_rank else ()
-        if sol is None or any(frac(x).denominator != 1 for x in sol):
-            raise NotSurjective("kernel basis does not span id - s*pr (internal)")
-        t_cols.append([int(x) for x in sol])
-    t = LatticeMap(pr.source, ker_lat, [[t_cols[c2][r] for c2 in range(m)] for r in range(kern_rank)])
+    kern = LatticeMap(ker_lat, pr.source, [[c[r] for c in ker_cols] for r in range(m)])
+    s_star = LatticeMap(pr.target, pr.source, [[c[r] for c in s_cols] for r in range(m)])
+    t = LatticeMap(pr.source, ker_lat, [row[m:] for row in red[mbar:]])
     return s_star, t, kern

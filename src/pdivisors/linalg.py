@@ -2,9 +2,11 @@
 
 Vectors are tuples of numbers, matrices are tuples of row tuples.  The
 public vector helpers take and return Fractions.  Rank, kernel and row
-space run on one fraction-free elimination over integer rows (`_echelon`);
-`solve`, `det` and the simplex solver below run on exact rationals.
-Nothing here ever touches a float.
+space and `solve` run on one fraction-free elimination over integer rows
+(`_echelon`), and integer matrices on one Smith normal form.  The exact
+simplex solver below, kept as an independent oracle for the tests, is the
+only code here that eliminates over Fractions.  Nothing here ever touches
+a float.
 """
 
 from __future__ import annotations
@@ -94,32 +96,6 @@ def primitive(v) -> Vec:
     return tuple(map(Fraction, ints))
 
 
-def rref(rows) -> tuple[list, list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    a = [list(vec(r)) for r in rows]
-    if not a:
-        return [], []
-    m, n = len(a), len(a[0])
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return [tuple(row) for row in a[:r]], pivots
-
-
 def _echelon(rows) -> tuple[list[tuple], list[int]]:
     """Fraction-free Gauss-Jordan elimination; returns (rows, pivot columns).
 
@@ -192,47 +168,24 @@ def kernel_basis(rows, n: int | None = None) -> list[Vec]:
 def solve(rows, b) -> Vec | None:
     """One exact solution of A x = b, or None if inconsistent.
 
-    Free variables are set to zero (deterministic canonical solution).
+    Free variables are set to zero (deterministic canonical solution).  The
+    system is inconsistent when column n of `_echelon([A | b])` is a pivot;
+    otherwise each echelon row is a positive multiple of its RREF row, so
+    the pivot variable is the last entry divided by the pivot entry.
     """
-    a = [list(vec(r)) + [frac(bb)] for r, bb in zip(rows, b)]
     n = len(rows[0]) if rows else 0
-    red, pivots = rref(a)
-    for row in red:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
+    red, pivots = _echelon([list(r) + [bb] for r, bb in zip(rows, b)])
+    if n in pivots:
+        return None
     x = [F0] * n
-    for r, pc in enumerate(pivots):
-        if pc == n:
-            return None
-        x[pc] = red[r][-1]
+    for row, pc in zip(red, pivots):
+        x[pc] = Fraction(row[n], row[pc])
     return tuple(x)
 
 
 def row_space_basis(rows) -> list[Vec]:
     """Primitive integer rows on the rays of the nonzero RREF rows."""
     return [tuple(map(Fraction, r)) for r in _echelon(rows)[0]]
-
-
-def det(rows) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    a = [list(vec(r)) for r in rows]
-    n = len(a)
-    sign = 1
-    out = F1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pr is None:
-            return F0
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            sign = -sign
-        out *= a[c][c]
-        pv = a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] / pv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return out * sign
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +274,15 @@ def smith_normal_form(a, col_order=None):
                         if d[t][t] < 0:
                             negate_row(t)
                         dirty = True
-        # enforce divisibility d[t][t] | d[i][j]
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % d[t][t] != 0:
-                    add_row(i, t, 1)
-                    dirty = True
-        if dirty:
+        # enforce divisibility d[t][t] | d[i][j]: add the first failing row
+        # once and search the pivot again, which makes the pivot strictly
+        # smaller; adding a row once per failing entry can cycle
+        bad = next(
+            (i for i in range(t + 1, m) for j in range(t + 1, n) if d[i][j] % d[t][t]),
+            None,
+        )
+        if bad is not None:
+            add_row(bad, t, 1)
             continue
         t += 1
     return u, d, v

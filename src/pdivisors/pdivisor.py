@@ -102,9 +102,6 @@ class PolyhedralDivisor:
     def empty_primes(self) -> list[PrimeDivisorLabel]:
         return [l for l, p in self.coeffs.items() if p.empty]
 
-    def locus_is_all(self) -> bool:
-        return not self.empty_primes()
-
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, u) -> QDivisor:

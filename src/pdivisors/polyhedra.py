@@ -173,11 +173,6 @@ def mix_basis(coords, basis) -> tuple:
     return tuple(out)
 
 
-def dual_rep(rays, lines, n: int) -> tuple[list[Vec], list[Vec]]:
-    """Facet normals and span equations of pos(rays) + span(lines)."""
-    return dd_cone(rays, lines, n)
-
-
 def _face_sets(gens, normals) -> list[tuple[int, ...]]:
     """Generator index sets of all faces, the full set first.
 
@@ -230,7 +225,8 @@ class Cone:
             if not src:
                 raise ValueError("ambient dimension required for the zero cone")
             n = len(src[0])
-        ineqs, eqs = dual_rep(rays, lines, n)
+        # facet normals and span equations of pos(rays) + span(lines)
+        ineqs, eqs = dd_cone(rays, lines, n)
         crays, clines = dd_cone(ineqs, eqs, n)
         return cls(n, crays, clines, ineqs, eqs)
 
@@ -244,7 +240,7 @@ class Cone:
                 raise ValueError("ambient dimension required for the full cone")
             n = len(src[0])
         crays, clines = dd_cone(ineqs, eqs, n)
-        cineqs, ceqs = dual_rep(crays, clines, n)
+        cineqs, ceqs = dd_cone(crays, clines, n)
         return cls(n, crays, clines, cineqs, ceqs)
 
     @classmethod
@@ -473,9 +469,6 @@ class Polyhedron:
         if self.lines:
             s += " + span{" + ", ".join(fmt(l) for l in self.lines) + "}"
         return s
-
-    def is_empty(self) -> bool:
-        return self.empty
 
     def dim(self) -> int:
         if self.empty:
@@ -806,9 +799,6 @@ class PolyhedralComplex:
             for r in t.rays:
                 out[r] = None
         return sorted(out)
-
-    def support_contains(self, x) -> bool:
-        return any(c.contains_point(x) for c in self.cells)
 
     def locate(self, x) -> Polyhedron | None:
         for c in self.cells:

@@ -48,7 +48,7 @@ from .polyhedra import (
 class DivisorialFan:
     """Finite compatible set of polyhedral divisors on a common base."""
 
-    def __init__(self, base: BaseVariety, members, validate=True, semicomplete=None):
+    def __init__(self, base: BaseVariety, members, semicomplete=None):
         self.base = base
         self.members = tuple(members)
         if not self.members:
@@ -65,18 +65,17 @@ class DivisorialFan:
                 p = m.coefficient(label)
                 if not p.empty:
                     cells.append(p)
-            self._slices[label] = PolyhedralComplex(cells, validate=validate)
+            self._slices[label] = PolyhedralComplex(cells, validate=True)
         self._tailfan = PolyhedralComplex(
-            [m.tail.as_polyhedron() for m in self.members], validate=validate
+            [m.tail.as_polyhedron() for m in self.members], validate=True
         )
-        if validate:
-            tail_faces = set(self._tailfan.all_faces())
-            for label, sl in self._slices.items():
-                for c in sl.cells:
-                    if c.tail().as_polyhedron() not in tail_faces:
-                        raise ValueError(
-                            f"slice cell tail at {label.id} missing from the tailfan"
-                        )
+        tail_faces = set(self._tailfan.all_faces())
+        for label, sl in self._slices.items():
+            for c in sl.cells:
+                if c.tail().as_polyhedron() not in tail_faces:
+                    raise ValueError(
+                        f"slice cell tail at {label.id} missing from the tailfan"
+                    )
 
     def marked_primes(self):
         out = {}

@@ -11,11 +11,11 @@ the violated hypotheses; the failure mode itself is informative output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import product
 
-from .base import INF, BaseVariety
+from .base import INF, BaseVariety, cone_index, cone_is_smooth
 from .errors import NoDegreeMap
-from .linalg import vdot, vec, zero_vec
+from .linalg import primitive, vdot, vec, zero_vec
 from .pdivisor import PolyhedralDivisor, PropernessReport
 from .polyhedra import Cone, Polyhedron
 from .tvariety import DivisorialFan, invariant_prime_divisors
@@ -100,7 +100,7 @@ class InvariantPDivisorOnFan:
         ra = {}
         for r in self.rays:
             p = self.ray_coefficient(r)
-            ra[r] = min(vdotv(x, u) for x in p.vertices)
+            ra[r] = min(vdot(x, u) for x in p.vertices)
         vb = {}
         for label, vs in self.verts.items():
             for v in vs:
@@ -108,12 +108,8 @@ class InvariantPDivisorOnFan:
                 if p.empty:
                     vb[(label, v)] = INF
                 else:
-                    vb[(label, v)] = min(vdotv(x, u) for x in p.vertices)
+                    vb[(label, v)] = min(vdot(x, u) for x in p.vertices)
         return ra, vb
-
-
-def vdotv(a, b):
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def upgrade_tailcone(d: InvariantPDivisorOnFan) -> Cone:
@@ -223,19 +219,18 @@ def correct_pic_z(d: PolyhedralDivisor) -> tuple[PolyhedralDivisor, PropernessRe
 # ---------------------------------------------------------------------------
 
 
-def resolve_toric(base: BaseVariety, max_rounds: int = 64) -> BaseVariety:
-    """Stellar-subdivide simplicial non-smooth cones until the fan is smooth.
+def resolve_toric(base: BaseVariety) -> BaseVariety:
+    """Stellar-subdivide non-smooth cones until the fan is smooth.
 
-    The subdivision point is the lexicographically least nonzero lattice
-    point of the half-open generator parallelotope of the lexicographically
-    first non-smooth maximal cone; deterministic but not canonical.
+    The subdivision point of the lexicographically first non-smooth maximal
+    cone is the lexicographically least nonzero lattice point of its
+    half-open generator parallelotope when the cone is simplicial;
+    deterministic but not canonical.
     """
-    from .base import cone_is_smooth
-
     if base.kind != "toric":
         return base
     cones = list(base.fan)
-    for _ in range(max_rounds):
+    for _ in range(64):
         bad = sorted(
             (c for c in cones if not cone_is_smooth(c)), key=lambda c: c.rays
         )
@@ -250,36 +245,26 @@ def resolve_toric(base: BaseVariety, max_rounds: int = 64) -> BaseVariety:
 
 
 def _parallelotope_point(c: Cone):
-    from itertools import product
+    """Subdivision point of a non-smooth cone.
 
-    rays = list(c.rays)
-    k = len(rays)
-    if k != len(set(rays)) or k == 0:
-        raise ValueError("stellar step needs a simplicial cone")
-    # lattice points sum lambda_i r_i with 0 <= lambda_i < 1, denominators
-    # bounded by the index; scan a rational grid exactly
-    from .linalg import det as _det
-
-    denom = None
-    sq = [list(r) for r in rays]
-    if len(sq) == c.n:
-        denom = abs(int(_det(sq)))
-    grid = denom if denom else 12
+    The lattice points of the half-open parallelotope {sum l_i r_i : 0 <= l_i
+    < 1} of a simplicial cone have coordinates l_i in (1/index) Z, where the
+    index is that of the lattice the rays span in its saturation.  A cone
+    that is not simplicial gets the primitive vector on the sum of its rays,
+    a point of its relative interior.
+    """
+    rays = [[int(x) for x in r] for r in c.rays]
+    grid = cone_index(c)
+    if not grid:
+        return vec(primitive([sum(col) for col in zip(*rays)]))
     candidates = []
-    for coeffs in product(range(grid), repeat=k):
-        if not any(coeffs):
-            continue
-        lam = [Fraction(x, grid) for x in coeffs]
-        pt = tuple(
-            sum(l * r[i] for l, r in zip(lam, rays)) for i in range(c.n)
-        )
-        if all(x.denominator == 1 for x in pt):
-            candidates.append(tuple(int(x) for x in pt))
+    for coeffs in product(range(grid), repeat=len(rays)):
+        pt = [sum(a * r[i] for a, r in zip(coeffs, rays)) for i in range(c.n)]
+        if any(coeffs) and all(x % grid == 0 for x in pt):
+            candidates.append(tuple(x // grid for x in pt))
     if not candidates:
         raise ValueError("no subdivision point found (cone already smooth?)")
-    from .linalg import primitive
-
-    return vec(primitive(sorted(candidates)[0]))
+    return vec(primitive(min(candidates)))
 
 
 def _stellar(cones, w):

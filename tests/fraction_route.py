@@ -1,4 +1,5 @@
-"""Rank, kernel, row space and the double description method on Fractions.
+"""Rank, kernel, row space, solve, the determinant and the double
+description method on Fractions.
 
 This is the rational route that the library ran before its fraction-free
 integer elimination and integer DD core.  The tests compare the library
@@ -70,6 +71,37 @@ def fraction_kernel(rows, n):
 def fraction_row_space(rows):
     red, _ = fraction_rref(rows)
     return [fraction_primitive(r) for r in red if any(x != 0 for x in r)]
+
+
+def fraction_solve(rows, b):
+    """One solution of A x = b with the free variables zero, or None."""
+    n = len(rows[0]) if rows else 0
+    red, pivots = fraction_rref([list(r) + [bb] for r, bb in zip(rows, b)])
+    if n in pivots:
+        return None
+    x = [F(0)] * n
+    for row, pc in zip(red, pivots):
+        x[pc] = row[-1]
+    return tuple(x)
+
+
+def fraction_det(rows):
+    """Determinant by Gaussian elimination over Fractions."""
+    a = [[F(x) for x in r] for r in rows]
+    n = len(a)
+    out = F(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pr is None:
+            return F(0)
+        if pr != c:
+            a[c], a[pr] = a[pr], a[c]
+            out = -out
+        out *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return out
 
 
 def _dot(a, b):

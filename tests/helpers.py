@@ -7,7 +7,8 @@ from fractions import Fraction
 
 from pdivisors.base import INF, BaseVariety, CurveFunction, is_inf, point_label
 from pdivisors.lattice import multiplicity
-from pdivisors.linalg import rref, vdot, vec
+from fraction_route import fraction_rank
+from pdivisors.linalg import vdot, vec
 from pdivisors.pdivisor import PolyhedralDivisor
 from pdivisors.polyhedra import Cone, Polyhedron, hull
 from pdivisors.tvariety import DivisorialFan, TInvariantDivisor, box_and_psi
@@ -115,8 +116,7 @@ def span_dimension(functions) -> int:
     rows = [expand_function(f, denom) for f in functions]
     width = max(len(r) for r in rows)
     rows = [r + [F(0)] * (width - len(r)) for r in rows]
-    red, pivots = rref(rows)
-    return len(red)
+    return fraction_rank(rows)
 
 
 def brute_force_graded_dimension(d: TInvariantDivisor, u, order_bound=6) -> int:

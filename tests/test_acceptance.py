@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from fraction_route import fraction_det
 from helpers import (
     assert_cox_dims_equivalent,
     brute_force_graded_dimension,
@@ -36,7 +37,7 @@ from pdivisors.cox import cox_correct, cox_sequence
 from pdivisors.deform import DeformationInput, check_admissible, deformation_upgrade, family_pdivisor
 from pdivisors.downgrade import DowngradeContext, downgrade
 from pdivisors.lattice import Lattice, LatticeMap
-from pdivisors.linalg import det, mat_vec, vdot, vec
+from pdivisors.linalg import mat_vec, vdot, vec
 from pdivisors.pdivisor import PolyhedralDivisor, toric_downgrade
 from pdivisors.polyhedra import Cone, Polyhedron, dual_cone, hull, minkowski_sum
 from pdivisors.tvariety import (
@@ -126,7 +127,7 @@ def test_criterion_2_toric_downgrade_golden():
     cols = [(0, 0, 1, 0), (0, 1, 1, 0), (0, 0, 0, 1), (1, 1, 0, 1)]
     delta = Cone.from_rays(cols)
     assert delta.is_pointed() and len(delta.rays) == 4
-    assert abs(det([list(r) for r in delta.rays])) == 1  # affine 4-space certificate
+    assert abs(fraction_det([list(r) for r in delta.rays])) == 1  # affine 4-space certificate
     sub = LatticeMap(Lattice(1, "Nbar"), Lattice(4, "Nt"), [[1], [0], [0], [0]])
     base, dbar, rep = toric_downgrade(delta, sub)
     expected_cones = {

@@ -3,6 +3,8 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -293,8 +295,14 @@ def test_refine_subcommand(tmp_path, capsys):
         {"complexes": [[{"ambient": 2, "vertices": [["1"]]}]]},
         {"complexes": [[{"ambient": "one", "vertices": [["1"]]}]]},
         {"complexes": [["empty"]]},
+        {"complexes": [[{"ambient": 1.9, "vertices": [["1"]]}]]},
+        {"complexes": [[{"ambient": True, "vertices": [["1"]]}]]},
+        {"complexes": [[{"ambient": -1, "vertices": []}]]},
     ],
-    ids=["no-complexes", "list", "not-list", "cells-not-list", "no-vertices", "vertex-length", "ambient", "empty-cell"],
+    ids=[
+        "no-complexes", "list", "not-list", "cells-not-list", "no-vertices", "vertex-length", "ambient",
+        "empty-cell", "ambient-float", "ambient-bool", "ambient-negative",
+    ],
 )
 def test_refine_malformed_payload_exit_one(tmp_path, capsys, payload):
     p = tmp_path / "cc.json"
@@ -332,6 +340,20 @@ def _degree_too_long(doc):
     doc["payload"]["degree"].append("0")
 
 
+def _set(value, *path):
+    def edit(doc):
+        node = doc["payload"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return edit
+
+
+def _float_multiplicities(doc):
+    doc["payload"]["multiplicities"] = [1.0] * (len(doc["payload"]["deltas"]) - 1)
+
+
 @pytest.mark.parametrize(
     "name, argv, edit",
     [
@@ -340,8 +362,19 @@ def _degree_too_long(doc):
         ("c3_like_threefold.json", ["proper"], _drop("lattice_rank")),
         ("downgrade_difficulties.json", ["toric-downgrade", "--sublattice", '[["1","0","0"]]'], None),
         ("downgrade_difficulties.json", ["toric-downgrade", "--sublattice", "not json"], None),
+        ("c3_like_threefold.json", ["proper"], _set(1.0, "lattice_rank")),
+        ("c3_like_threefold.json", ["proper"], _set(True, "lattice_rank")),
+        ("c3_like_threefold.json", ["proper"], _set(True, "tail", "ambient")),
+        ("psi0_fan.json", ["cox"], _set("1", "lattice_rank")),
+        ("noncf_p2.json", ["upgrade"], _set(1.5, "lattice_rank")),
+        ("downgrade_difficulties.json", ["toric-downgrade", "--sublattice", '[["1","0","0","0"]]'], _set(4.0, "ambient")),
+        ("a1_deformation.json", ["deform-upgrade"], _float_multiplicities),
     ],
-    ids=["missing-deltas", "degree-length", "missing-rank", "sublattice-length", "sublattice-json"],
+    ids=[
+        "missing-deltas", "degree-length", "missing-rank", "sublattice-length", "sublattice-json",
+        "rank-float", "rank-bool", "tail-ambient-bool", "fan-rank-string", "invariant-rank-float",
+        "cone-ambient-float", "multiplicity-float",
+    ],
 )
 def test_malformed_input_is_schema_error(tmp_path, capsys, name, argv, edit):
     doc = json.loads((FIX / name).read_text())
@@ -361,3 +394,36 @@ def test_projection_length_is_schema_error(tmp_path, capsys):
     assert cli.main(["downgrade", str(p), "--projection", '[["0","1","1"]]']) == 1
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "projection",
+    ['[["4","-3","0","-3"],["-2","4","4","-4"]]', '[["1","0","0","0"],["0","2","3","5"]]'],
+    ids=["torsion", "surjective"],
+)
+def test_downgrade_rank4_terminates(tmp_path, projection):
+    # the Smith normal form under the projection's splitting once cycled here
+    from pdivisors.base import BaseVariety, point_label
+    from pdivisors.pdivisor import PolyhedralDivisor
+    from pdivisors.polyhedra import Cone, hull
+
+    sigma = Cone.from_rays([tuple(int(i == j) for j in range(4)) for i in range(4)])
+    d = PolyhedralDivisor(
+        BaseVariety.projective_line(),
+        4,
+        sigma,
+        {point_label(0): hull([(1, 0, 0, 0), (0, 1, 0, 0)]).minkowski(sigma.as_polyhedron())},
+    )
+    p = tmp_path / "r4.json"
+    p.write_bytes(cli.emit(d, "pdivisor"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdivisors.cli", "downgrade", str(p), "--projection", projection],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode in (0, 1, 2)
+    assert "Traceback" not in proc.stderr

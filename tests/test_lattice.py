@@ -80,10 +80,10 @@ def test_split_rejects_torsion():
 def test_split_random_surjections():
     rng = random.Random(11)
     found = 0
-    while found < 25:
-        m = rng.randint(1, 4)
+    while found < 300:
+        m = rng.randint(1, 6)
         mbar = rng.randint(1, m)
-        rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(mbar)]
+        rows = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(mbar)]
         pr = LatticeMap(Lattice(m, "M"), Lattice(mbar, "Mbar"), rows)
         if not pr.is_surjective():
             continue
@@ -131,10 +131,21 @@ def test_primitive_direction_scale_invariant():
 
 def test_snf_transforms():
     rng = random.Random(3)
+    cases = []
     for _ in range(40):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
-        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        cases.append([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
+    # the divisibility step once cycled on these (the second is the
+    # projection of a `pdiv downgrade` that never returned)
+    cases += [[[2, 0, 0], [0, 3, 5]], [[4, -3, 0, -3], [-2, 4, 4, -4]]]
+    rng = random.Random(2026)
+    for _ in range(600):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 5)
+        cases.append([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
+    for a in cases:
+        m, n = len(a), len(a[0])
         u, d, v = smith_normal_form(a)
         prod = mat_mul(mat_mul(vec_rows(u), vec_rows(a)), vec_rows(v))
         for i in range(m):
@@ -147,6 +158,7 @@ def test_snf_transforms():
         for x, y in zip(diag, diag[1:]):
             if y != 0:
                 assert x != 0 and y % x == 0
+    assert smith_normal_form([[2, 0, 0], [0, 3, 5]])[1] == [[1, 0, 0], [0, 2, 0]]
 
 
 def vec_rows(a):

@@ -1,16 +1,22 @@
-"""Rank, kernel and row space from the fraction-free elimination equal the
-results of the Fraction RREF they replaced."""
+"""Rank, kernel, row space and solve from the fraction-free elimination
+equal the results of the Fraction RREF they replaced."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from fraction_route import fraction_kernel, fraction_primitive, fraction_rref, fraction_row_space
+from fraction_route import (
+    fraction_kernel,
+    fraction_primitive,
+    fraction_rref,
+    fraction_row_space,
+    fraction_solve,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdivisors.linalg import kernel_basis, primitive, rank, row_space_basis
+from pdivisors.linalg import kernel_basis, primitive, rank, row_space_basis, solve
 
 F = Fraction
 
@@ -24,6 +30,13 @@ def assert_same(rows, n):
     for got, want in pairs:
         assert got == want
         assert all(type(x) is Fraction for v in got for x in v)
+
+
+def assert_same_solve(rows, b):
+    got = solve(rows, b)
+    assert got == fraction_solve(rows, b)
+    if got is not None:
+        assert all(type(x) is Fraction for x in got)
 
 
 # -- seeded inputs ---------------------------------------------------------
@@ -72,6 +85,36 @@ def test_shapes_and_degenerate_inputs():
     assert rank([]) == 0 and row_space_basis([]) == []
 
 
+def test_solve_matches_fraction_rref_seeded():
+    rng = random.Random(20261018)
+    consistent = inconsistent = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 7)
+        rows = random_matrix(rng, m, n, rng.randint(0, min(m, n)))
+        if rng.random() < 0.5:
+            x = [random_entry(rng) for _ in range(n)]
+            b = [sum((r * y for r, y in zip(row, x)), F(0)) for row in rows]
+        else:
+            b = [random_entry(rng) for _ in rows]
+        assert_same_solve(rows, b)
+        if solve(rows, b) is None:
+            inconsistent += 1
+        else:
+            consistent += 1
+    assert consistent > 100 and inconsistent > 50
+
+
+def test_solve_degenerate_systems():
+    assert_same_solve([[0, 0], [0, 0]], [0, 0])
+    assert solve([[0, 0], [0, 0]], [0, 1]) is None
+    assert solve([[1, 2], [2, 4]], [3, 5]) is None
+    assert solve([[0, F(2, 10**12 + 39), 4]], [F(-1, 7)]) == (0, F(-(10**12 + 39), 14), 0)
+    assert_same_solve([[1, 1, 1]], [F(5, 3)])
+    assert_same_solve([[F(1, 10**15)], [F(-3, 10**15)]], [1, -3])
+    assert solve([], []) == () == fraction_solve([], [])
+
+
 def test_primitive_matches_fraction_route():
     rng = random.Random(5)
     for _ in range(200):
@@ -103,3 +146,11 @@ def matrices(draw):
 def test_elimination_matches_fraction_rref_property(case):
     rows, n = case
     assert_same(rows, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_solve_matches_fraction_rref_property(case, data):
+    rows, n = case
+    b = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    assert_same_solve(rows, b)

@@ -22,6 +22,7 @@ from pdivisors.tvariety import (
 )
 from pdivisors.upgrade import (
     InvariantPDivisorOnFan,
+    _parallelotope_point,
     correct_pic_z,
     resolve_toric,
     upgrade,
@@ -211,3 +212,24 @@ def test_resolve_toric_quadric_cone():
     res = resolve_toric(wp)
     assert res.fan_is_smooth()
     assert set(res.rays()) >= {(F(1), F(0)), (F(1), F(2))}
+
+
+def test_parallelotope_point_uses_the_lattice_index():
+    # full-dimensional cones: the same points as the determinant grid gave
+    assert _parallelotope_point(Cone.from_rays([(-1, 2, 0), (3, 1, 0), (0, 0, 1)])) == (0, 1, 0)
+    assert _parallelotope_point(Cone.from_rays([(2, -1, 0), (0, 1, 0), (1, 1, 4)])) == (1, 0, 0)
+    assert _parallelotope_point(Cone.from_rays([(1, 0), (1, 2)])) == (1, 1)
+    # a plane cone of index 5 in Z^3: 5 does not divide a fixed grid of 12
+    plane = Cone.from_rays([(1, 0, 0), (1, 5, 0)])
+    assert _parallelotope_point(plane) == (1, 1, 0)
+    res = resolve_toric(BaseVariety.toric([plane]))
+    assert res.fan_is_smooth()
+    assert {(1, k, 0) for k in range(6)} == set(res.rays())
+
+
+def test_resolve_toric_non_simplicial_cone():
+    # the cone over a unit square is subdivided at the sum of its rays
+    square = Cone.from_rays([(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)])
+    assert _parallelotope_point(square) == (1, 1, 2)
+    res = resolve_toric(BaseVariety.toric([square]))
+    assert res.fan_is_smooth() and len(res.fan) == 4
