@@ -3,7 +3,8 @@
 Cones and polyhedra with synchronized dual representations, divisors with
 polyhedral coefficients on desk-scale bases, the torus-action upgrade and
 complexity-one downgrade constructions, total-coordinate-ring divisors, and
-upgrades of homogeneous toric deformations.  Everything runs on Fractions;
+upgrades of homogeneous toric deformations.  Integral data (rays, normals,
+lattice maps) is stored as int, rational points and values as Fractions;
 no floats anywhere.
 """
 

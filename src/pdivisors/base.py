@@ -327,7 +327,7 @@ def cone_index(c: Cone) -> int:
     k = len(c.rays)
     if k > c.n:
         return 0
-    _, d, _ = smith_normal_form([[int(x) for x in r] for r in c.rays])
+    _, d, _ = smith_normal_form(c.rays)
     return abs(math.prod(d[i][i] for i in range(k)))
 
 
@@ -680,9 +680,7 @@ def is_principal(d: QDivisor):
             else:
                 raise UnsupportedBase("mixed labels")
         rays = base.rays()
-        a = [[int(x) for x in r] for r in rays]
-        b = [int(cr[r]) for r in rays]
-        m = integral_solve(a, b)
+        m = integral_solve(rays, [cr[r] for r in rays])
         if m is None:
             return False, None
         wit = ToricFunction({tuple(m): 1}, declared_part)

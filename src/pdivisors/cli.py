@@ -81,6 +81,13 @@ def json_to_vec(data):
     return tuple(out)
 
 
+def json_to_object(data, what: str) -> dict:
+    """A JSON object; lists, strings, numbers and null are rejected."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{what} must be an object, got {type(data).__name__}")
+    return data
+
+
 def json_to_count(data, what: str) -> int:
     """A JSON integer >= 0; floats, booleans and strings are rejected."""
     if type(data) is not int or data < 0:
@@ -189,6 +196,7 @@ def base_to_json(b: BaseVariety):
 
 
 def json_to_base(data) -> BaseVariety:
+    data = json_to_object(data, "base")
     kind = data.get("kind")
     if kind == "P1":
         return BaseVariety.projective_line()
@@ -200,7 +208,7 @@ def json_to_base(data) -> BaseVariety:
         degrees = None
         if data.get("degrees"):
             degrees = {}
-            for key, d in data["degrees"].items():
+            for key, d in json_to_object(data["degrees"], "base degrees").items():
                 ray = tuple(str_to_rational(x) for x in key.split(","))
                 degrees[ray] = str_to_rational(d)
         b = BaseVariety.toric(
@@ -210,6 +218,7 @@ def json_to_base(data) -> BaseVariety:
             name=data.get("name", "toric"),
         )
         for decl in data.get("declared", []):
+            decl = json_to_object(decl, "a declared prime")
             b.declare_prime(
                 declared_label(
                     decl["id"],

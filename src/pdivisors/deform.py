@@ -61,6 +61,8 @@ class DeformationInput:
         self.k = k
         self.n = ntot - 1
         self.deltas = tuple(self.deltas)
+        if not self.deltas:
+            raise SumMismatch("the decomposition needs at least the summand Delta_0")
         if self.multiplicities is not None:
             self.multiplicities = tuple(int(m) for m in self.multiplicities)
             if len(self.multiplicities) != len(self.deltas) - 1:

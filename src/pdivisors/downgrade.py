@@ -217,13 +217,18 @@ def downgrade_box_psi(d: PolyhedralDivisor, ctx: DowngradeContext, ubar) -> PLDi
     return PLDivisorMap(d.base, box, per)
 
 
-def _relint_lattice_point(cell: Polyhedron, rows):
-    img = cell.map_image(rows)
-    t = img.tail()
-    acc = [Fraction(0)] * img.n
-    for r in t.rays:
+def _relint_lattice_point(cone: Polyhedron):
+    """The sum of the primitive rays of a cone, a lattice point of its
+    relative interior."""
+    acc = [Fraction(0)] * cone.n
+    for r in cone.tail().rays:
         acc = [a + x for a, x in zip(acc, r)]
     return tuple(acc)
+
+
+def _slices_by_faces(coeff: Polyhedron, pi_rows) -> PolyhedralComplex:
+    """The second slice route: the chamber complex of the projected faces."""
+    return chamber_complex([f.map_image(pi_rows) for f in coeff.faces()])
 
 
 def downgrade(d: PolyhedralDivisor, ctx: DowngradeContext):
@@ -239,14 +244,16 @@ def downgrade(d: PolyhedralDivisor, ctx: DowngradeContext):
     report = d.is_proper()
     if not report.proper:
         raise NotProper(f"input is not a p-divisor: {report.as_dict()}")
-    chambers = d.evaluation_chambers()
-    ubars = {}
-    for cell in chambers:
-        ub = _relint_lattice_point(cell, ctx.pr.matrix)
-        ubars[ub] = None
+    # one weight per chamber of the projected faces of the evaluation
+    # chambers: when Mbar has rank 2 or more, the images of two chambers can
+    # overlap without being equal, and a weight per evaluation chamber would
+    # miss break lines
+    projected = chamber_complex(
+        [f.map_image(ctx.pr.matrix) for cell in d.evaluation_chambers() for f in cell.faces()]
+    )
     total = None
-    for ub in ubars:
-        pl = downgrade_box_psi(d, ctx, ub)
+    for cone in projected:
+        pl = downgrade_box_psi(d, ctx, _relint_lattice_point(cone))
         total = pl if total is None else sum_psi(total, pl)
     marks = [l for l in d.marked() if l.kind == "point"]
     if not marks:
@@ -255,9 +262,7 @@ def downgrade(d: PolyhedralDivisor, ctx: DowngradeContext):
     # second route: chamber complexes of the projected coefficient faces
     pi_rows = ctx.pi_rows
     for label in marks:
-        coeff = d.coefficient(label)
-        pieces = [f.map_image(pi_rows) for f in coeff.faces()]
-        xi = chamber_complex(pieces)
+        xi = _slices_by_faces(d.coefficient(label), pi_rows)
         if set(xi.cells) != set(fan.slice_of(label).cells):
             raise RoutesDisagree(
                 f"slice routes disagree at {label.id}: {xi.cells} vs {fan.slice_of(label).cells}"

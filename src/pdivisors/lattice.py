@@ -1,6 +1,7 @@
 """Free abelian groups, dual pairs, integer maps and their splittings.
 
-A lattice is just a rank with a name; vectors are tuples of Fraction.  The
+A lattice is just a rank with a name; a lattice map stores its matrix as
+`int` rows, and the points it maps are tuples of Fraction.  The
 interesting content is `smith_split`, which splits a surjection of lattices
 into a section, a compatible cosection and a kernel basis, canonicalized so
 that repeated runs (and hand-written tests) see identical matrices.  It
@@ -15,17 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import NotSurjective, ZeroVector
+from .errors import NonIntegral, NotSurjective, ZeroVector
 from .linalg import (
     Vec,
     _echelon,
+    _int_row,
     frac,
-    identity,
     int_identity,
-    mat,
     mat_mul,
     mat_vec,
-    primitive,
     smith_normal_form,
     vec,
 )
@@ -55,15 +54,15 @@ class LatticeMap:
     def __init__(self, source: Lattice, target: Lattice, matrix):
         self.source = source
         self.target = target
-        self.matrix = mat(matrix) if matrix else ()
-        if len(self.matrix) != target.rank:
+        rows = [tuple(map(frac, row)) for row in matrix] if matrix else []
+        if len(rows) != target.rank:
             raise ValueError("matrix row count must equal target rank")
-        for row in self.matrix:
+        for row in rows:
             if len(row) != source.rank:
                 raise ValueError("matrix column count must equal source rank")
-            for x in row:
-                if frac(x).denominator != 1:
-                    raise ValueError("lattice maps must have integer entries")
+            if any(x.denominator != 1 for x in row):
+                raise NonIntegral("lattice maps must have integer entries")
+        self.matrix = tuple(tuple(x.numerator for x in row) for row in rows)
 
     def __call__(self, v: Vec) -> Vec:
         return mat_vec(self.matrix, vec(v))
@@ -91,13 +90,10 @@ class LatticeMap:
 
     @staticmethod
     def identity_on(lat: Lattice) -> "LatticeMap":
-        return LatticeMap(lat, lat, identity(lat.rank))
-
-    def int_rows(self):
-        return [[int(x) for x in row] for row in self.matrix]
+        return LatticeMap(lat, lat, int_identity(lat.rank))
 
     def is_surjective(self) -> bool:
-        _, d, _ = smith_normal_form(self.int_rows()) if self.matrix else (None, [], None)
+        _, d, _ = smith_normal_form(self.matrix) if self.matrix else (None, [], None)
         k = self.target.rank
         diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))] if d else []
         nonzero = [x for x in diag if x != 0]
@@ -115,10 +111,10 @@ def primitive_and_multiplicity(v) -> tuple[Vec, int]:
 
     Raises ZeroVector when a direction is requested of v = 0.
     """
-    v = vec(v)
-    if all(x == 0 for x in v):
+    direction = _int_row(v)
+    if not any(direction):
         raise ZeroVector("zero vector has no primitive direction")
-    return primitive(v), multiplicity(v)
+    return direction, multiplicity(v)
 
 
 def _hnf_columns(cols: list[list[int]]) -> list[list[int]]:
@@ -172,7 +168,7 @@ def smith_split(pr: LatticeMap, *, canonical: bool = True, pivot_order=None):
     (fixed column-echelon procedure), making the result independent of pivot
     choices; pivot_order only matters with canonical=False.
     """
-    a = pr.int_rows()
+    a = pr.matrix
     mbar, m = pr.target.rank, pr.source.rank
     if mbar == 0:
         kern = LatticeMap(pr.source, pr.source, int_identity(m))

@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals and integers.
 
-Vectors are tuples of numbers, matrices are tuples of row tuples.  The
-public vector helpers take and return Fractions.  Rank, kernel and row
-space and `solve` run on one fraction-free elimination over integer rows
-(`_echelon`), and integer matrices on one Smith normal form.  The exact
-simplex solver below, kept as an independent oracle for the tests, is the
-only code here that eliminates over Fractions.  Nothing here ever touches
-a float.
+Vectors are tuples of numbers, matrices are tuples of row tuples.  Integral
+data (rays, normals, lattice maps) is `int`, rational points and values are
+`Fraction`, and the vector helpers accept either; `vdot` always returns a
+Fraction.  Rank, kernel and `solve` run on one fraction-free elimination
+over integer rows (`_echelon`), and integer matrices on one Smith normal
+form.  The exact simplex solver below, kept as an independent oracle for
+the tests, is the only code here that eliminates over Fractions.  Nothing
+here ever touches a float.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Vec = tuple  # tuple of Fraction
+Vec = tuple  # tuple of int or Fraction
 Mat = tuple  # tuple of row tuples
 
 F0 = Fraction(0)
@@ -27,10 +28,6 @@ def frac(x) -> Fraction:
 
 def vec(xs) -> Vec:
     return tuple(frac(x) for x in xs)
-
-
-def mat(rows) -> Mat:
-    return tuple(vec(r) for r in rows)
 
 
 def zero_vec(n: int) -> Vec:
@@ -71,10 +68,6 @@ def transpose(a: Mat) -> Mat:
     return tuple(zip(*a)) if a else ()
 
 
-def identity(n: int) -> Mat:
-    return tuple(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n))
-
-
 def int_identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -86,14 +79,6 @@ def _int_row(v) -> tuple:
     ints = [x.numerator * (m // x.denominator) for x in v]
     g = gcd(*ints)
     return tuple(x // g for x in ints) if g > 1 else tuple(ints)
-
-
-def primitive(v) -> Vec:
-    """Scale a nonzero rational vector to the primitive integer vector on its ray."""
-    ints = _int_row(v)
-    if not any(ints):
-        raise ValueError("zero vector has no primitive representative")
-    return tuple(map(Fraction, ints))
 
 
 def _echelon(rows) -> tuple[list[tuple], list[int]]:
@@ -153,18 +138,6 @@ def rank(rows) -> int:
     return len(_echelon(rows)[1])
 
 
-def kernel_basis(rows, n: int | None = None) -> list[Vec]:
-    """Basis of the right kernel {x : A x = 0}, canonical from the RREF.
-
-    Each basis vector is scaled to a primitive integer vector.
-    """
-    if n is None:
-        if not rows:
-            raise ValueError("need ambient dimension for empty matrix")
-        n = len(rows[0])
-    return [tuple(map(Fraction, v)) for v in _kernel(rows, n)]
-
-
 def solve(rows, b) -> Vec | None:
     """One exact solution of A x = b, or None if inconsistent.
 
@@ -181,11 +154,6 @@ def solve(rows, b) -> Vec | None:
     for row, pc in zip(red, pivots):
         x[pc] = Fraction(row[n], row[pc])
     return tuple(x)
-
-
-def row_space_basis(rows) -> list[Vec]:
-    """Primitive integer rows on the rays of the nonzero RREF rows."""
-    return [tuple(map(Fraction, r)) for r in _echelon(rows)[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -416,7 +416,6 @@ def toric_downgrade(delta: Cone, sub: LatticeMap):
         raise ValueError("toric downgrade needs a pointed cone")
     ntilde = delta.n
     k = sub.source.rank
-    sub_cols = [[int(sub.matrix[r][c]) for c in range(k)] for r in range(ntilde)]
     # quotient projection killing the sublattice, from a splitting
     quot_rank = ntilde - k
     big = Lattice(ntilde, "Ntilde")
@@ -424,7 +423,7 @@ def toric_downgrade(delta: Cone, sub: LatticeMap):
     # find Q with Q . sub = 0 and Q surjective onto Z^{ntilde-k}
     from .linalg import smith_normal_form
 
-    u, dmat, v = smith_normal_form(sub_cols)
+    u, dmat, v = smith_normal_form(sub.matrix)
     diag = [dmat[i][i] for i in range(min(ntilde, k))]
     if any(abs(x) != 1 for x in diag[:k]):
         raise NotSplit("sublattice is not saturated (torsion quotient)")

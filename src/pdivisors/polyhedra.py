@@ -1,11 +1,11 @@
 """Exact convex geometry: cones, polyhedra and polyhedral complexes in Q^n.
 
 Both representations (generators and halfspaces) are kept in sync on every
-object and stored as tuples of Fractions.  Conversion runs the double
-description method on primitive integer rows (`dd_cone`), which converts
-back to Fractions on the way out; canonicalization is by double
-dualization, so structural equality of the stored data coincides with
-equality of the underlying sets.
+object.  Rays, lines and normals are stored as the primitive `int` tuples
+the double description method (`dd_cone`) computes; only the vertices of
+a polyhedron are Fractions.  Canonicalization is by double dualization, so
+structural equality of the stored data coincides with equality of the
+underlying sets.
 
 The empty polyhedron is a first-class value: sums and intersections treat it
 as absorbing, images of it are empty.  Infinity never appears here; divisor
@@ -33,7 +33,6 @@ from .linalg import (
     is_zero_vec,
     mat_vec,
     rank,
-    row_space_basis,
     transpose,
     vadd,
     vdot,
@@ -130,13 +129,14 @@ def dd_cone(ineqs, eqs, n: int) -> tuple[list[Vec], list[Vec]]:
 
     Each row is scaled once to its primitive integer row, which leaves the
     cone unchanged; the memo `_dd_cone_cached` is keyed on these rows and
-    computes on integers only.  Rays and lines come back as Fraction tuples
-    in fresh lists, so a caller that mutates them cannot corrupt the memo.
+    computes on integers only.  Rays and lines come back as primitive `int`
+    tuples in fresh lists, so a caller that mutates them cannot corrupt the
+    memo.
     """
     ineqs = tuple(r for r in map(_int_row, ineqs) if any(r))
     eqs = tuple(r for r in map(_int_row, eqs) if any(r))
     rays, lines = _dd_cone_cached(n, ineqs, eqs)
-    return [tuple(map(Fraction, r)) for r in rays], [tuple(map(Fraction, l)) for l in lines]
+    return list(rays), list(lines)
 
 
 @functools.lru_cache(maxsize=DD_CACHE_SIZE)
@@ -218,10 +218,8 @@ class Cone:
 
     @classmethod
     def from_rays(cls, rays, lines=(), n=None) -> "Cone":
-        rays = [vec(r) for r in rays]
-        lines = [vec(l) for l in lines]
         if n is None:
-            src = rays + lines
+            src = [*rays, *lines]
             if not src:
                 raise ValueError("ambient dimension required for the zero cone")
             n = len(src[0])
@@ -232,10 +230,8 @@ class Cone:
 
     @classmethod
     def from_inequalities(cls, ineqs, eqs=(), n=None) -> "Cone":
-        ineqs = [vec(a) for a in ineqs]
-        eqs = [vec(a) for a in eqs]
         if n is None:
-            src = ineqs + eqs
+            src = [*ineqs, *eqs]
             if not src:
                 raise ValueError("ambient dimension required for the full cone")
             n = len(src[0])
@@ -407,12 +403,12 @@ class Polyhedron:
         for r in hc.rays:
             t = r[n]
             if t > 0:
-                verts.append(tuple(x / t for x in r[:n]))
+                verts.append(tuple(Fraction(x, t) for x in r[:n]))
             else:
                 rays.append(r[:n])
         if not verts:
             return cls.empty_polyhedron(n)
-        lines = sorted(row_space_basis([l[:n] for l in hc.lines])) if hc.lines else []
+        lines = sorted(_echelon([l[:n] for l in hc.lines])[0])
         ineqs = []
         eqs = []
         for a in hc.ineqs:

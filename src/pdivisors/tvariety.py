@@ -323,8 +323,7 @@ class ConcavePL:
         for a, b in hypo.ineqs:
             lam = a[n]
             if lam < 0:
-                scale = -lam
-                canon.append((tuple(x / scale for x in a[:n]), b / lam))
+                canon.append((tuple(Fraction(x, -lam) for x in a[:n]), Fraction(b, lam)))
         self.pieces = tuple(sorted(set(canon)))
 
     @classmethod
@@ -336,7 +335,7 @@ class ConcavePL:
         for a, b in hypo.ineqs:
             lam = a[n]
             if lam < 0:
-                pieces.append((tuple(x / -lam for x in a[:n]), b / lam))
+                pieces.append((tuple(Fraction(x, -lam) for x in a[:n]), Fraction(b, lam)))
         if not pieces:
             raise ValueError("hypograph is not bounded above by affine pieces")
         return cls(domain, pieces)

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
+from operator import mul
 
 from .base import INF, BaseVariety, cone_index, cone_is_smooth
 from .errors import NoDegreeMap
-from .linalg import primitive, vdot, vec, zero_vec
+from .linalg import _int_row, smith_normal_form, vdot, vec, zero_vec
 from .pdivisor import PolyhedralDivisor, PropernessReport
 from .polyhedra import Cone, Polyhedron
 from .tvariety import DivisorialFan, invariant_prime_divisors
@@ -247,24 +249,32 @@ def resolve_toric(base: BaseVariety) -> BaseVariety:
 def _parallelotope_point(c: Cone):
     """Subdivision point of a non-smooth cone.
 
-    The lattice points of the half-open parallelotope {sum l_i r_i : 0 <= l_i
-    < 1} of a simplicial cone have coordinates l_i in (1/index) Z, where the
-    index is that of the lattice the rays span in its saturation.  A cone
-    that is not simplicial gets the primitive vector on the sum of its rays,
-    a point of its relative interior.
+    The lattice points of the half-open parallelotope {sum l_j r_j : 0 <= l_j
+    < 1} of a simplicial cone represent the quotient of the saturated
+    lattice by the lattice of the rays.  With the Smith normal form
+    U A V = D of the ray matrix A, that quotient is the sum of the Z/d_i,
+    and its element c has the coefficients l = frac(c D^-1 U).  The point is
+    the lexicographically least nonzero one.  A cone that is not simplicial
+    gets the primitive vector on the sum of its rays, a point of its
+    relative interior.
     """
-    rays = [[int(x) for x in r] for r in c.rays]
-    grid = cone_index(c)
-    if not grid:
-        return vec(primitive([sum(col) for col in zip(*rays)]))
+    rays = c.rays
+    if not cone_index(c):
+        return _int_row([sum(col) for col in zip(*rays)])
+    u, d, _ = smith_normal_form(rays)
+    diag = [abs(d[i][i]) for i in range(len(rays))]
+    # l_j = num_j / den with num_j = sum_i c_i (den / d_i) u_ij mod den
+    den = lcm(*diag)
+    steps = [[den // di * x for x in row] for di, row in zip(diag, u)]
     candidates = []
-    for coeffs in product(range(grid), repeat=len(rays)):
-        pt = [sum(a * r[i] for a, r in zip(coeffs, rays)) for i in range(c.n)]
-        if any(coeffs) and all(x % grid == 0 for x in pt):
-            candidates.append(tuple(x // grid for x in pt))
+    for cs in product(*map(range, diag)):
+        if not any(cs):
+            continue
+        num = [sum(ci * row[j] for ci, row in zip(cs, steps)) % den for j in range(len(rays))]
+        candidates.append(tuple(sum(map(mul, num, col)) // den for col in zip(*rays)))
     if not candidates:
         raise ValueError("no subdivision point found (cone already smooth?)")
-    return vec(primitive(min(candidates)))
+    return _int_row(min(candidates))
 
 
 def _stellar(cones, w):

@@ -200,9 +200,10 @@ def test_downgrade_routes_disagree_exit_one(tmp_path, capsys, monkeypatch):
     from pdivisors.lattice import Lattice, LatticeMap
     from pdivisors.polyhedra import PolyhedralComplex
 
-    # the package re-exports the function `downgrade` under the module's name
+    # the package re-exports the function `downgrade` under the module's name;
+    # only the second slice route goes through `_slices_by_faces`
     dg = importlib.import_module("pdivisors.downgrade")
-    monkeypatch.setattr(dg, "chamber_complex", lambda pieces: PolyhedralComplex([]))
+    monkeypatch.setattr(dg, "_slices_by_faces", lambda coeff, rows: PolyhedralComplex([]))
     d = _rank2_divisor()
     pr = LatticeMap(Lattice(2), Lattice(1), [[0, 1]])
     with pytest.raises(RoutesDisagree):

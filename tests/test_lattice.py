@@ -14,7 +14,7 @@ from pdivisors.lattice import (
     smith_split,
 )
 from pdivisors.linalg import (
-    kernel_basis,
+    _kernel,
     lp_feasible,
     lp_min,
     mat_mul,
@@ -169,7 +169,7 @@ def test_solve_and_kernel():
     a = [[1, 2], [2, 4]]
     assert solve(a, [3, 6]) == (3, 0)
     assert solve(a, [3, 5]) is None
-    kb = kernel_basis(a)
+    kb = _kernel(a, 2)
     assert len(kb) == 1
     assert mat_vec(vec_rows(a), kb[0]) == (0, 0)
     assert rank(a) == 1

@@ -1,5 +1,6 @@
 """Rank, kernel, row space and solve from the fraction-free elimination
-equal the results of the Fraction RREF they replaced."""
+equal the results of the Fraction RREF they replaced; the integral results
+come back as primitive `int` rows."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from fraction_route import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdivisors.linalg import kernel_basis, primitive, rank, row_space_basis, solve
+from pdivisors.linalg import _echelon, _int_row, _kernel, rank, solve
 
 F = Fraction
 
@@ -24,12 +25,12 @@ F = Fraction
 def assert_same(rows, n):
     assert rank(rows) == len(fraction_rref(rows)[0])
     pairs = (
-        (kernel_basis(rows, n), fraction_kernel(rows, n)),
-        (row_space_basis(rows), fraction_row_space(rows)),
+        (_kernel(rows, n), fraction_kernel(rows, n)),
+        (_echelon(rows)[0], fraction_row_space(rows)),
     )
     for got, want in pairs:
         assert got == want
-        assert all(type(x) is Fraction for v in got for x in v)
+        assert all(type(x) is int for v in got for x in v)
 
 
 def assert_same_solve(rows, b):
@@ -81,8 +82,8 @@ def test_shapes_and_degenerate_inputs():
     assert_same([[1], [F(-1, 2)], [0], [3]], 1)
     assert_same([[1, 2, 3, 4, 5, 6, 7, 8]], 8)
     assert_same([[i, i + 1] for i in range(10)], 2)
-    assert kernel_basis([], 3) == fraction_kernel([], 3)
-    assert rank([]) == 0 and row_space_basis([]) == []
+    assert _kernel([], 3) == fraction_kernel([], 3)
+    assert rank([]) == 0 and _echelon([])[0] == []
 
 
 def test_solve_matches_fraction_rref_seeded():
@@ -120,8 +121,11 @@ def test_primitive_matches_fraction_route():
     for _ in range(200):
         v = [random_entry(rng) for _ in range(rng.randint(1, 6))]
         if any(v):
-            assert primitive(v) == fraction_primitive(v)
-    assert primitive((F(-4, 6), 2, "2/3")) == (F(-1), F(3), F(1))
+            got = _int_row(v)
+            assert got == fraction_primitive(v)
+            assert all(type(x) is int for x in got)
+    assert _int_row((F(-4, 6), 2, "2/3")) == (-1, 3, 1)
+    assert _int_row((0, F(0))) == (0, 0)
 
 
 # -- property test -----------------------------------------------------------

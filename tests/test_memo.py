@@ -1,8 +1,11 @@
 """The dd_cone memo: bounded, never corrupted, and invisible in the results;
-the integer DD core behind it equals the Fraction route it replaced."""
+the integer DD core behind it equals the Fraction route it replaced, and
+the objects built on it store integral data as `int` and points as
+`Fraction`, never a float."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -10,8 +13,11 @@ from pathlib import Path
 from fraction_route import fraction_dd_cone
 from helpers import random_proper_rank2
 from pdivisors import cli, polyhedra
+from pdivisors.base import QDivisor, is_inf
 from pdivisors.downgrade import DowngradeContext, downgrade
-from pdivisors.lattice import Lattice, LatticeMap
+from pdivisors.lattice import Lattice, LatticeMap, smith_split
+from pdivisors.pdivisor import PolyhedralDivisor
+from pdivisors.tvariety import ConcavePL, PLDivisorMap
 from pdivisors.upgrade import upgrade
 
 FIX = Path(__file__).parent / "fixtures"
@@ -84,7 +90,8 @@ def test_report_same_with_memo_cold_warm_or_off(tmp_path, monkeypatch):
 
 # -- the integer core --------------------------------------------------------
 
-F2 = Fraction(1, 2)
+F = Fraction
+F2 = F(1, 2)
 
 
 def _random_row(rng, n):
@@ -117,7 +124,7 @@ def test_dd_matches_fraction_route():
         want = fraction_dd_cone(ineqs, eqs, n)
         assert got == want
         for vectors in got:
-            assert all(type(x) is Fraction for v in vectors for x in v)
+            assert all(map(_is_primitive_int, vectors))
 
 
 def test_scaled_rows_share_memo_entry():
@@ -150,20 +157,23 @@ def test_memo_holds_integers_only(monkeypatch):
             assert all(type(v) is tuple and all(type(x) is int for x in v) for v in vectors)
 
 
-def _stored(obj):
-    """Every coordinate a Cone or Polyhedron stores."""
+def _is_primitive_int(v):
+    return all(type(x) is int for x in v) and math.gcd(*v) == 1
+
+
+def _integral_and_vertices(obj):
+    """The integral vectors and the vertices a Cone or Polyhedron stores;
+    an H-row is the homogenized (a, -b) of a pair (a, b)."""
     if isinstance(obj, polyhedra.Cone):
-        groups = (obj.rays, obj.lines, obj.ineqs, obj.eqs)
-    else:
-        groups = (obj.vertices, obj.rays, obj.lines) + tuple(
-            [a + (b,) for a, b in pairs] for pairs in (obj.ineqs, obj.eqs)
-        )
-    return [x for g in groups for v in g for x in v]
+        return obj.rays + obj.lines + obj.ineqs + obj.eqs, ()
+    rows = tuple(a + (-b,) for a, b in obj.ineqs + obj.eqs)
+    return obj.rays + obj.lines + rows, obj.vertices
 
 
-def test_stored_coordinates_are_fractions():
+def test_stored_coordinates_have_one_type_per_kind():
     rng = random.Random(23)
     objects = []
+    maps = []
     for _ in range(40):
         n = rng.randint(1, 4)
         pts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 5))]
@@ -175,5 +185,69 @@ def test_stored_coordinates_are_fractions():
         objects += p.faces() + c.faces()
         objects.append(p.map_image([tuple(rng.randint(-1, 1) for _ in range(n))]))
         objects.append(polyhedra.Cone.from_inequalities(pts, n=n))
+        rows = [[str(rng.randint(-3, 3)) for _ in range(n)], [F(4, 2)] * n]
+        pr = LatticeMap(Lattice(n), Lattice(2), rows)
+        maps += [pr, LatticeMap.identity_on(Lattice(n)), pr.compose(LatticeMap.identity_on(Lattice(n)))]
+        if pr.is_surjective():
+            maps += list(smith_split(pr))
     for obj in objects:
-        assert all(type(x) is Fraction for x in _stored(obj)), obj
+        integral, vertices = _integral_and_vertices(obj)
+        assert all(map(_is_primitive_int, integral)), obj
+        assert all(type(x) is Fraction for v in vertices for x in v), obj
+        if isinstance(obj, polyhedra.Cone):
+            # both sides are canonical: each is the DD of the other
+            assert fraction_dd_cone(obj.ineqs, obj.eqs, obj.n) == (list(obj.rays), list(obj.lines))
+            assert fraction_dd_cone(obj.rays, obj.lines, obj.n) == (list(obj.ineqs), list(obj.eqs))
+    for lm in maps:
+        assert all(type(x) is int for row in lm.matrix for x in row), lm
+
+
+def _numbers(obj):
+    """Every coordinate or value a recorded object holds."""
+    if isinstance(obj, polyhedra.Cone):
+        return [x for g in (obj.rays, obj.lines, obj.ineqs, obj.eqs) for v in g for x in v]
+    if isinstance(obj, polyhedra.Polyhedron):
+        integral, vertices = _integral_and_vertices(obj)
+        return [x for v in integral + vertices for x in v]
+    if isinstance(obj, ConcavePL):
+        return [x for a, c in obj.pieces for x in a + (c,)]
+    if isinstance(obj, LatticeMap):
+        return [x for row in obj.matrix for x in row]
+    if isinstance(obj, QDivisor):
+        return [c for c in obj.coeffs.values() if not is_inf(c)]
+    return [obj]
+
+
+def test_round_trips_hold_no_float(monkeypatch):
+    seen = []
+
+    def record_init(cls):
+        init = cls.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            seen.append(self)
+
+        monkeypatch.setattr(cls, "__init__", recording)
+
+    def record_result(cls, name):
+        fn = getattr(cls, name)
+
+        def recording(self, *args, **kwargs):
+            out = fn(self, *args, **kwargs)
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(cls, name, recording)
+
+    for cls in (polyhedra.Cone, polyhedra.Polyhedron, ConcavePL, LatticeMap):
+        record_init(cls)
+    record_result(PolyhedralDivisor, "evaluate")
+    record_result(PLDivisorMap, "evaluate")
+    record_result(ConcavePL, "value")
+    _round_trips(2, seed=5)
+    monkeypatch.undo()
+    kinds = {type(obj) for obj in seen}
+    assert {polyhedra.Cone, polyhedra.Polyhedron, ConcavePL, LatticeMap, QDivisor, Fraction} <= kinds
+    for obj in seen:
+        assert all(type(x) in (int, Fraction) for x in _numbers(obj)), obj

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,9 +11,11 @@ from helpers import halfline, interval, point_poly
 from pdivisors.base import (
     INF,
     BaseVariety,
+    cone_index,
     global_sections,
     point_label,
 )
+from pdivisors.linalg import rank
 from pdivisors.pdivisor import PolyhedralDivisor
 from pdivisors.polyhedra import Cone, Polyhedron, hull
 from pdivisors.tvariety import (
@@ -225,6 +228,40 @@ def test_parallelotope_point_uses_the_lattice_index():
     res = resolve_toric(BaseVariety.toric([plane]))
     assert res.fan_is_smooth()
     assert {(1, k, 0) for k in range(6)} == set(res.rays())
+
+
+def _scanned_parallelotope_point(c):
+    """The subdivision point by the scan of all index^k coefficient vectors
+    of a simplicial cone with k rays, which the quotient group replaced."""
+    grid = cone_index(c)
+    candidates = []
+    for coeffs in itertools.product(range(grid), repeat=len(c.rays)):
+        pt = [sum(a * r[i] for a, r in zip(coeffs, c.rays)) for i in range(c.n)]
+        if any(coeffs) and all(x % grid == 0 for x in pt):
+            candidates.append(tuple(x // grid for x in pt))
+    least = min(candidates)
+    g = math.gcd(*least)
+    return tuple(x // g for x in least)
+
+
+def test_parallelotope_point_matches_the_scan():
+    rng = random.Random(31)
+    checked = 0
+    while checked < 150:
+        n = rng.randint(2, 4)
+        k = rng.randint(2, n)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+        if rank(rays) < k:
+            continue
+        c = Cone.from_rays(rays)
+        index = cone_index(c)
+        if index < 2 or index**k > 5000:
+            continue
+        assert _parallelotope_point(c) == _scanned_parallelotope_point(c), rays
+        checked += 1
+    # index 31 with four rays: the scan visits 31^4 coefficient vectors
+    tall = Cone.from_rays([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 31)])
+    assert _parallelotope_point(tall) == (1, 1, 1, 1)
 
 
 def test_resolve_toric_non_simplicial_cone():
