@@ -3,9 +3,12 @@
 Both representations (generators and halfspaces) are kept in sync on every
 object.  Rays, lines and normals are stored as the primitive `int` tuples
 the double description method (`dd_cone`) computes; only the vertices of
-a polyhedron are Fractions.  Canonicalization is by double dualization, so
+a polyhedron are Fractions.  A construction (`_canonical`, memoized) runs
+`dd_cone` once for the other side and reads the irredundant input side
+off the generator-facet incidence, so both sides are canonical and
 structural equality of the stored data coincides with equality of the
-underlying sets.
+underlying sets.  Point tests clear a point's denominators once and
+compare integers.
 
 The empty polyhedron is a first-class value: sums and intersections treat it
 as absorbing, images of it are empty.  Infinity never appears here; divisor
@@ -25,7 +28,9 @@ from .linalg import (
     F0,
     F1,
     Vec,
+    _cleared,
     _echelon,
+    _echelon_kernel,
     _int_row,
     _kernel,
     frac,
@@ -35,7 +40,6 @@ from .linalg import (
     rank,
     transpose,
     vadd,
-    vdot,
     vec,
     vscale,
     vsub,
@@ -118,50 +122,99 @@ def _dd_pointed(rows: list[tuple], d: int) -> list[tuple]:
     return rays
 
 
-# Bound of the dd_cone memo.  On the benchmark's geometry workload, whose DD
-# inputs are large and rarely repeat, 512 entries raised peak memory by 5%
-# (19.3 -> 20.3 MiB) and 1024 entries by 14%, for the same throughput.
-DD_CACHE_SIZE = 512
-
-
 def dd_cone(ineqs, eqs, n: int) -> tuple[list[Vec], list[Vec]]:
     """Extreme rays and lineality basis of {x : eqs.x = 0, ineqs.x >= 0}.
 
     Each row is scaled once to its primitive integer row, which leaves the
-    cone unchanged; the memo `_dd_cone_cached` is keyed on these rows and
-    computes on integers only.  Rays and lines come back as primitive `int`
-    tuples in fresh lists, so a caller that mutates them cannot corrupt the
-    memo.
+    cone unchanged, and the method runs on integers only.  Rays and lines
+    come back as sorted primitive `int` tuples.  The memo is one level up,
+    on the whole construction (`_canonical`).
     """
-    ineqs = tuple(r for r in map(_int_row, ineqs) if any(r))
-    eqs = tuple(r for r in map(_int_row, eqs) if any(r))
-    rays, lines = _dd_cone_cached(n, ineqs, eqs)
-    return list(rays), list(lines)
-
-
-@functools.lru_cache(maxsize=DD_CACHE_SIZE)
-def _dd_cone_cached(n: int, ineqs: tuple, eqs: tuple) -> tuple[tuple, tuple]:
-    """dd_cone on nonzero primitive integer rows; returns tuples of
-    primitive integer vectors, so a cached value is immutable."""
-    if eqs:
-        sbasis = _kernel(eqs, n)
-    else:
-        sbasis = int_identity(n)
+    ineqs = _primitive_rows(ineqs)
+    eqs = _primitive_rows(eqs)
+    sbasis, aprime, rspace, lprime = _frame(ineqs, eqs, n)
     if not sbasis:
-        return (), ()
-    aprime = [tuple(sum(map(mul, a, b)) for b in sbasis) for a in ineqs]
-    aprime = [r for r in aprime if any(r)]
-    if not aprime:
-        return (), tuple(sorted(_echelon(sbasis)[0]))
-    lprime = _kernel(aprime, len(sbasis))
+        return [], []
     lines = _echelon([mix_basis(lv, sbasis) for lv in lprime])[0] if lprime else []
-    rspace = _echelon(aprime)[0]
     a2 = [tuple(sum(map(mul, ap, w)) for w in rspace) for ap in aprime]
     rays = {
         _int_row(mix_basis(mix_basis(w, rspace), sbasis))
         for w in _dd_pointed(a2, len(rspace))
     }
-    return tuple(sorted(rays)), tuple(sorted(lines))
+    return sorted(rays), sorted(lines)
+
+
+def _primitive_rows(rows) -> tuple:
+    """The nonzero rows, each scaled to its primitive integer row."""
+    return tuple(r for r in map(_int_row, rows) if any(r))
+
+
+def _frame(ineqs, eqs, n: int):
+    """The coordinates `dd_cone` works in: (sbasis, aprime, rspace, lprime).
+
+    `sbasis` is a basis of {x : eqs.x = 0}, `aprime` the nonzero inequality
+    rows in sbasis coordinates, `rspace` a basis of their row space and
+    `lprime` of their kernel, from one elimination.  The DD runs in rspace
+    coordinates, so a ray's representative modulo the lineality space is
+    the one whose sbasis coordinates lie in that row space.
+    """
+    sbasis = _kernel(eqs, n) if eqs else int_identity(n)
+    if not sbasis:
+        return sbasis, [], [], []
+    aprime = [tuple(sum(map(mul, a, b)) for b in sbasis) for a in ineqs]
+    aprime = [r for r in aprime if any(r)]
+    rspace, pivots = _echelon(aprime)
+    return sbasis, aprime, rspace, _echelon_kernel(rspace, pivots, len(sbasis))
+
+
+# Bound of the construction memo.  On the benchmark's geometry workload,
+# whose inputs are large and rarely repeat, 512 entries raised peak memory by
+# 5% (19.3 -> 20.3 MiB) and 1024 entries by 14%, for the same throughput.
+DD_CACHE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=DD_CACHE_SIZE)
+def _canonical(n: int, gens: tuple, lines: tuple) -> tuple[tuple, tuple, tuple, tuple]:
+    """(rays, lines, ineqs, eqs) of pos(gens) + span(lines), both canonical.
+
+    `gens` and `lines` are nonzero primitive integer rows.  One `dd_cone`
+    gives the H-side; the V-side is read off the generator-facet incidence
+    (Fukuda-Prodon, "Double description method revisited", 1996).  A
+    generator tight on every facet lies in the lineality space; the others
+    are extreme exactly when no generator is tight on a strict superset of
+    their facets.  The result is what `dd_cone` gives on the H-side, so the
+    construction is self-dual: passing inequality rows as `gens` and
+    equation rows as `lines` canonicalizes an H-description.
+    """
+    ineqs, eqs = dd_cone(gens, lines, n)
+    gens = list(dict.fromkeys(gens))
+    tight = [
+        frozenset(i for i, a in enumerate(ineqs) if not sum(map(mul, a, g))) for g in gens
+    ]
+    lineal = [g for g, t in zip(gens, tight) if len(t) == len(ineqs)]
+    pointed = [(g, t) for g, t in zip(gens, tight) if len(t) < len(ineqs)]
+    rays = [g for g, t in pointed if not any(t < u for _, u in pointed)]
+    clines = _echelon(list(lines) + lineal)[0]
+    if clines and rays:
+        rays = _representatives(rays, clines, ineqs, eqs, n)
+    return tuple(sorted(set(rays))), tuple(sorted(clines)), tuple(ineqs), tuple(eqs)
+
+
+def _representatives(rays, lines, ineqs, eqs, n: int) -> list[tuple]:
+    """The representative `dd_cone(ineqs, eqs, n)` gives to each ray modulo
+    span(lines): the point of r + span(lines) in the span R of the frame's
+    rspace.  R and the lines together form a basis of {x : eqs.x = 0}, so
+    one elimination of [R | lines | rays] solves for every ray at once."""
+    sbasis, _, rspace, _ = _frame(ineqs, eqs, n)
+    basis = [mix_basis(w, sbasis) for w in rspace]
+    d, k = len(basis), len(basis) + len(lines)
+    # row i is a positive multiple p_i of (e_i | R-coordinates of the rays)
+    red, _ = _echelon(list(zip(*basis, *lines, *rays)))
+    scale = math.lcm(*(red[i][i] for i in range(d)))
+    return [
+        _int_row(mix_basis([red[i][k + j] * (scale // red[i][i]) for i in range(d)], basis))
+        for j in range(len(rays))
+    ]
 
 
 def mix_basis(coords, basis) -> tuple:
@@ -183,7 +236,7 @@ def _face_sets(gens, normals) -> list[tuple[int, ...]]:
     method revisited", 1996).  Each set comes back sorted.
     """
     incidence = [
-        frozenset(i for i, g in enumerate(gens) if vdot(a, g) == 0) for a in normals
+        frozenset(i for i, g in enumerate(gens) if not sum(map(mul, a, g))) for a in normals
     ]
     seen = dict.fromkeys([frozenset(range(len(gens)))])
     frontier = list(seen)
@@ -223,10 +276,7 @@ class Cone:
             if not src:
                 raise ValueError("ambient dimension required for the zero cone")
             n = len(src[0])
-        # facet normals and span equations of pos(rays) + span(lines)
-        ineqs, eqs = dd_cone(rays, lines, n)
-        crays, clines = dd_cone(ineqs, eqs, n)
-        return cls(n, crays, clines, ineqs, eqs)
+        return cls(n, *_canonical(n, _primitive_rows(rays), _primitive_rows(lines)))
 
     @classmethod
     def from_inequalities(cls, ineqs, eqs=(), n=None) -> "Cone":
@@ -235,9 +285,9 @@ class Cone:
             if not src:
                 raise ValueError("ambient dimension required for the full cone")
             n = len(src[0])
-        crays, clines = dd_cone(ineqs, eqs, n)
-        cineqs, ceqs = dd_cone(crays, clines, n)
-        return cls(n, crays, clines, cineqs, ceqs)
+        # the cone is the dual of pos(ineqs) + span(eqs): swap the sides
+        drays, dlines, dineqs, deqs = _canonical(n, _primitive_rows(ineqs), _primitive_rows(eqs))
+        return cls(n, dineqs, deqs, drays, dlines)
 
     @classmethod
     def zero(cls, n: int) -> "Cone":
@@ -273,9 +323,9 @@ class Cone:
         )
 
     def contains(self, x) -> bool:
-        x = vec(x)
-        return all(vdot(a, x) >= 0 for a in self.ineqs) and all(
-            vdot(a, x) == 0 for a in self.eqs
+        x = _cleared(x)[0]
+        return all(sum(map(mul, a, x)) >= 0 for a in self.ineqs) and not any(
+            sum(map(mul, a, x)) for a in self.eqs
         )
 
     def contains_cone(self, other: "Cone") -> bool:
@@ -489,9 +539,9 @@ class Polyhedron:
     def contains_point(self, x) -> bool:
         if self.empty:
             return False
-        x = vec(x)
-        return all(vdot(a, x) >= b for a, b in self.ineqs) and all(
-            vdot(a, x) == b for a, b in self.eqs
+        x, d = _cleared(x)
+        return all(sum(map(mul, a, x)) >= b * d for a, b in self.ineqs) and all(
+            sum(map(mul, a, x)) == b * d for a, b in self.eqs
         )
 
     def contains(self, other: "Polyhedron") -> bool:
@@ -503,13 +553,13 @@ class Polyhedron:
             if not self.contains_point(v):
                 return False
         for r in other.rays:
-            if any(vdot(a, r) < 0 for a, _ in self.ineqs) or any(
-                vdot(a, r) != 0 for a, _ in self.eqs
+            if any(sum(map(mul, a, r)) < 0 for a, _ in self.ineqs) or any(
+                sum(map(mul, a, r)) for a, _ in self.eqs
             ):
                 return False
         for l in other.lines:
-            if any(vdot(a, l) != 0 for a, _ in self.ineqs) or any(
-                vdot(a, l) != 0 for a, _ in self.eqs
+            if any(sum(map(mul, a, l)) for a, _ in self.ineqs) or any(
+                sum(map(mul, a, l)) for a, _ in self.eqs
             ):
                 return False
         return True
@@ -624,12 +674,12 @@ class Polyhedron:
             return True
         if not other.contains(self):
             return False
+        verts = [_cleared(v) for v in self.vertices]
         tight = [
             (a, b)
             for a, b in other.ineqs
-            if all(vdot(a, v) == b for v in self.vertices)
-            and all(vdot(a, r) == 0 for r in self.rays)
-            and all(vdot(a, l) == 0 for l in self.lines)
+            if all(sum(map(mul, a, x)) == b * d for x, d in verts)
+            and not any(sum(map(mul, a, r)) for r in self.rays + self.lines)
         ]
         return other.with_equalities(tight) == self
 
@@ -638,8 +688,9 @@ class Polyhedron:
         if self.empty:
             return []
         nv = len(self.vertices)
+        # a vertex v = X / d homogenizes to the positive multiple (X, d) of (v, 1)
         sets = _face_sets(
-            [v + (F1,) for v in self.vertices] + [r + (F0,) for r in self.rays],
+            [x + (d,) for x, d in map(_cleared, self.vertices)] + [r + (0,) for r in self.rays],
             [a + (-b,) for a, b in self.ineqs],
         )
         # generator sets without a vertex are faces at infinity of the

@@ -1,0 +1,260 @@
+"""One DD per construction, and exact point tests on integers.
+
+`polyhedra._canonical` runs `dd_cone` once and reads the other side off
+the generator-facet incidence.  These tests compare it, and every `Cone`
+and `Polyhedron` built on it, with a copy of the route it replaced, which
+ran `dd_cone` a second time on the first result.  The point tests clear
+denominators once and compare integers; they are checked against the
+`Fraction` dot products they replaced.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pdivisors import polyhedra
+from pdivisors.linalg import F1, _cleared, _int_row, vdot, vec
+from pdivisors.polyhedra import Cone, Polyhedron
+
+F = Fraction
+memo = polyhedra._canonical
+
+
+def two_pass(n, gens, lines):
+    """(rays, lines, ineqs, eqs) of pos(gens) + span(lines), with a second
+    `dd_cone` for the V-side."""
+    ineqs, eqs = polyhedra.dd_cone(gens, lines, n)
+    rays, clines = polyhedra.dd_cone(ineqs, eqs, n)
+    return tuple(rays), tuple(clines), tuple(ineqs), tuple(eqs)
+
+
+def _slots(obj):
+    return tuple(getattr(obj, k) for k in type(obj).__slots__)
+
+
+def _random_gens(rng, n):
+    """Generators with redundant, duplicate and positively scaled rows and
+    sometimes a pair g, -g; lines from a second short list."""
+    gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, 2 * n + 1))]
+    if len(gens) >= 2:
+        # a positive combination is redundant
+        gens.append(tuple(a + 2 * b for a, b in zip(gens[0], gens[1])))
+    for g in rng.sample(gens, min(len(gens), rng.randint(0, 2))):
+        gens.insert(rng.randrange(len(gens) + 1), rng.choice([g, tuple(F(5, 2) * x for x in g)]))
+    if gens and rng.random() < 0.3:
+        gens.append(tuple(-x for x in gens[0]))
+    lines = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.choice([0, 0, 0, 1, 2]))]
+    return gens, lines
+
+
+def _cases(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        yield (n, *_random_gens(rng, n))
+    for n in range(1, 6):
+        # the zero cone and the full cone
+        yield n, [], []
+        yield n, [], [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+def test_construction_matches_two_dd_route():
+    kinds = {"lineality": 0, "equations": 0, "redundant": 0}
+    for n, gens, lines in _cases(seed=7, count=400):
+        rows = polyhedra._primitive_rows
+        got = memo.__wrapped__(n, rows(gens), rows(lines))
+        assert got == two_pass(n, gens, lines)
+        assert memo(n, rows(gens), rows(lines)) == got
+        rays, clines, ineqs, eqs = got
+        c = Cone.from_rays(gens, lines, n)
+        assert _slots(c) == (n, rays, clines, ineqs, eqs)
+        # the H-side of the dual is the same rows read as inequalities
+        d = Cone.from_inequalities(gens, lines, n)
+        assert _slots(d) == (n, ineqs, eqs, rays, clines)
+        kinds["lineality"] += bool(clines and rays)
+        kinds["equations"] += bool(eqs and ineqs)
+        kinds["redundant"] += len(set(rows(gens))) > len(rays) + 2 * len(clines)
+    assert min(kinds.values()) > 30, kinds
+
+
+def test_polyhedra_match_two_dd_route(monkeypatch):
+    """Polyhedra, empty ones included, are built the same on both routes."""
+    rng = random.Random(19)
+    inputs = []
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        pts = [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        rays, lines = _random_gens(rng, n)
+        halfspaces = [(tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-3, 1)) for _ in range(rng.randint(0, 6))]
+        eqs = [(tuple(rng.randint(-1, 1) for _ in range(n)), rng.randint(-1, 1)) for _ in range(rng.choice([0, 0, 1]))]
+        inputs.append((n, pts, rays[:3], lines[:1], halfspaces, eqs))
+    # an infeasible system
+    inputs.append((2, [(0, 0)], [], [], [((1, 0), 1), ((-1, 0), 0)], []))
+
+    def build():
+        out = []
+        for n, pts, rays, lines, halfspaces, eqs in inputs:
+            p = Polyhedron.from_generators(pts, rays, lines, n)
+            q = Polyhedron.from_H(halfspaces, eqs, n)
+            out += [p, q, p.intersect(q), p.tail() if not p.empty else p]
+            out += p.faces()
+        return [_slots(x) for x in out]
+
+    one = build()
+    monkeypatch.setattr(polyhedra, "_canonical", two_pass)
+    assert build() == one
+    assert sum(s[1] for s in one if len(s) == 7) > 10
+
+
+_row = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(_row, max_size=8),
+    st.lists(_row, max_size=2),
+    st.integers(1, 3),
+)
+def test_construction_property(n, gens, lines, scale):
+    gens = [tuple(scale * x for x in g[:n]) for g in gens]
+    lines = [tuple(g[:n]) for g in lines]
+    rows = polyhedra._primitive_rows
+    assert memo.__wrapped__(n, rows(gens), rows(lines)) == two_pass(n, gens, lines)
+    assert memo.__wrapped__(n, rows(gens + gens[:2]), rows(lines)) == two_pass(n, gens, lines)
+
+
+def test_cold_construction_runs_one_dd_and_warm_none(monkeypatch):
+    calls = []
+    dd = polyhedra.dd_cone
+
+    def counting(*args):
+        calls.append(args)
+        return dd(*args)
+
+    monkeypatch.setattr(polyhedra, "dd_cone", counting)
+    constructions = [
+        lambda: Cone.from_rays([(1, 0, 0), (1, 1, 0), (0, 1, 0), (1, 2, 3)], [(0, 0, 1)]),
+        lambda: Cone.from_inequalities([(1, 0, 0), (0, 1, 0), (1, 1, 1)], [(0, 0, 0)]),
+        lambda: Polyhedron.from_generators([(0, 0), (F(1, 2), 1), (1, 0)], [(1, 1)]),
+        lambda: Polyhedron.from_H([((1, 0), 0), ((0, 1), F(-1, 3)), ((-1, -1), -2)]),
+    ]
+    for build in constructions:
+        memo.cache_clear()
+        calls.clear()
+        cold = build()
+        assert len(calls) == 1
+        calls.clear()
+        assert build() == cold
+        assert calls == []
+
+
+# -- exact point tests on integers -------------------------------------------
+
+
+def fraction_contains_point(p, x):
+    x = vec(x)
+    return not p.empty and all(vdot(a, x) >= b for a, b in p.ineqs) and all(
+        vdot(a, x) == b for a, b in p.eqs
+    )
+
+
+def fraction_cone_contains(c, x):
+    x = vec(x)
+    return all(vdot(a, x) >= 0 for a in c.ineqs) and all(vdot(a, x) == 0 for a in c.eqs)
+
+
+def fraction_contains(p, q):
+    if q.empty:
+        return True
+    if p.empty:
+        return False
+    return (
+        all(fraction_contains_point(p, v) for v in q.vertices)
+        and all(vdot(a, r) >= 0 for a, _ in p.ineqs for r in q.rays)
+        and all(vdot(a, r) == 0 for a, _ in p.eqs for r in q.rays)
+        and all(vdot(a, l) == 0 for a, _ in p.ineqs + p.eqs for l in q.lines)
+    )
+
+
+def fraction_is_face_of(p, q):
+    if p.empty:
+        return True
+    if not fraction_contains(q, p):
+        return False
+    tight = [
+        (a, b)
+        for a, b in q.ineqs
+        if all(vdot(a, v) == b for v in p.vertices)
+        and all(vdot(a, r) == 0 for r in p.rays + p.lines)
+    ]
+    return q.with_equalities(tight) == p
+
+
+def _points(rng, p, n):
+    """Points on facets and vertices, int points and points with
+    denominators up to 10^12."""
+    out = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(4)]
+    big = 10**12
+    for _ in range(4):
+        out.append(tuple(F(rng.randint(-4 * big, 4 * big), rng.randint(1, big)) for _ in range(n)))
+    if not p.empty:
+        out += list(p.vertices)
+        for f in p.faces()[1:]:
+            c = f.relint_point()
+            out.append(c)
+            # off the facet by 1/10^12 in each coordinate direction
+            out += [tuple(x + F(s, big) * (i == j) for j, x in enumerate(c)) for i in range(n) for s in (1, -1)]
+    return out
+
+
+def test_point_tests_match_fraction_route():
+    rng = random.Random(41)
+    seen = {True: 0, False: 0}
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        pts = [tuple(F(rng.randint(-6, 6), rng.choice([1, 2, 3, 10**12])) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        rays = [tuple(rng.randint(-1, 2) for _ in range(n)) for _ in range(rng.randint(0, 2))]
+        p = Polyhedron.from_generators(pts, rays, n=n)
+        q = Polyhedron.from_H([(tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-3, 0)) for _ in range(n + 2)], n=n)
+        c = Cone.from_rays(pts, rays, n)
+        for x in _points(rng, p, n) + _points(rng, q, n):
+            for poly in (p, q):
+                got = poly.contains_point(x)
+                assert got == fraction_contains_point(poly, x)
+                seen[got] += 1
+            assert c.contains(x) == fraction_cone_contains(c, x)
+            assert c.contains([str(v) for v in x]) == c.contains(x)
+        for a in p.faces() + q.faces():
+            for b in (p, q):
+                assert a.contains(b) == fraction_contains(a, b)
+                assert b.contains(a) == fraction_contains(b, a)
+                assert a.is_face_of(b) == fraction_is_face_of(a, b)
+    assert min(seen.values()) > 100, seen
+
+
+def test_cleared_point():
+    x = (F(1, 2), 3, F(-5, 10**12), "7/3", F(0))
+    big, d = _cleared(x)
+    assert d > 0 and all(type(v) is int for v in big + (d,))
+    assert tuple(F(v, d) for v in big) == vec(x)
+    assert d == 6 * 10**11
+    assert _cleared(()) == ((), 1)
+    assert _cleared((4, -2)) == ((4, -2), 1)
+
+
+def test_faces_homogenize_vertices_on_integers():
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        pts = [tuple(F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)) for _ in range(rng.randint(2, 6))]
+        p = Polyhedron.from_generators(pts, [tuple(rng.randint(0, 1) for _ in range(n))], n=n)
+        gens = [v + (F1,) for v in p.vertices] + [r + (0,) for r in p.rays]
+        ints = [x + (d,) for x, d in map(_cleared, p.vertices)] + [r + (0,) for r in p.rays]
+        assert list(map(_int_row, ints)) == list(map(_int_row, gens))
+        normals = [a + (-b,) for a, b in p.ineqs]
+        assert polyhedra._face_sets(ints, normals) == polyhedra._face_sets(gens, normals)

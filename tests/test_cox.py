@@ -149,3 +149,33 @@ def test_cox_dimension_invariance_under_pivots():
         cd = cox_sequence(fan, canonical=False, pivot_order=order)
         out1, rep1 = cox_correct(cd)
         assert_cox_dims_equivalent(base_cd, out0, cd, out1)
+
+
+def test_cox_raw_on_a_slice_without_cells():
+    # every member is empty over the one marked prime: its slice has no
+    # vertex, and the padded prime carries only the trivial vertex 0
+    plus = Cone.from_rays([(1,)])
+    minus = Cone.from_rays([(-1,)])
+    e = Polyhedron.empty_polyhedron(1)
+    fan = DivisorialFan(
+        P1,
+        [PolyhedralDivisor(P1, 1, plus, {point_label(0): e}),
+         PolyhedralDivisor(P1, 1, minus, {point_label(0): e})],
+    )
+    assert fan.is_contraction_free()
+    cd = cox_sequence(fan)
+    raw = cox_raw(cd)
+    assert raw.verts == {point_label(1): ((F(0),),)}
+    assert set(raw.rays) == {(F(1),), (F(-1),)}
+
+
+def test_cox_correct_with_an_unmarked_prime():
+    # an unmarked prime passed among the primes enters with the vertex 0
+    fan = complete_cstar_fan()
+    out0, rep0 = cox_correct(cox_sequence(fan))
+    cd = cox_sequence(fan, [point_label(0), point_label(1), point_label(INF)])
+    assert (point_label(1), (F(0),)) in cd.pairs
+    assert cox_raw(cd).verts[point_label(1)] == ((F(0),),)
+    out, rep = cox_correct(cd)
+    assert rep.proper and rep0.proper
+    assert out.n == out0.n

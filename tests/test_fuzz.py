@@ -119,6 +119,53 @@ def test_former_escapes_exit_one(tmp_path, capsys, fixture, argv, edit):
     assert captured.err.startswith(("input error:", "error:"))
 
 
+def test_fan_prime_missing_from_explicit_verts_exits_one(tmp_path, capsys):
+    # seed 46 of the mutator: the fan marks a prime that the document's
+    # explicit `verts` do not list
+    entry = next(e for e in json.loads(POOL.read_text()) if e["id"] == "bpf-3")
+    doc = json.loads(entry["doc"])
+    _set("1" + "0" * 40, "fan", "members", 1, "coefficients", 1, 0, "point")(doc["payload"])
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["bpf", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    proc = _pdiv(["bpf", str(path)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("input error:")
+
+
+def _bpf0_with(**fields):
+    entry = next(e for e in json.loads(POOL.read_text()) if e["id"] == "bpf-0")
+    doc = json.loads(entry["doc"])
+    doc["payload"].update(fields)
+    return doc
+
+
+ZERO_INF = [{"point": "inf"}, [["0"]]]
+EXPLICIT = [
+    # the marked prime 0 left out, with its coefficient
+    ("verts-miss-prime", 1, {"verts": [ZERO_INF], "vertex_coeffs": []}),
+    ("rays-miss-ray", 1, {"rays": [["1"]], "ray_coeffs": []}),
+    ("unmarked-nonzero", 1, {"verts": [[{"point": "0"}, [["1/2"]]], ZERO_INF, [{"point": "5"}, [["1"]]]]}),
+    # an unmarked prime with the vertex 0 of its trivial slice is fine: the
+    # report is the pool document's (exit 2, not free)
+    ("unmarked-zero", 2, {"verts": [[{"point": "0"}, [["1/2"]]], ZERO_INF, [{"point": "5"}, [["0"]]]]}),
+]
+
+
+@pytest.mark.parametrize("code, fields", [c[1:] for c in EXPLICIT], ids=[c[0] for c in EXPLICIT])
+def test_explicit_rays_and_verts_checked_against_fan(tmp_path, capsys, code, fields):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_bpf0_with(**fields)))
+    assert cli.main(["bpf", str(path)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out == "") == (code == 1)
+    if code == 1:
+        assert captured.err.startswith("input error:")
+
+
 FLAGS = [
     ("downgrade", "a1_upgraded_expected.json", "--projection", '[["1/2","1"]]'),
     ("toric-downgrade", "downgrade_difficulties.json", "--sublattice", '[["1/2","0","0","0"]]'),

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from exact_lp import lp_feasible, lp_min
 
 from pdivisors.errors import NotSurjective, ZeroVector
 from pdivisors.lattice import (
@@ -15,8 +16,6 @@ from pdivisors.lattice import (
 )
 from pdivisors.linalg import (
     _kernel,
-    lp_feasible,
-    lp_min,
     mat_mul,
     mat_vec,
     rank,

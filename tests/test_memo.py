@@ -1,7 +1,7 @@
-"""The dd_cone memo: bounded, never corrupted, and invisible in the results;
-the integer DD core behind it equals the Fraction route it replaced, and
-the objects built on it store integral data as `int` and points as
-`Fraction`, never a float."""
+"""The construction memo (`polyhedra._canonical`): bounded, never
+corrupted, and invisible in the results; the integer DD core behind it
+equals the Fraction route it replaced, and the objects built on it store
+integral data as `int` and points as `Fraction`, never a float."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from pdivisors.tvariety import ConcavePL, PLDivisorMap
 from pdivisors.upgrade import upgrade
 
 FIX = Path(__file__).parent / "fixtures"
-memo = polyhedra._dd_cone_cached
+memo = polyhedra._canonical
 
 
 def _round_trips(count, seed):
@@ -41,18 +41,20 @@ def _round_trips(count, seed):
 def test_memo_matches_uncached_dd(monkeypatch):
     seen = {}
 
-    def recording(n, ineqs, eqs):
-        seen[(n, ineqs, eqs)] = None
-        return memo(n, ineqs, eqs)
+    def recording(n, gens, lines):
+        seen[(n, gens, lines)] = None
+        return memo(n, gens, lines)
 
-    monkeypatch.setattr(polyhedra, "_dd_cone_cached", recording)
+    monkeypatch.setattr(polyhedra, "_canonical", recording)
     _round_trips(3, seed=7)
     monkeypatch.undo()
     assert memo.cache_info().hits > 0
     assert len(seen) > 100
-    for n, ineqs, eqs in seen:
-        rays, lines = polyhedra.dd_cone(ineqs, eqs, n)
-        assert (tuple(rays), tuple(lines)) == memo.__wrapped__(n, ineqs, eqs)
+    for n, gens, lines in seen:
+        assert memo(n, gens, lines) == memo.__wrapped__(n, gens, lines)
+        # the H-side is the DD of the generators
+        ineqs, eqs = polyhedra.dd_cone(gens, lines, n)
+        assert (tuple(ineqs), tuple(eqs)) == memo.__wrapped__(n, gens, lines)[2:]
     info = memo.cache_info()
     assert info.maxsize == polyhedra.DD_CACHE_SIZE
     assert info.currsize <= info.maxsize
@@ -67,6 +69,18 @@ def test_mutated_result_leaves_memo_intact():
     del rays[0]
     lines.append((1, 0, 0))
     assert polyhedra.dd_cone(ineqs, eqs, 3) == expected
+    # a cone shares the memo's immutable tuples; rebinding its fields
+    # leaves the memo as it was
+    memo.cache_clear()
+    cone = polyhedra.Cone.from_inequalities(ineqs, eqs, 3)
+    stored = memo(3, ((1, 0, 0), (0, 1, 0), (1, 1, 1)), ())
+    fields = (cone.rays, cone.lines, cone.ineqs, cone.eqs)
+    assert fields == (stored[2], stored[3], stored[0], stored[1])
+    cone.rays = ((9, 9, 9),)
+    cone.ineqs = ()
+    again = polyhedra.Cone.from_inequalities(ineqs, eqs, 3)
+    assert (again.rays, again.lines, again.ineqs, again.eqs) == fields
+    assert memo.cache_info().hits >= 2
 
 
 def test_report_same_with_memo_cold_warm_or_off(tmp_path, monkeypatch):
@@ -83,7 +97,7 @@ def test_report_same_with_memo_cold_warm_or_off(tmp_path, monkeypatch):
     hits = memo.cache_info().hits
     warm = report("warm.json")
     assert memo.cache_info().hits > hits
-    monkeypatch.setattr(polyhedra, "_dd_cone_cached", memo.__wrapped__)
+    monkeypatch.setattr(polyhedra, "_canonical", memo.__wrapped__)
     off = report("off.json")
     assert cold == warm == off
 
@@ -131,9 +145,13 @@ def test_scaled_rows_share_memo_entry():
     ineqs = [(1, 2, 0), (0, 1, 1), (-1, 0, 1)]
     eqs = [(1, 1, 1)]
     memo.cache_clear()
-    first = polyhedra.dd_cone(ineqs, eqs, 3)
+    first = polyhedra.Cone.from_inequalities(ineqs, eqs, 3)
     scaled = [(3, 6, 0), (0, F2, F2), (-1, 0, 1)]
-    assert polyhedra.dd_cone(scaled, [(7, 7, 7)], 3) == first
+    again = polyhedra.Cone.from_inequalities(scaled, [(7, 7, 7)], 3)
+    assert (again.rays, again.lines, again.ineqs, again.eqs) == (
+        first.rays, first.lines, first.ineqs, first.eqs
+    )
+    assert polyhedra.dd_cone(scaled, [(7, 7, 7)], 3) == polyhedra.dd_cone(ineqs, eqs, 3)
     info = memo.cache_info()
     assert (info.hits, info.currsize) == (1, 1)
 
@@ -141,18 +159,19 @@ def test_scaled_rows_share_memo_entry():
 def test_memo_holds_integers_only(monkeypatch):
     seen = []
 
-    def recording(n, ineqs, eqs):
-        out = memo(n, ineqs, eqs)
-        seen.append((ineqs, eqs, out))
+    def recording(n, gens, lines):
+        out = memo(n, gens, lines)
+        seen.append((gens, lines, *out))
         return out
 
-    monkeypatch.setattr(polyhedra, "_dd_cone_cached", recording)
+    monkeypatch.setattr(polyhedra, "_canonical", recording)
     _round_trips(1, seed=3)
     for ineqs, eqs in (([(F2, 1), (0, F2)], []), ([(1, 0, 0)], [(0, F2, 1)])):
-        polyhedra.dd_cone(ineqs, eqs, len(ineqs[0]))
+        polyhedra.Cone.from_inequalities(ineqs, eqs, len(ineqs[0]))
+        polyhedra.Cone.from_rays(ineqs, eqs, len(ineqs[0]))
     assert len(seen) > 50
-    for ineqs, eqs, (rays, lines) in seen:
-        for vectors in (ineqs, eqs, rays, lines):
+    for key_and_value in seen:
+        for vectors in key_and_value:
             assert type(vectors) is tuple
             assert all(type(v) is tuple and all(type(x) is int for x in v) for v in vectors)
 

@@ -5,9 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from exact_lp import lp_feasible
 
 from pdivisors.errors import AmbientMismatch
-from pdivisors.linalg import lp_feasible, vdot, vec
+from pdivisors.linalg import vdot, vec
 from pdivisors.polyhedra import (
     Cone,
     PolyhedralComplex,
