@@ -217,15 +217,6 @@ def downgrade_box_psi(d: PolyhedralDivisor, ctx: DowngradeContext, ubar) -> PLDi
     return PLDivisorMap(d.base, box, per)
 
 
-def _relint_lattice_point(cone: Polyhedron):
-    """The sum of the primitive rays of a cone, a lattice point of its
-    relative interior."""
-    acc = [Fraction(0)] * cone.n
-    for r in cone.tail().rays:
-        acc = [a + x for a, x in zip(acc, r)]
-    return tuple(acc)
-
-
 def _slices_by_faces(coeff: Polyhedron, pi_rows) -> PolyhedralComplex:
     """The second slice route: the chamber complex of the projected faces."""
     return chamber_complex([f.map_image(pi_rows) for f in coeff.faces()])
@@ -253,7 +244,7 @@ def downgrade(d: PolyhedralDivisor, ctx: DowngradeContext):
     )
     total = None
     for cone in projected:
-        pl = downgrade_box_psi(d, ctx, _relint_lattice_point(cone))
+        pl = downgrade_box_psi(d, ctx, cone.tail().relint_point())
         total = pl if total is None else sum_psi(total, pl)
     marks = [l for l in d.marked() if l.kind == "point"]
     if not marks:

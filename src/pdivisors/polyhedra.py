@@ -1,18 +1,18 @@
 """Exact convex geometry: cones, polyhedra and polyhedral complexes in Q^n.
 
-Both representations (generators and halfspaces) are kept in sync on every
-object.  Rays, lines and normals are stored as the primitive `int` tuples
-the double description method (`dd_cone`) computes; only the vertices of
-a polyhedron are Fractions.  A construction (`_canonical`, memoized) runs
-`dd_cone` once for the other side and reads the irredundant input side
-off the generator-facet incidence, so both sides are canonical and
-structural equality of the stored data coincides with equality of the
-underlying sets.  Point tests clear a point's denominators once and
-compare integers.
+A cone stores both representations (generators and halfspaces) as the
+primitive `int` tuples the double description method (`dd_cone`)
+computes.  A construction (`_canonical`, memoized) runs `dd_cone` once
+for the other side and reads the irredundant input side off the
+generator-facet incidence, so both sides are canonical and structural
+equality of the stored data coincides with equality of the underlying
+sets.  A polyhedron stores one cone, its homogenization, and derives its
+generators and halfspaces from it; only its vertices are Fractions.
+Point tests clear a point's denominators once and compare integers.
 
-The empty polyhedron is a first-class value: sums and intersections treat it
-as absorbing, images of it are empty.  Infinity never appears here; divisor
-coefficients handle it in `base`.
+The empty polyhedron is a first-class value, the zero cone homogenized:
+sums and intersections treat it as absorbing, images of it are empty.
+Infinity never appears here; divisor coefficients handle it in `base`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from operator import mul
 
 from .errors import AmbientMismatch, NotConcave
 from .linalg import (
-    F0,
-    F1,
     Vec,
     _cleared,
     _echelon,
@@ -38,7 +36,6 @@ from .linalg import (
     is_zero_vec,
     mat_vec,
     rank,
-    transpose,
     vadd,
     vec,
     vscale,
@@ -330,7 +327,7 @@ class Cone:
 
     def contains_cone(self, other: "Cone") -> bool:
         return all(self.contains(r) for r in other.rays) and all(
-            self.contains(l) and self.contains(vscale(-1, l)) for l in other.lines
+            self.contains(l) and self.contains(tuple(-x for x in l)) for l in other.lines
         )
 
     def is_pointed(self) -> bool:
@@ -349,7 +346,7 @@ class Cone:
         return out
 
     def as_polyhedron(self) -> "Polyhedron":
-        return Polyhedron.from_generators([zero_vec(self.n)], self.rays, self.lines, self.n)
+        return Polyhedron.from_generators([(0,) * self.n], self.rays, self.lines, self.n)
 
     def intersect(self, other: "Cone") -> "Cone":
         if self.n != other.n:
@@ -385,105 +382,74 @@ def dual_cone(c: Cone) -> Cone:
 # ---------------------------------------------------------------------------
 
 
-class Polyhedron:
-    """Rational polyhedron with synchronized V- and H-representations.
+def _hom_rows(pairs) -> list[tuple]:
+    """The integer rows on (x, 1) of the pairs (a, b) for <a, x> >= b or == b."""
+    rows = [_cleared((*a, b))[0] for a, b in pairs]
+    return [r[:-1] + (-r[-1],) for r in rows]
 
-    `vertices` are the canonical minimal-face representatives (orthogonal to
-    the lineality space), `rays` the extreme ray directions modulo lineality,
-    `lines` a canonical lineality basis.  H-side: `ineqs` are (a, b) pairs
-    meaning <a, x> >= b, `eqs` the same with equality.
+
+class Polyhedron:
+    """Rational polyhedron P in Q^n, stored as its homogenization.
+
+    `hom` is the canonical cone over P x {1} in Q^(n+1): a vertex X/d is
+    the ray (X, d), a ray or line r of P is (r, 0), and the empty polyhedron
+    is the zero cone.  Equality, containment, faces and intersection are
+    those of `hom`.  The views are read off it once: `vertices` are the
+    canonical minimal-face representatives (orthogonal to the lineality
+    space), `rays` the extreme ray directions modulo lineality, `lines` a
+    canonical lineality basis; `ineqs` are (a, b) pairs meaning
+    <a, x> >= b, `eqs` the same with equality.
     """
 
-    __slots__ = ("n", "empty", "vertices", "rays", "lines", "ineqs", "eqs")
+    __slots__ = ("n", "hom", "empty", "vertices", "rays", "lines", "ineqs", "eqs")
 
-    def __init__(self, n, empty, vertices, rays, lines, ineqs, eqs):
+    def __init__(self, n: int, hom: Cone):
+        verts = [tuple(Fraction(x, r[n]) for x in r[:n]) for r in hom.rays if r[n]]
         self.n = n
-        self.empty = empty
-        self.vertices = tuple(vertices)
-        self.rays = tuple(rays)
-        self.lines = tuple(lines)
-        self.ineqs = tuple(ineqs)
-        self.eqs = tuple(eqs)
+        self.empty = not verts
+        # a cone without a vertex ray lies in t = 0: P is empty
+        self.hom = Cone.zero(n + 1) if self.empty else hom
+        self.vertices = tuple(sorted(verts))
+        self.rays = tuple(r[:n] for r in self.hom.rays if not r[n])
+        self.lines = tuple(l[:n] for l in self.hom.lines)
+        # the row (0, 1) of t >= 0 is no inequality of P
+        self.ineqs = tuple(sorted((a[:n], -a[n]) for a in self.hom.ineqs if any(a[:n])))
+        self.eqs = () if self.empty else tuple(sorted((a[:n], -a[n]) for a in self.hom.eqs))
 
     # -- construction --------------------------------------------------
 
     @classmethod
     def empty_polyhedron(cls, n: int) -> "Polyhedron":
-        return cls(n, True, (), (), (), (), ())
+        return cls(n, Cone.zero(n + 1))
 
     @classmethod
     def from_generators(cls, vertices, rays=(), lines=(), n=None) -> "Polyhedron":
-        vertices = [vec(v) for v in vertices]
-        rays = [vec(r) for r in rays]
-        lines = [vec(l) for l in lines]
+        vertices, rays, lines = list(vertices), list(rays), list(lines)
         if n is None:
             src = vertices + rays + lines
             if not src:
                 raise ValueError("ambient dimension required for empty input")
             n = len(src[0])
-        if not vertices:
-            return cls.empty_polyhedron(n)
-        hom_rays = [v + (F1,) for v in vertices] + [
-            r + (F0,) for r in rays if not is_zero_vec(r)
-        ]
-        hom_lines = [l + (F0,) for l in lines if not is_zero_vec(l)]
-        hc = Cone.from_rays(hom_rays, hom_lines, n + 1)
-        return cls._from_hom_cone(hc, n)
+        # a vertex v = X / d homogenizes to the positive multiple (X, d) of (v, 1)
+        gens = [x + (d,) for x, d in map(_cleared, vertices)]
+        gens += [_cleared(r)[0] + (0,) for r in rays]
+        return cls(n, Cone.from_rays(gens, [_cleared(l)[0] + (0,) for l in lines], n + 1))
 
     @classmethod
     def from_H(cls, ineqs, eqs=(), n=None) -> "Polyhedron":
         """ineqs/eqs are (a, b) pairs encoding <a, x> >= b resp. == b."""
-        ineqs = [(vec(a), frac(b)) for a, b in ineqs]
-        eqs = [(vec(a), frac(b)) for a, b in eqs]
+        ineqs, eqs = list(ineqs), list(eqs)
         if n is None:
             src = ineqs + eqs
             if not src:
                 raise ValueError("ambient dimension required for the full space")
             n = len(src[0][0])
-        hom_ineqs = [a + (-b,) for a, b in ineqs]
-        hom_ineqs.append(zero_vec(n) + (F1,))
-        hom_eqs = [a + (-b,) for a, b in eqs]
-        hc = Cone.from_inequalities(hom_ineqs, hom_eqs, n + 1)
-        return cls._from_hom_cone(hc, n)
-
-    @classmethod
-    def _from_hom_cone(cls, hc: Cone, n: int) -> "Polyhedron":
-        verts = []
-        rays = []
-        for r in hc.rays:
-            t = r[n]
-            if t > 0:
-                verts.append(tuple(Fraction(x, t) for x in r[:n]))
-            else:
-                rays.append(r[:n])
-        if not verts:
-            return cls.empty_polyhedron(n)
-        lines = sorted(_echelon([l[:n] for l in hc.lines])[0])
-        ineqs = []
-        eqs = []
-        for a in hc.ineqs:
-            head, c = a[:n], a[n]
-            if is_zero_vec(head):
-                continue
-            ineqs.append((head, -c))
-        for a in hc.eqs:
-            head, c = a[:n], a[n]
-            if is_zero_vec(head):
-                continue
-            eqs.append((head, -c))
-        return cls(
-            n,
-            False,
-            sorted(verts),
-            sorted(rays),
-            sorted(lines),
-            sorted(ineqs),
-            sorted(eqs),
-        )
+        rows = _hom_rows(ineqs) + [(0,) * n + (1,)]
+        return cls(n, Cone.from_inequalities(rows, _hom_rows(eqs), n + 1))
 
     @classmethod
     def point(cls, p) -> "Polyhedron":
-        p = vec(p)
+        p = tuple(p)
         return cls.from_generators([p], n=len(p))
 
     # -- basics ---------------------------------------------------------
@@ -491,18 +457,10 @@ class Polyhedron:
     def __eq__(self, other):
         if not isinstance(other, Polyhedron):
             return NotImplemented
-        if self.n != other.n:
-            return False
-        if self.empty or other.empty:
-            return self.empty and other.empty
-        return (
-            self.vertices == other.vertices
-            and self.rays == other.rays
-            and self.lines == other.lines
-        )
+        return self.hom == other.hom
 
     def __hash__(self):
-        return hash((self.n, self.empty, self.vertices, self.rays, self.lines))
+        return hash(self.hom)
 
     def __repr__(self):
         if self.empty:
@@ -517,17 +475,11 @@ class Polyhedron:
         return s
 
     def dim(self) -> int:
-        if self.empty:
-            return -1
-        v0 = self.vertices[0]
-        gens = [vsub(v, v0) for v in self.vertices[1:]] + list(self.rays) + list(self.lines)
-        return rank(gens) if gens else 0
+        return self.hom.dim() - 1
 
     def tail(self) -> Cone:
         if self.empty:
             raise ValueError("tailcone of the empty polyhedron is undefined")
-        if not self.rays and not self.lines:
-            return Cone.zero(self.n)
         return Cone.from_rays(self.rays, self.lines, self.n)
 
     def is_pointed(self) -> bool:
@@ -537,32 +489,10 @@ class Polyhedron:
         return not self.empty and not self.rays and not self.lines
 
     def contains_point(self, x) -> bool:
-        if self.empty:
-            return False
-        x, d = _cleared(x)
-        return all(sum(map(mul, a, x)) >= b * d for a, b in self.ineqs) and all(
-            sum(map(mul, a, x)) == b * d for a, b in self.eqs
-        )
+        return self.hom.contains((*x, 1))
 
     def contains(self, other: "Polyhedron") -> bool:
-        if other.empty:
-            return True
-        if self.empty:
-            return False
-        for v in other.vertices:
-            if not self.contains_point(v):
-                return False
-        for r in other.rays:
-            if any(sum(map(mul, a, r)) < 0 for a, _ in self.ineqs) or any(
-                sum(map(mul, a, r)) for a, _ in self.eqs
-            ):
-                return False
-        for l in other.lines:
-            if any(sum(map(mul, a, l)) for a, _ in self.ineqs) or any(
-                sum(map(mul, a, l)) for a, _ in self.eqs
-            ):
-                return False
-        return True
+        return self.hom.contains_cone(other.hom)
 
     def relint_point(self) -> Vec:
         if self.empty:
@@ -580,13 +510,7 @@ class Polyhedron:
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         if self.n != other.n:
             raise AmbientMismatch("polyhedra live in different ambient spaces")
-        if self.empty or other.empty:
-            return Polyhedron.empty_polyhedron(self.n)
-        return Polyhedron.from_H(
-            list(self.ineqs) + list(other.ineqs),
-            list(self.eqs) + list(other.eqs),
-            self.n,
-        )
+        return Polyhedron(self.n, self.hom.intersect(other.hom))
 
     def minkowski(self, other: "Polyhedron") -> "Polyhedron":
         if self.n != other.n:
@@ -638,72 +562,52 @@ class Polyhedron:
 
     def preimage(self, rows, source_dim: int) -> "Polyhedron":
         """Preimage under x -> A x (A has len(rows) = self.n rows)."""
-        rows = [vec(r) for r in rows]
-        if self.empty:
-            return Polyhedron.empty_polyhedron(source_dim)
-        cols = transpose(rows)
-        ineqs = [(mat_vec(cols, a), b) for a, b in self.ineqs]
-        eqs = [(mat_vec(cols, a), b) for a, b in self.eqs]
-        ineqs = [(a, b) for a, b in ineqs if not (is_zero_vec(a) and b <= 0)]
-        for a, b in list(eqs):
-            if is_zero_vec(a) and b != 0:
-                return Polyhedron.empty_polyhedron(source_dim)
-        for a, b in list(ineqs):
-            if is_zero_vec(a) and b > 0:
-                return Polyhedron.empty_polyhedron(source_dim)
-        eqs = [(a, b) for a, b in eqs if not is_zero_vec(a)]
-        return Polyhedron.from_H(ineqs, eqs, source_dim)
+        n = self.n
+        cols = [tuple(r[j] for r in rows) for j in range(source_dim)]
+
+        def pull(a):
+            # <a, (A x, t)> as a row on (x, t)
+            return mat_vec(cols, a[:n]) + (a[n],)
+
+        hom = Cone.from_inequalities(
+            [pull(a) for a in self.hom.ineqs], [pull(a) for a in self.hom.eqs], source_dim + 1
+        )
+        return Polyhedron(source_dim, hom)
 
     def slice_at(self, functional, value) -> "Polyhedron":
         """Intersection with the hyperplane <functional, x> = value."""
-        if self.empty:
-            return self
-        return Polyhedron.from_H(
-            self.ineqs, list(self.eqs) + [(vec(functional), frac(value))], self.n
-        )
+        return self.with_equalities([(functional, value)])
 
-    def with_equalities(self, tight_ineqs) -> "Polyhedron":
-        if self.empty:
-            return self
-        return Polyhedron.from_H(self.ineqs, list(self.eqs) + list(tight_ineqs), self.n)
+    def with_equalities(self, eqs) -> "Polyhedron":
+        """Intersection with the hyperplanes <a, x> = b of the pairs (a, b)."""
+        hom = self.hom
+        return Polyhedron(
+            self.n, Cone.from_inequalities(hom.ineqs, [*hom.eqs, *_hom_rows(eqs)], self.n + 1)
+        )
 
     # -- faces -----------------------------------------------------------
 
     def is_face_of(self, other: "Polyhedron") -> bool:
-        if self.empty:
-            return True
         if not other.contains(self):
             return False
-        verts = [_cleared(v) for v in self.vertices]
-        tight = [
-            (a, b)
-            for a, b in other.ineqs
-            if all(sum(map(mul, a, x)) == b * d for x, d in verts)
-            and not any(sum(map(mul, a, r)) for r in self.rays + self.lines)
-        ]
-        return other.with_equalities(tight) == self
+        # the face of other.hom cut out by its facets tight on self.hom; a
+        # face without a vertex ray is the empty polyhedron
+        hom = other.hom
+        tight = [a for a in hom.ineqs if not any(sum(map(mul, a, r)) for r in self.hom.rays)]
+        face = Cone.from_inequalities(hom.ineqs, [*hom.eqs, *tight], self.n + 1)
+        return Polyhedron(self.n, face) == self
 
     def faces(self) -> list["Polyhedron"]:
         """All nonempty faces, the polyhedron itself first."""
-        if self.empty:
-            return []
-        nv = len(self.vertices)
-        # a vertex v = X / d homogenizes to the positive multiple (X, d) of (v, 1)
-        sets = _face_sets(
-            [x + (d,) for x, d in map(_cleared, self.vertices)] + [r + (0,) for r in self.rays],
-            [a + (-b,) for a, b in self.ineqs],
-        )
+        hom, n = self.hom, self.n
         # generator sets without a vertex are faces at infinity of the
         # homogenized cone, not faces of the polyhedron
-        return [self] + [
-            Polyhedron.from_generators(
-                [self.vertices[i] for i in s if i < nv],
-                [self.rays[i - nv] for i in s if i >= nv],
-                self.lines,
-                self.n,
-            )
-            for s in sets[1:]
-            if s and s[0] < nv
+        sets = [s for s in _face_sets(hom.rays, hom.ineqs) if any(hom.rays[i][n] for i in s)]
+        return [
+            self
+            if len(s) == len(hom.rays)
+            else Polyhedron(n, Cone.from_rays([hom.rays[i] for i in s], hom.lines, n + 1))
+            for s in sets
         ]
 
     # -- lattice points ----------------------------------------------------
@@ -765,13 +669,7 @@ def map_image(p: Polyhedron, rows, shift=None) -> Polyhedron:
 
 def map_fiber_slice(p: Polyhedron, rows, target_point, retraction_rows) -> Polyhedron:
     """retraction image of p intersected with the fiber {x : A x = target}."""
-    if p.empty:
-        return Polyhedron.empty_polyhedron(len(retraction_rows))
-    rows = [vec(r) for r in rows]
-    target_point = vec(target_point)
-    eqs = [(a, t) for a, t in zip(rows, target_point)]
-    fiber = Polyhedron.from_H(p.ineqs, list(p.eqs) + eqs, p.n)
-    return fiber.map_image(retraction_rows)
+    return p.with_equalities(list(zip(rows, target_point))).map_image(retraction_rows)
 
 
 def cross_section(c: Cone, functional, value, chart_rows=None) -> Polyhedron:

@@ -141,23 +141,21 @@ def upgrade_coefficients(d: InvariantPDivisorOnFan) -> PolyhedralDivisor:
     ntot = d.n + nprime
     sig_poly = sigma_t.as_polyhedron()
     coeffs = {}
-    for label, vs in d.verts.items():
+    # a prime the fan marks but `d.verts` omits has no vertex: the hull of
+    # none is empty
+    for label in dict.fromkeys([*d.verts, *d.fan.marked_primes()]):
         verts = []
         rays = []
         lines = []
-        any_nonempty = False
-        for v in vs:
+        for v in d.verts.get(label, ()):
             p = d.vertex_coefficient(label, v)
-            if p.empty:
-                continue
-            any_nonempty = True
             for w in p.vertices:
                 verts.append(tuple(w) + tuple(v))
             for ry in p.rays:
                 rays.append(tuple(ry) + zero_vec(nprime))
             for l in p.lines:
                 lines.append(tuple(l) + zero_vec(nprime))
-        if not any_nonempty:
+        if not verts:
             coeffs[label] = Polyhedron.empty_polyhedron(ntot)
             continue
         hullpart = Polyhedron.from_generators(verts, rays, lines, ntot)

@@ -10,6 +10,7 @@ denominators once and compare integers; they are checked against the
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -102,12 +103,19 @@ def test_polyhedra_match_two_dd_route(monkeypatch):
             q = Polyhedron.from_H(halfspaces, eqs, n)
             out += [p, q, p.intersect(q), p.tail() if not p.empty else p]
             out += p.faces()
-        return [_slots(x) for x in out]
+        return out
 
     one = build()
+    slots = [_slots(x) for x in one]
     monkeypatch.setattr(polyhedra, "_canonical", two_pass)
-    assert build() == one
-    assert sum(s[1] for s in one if len(s) == 7) > 10
+    assert [_slots(x) for x in build()] == slots
+    polys = [x for x in one if isinstance(x, Polyhedron)]
+    assert sum(p.empty for p in polys) > 10
+    # equality is equality of the generators, and equal polyhedra hash equally
+    for a, b in itertools.product(polys[:150], repeat=2):
+        same = (a.n, a.vertices, a.rays, a.lines) == (b.n, b.vertices, b.rays, b.lines)
+        assert (a == b) == same
+        assert not same or hash(a) == hash(b)
 
 
 _row = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
@@ -221,16 +229,21 @@ def test_point_tests_match_fraction_route():
         rays = [tuple(rng.randint(-1, 2) for _ in range(n)) for _ in range(rng.randint(0, 2))]
         p = Polyhedron.from_generators(pts, rays, n=n)
         q = Polyhedron.from_H([(tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-3, 0)) for _ in range(n + 2)], n=n)
+        # a polyhedron with a line, and the empty polyhedron
+        line = (1,) + tuple(rng.randint(-1, 1) for _ in range(n - 1))
+        l = Polyhedron.from_generators(pts, rays, [line], n)
+        e = Polyhedron.empty_polyhedron(n)
+        polys = (p, q, l, e)
         c = Cone.from_rays(pts, rays, n)
-        for x in _points(rng, p, n) + _points(rng, q, n):
-            for poly in (p, q):
+        for x in _points(rng, p, n) + _points(rng, q, n) + _points(rng, l, n):
+            for poly in polys:
                 got = poly.contains_point(x)
                 assert got == fraction_contains_point(poly, x)
                 seen[got] += 1
             assert c.contains(x) == fraction_cone_contains(c, x)
             assert c.contains([str(v) for v in x]) == c.contains(x)
-        for a in p.faces() + q.faces():
-            for b in (p, q):
+        for a in [f for b in polys for f in b.faces()] + [e]:
+            for b in polys:
                 assert a.contains(b) == fraction_contains(a, b)
                 assert b.contains(a) == fraction_contains(b, a)
                 assert a.is_face_of(b) == fraction_is_face_of(a, b)

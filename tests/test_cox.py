@@ -8,7 +8,7 @@ import pytest
 from helpers import assert_cox_dims_equivalent, complete_cstar_fan, halfline, interval
 from pdivisors.base import INF, BaseVariety, global_sections, point_label
 from pdivisors.cox import CoxData, cox_correct, cox_raw, cox_sequence, cox_upgrade
-from pdivisors.errors import TorsionCokernel
+from pdivisors.errors import EmptyCoefficient, TorsionCokernel
 from pdivisors.lattice import Lattice, LatticeMap, multiplicity, smith_split
 from pdivisors.linalg import mat_vec, smith_normal_form, vec
 from pdivisors.pdivisor import PolyhedralDivisor, as_curve_divisor, toric_downgrade
@@ -167,6 +167,12 @@ def test_cox_raw_on_a_slice_without_cells():
     raw = cox_raw(cd)
     assert raw.verts == {point_label(1): ((F(0),),)}
     assert set(raw.rays) == {(F(1),), (F(-1),)}
+    # the marked prime without vertices gets the empty coefficient on both
+    # routes of the upgrade, so the degree of the correction is undefined
+    up = cox_upgrade(cd)
+    assert up.coefficient(point_label(0)).empty
+    with pytest.raises(EmptyCoefficient):
+        cox_correct(cd)
 
 
 def test_cox_correct_with_an_unmarked_prime():

@@ -117,6 +117,24 @@ def test_upgrade_coefficients_golden():
     assert point_label(0) not in out.coeffs
 
 
+def test_upgrade_with_verts_omitting_a_prime_without_cells():
+    # every member is empty over the one marked prime, so its slice has no
+    # cells; leaving it out of explicit verts gives the default upgrade
+    e = Polyhedron.empty_polyhedron(1)
+    fan = DivisorialFan(
+        P1,
+        [PolyhedralDivisor(P1, 1, Cone.from_rays([(1,)]), {point_label(0): e}),
+         PolyhedralDivisor(P1, 1, Cone.from_rays([(-1,)]), {point_label(0): e})],
+    )
+    sigma = Cone.zero(1)
+    default = InvariantPDivisorOnFan(fan, 1, sigma)
+    assert default.verts == {point_label(0): ()}
+    explicit = InvariantPDivisorOnFan(fan, 1, sigma, rays=default.rays, verts={})
+    out = upgrade(explicit).divisor
+    assert out == upgrade(default).divisor
+    assert out.coefficient(point_label(0)).empty
+
+
 def test_upgrade_noncf_not_proper():
     res = upgrade(noncf_input())
     assert not res.contraction_free
