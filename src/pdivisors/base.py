@@ -104,6 +104,10 @@ class PrimeDivisorLabel:
     class_rep: tuple = ()  # tuple of (ray, Fraction) pairs for declared kind
     degree: Fraction | None = None
 
+    def __hash__(self):
+        # equal labels share id and kind; hashing the Fraction fields is slow
+        return hash((self.id, self.kind))
+
 
 def point_label(x) -> PrimeDivisorLabel:
     x = INF if is_inf(x) else frac(x)

@@ -84,9 +84,11 @@ def _cleared(x) -> tuple[tuple, int]:
 
 def _int_row(v) -> tuple:
     """The primitive integer row on the ray of a rational row; zero stays zero."""
-    ints = _cleared(v)[0]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints) if g > 1 else ints
+    # a bool is no `int` here, so it goes through `_cleared` and comes out one
+    if not all(type(x) is int for x in v):
+        v = _cleared(v)[0]
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
 def _echelon(rows) -> tuple[list[tuple], list[int]]:

@@ -6,9 +6,13 @@ computes.  A construction (`_canonical`, memoized) runs `dd_cone` once
 for the other side and reads the irredundant input side off the
 generator-facet incidence, so both sides are canonical and structural
 equality of the stored data coincides with equality of the underlying
-sets.  A polyhedron stores one cone, its homogenization, and derives its
-generators and halfspaces from it; only its vertices are Fractions.
-Point tests clear a point's denominators once and compare integers.
+sets.  The memo key holds the input rows primitive, sorted and without
+duplicates, so it does not depend on their order.  A polyhedron stores
+one cone, its homogenization `hom`, and derives its generators and
+halfspaces from it; only its vertices are Fractions.  Images are taken
+on `hom` with integer rows, and face tests compare integer dot products
+instead of building a cone.  Point tests clear a point's denominators
+once and compare integers.
 
 The empty polyhedron is a first-class value, the zero cone homogenized:
 sums and intersections treat it as absorbing, images of it are empty.
@@ -33,7 +37,6 @@ from .linalg import (
     _kernel,
     frac,
     int_identity,
-    is_zero_vec,
     mat_vec,
     rank,
     vadd,
@@ -142,8 +145,9 @@ def dd_cone(ineqs, eqs, n: int) -> tuple[list[Vec], list[Vec]]:
 
 
 def _primitive_rows(rows) -> tuple:
-    """The nonzero rows, each scaled to its primitive integer row."""
-    return tuple(r for r in map(_int_row, rows) if any(r))
+    """The distinct nonzero rows, each scaled to its primitive integer row,
+    sorted: the cone they span or cut out does not depend on their order."""
+    return tuple(sorted({r for r in map(_int_row, rows) if any(r)}))
 
 
 def _frame(ineqs, eqs, n: int):
@@ -164,9 +168,10 @@ def _frame(ineqs, eqs, n: int):
     return sbasis, aprime, rspace, _echelon_kernel(rspace, pivots, len(sbasis))
 
 
-# Bound of the construction memo.  On the benchmark's geometry workload,
-# whose inputs are large and rarely repeat, 512 entries raised peak memory by
-# 5% (19.3 -> 20.3 MiB) and 1024 entries by 14%, for the same throughput.
+# Bound of the construction memo.  In one benchmark run per workload (seed
+# 101, 2-core x86_64, Python 3.11.7), 4096 entries instead of 512 raised
+# peak memory by 24% on geometry, whose inputs rarely repeat (19.2 -> 23.8
+# MiB), and by 9% on roundtrip (19.2 -> 21.0 MiB).
 DD_CACHE_SIZE = 512
 
 
@@ -174,9 +179,10 @@ DD_CACHE_SIZE = 512
 def _canonical(n: int, gens: tuple, lines: tuple) -> tuple[tuple, tuple, tuple, tuple]:
     """(rays, lines, ineqs, eqs) of pos(gens) + span(lines), both canonical.
 
-    `gens` and `lines` are nonzero primitive integer rows.  One `dd_cone`
-    gives the H-side; the V-side is read off the generator-facet incidence
-    (Fukuda-Prodon, "Double description method revisited", 1996).  A
+    `gens` and `lines` are `_primitive_rows`, so the key is free of row
+    order, scaling and duplicates.  One `dd_cone` gives the H-side; the
+    V-side is read off the generator-facet incidence (Fukuda-Prodon,
+    "Double description method revisited", 1996).  A
     generator tight on every facet lies in the lineality space; the others
     are extreme exactly when no generator is tight on a strict superset of
     their facets.  The result is what `dd_cone` gives on the H-side, so the
@@ -184,7 +190,6 @@ def _canonical(n: int, gens: tuple, lines: tuple) -> tuple[tuple, tuple, tuple, 
     equation rows as `lines` canonicalizes an H-description.
     """
     ineqs, eqs = dd_cone(gens, lines, n)
-    gens = list(dict.fromkeys(gens))
     tight = [
         frozenset(i for i, a in enumerate(ineqs) if not sum(map(mul, a, g))) for g in gens
     ]
@@ -326,8 +331,12 @@ class Cone:
         )
 
     def contains_cone(self, other: "Cone") -> bool:
-        return all(self.contains(r) for r in other.rays) and all(
-            self.contains(l) and self.contains(tuple(-x for x in l)) for l in other.lines
+        return self._contains_gens(other.rays, other.lines)
+
+    def _contains_gens(self, rays, lines) -> bool:
+        """Whether pos(rays) + span(lines) lies in the cone."""
+        return all(map(self.contains, rays)) and all(
+            self.contains(l) and self.contains(tuple(-x for x in l)) for l in lines
         )
 
     def is_pointed(self) -> bool:
@@ -363,14 +372,17 @@ class Cone:
         ]
 
     def map_image(self, rows) -> "Cone":
-        rows = [vec(r) for r in rows]
-        rays = [mat_vec(rows, r) for r in self.rays]
-        lines = [mat_vec(rows, l) for l in self.lines]
-        return Cone.from_rays(
-            [r for r in rays if not is_zero_vec(r)],
-            [l for l in lines if not is_zero_vec(l)],
-            len(rows),
-        )
+        # a positive multiple of the map has the same image: clear the
+        # denominators of all rows by one common factor
+        cleared = [_cleared(r) for r in rows]
+        d = math.lcm(*(dr for _, dr in cleared))
+        rows = [tuple(x * (d // dr) for x in row) for row, dr in cleared]
+
+        def image(gens):
+            out = (tuple(sum(map(mul, row, g)) for row in rows) for g in gens)
+            return [v for v in out if any(v)]
+
+        return Cone.from_rays(image(self.rays), image(self.lines), len(rows))
 
 
 def dual_cone(c: Cone) -> Cone:
@@ -544,21 +556,12 @@ class Polyhedron:
         )
 
     def map_image(self, rows, shift=None) -> "Polyhedron":
-        """Image under x -> A x (+ shift)."""
-        rows = [vec(r) for r in rows]
+        """Image under x -> A x (+ shift): the image of `hom` under
+        (x, t) -> (A x + t shift, t)."""
         m = len(rows)
-        if self.empty:
-            return Polyhedron.empty_polyhedron(m)
-        shift = vec(shift) if shift is not None else zero_vec(m)
-        verts = [vadd(mat_vec(rows, v), shift) for v in self.vertices]
-        rays = [mat_vec(rows, r) for r in self.rays]
-        lines = [mat_vec(rows, l) for l in self.lines]
-        return Polyhedron.from_generators(
-            verts,
-            [r for r in rays if not is_zero_vec(r)],
-            [l for l in lines if not is_zero_vec(l)],
-            m,
-        )
+        shift = (0,) * m if shift is None else shift
+        hom_rows = [(*r, s) for r, s in zip(rows, shift)] + [(0,) * self.n + (1,)]
+        return Polyhedron(m, self.hom.map_image(hom_rows))
 
     def preimage(self, rows, source_dim: int) -> "Polyhedron":
         """Preimage under x -> A x (A has len(rows) = self.n rows)."""
@@ -590,12 +593,15 @@ class Polyhedron:
     def is_face_of(self, other: "Polyhedron") -> bool:
         if not other.contains(self):
             return False
-        # the face of other.hom cut out by its facets tight on self.hom; a
-        # face without a vertex ray is the empty polyhedron
+        if self.empty:
+            return True
+        # self.hom lies in the face of other.hom cut out by the facets tight
+        # on it, and is a face exactly when it holds that face's generators:
+        # the lines of other.hom and its rays tight on those facets
         hom = other.hom
         tight = [a for a in hom.ineqs if not any(sum(map(mul, a, r)) for r in self.hom.rays)]
-        face = Cone.from_inequalities(hom.ineqs, [*hom.eqs, *tight], self.n + 1)
-        return Polyhedron(self.n, face) == self
+        rays = [r for r in hom.rays if not any(sum(map(mul, a, r)) for a in tight)]
+        return self.hom._contains_gens(rays, hom.lines)
 
     def faces(self) -> list["Polyhedron"]:
         """All nonempty faces, the polyhedron itself first."""
@@ -780,28 +786,38 @@ def chamber_complex(pieces) -> PolyhedralComplex:
     membership test yields exactly the chamber cells.
     """
     family = sorted({p for p in pieces if not p.empty}, key=_cell_key)
-    if not family:
-        return PolyhedralComplex([])
-    closure = dict.fromkeys(family)
-    frontier = list(family)
+
+    def members(c, known=frozenset()):
+        return known | {k for k, f in enumerate(family) if k not in known and f.contains(c)}
+
+    # a closure cell is the intersection of the members containing it, so
+    # that member set names it; c & f is that of members(c) | {f}
+    closure = {members(f): f for f in family}
+    formed = set(closure)
+    frontier = list(closure.items())
     while frontier:
         nxt = []
-        for c in frontier:
-            for f in family:
+        for s, c in frontier:
+            for k, f in enumerate(family):
+                if k in s:
+                    continue
+                key = s | {k}
+                if key in formed:
+                    continue
+                formed.add(key)
                 i = c.intersect(f)
-                if not i.empty and i not in closure:
-                    closure[i] = None
-                    nxt.append(i)
+                if i.empty:
+                    continue
+                t = members(i, key)
+                if t not in closure:
+                    closure[t] = i
+                    formed.add(t)
+                    nxt.append((t, i))
         frontier = nxt
     cells = []
-    for c in closure:
+    for s, c in closure.items():
         rp = c.relint_point()
-        ok = True
-        for f in family:
-            if f.contains_point(rp) and not f.contains(c):
-                ok = False
-                break
-        if ok:
+        if not any(k not in s and f.contains_point(rp) for k, f in enumerate(family)):
             cells.append(c)
     return PolyhedralComplex(cells)
 

@@ -12,6 +12,7 @@ from pdivisors.base import (
     QDivisor,
     ToricFunction,
     binomial_label,
+    declared_label,
     degree,
     global_sections,
     is_principal,
@@ -267,3 +268,22 @@ def test_fan_predicates():
     )
     assert wp.fan_is_complete()
     assert not wp.fan_is_smooth()
+
+
+def test_equal_labels_hash_equally():
+    # labels built from different but equal inputs, and labels equal up to
+    # one field, which must stay unequal
+    pairs = [
+        (point_label(3), point_label("6/2")),
+        (point_label(INF), point_label(INF)),
+        (ray_label((1, 0)), ray_label(("1", Fraction(0)))),
+        (ray_label((1, 2), 3), ray_label((1, 2), "3")),
+        (declared_label("D", [((1, 0), 1), ((0, 1), -2)]), declared_label("D", [(("0", "1"), "-2"), ((1, 0), 1)])),
+        (binomial_label("B", (1, 0), (0, 1), [(1, 0), (0, 1)]), binomial_label("B", (1, 0), (0, 1), [(0, 1), (1, 0)])),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+    assert ray_label((1, 2), 3) != ray_label((1, 2), 4)
+    assert declared_label("D", [((1, 0), 1)]) != declared_label("D", [((1, 0), 2)])
+    assert len({point_label(0), point_label(1), ray_label((0, 1)), ray_label((0, 1), 2)}) == 4

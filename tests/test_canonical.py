@@ -5,7 +5,9 @@ the generator-facet incidence.  These tests compare it, and every `Cone`
 and `Polyhedron` built on it, with a copy of the route it replaced, which
 ran `dd_cone` a second time on the first result.  The point tests clear
 denominators once and compare integers; they are checked against the
-`Fraction` dot products they replaced.
+`Fraction` dot products they replaced.  The chamber closure keyed by
+member sets, the face test without a construction and the images on the
+homogenized cone are checked against copies of the routes they replaced.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import itertools
 import random
 from fractions import Fraction
 
+from fraction_route import fraction_primitive
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdivisors import polyhedra
 from pdivisors.linalg import F1, _cleared, _int_row, vdot, vec
-from pdivisors.polyhedra import Cone, Polyhedron
+from pdivisors.polyhedra import Cone, Polyhedron, chamber_complex
 
 F = Fraction
 memo = polyhedra._canonical
@@ -271,3 +274,157 @@ def test_faces_homogenize_vertices_on_integers():
         assert list(map(_int_row, ints)) == list(map(_int_row, gens))
         normals = [a + (-b,) for a, b in p.ineqs]
         assert polyhedra._face_sets(ints, normals) == polyhedra._face_sets(gens, normals)
+
+
+# -- one construction per operation ------------------------------------------
+
+
+def bfs_chamber_complex(pieces):
+    """The closure that intersects every new cell with every member and
+    compares whole polyhedra, and the containment filter on its cells."""
+    family = sorted({p for p in pieces if not p.empty}, key=polyhedra._cell_key)
+    closure = dict.fromkeys(family)
+    frontier = list(family)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for f in family:
+                i = c.intersect(f)
+                if not i.empty and i not in closure:
+                    closure[i] = None
+                    nxt.append(i)
+        frontier = nxt
+    cells = [
+        c
+        for c in closure
+        if not any(f.contains_point(c.relint_point()) and not f.contains(c) for f in family)
+    ]
+    return polyhedra.PolyhedralComplex(cells)
+
+
+def dd_is_face_of(p, q):
+    """p is a face of q when it equals the face of q.hom its tight facets
+    cut out, built by a construction."""
+    if not q.contains(p):
+        return False
+    hom = q.hom
+    tight = [a for a in hom.ineqs if all(vdot(a, r) == 0 for r in p.hom.rays)]
+    face = Cone.from_inequalities(hom.ineqs, [*hom.eqs, *tight], p.n + 1)
+    return Polyhedron(p.n, face) == p
+
+
+def fraction_cone_image(c, rows):
+    rows = [vec(r) for r in rows]
+    rays = [tuple(vdot(row, r) for row in rows) for r in c.rays]
+    lines = [tuple(vdot(row, l) for row in rows) for l in c.lines]
+    return Cone.from_rays([r for r in rays if any(r)], [l for l in lines if any(l)], len(rows))
+
+
+def fraction_image(p, rows, shift=None):
+    rows = [vec(r) for r in rows]
+    m = len(rows)
+    if p.empty:
+        return Polyhedron.empty_polyhedron(m)
+    shift = vec(shift) if shift is not None else (F(0),) * m
+    verts = [tuple(vdot(row, v) + s for row, s in zip(rows, shift)) for v in p.vertices]
+    rays = [tuple(vdot(row, r) for row in rows) for r in p.rays]
+    lines = [tuple(vdot(row, l) for row in rows) for l in p.lines]
+    return Polyhedron.from_generators(verts, [r for r in rays if any(r)], [l for l in lines if any(l)], m)
+
+
+def _random_polyhedron(rng, n, lines=True):
+    pts = [tuple(F(rng.randint(-3, 3), rng.choice([1, 1, 2])) for _ in range(n)) for _ in range(rng.randint(1, n + 2))]
+    rays = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(rng.choice([0, 0, 1, 2]))]
+    line = [tuple(rng.randint(-1, 1) for _ in range(n))] if lines and rng.random() < 0.2 else []
+    return Polyhedron.from_generators(pts, rays, line, n)
+
+
+def _random_rows(rng, k, n):
+    return [tuple(F(rng.randint(-2, 2), rng.choice([1, 1, 3])) for _ in range(n)) for _ in range(k)]
+
+
+def test_chamber_complex_matches_bfs_closure():
+    rng = random.Random(61)
+    seen = {1: 0, 2: 0, 3: 0, "split": 0, "several": 0}
+    for _ in range(60):
+        n = rng.randint(2, 3)
+        k = rng.randint(1, n)
+        p = _random_polyhedron(rng, n, lines=False)
+        rows = _random_rows(rng, k, n)
+        cells = [p]
+        a = tuple(rng.randint(-1, 1) for _ in range(n))
+        if rng.random() < 0.5 and any(a):
+            # two cells of p with common support, as the evaluation chambers
+            b = rng.randint(-1, 1)
+            halves = [p.intersect(Polyhedron.from_H([(a, b)], n=n)), p.intersect(Polyhedron.from_H([(tuple(-x for x in a), -b)], n=n))]
+            if all(not h.empty for h in halves):
+                cells = halves
+                seen["split"] += 1
+        family = [f.map_image(rows) for c in cells for f in c.faces()]
+        if rng.random() < 0.3:
+            family.append(Polyhedron.empty_polyhedron(k))
+        got = chamber_complex(family)
+        assert got == bfs_chamber_complex(family)
+        seen[k] += 1
+        seen["several"] += len(got.cells) > 1
+    assert chamber_complex([]) == bfs_chamber_complex([]) == chamber_complex([Polyhedron.empty_polyhedron(2)])
+    assert min(seen.values()) >= 5, seen
+
+
+def test_is_face_of_matches_dd_face():
+    rng = random.Random(67)
+    seen = {True: 0, False: 0}
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        p, q = _random_polyhedron(rng, n), _random_polyhedron(rng, n)
+        e = Polyhedron.empty_polyhedron(n)
+        shift = tuple(F(1, 2) for _ in range(n))
+        # faces, faces of the other, intersections and moved faces: most of
+        # the latter are no faces
+        cands = p.faces() + q.faces() + [p.intersect(q), e] + [f.translate(shift) for f in p.faces()[1:3]]
+        for a in cands:
+            for b in (p, q, e, p.intersect(q)):
+                got = a.is_face_of(b)
+                assert got == dd_is_face_of(a, b), (a, b)
+                seen[got] += 1
+    assert min(seen.values()) > 200, seen
+
+
+def test_images_match_fraction_route():
+    rng = random.Random(71)
+    seen = {"zero": 0, "lines": 0, "empty": 0}
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        k = rng.randint(0, 3)
+        rows = _random_rows(rng, k, n)
+        if rng.random() < 0.2:
+            # a map that kills the rays and lines
+            rows = [tuple(0 for _ in range(n)) for _ in range(k)]
+        shift = rng.choice([None, tuple(F(rng.randint(-3, 3), rng.choice([1, 4])) for _ in range(k))])
+        p = _random_polyhedron(rng, n)
+        if rng.random() < 0.1:
+            p = Polyhedron.empty_polyhedron(n)
+        c = Cone.from_rays(*_random_gens(rng, n), n=n)
+        got, want = p.map_image(rows, shift), fraction_image(p, rows, shift)
+        assert _slots(got) == _slots(want)
+        assert _slots(c.map_image(rows)) == _slots(fraction_cone_image(c, rows))
+        seen["zero"] += bool(p.rays) and not got.rays and not got.lines
+        seen["lines"] += bool(p.lines)
+        seen["empty"] += p.empty
+    assert min(seen.values()) >= 5, seen
+    # rows given as strings, as a document gives them
+    p = Polyhedron.from_generators([(0, 0), (1, F(1, 2))], [(1, 1)])
+    assert p.map_image([["1/2", "3"]], ["-1"]) == fraction_image(p, [[F(1, 2), 3]], [-1])
+
+
+def test_int_row_on_int_bool_and_fraction_rows():
+    rows = [(2, -4, 6), (0, 0), (), (True, False, True), (True, 2), (F(2, 3), F(-4, 9)), (3, F(6, 1), -9)]
+    for row in rows:
+        got = _int_row(row)
+        assert all(type(x) is int for x in got), row
+        if any(row):
+            assert got == fraction_primitive(row)
+        else:
+            assert got == tuple(0 for _ in row)
+    assert _int_row([4, 6]) == (2, 3)
+    assert _int_row((True,)) == (1,)

@@ -13,10 +13,11 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from pdivisors import cli
+from pdivisors import cli, polyhedra
 from pdivisors.base import BaseVariety, global_sections, point_label
 from pdivisors.downgrade import DowngradeContext, downgrade
 from pdivisors.lattice import Lattice, LatticeMap
@@ -148,3 +149,46 @@ def test_pdiv_downgrade_minimal_case(tmp_path, capsys):
     assert report["kind"] == "downgrade"
     assert report["divisor"]["lattice_rank"] == 2
     assert report["fan"]["members"]
+
+
+def rank3_case():
+    """A fixed proper rank-3 divisor with three coefficients."""
+    tail = orthant(3)
+    tp = tail.as_polyhedron()
+    return PolyhedralDivisor(P1, 3, tail, {
+        point_label(0): hull([(1, 0, 2), (0, F(1, 2), 1)]).minkowski(tp),
+        point_label(1): hull([(0, 2, 0), (1, 1, 1)]).minkowski(tp),
+        point_label(-1): hull([(0, 0, 0)]).minkowski(tp),
+    })
+
+
+POOL = {e["id"]: e for e in json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "cli_pool.json").read_text())}
+
+
+# The budgets are the `dd_cone` runs of one `pdiv downgrade` on a cold
+# construction memo with order-free memo keys, and with face tests and images
+# that build no cone of their own; order-dependent keys or cones rebuilt in
+# face tests exceed them.
+@pytest.mark.parametrize(
+    "doc, projection, budget",
+    [
+        (lambda: POOL["downgrade-2"]["doc"], '[["1","1"]]', 108),
+        (lambda: cli.emit(rank3_case(), "pdivisor").decode(), '[["1","1","0"],["0","0","1"]]', 212),
+    ],
+    ids=["rank2", "rank3"],
+)
+def test_pdiv_downgrade_dd_budget(tmp_path, capsys, monkeypatch, doc, projection, budget):
+    p = tmp_path / "d.json"
+    p.write_text(doc(), encoding="utf-8")
+    calls = []
+    dd = polyhedra.dd_cone
+
+    def counting(*args):
+        calls.append(args)
+        return dd(*args)
+
+    polyhedra._canonical.cache_clear()
+    monkeypatch.setattr(polyhedra, "dd_cone", counting)
+    assert cli.main(["downgrade", str(p), "--projection", projection]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "downgrade"
+    assert len(calls) <= budget

@@ -73,7 +73,8 @@ def test_mutated_result_leaves_memo_intact():
     # leaves the memo as it was
     memo.cache_clear()
     cone = polyhedra.Cone.from_inequalities(ineqs, eqs, 3)
-    stored = memo(3, ((1, 0, 0), (0, 1, 0), (1, 1, 1)), ())
+    # the key holds the rows sorted and deduplicated
+    stored = memo(3, ((0, 1, 0), (1, 0, 0), (1, 1, 1)), ())
     fields = (cone.rays, cone.lines, cone.ineqs, cone.eqs)
     assert fields == (stored[2], stored[3], stored[0], stored[1])
     cone.rays = ((9, 9, 9),)
@@ -154,6 +155,16 @@ def test_scaled_rows_share_memo_entry():
     assert polyhedra.dd_cone(scaled, [(7, 7, 7)], 3) == polyhedra.dd_cone(ineqs, eqs, 3)
     info = memo.cache_info()
     assert (info.hits, info.currsize) == (1, 1)
+    # permuted and duplicated rows share the entry too
+    permuted = [(-1, 0, 1), (2, 4, 0), (0, 1, 1), (1, 2, 0), (-2, 0, 2)]
+    third = polyhedra.Cone.from_inequalities(permuted, [(1, 1, 1), (2, 2, 2)], 3)
+    assert _slots(third) == _slots(first)
+    assert polyhedra.dd_cone(permuted, [(1, 1, 1), (2, 2, 2)], 3) == polyhedra.dd_cone(ineqs, eqs, 3)
+    # the same rows read as generators span the dual, from the same entry
+    dual = polyhedra.Cone.from_rays(permuted[::-1] + permuted, [(2, 2, 2)], 3)
+    assert _slots(dual) == (3, first.ineqs, first.eqs, first.rays, first.lines)
+    info = memo.cache_info()
+    assert (info.hits, info.currsize) == (3, 1)
 
 
 def test_memo_holds_integers_only(monkeypatch):
@@ -174,6 +185,10 @@ def test_memo_holds_integers_only(monkeypatch):
         for vectors in key_and_value:
             assert type(vectors) is tuple
             assert all(type(v) is tuple and all(type(x) is int for x in v) for v in vectors)
+
+
+def _slots(cone):
+    return (cone.n, cone.rays, cone.lines, cone.ineqs, cone.eqs)
 
 
 def _is_primitive_int(v):
