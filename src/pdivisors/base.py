@@ -14,9 +14,9 @@ declared binomial primes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import _Frozen, _Record
 from .errors import (
     NoDegreeMap,
     NonIntegral,
@@ -86,23 +86,30 @@ def is_inf(x) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimeDivisorLabel:
+class PrimeDivisorLabel(_Frozen):
     """A prime divisor on a base variety.
 
     kind "point": a point of P^1 (geometry = rational number or INF).
     kind "ray": a torus-invariant divisor of a toric base (geometry = ray).
     kind "declared": a non-invariant prime on a toric base, carried with an
     invariant linear-equivalence representative (ray -> coefficient) so that
-    class-level predicates can substitute it.
+    class-level predicates can substitute it: `class_rep` is a tuple of
+    (ray, Fraction) pairs.
     """
 
-    id: str
-    kind: str
-    point: object = None
-    ray: tuple | None = None
-    class_rep: tuple = ()  # tuple of (ray, Fraction) pairs for declared kind
-    degree: Fraction | None = None
+    __slots__ = ("id", "kind", "point", "ray", "class_rep", "degree")
+
+    def __init__(self, id: str, kind: str, point: object = None, ray: tuple | None = None,
+                 class_rep: tuple = (), degree: Fraction | None = None):
+        self._init(id, kind, point, ray, class_rep, degree)
+
+    def __eq__(self, other):
+        # spelled out: round trips compare labels in their inner loops
+        if other.__class__ is self.__class__:
+            return (self.id, self.kind, self.point, self.ray, self.class_rep, self.degree) == (
+                other.id, other.kind, other.point, other.ray, other.class_rep, other.degree
+            )
+        return NotImplemented
 
     def __hash__(self):
         # equal labels share id and kind; hashing the Fraction fields is slow
@@ -587,12 +594,15 @@ def order_along(f, label: PrimeDivisorLabel) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SectionSpace:
-    dimension: int | None
-    basis: tuple
-    polytope: Polyhedron | None = None
-    truncated: bool = False
+class SectionSpace(_Record):
+    __slots__ = ("dimension", "basis", "polytope", "truncated")
+
+    def __init__(self, dimension: int | None, basis: tuple,
+                 polytope: Polyhedron | None = None, truncated: bool = False):
+        self.dimension = dimension
+        self.basis = basis
+        self.polytope = polytope
+        self.truncated = truncated
 
 
 def global_sections(d: QDivisor, pole_bound: int | None = None) -> SectionSpace:
@@ -692,11 +702,11 @@ def is_principal(d: QDivisor):
     raise UnsupportedBase(base.kind)
 
 
-@dataclass(frozen=True)
-class PositivityFlags:
-    qcartier: bool
-    semiample: bool
-    big: bool
+class PositivityFlags(_Frozen):
+    __slots__ = ("qcartier", "semiample", "big")
+
+    def __init__(self, qcartier: bool, semiample: bool, big: bool):
+        self._init(qcartier, semiample, big)
 
 
 def positivity(d: QDivisor) -> PositivityFlags:

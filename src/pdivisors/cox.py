@@ -9,9 +9,9 @@ the base, and the degree correction making the result proper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import _Record
 from .base import point_label
 from .errors import FormsDisagree, NoDegreeMap, TorsionCokernel
 from .lattice import Lattice, LatticeMap, multiplicity, smith_split
@@ -22,19 +22,25 @@ from .tvariety import DivisorialFan, invariant_prime_divisors
 from .upgrade import InvariantPDivisorOnFan, correct_pic_z, upgrade_coefficients
 
 
-@dataclass
-class CoxData:
-    fan: DivisorialFan
-    primes: tuple  # chosen prime labels, ordered
-    pairs: tuple  # ordered (label, vertex) pairs
-    rays: tuple  # ordered tail rays
-    quotient_rows: tuple  # Z^P -> Z^(p-1) killing the degree vector
-    pi: LatticeMap  # Z^(pairs+rays) -> Z^(p-1) + N
-    section: LatticeMap  # t*: target -> middle
-    retraction: LatticeMap  # s: middle -> Cl(X)* coordinates
-    kernel: LatticeMap  # Cl(X)* -> middle
-    cl_rank: int
-    asserted_flags: dict = field(default_factory=dict)
+class CoxData(_Record):
+    __slots__ = ("fan", "primes", "pairs", "rays", "quotient_rows", "pi", "section",
+                 "retraction", "kernel", "cl_rank", "asserted_flags")
+
+    def __init__(self, fan: DivisorialFan, primes: tuple, pairs: tuple, rays: tuple,
+                 quotient_rows: tuple, pi: LatticeMap, section: LatticeMap,
+                 retraction: LatticeMap, kernel: LatticeMap, cl_rank: int,
+                 asserted_flags: dict | None = None):
+        self.fan = fan
+        self.primes = primes  # chosen prime labels, ordered
+        self.pairs = pairs  # ordered (label, vertex) pairs
+        self.rays = rays  # ordered tail rays
+        self.quotient_rows = quotient_rows  # Z^P -> Z^(p-1) killing the degree vector
+        self.pi = pi  # Z^(pairs+rays) -> Z^(p-1) + N
+        self.section = section  # t*: target -> middle
+        self.retraction = retraction  # s: middle -> Cl(X)* coordinates
+        self.kernel = kernel  # Cl(X)* -> middle
+        self.cl_rank = cl_rank
+        self.asserted_flags = {} if asserted_flags is None else asserted_flags
 
     def basis_vector(self, index: int):
         m = self.pi.source.rank

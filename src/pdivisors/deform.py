@@ -11,10 +11,10 @@ formulas and through the fan-plus-upgrade route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import _Record
 from .base import (
     INF,
     BaseVariety,
@@ -32,8 +32,7 @@ from .tvariety import DivisorialFan
 from .upgrade import InvariantPDivisorOnFan, upgrade_coefficients
 
 
-@dataclass
-class DeformationInput:
+class DeformationInput(_Record):
     """A degree, a cone, and a decomposition of its degree-one slice.
 
     The last coordinate of the ambient lattice is the primitive degree
@@ -43,14 +42,13 @@ class DeformationInput:
     identity is Delta_plus = Delta_0 + sum k_i Delta_i.
     """
 
-    delta: Cone
-    degree: tuple
-    deltas: tuple
-    multiplicities: tuple | None = None
+    __slots__ = ("delta", "degree", "deltas", "multiplicities", "k", "n")
 
-    def __post_init__(self):
-        self.degree = vec(self.degree)
-        ntot = self.delta.n
+    def __init__(self, delta: Cone, degree: tuple, deltas: tuple,
+                 multiplicities: tuple | None = None):
+        self.delta = delta
+        self.degree = vec(degree)
+        ntot = delta.n
         if len(self.degree) != ntot:
             raise ValueError("degree covector has the wrong length")
         k = int(self.degree[-1])
@@ -60,11 +58,12 @@ class DeformationInput:
             )
         self.k = k
         self.n = ntot - 1
-        self.deltas = tuple(self.deltas)
+        self.deltas = tuple(deltas)
         if not self.deltas:
             raise SumMismatch("the decomposition needs at least the summand Delta_0")
-        if self.multiplicities is not None:
-            self.multiplicities = tuple(int(m) for m in self.multiplicities)
+        self.multiplicities = multiplicities
+        if multiplicities is not None:
+            self.multiplicities = tuple(int(m) for m in multiplicities)
             if len(self.multiplicities) != len(self.deltas) - 1:
                 raise ValueError("one multiplicity per parameter summand")
             self.k = gcd(*self.multiplicities) if self.multiplicities else 1
@@ -228,14 +227,17 @@ def family_pdivisor(din: DeformationInput):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FamilyBase:
-    base: BaseVariety
-    fan: DivisorialFan
-    p0: object
-    pis: list
-    q: object
-    pullback_table: dict
+class FamilyBase(_Record):
+    __slots__ = ("base", "fan", "p0", "pis", "q", "pullback_table")
+
+    def __init__(self, base: BaseVariety, fan: DivisorialFan, p0: object, pis: list,
+                 q: object, pullback_table: dict):
+        self.base = base
+        self.fan = fan
+        self.p0 = p0
+        self.pis = pis
+        self.q = q
+        self.pullback_table = pullback_table
 
 
 def family_base_fan(din: DeformationInput) -> FamilyBase:

@@ -10,9 +10,9 @@ recovers the same variety for the subtorus action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import _Record
 from .base import is_inf, point_label
 from .errors import (
     BoxNotFullDimensional,
@@ -43,35 +43,29 @@ from .tvariety import (
 from .upgrade import InvariantPDivisorOnFan
 
 
-@dataclass
-class DowngradeContext:
+class DowngradeContext(_Record):
     """Split data of a weight projection pr: M -> Mbar.
 
     Carries the section s_star, the kernel inclusion, the cosection t, and
-    the dual-side projection pi: N -> N' and retraction s: N -> Nbar.
+    the dual-side projection pi: N -> N' and retraction s: N -> Nbar, whose
+    rows `pi_rows` and `s_rows` are derived once here.
     """
 
-    pr: LatticeMap
-    s_star: LatticeMap
-    t: LatticeMap
-    kernel: LatticeMap
+    __slots__ = ("pr", "s_star", "t", "kernel", "pi_rows", "s_rows", "fiber_rank")
+
+    def __init__(self, pr: LatticeMap, s_star: LatticeMap, t: LatticeMap, kernel: LatticeMap):
+        self.pr = pr
+        self.s_star = s_star
+        self.t = t
+        self.kernel = kernel
+        self.pi_rows = transpose(kernel.matrix)
+        self.s_rows = transpose(s_star.matrix)
+        self.fiber_rank = kernel.source.rank
 
     @staticmethod
     def from_projection(pr: LatticeMap) -> "DowngradeContext":
         s_star, t, kernel = smith_split(pr)
         return DowngradeContext(pr, s_star, t, kernel)
-
-    @property
-    def pi_rows(self):
-        return transpose(self.kernel.matrix)
-
-    @property
-    def s_rows(self):
-        return transpose(self.s_star.matrix)
-
-    @property
-    def fiber_rank(self) -> int:
-        return self.kernel.source.rank
 
 
 def linear_part(f: ConcavePL, w) -> Fraction:

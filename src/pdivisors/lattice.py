@@ -12,10 +12,10 @@ to give the cosection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from ._record import _Frozen
 from .errors import NonIntegral, NotSurjective, ZeroVector
 from .linalg import (
     Vec,
@@ -30,14 +30,13 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class Lattice:
-    rank: int
-    name: str = "N"
+class Lattice(_Frozen):
+    __slots__ = ("rank", "name")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int, name: str = "N"):
+        if rank < 0:
             raise ValueError("lattice rank must be >= 0")
+        self._init(rank, name)
 
     def dual(self) -> "Lattice":
         if self.name.endswith("*"):

@@ -9,9 +9,9 @@ to infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import _Frozen
 from .base import (
     INF,
     BaseVariety,
@@ -263,14 +263,13 @@ class PolyhedralDivisor:
         return d
 
 
-@dataclass(frozen=True)
-class PropernessReport:
-    qcartier: bool
-    semiample: bool
-    big: bool
-    loc_semiprojective: bool
-    fulldim_weightcone: bool
-    failures: tuple = ()
+class PropernessReport(_Frozen):
+    __slots__ = ("qcartier", "semiample", "big", "loc_semiprojective", "fulldim_weightcone",
+                 "failures")
+
+    def __init__(self, qcartier: bool, semiample: bool, big: bool, loc_semiprojective: bool,
+                 fulldim_weightcone: bool, failures: tuple = ()):
+        self._init(qcartier, semiample, big, loc_semiprojective, fulldim_weightcone, failures)
 
     @property
     def proper(self) -> bool:
@@ -293,14 +292,18 @@ class PropernessReport:
         }
 
 
-@dataclass(frozen=True)
-class PullbackTriple:
-    """(psi, F, f): base morphism, lattice map, principal shift."""
+class PullbackTriple(_Frozen):
+    """(psi, F, f): base morphism, lattice map, principal shift.
 
-    base_map: LatticeMap | None = None
-    target_base: BaseVariety | None = None
-    lattice_map: LatticeMap | None = None
-    shift: tuple = ()  # tuple of (vector, rational function)
+    `shift` is a tuple of (vector, rational function) pairs.
+    """
+
+    __slots__ = ("base_map", "target_base", "lattice_map", "shift")
+
+    def __init__(self, base_map: LatticeMap | None = None,
+                 target_base: BaseVariety | None = None,
+                 lattice_map: LatticeMap | None = None, shift: tuple = ()):
+        self._init(base_map, target_base, lattice_map, shift)
 
 
 def _principal_shifts(fshift, base) -> dict:

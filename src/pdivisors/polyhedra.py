@@ -315,14 +315,9 @@ class Cone:
 
     def dual(self) -> "Cone":
         # facets of a canonical cone are the extreme rays of its dual and
-        # vice versa, so the stored data swaps sides directly
-        return Cone(
-            self.n,
-            tuple(sorted(self.ineqs)),
-            tuple(sorted(self.eqs)),
-            tuple(sorted(self.rays)),
-            tuple(sorted(self.lines)),
-        )
+        # vice versa, so the stored data swaps sides directly; every field is
+        # already sorted, since each construction goes through `_canonical`
+        return Cone(self.n, self.ineqs, self.eqs, self.rays, self.lines)
 
     def contains(self, x) -> bool:
         x = _cleared(x)[0]

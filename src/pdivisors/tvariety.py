@@ -13,9 +13,9 @@ vertical prime at (P, v) is mu(v) * b_{P,v}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import _Record
 from .base import (
     INF,
     BaseVariety,
@@ -535,11 +535,13 @@ def graded_sections(d: TInvariantDivisor, u, pole_bound=None) -> SectionSpace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SupportFunction:
+class SupportFunction(_Record):
     """Per prime, per slice cell: an affine piece (a, c) with h = <a,.> + c."""
 
-    pieces: dict  # label -> tuple of (cell, a, c)
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: dict):
+        self.pieces = pieces  # label -> tuple of (cell, a, c)
 
     def value(self, label, x):
         for cell, a, c in self.pieces.get(label, ()):
@@ -594,11 +596,13 @@ def support_function_concave(d: TInvariantDivisor, label) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BpfReport:
-    status: str  # "free" | "not_free" | "inconclusive"
-    witnesses: dict  # (member index, class id) -> (u, section)
-    failing: tuple = ()
+class BpfReport(_Record):
+    __slots__ = ("status", "witnesses", "failing")
+
+    def __init__(self, status: str, witnesses: dict, failing: tuple = ()):
+        self.status = status  # "free" | "not_free" | "inconclusive"
+        self.witnesses = witnesses  # (member index, class id) -> (u, section)
+        self.failing = failing
 
     @property
     def free(self) -> bool:

@@ -10,11 +10,11 @@ the violated hypotheses; the failure mode itself is informative output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import lcm
 from operator import mul
 
+from ._record import _Record
 from .base import INF, BaseVariety, cone_index, cone_is_smooth
 from .errors import NoDegreeMap
 from .linalg import _int_row, smith_normal_form, vdot, vec, zero_vec
@@ -163,12 +163,15 @@ def upgrade_coefficients(d: InvariantPDivisorOnFan) -> PolyhedralDivisor:
     return PolyhedralDivisor(d.fan.base, ntot, sigma_t, coeffs)
 
 
-@dataclass
-class UpgradeResult:
-    divisor: PolyhedralDivisor
-    report: PropernessReport
-    contraction_free: bool
-    base_smooth: bool
+class UpgradeResult(_Record):
+    __slots__ = ("divisor", "report", "contraction_free", "base_smooth")
+
+    def __init__(self, divisor: PolyhedralDivisor, report: PropernessReport,
+                 contraction_free: bool, base_smooth: bool):
+        self.divisor = divisor
+        self.report = report
+        self.contraction_free = contraction_free
+        self.base_smooth = base_smooth
 
     @property
     def hypotheses_hold(self) -> bool:

@@ -79,6 +79,11 @@ def test_construction_matches_two_dd_route():
         # the H-side of the dual is the same rows read as inequalities
         d = Cone.from_inequalities(gens, lines, n)
         assert _slots(d) == (n, ineqs, eqs, rays, clines)
+        # every field comes out sorted, so `dual` swaps the sides as they are
+        for cone in (c, d):
+            assert all(list(f) == sorted(f) for f in _slots(cone)[1:])
+            assert _slots(cone.dual()) == (n, cone.ineqs, cone.eqs, cone.rays, cone.lines)
+            assert _slots(cone.dual().dual()) == _slots(cone)
         kinds["lineality"] += bool(clines and rays)
         kinds["equations"] += bool(eqs and ineqs)
         kinds["redundant"] += len(set(rows(gens))) > len(rays) + 2 * len(clines)

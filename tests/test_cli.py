@@ -428,3 +428,20 @@ def test_downgrade_rank4_terminates(tmp_path, projection):
     )
     assert proc.returncode in (0, 1, 2)
     assert "Traceback" not in proc.stderr
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # every pdiv process pays its imports, and dataclasses alone pulls in
+    # inspect, ast, dis and tokenize; -S keeps site-packages hooks out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, pdivisors.cli; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "pdivisors.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
