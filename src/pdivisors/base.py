@@ -20,6 +20,7 @@ from ._record import _Frozen, _Record
 from .errors import (
     NoDegreeMap,
     NonIntegral,
+    TooManySections,
     UnsupportedBase,
     ZeroFunction,
 )
@@ -605,10 +606,17 @@ class SectionSpace(_Record):
         self.truncated = truncated
 
 
+# Largest dimension of L(d) on a curve whose basis `global_sections` builds.
+# A basis of 10^5 functions takes about a second to build; a coefficient of
+# 10^40 would ask for more memory than any machine has.
+MAX_CURVE_SECTIONS = 10**5
+
+
 def global_sections(d: QDivisor, pole_bound: int | None = None) -> SectionSpace:
     """Basis description of L(d) = {f : div(f) + d >= 0}.
 
-    P^1: explicit rational-function basis of dimension deg(floor d) + 1.
+    P^1: explicit rational-function basis of dimension deg(floor d) + 1;
+    above `MAX_CURVE_SECTIONS` it raises `TooManySections` instead.
     Open subsets of P^1 (or infinite coefficients): poles at removed primes
     are unbounded; they are truncated at `pole_bound`.
     Toric with invariant d: characters in the section polytope; an unbounded
@@ -632,6 +640,10 @@ def global_sections(d: QDivisor, pole_bound: int | None = None) -> SectionSpace:
         deg = sum(floor_c.values(), Fraction(0))
         if deg < 0:
             return SectionSpace(0, (), truncated=truncated)
+        if deg + 1 > MAX_CURVE_SECTIONS:
+            raise TooManySections(
+                f"L(D) has dimension {deg + 1}, above MAX_CURVE_SECTIONS = {MAX_CURVE_SECTIONS}"
+            )
         f0_factors = {a: int(-c) for a, c in floor_c.items() if not is_inf(a)}
         f0 = CurveFunction(f0_factors)
         x = CurveFunction.coordinate()

@@ -37,6 +37,10 @@ class ZeroFunction(PDivError):
     pass
 
 
+class TooManySections(PDivError):
+    pass
+
+
 class NonIntegral(PDivError):
     pass
 

@@ -7,12 +7,13 @@ for the other side and reads the irredundant input side off the
 generator-facet incidence, so both sides are canonical and structural
 equality of the stored data coincides with equality of the underlying
 sets.  The memo key holds the input rows primitive, sorted and without
-duplicates, so it does not depend on their order.  A polyhedron stores
-one cone, its homogenization `hom`, and derives its generators and
-halfspaces from it; only its vertices are Fractions.  Images are taken
-on `hom` with integer rows, and face tests compare integer dot products
-instead of building a cone.  Point tests clear a point's denominators
-once and compare integers.
+duplicates, so it does not depend on their order.  Faces run no DD:
+both sides of a face are read off its parent's generator-facet
+incidence.  A polyhedron stores one cone, its homogenization `hom`, and
+derives its generators and halfspaces from it on first access; only its
+vertices are Fractions.  Images are taken on `hom` with integer rows, and
+face tests compare integer dot products instead of building a cone.
+Point tests clear a point's denominators once and compare integers.
 
 The empty polyhedron is a first-class value, the zero cone homogenized:
 sums and intersections treat it as absorbing, images of it are empty.
@@ -168,10 +169,10 @@ def _frame(ineqs, eqs, n: int):
     return sbasis, aprime, rspace, _echelon_kernel(rspace, pivots, len(sbasis))
 
 
-# Bound of the construction memo.  In one benchmark run per workload (seed
-# 101, 2-core x86_64, Python 3.11.7), 4096 entries instead of 512 raised
-# peak memory by 24% on geometry, whose inputs rarely repeat (19.2 -> 23.8
-# MiB), and by 9% on roundtrip (19.2 -> 21.0 MiB).
+# Bound of the construction memo.  Faces do not go through it.  In two
+# benchmark runs per workload (seed 101, 30 s, 2-core x86_64, Python
+# 3.11.7), 4096 entries instead of 512 raised peak memory by 4% on geometry
+# (18.96 -> 19.7 MiB) and by 3% on roundtrip (19.1 -> 19.7 MiB).
 DD_CACHE_SIZE = 512
 
 
@@ -219,6 +220,23 @@ def _representatives(rays, lines, ineqs, eqs, n: int) -> list[tuple]:
     ]
 
 
+def _orthogonal(rows, eqs) -> list[tuple]:
+    """The primitive point of each a + span(eqs) orthogonal to eqs, which
+    is the representative `_representatives` gives when nothing is a line:
+    a - E^T y with the Gram system (E E^T) y = E a, one elimination for all
+    rows.  `eqs` are independent and not empty."""
+    e = len(eqs)
+    gram = [[sum(map(mul, u, v)) for v in (*eqs, *rows)] for u in eqs]
+    # row i is a positive multiple p_i of (e_i | y's i-th entries)
+    red, _ = _echelon(gram)
+    scale = math.lcm(*(red[i][i] for i in range(e)))
+    out = []
+    for j, a in enumerate(rows):
+        y = mix_basis([red[i][e + j] * (scale // red[i][i]) for i in range(e)], eqs)
+        out.append(_int_row([scale * x - z for x, z in zip(a, y)]))
+    return out
+
+
 def mix_basis(coords, basis) -> tuple:
     """The combination of the basis vectors with the given coefficients."""
     out = [0] * len(basis[0])
@@ -228,14 +246,16 @@ def mix_basis(coords, basis) -> tuple:
     return tuple(out)
 
 
-def _face_sets(gens, normals) -> list[tuple[int, ...]]:
-    """Generator index sets of all faces, the full set first.
+def _face_sets(gens, normals) -> tuple[list[frozenset], list[frozenset]]:
+    """Generator index sets of all faces, the full set first, and the
+    incidence: for each normal, the set of generators tight on it.
 
     `gens` are the extreme rays and `normals` the facet normals of a
     canonical cone.  Every face is cut out by the facets containing it, so
     its generator set is the intersection of their incidence sets, and
     distinct faces have distinct sets (Fukuda-Prodon, "Double description
-    method revisited", 1996).  Each set comes back sorted.
+    method revisited", 1996).  `Cone._face` reads each face off the same
+    incidence.
     """
     incidence = [
         frozenset(i for i, g in enumerate(gens) if not sum(map(mul, a, g))) for a in normals
@@ -251,7 +271,7 @@ def _face_sets(gens, normals) -> list[tuple[int, ...]]:
                     seen[t] = None
                     nxt.append(t)
         frontier = nxt
-    return [tuple(sorted(s)) for s in seen]
+    return list(seen), incidence
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +381,34 @@ class Cone:
 
     def faces(self) -> list["Cone"]:
         """All faces, the cone itself first."""
-        sets = _face_sets(self.rays, self.ineqs)
-        return [self] + [
-            Cone.from_rays([self.rays[i] for i in s], self.lines, self.n) for s in sets[1:]
-        ]
+        sets, incidence = _face_sets(self.rays, self.ineqs)
+        return [self] + [self._face(s, incidence) for s in sets[1:]]
+
+    def _face(self, s, incidence) -> "Cone":
+        """The face on the generator index set `s`, read off the incidence
+        of `_face_sets` with no DD; its fields are those `from_rays` gives.
+
+        Its rays are the generators in `s` and its lines the cone's.  Its
+        equations cut out the span: the cone's equations and the facets
+        tight on all of `s`.  Its facets are its maximal proper faces, each
+        cut out by one facet of the cone, whose normal goes to the
+        representative the DD on the face's generators gives.
+        """
+        n, lines = self.n, self.lines
+        rays = [self.rays[i] for i in sorted(s)]
+        tight = [a for a, f in zip(self.ineqs, incidence) if s <= f]
+        eqs = sorted(_echelon([*self.eqs, *tight])[0])
+        cut = {}
+        for a, f in zip(self.ineqs, incidence):
+            if not s <= f:
+                cut.setdefault(s & f, a)
+        normals = [a for t, a in cut.items() if not any(t < u for u in cut)]
+        if lines:
+            ineqs = sorted(_representatives(normals, eqs, rays, lines, n))
+            rays = sorted(_representatives(rays, lines, ineqs, eqs, n))
+        else:
+            ineqs = sorted(_orthogonal(normals, eqs))
+        return Cone(n, rays, lines, ineqs, eqs)
 
     def map_image(self, rows) -> "Cone":
         # a positive multiple of the map has the same image: clear the
@@ -401,27 +445,29 @@ class Polyhedron:
     `hom` is the canonical cone over P x {1} in Q^(n+1): a vertex X/d is
     the ray (X, d), a ray or line r of P is (r, 0), and the empty polyhedron
     is the zero cone.  Equality, containment, faces and intersection are
-    those of `hom`.  The views are read off it once: `vertices` are the
-    canonical minimal-face representatives (orthogonal to the lineality
-    space), `rays` the extreme ray directions modulo lineality, `lines` a
-    canonical lineality basis; `ineqs` are (a, b) pairs meaning
-    <a, x> >= b, `eqs` the same with equality.
+    those of `hom`.  The views are read off it on first access and kept in
+    their slots: `vertices` are the canonical minimal-face representatives
+    (orthogonal to the lineality space), `rays` the extreme ray directions
+    modulo lineality, `lines` a canonical lineality basis; `ineqs` are
+    (a, b) pairs meaning <a, x> >= b, `eqs` the same with equality.
     """
 
     __slots__ = ("n", "hom", "empty", "vertices", "rays", "lines", "ineqs", "eqs")
 
     def __init__(self, n: int, hom: Cone):
-        verts = [tuple(Fraction(x, r[n]) for x in r[:n]) for r in hom.rays if r[n]]
         self.n = n
-        self.empty = not verts
         # a cone without a vertex ray lies in t = 0: P is empty
+        self.empty = not any(r[n] for r in hom.rays)
         self.hom = Cone.zero(n + 1) if self.empty else hom
-        self.vertices = tuple(sorted(verts))
-        self.rays = tuple(r[:n] for r in self.hom.rays if not r[n])
-        self.lines = tuple(l[:n] for l in self.hom.lines)
-        # the row (0, 1) of t >= 0 is no inequality of P
-        self.ineqs = tuple(sorted((a[:n], -a[n]) for a in self.hom.ineqs if any(a[:n])))
-        self.eqs = () if self.empty else tuple(sorted((a[:n], -a[n]) for a in self.hom.eqs))
+
+    def __getattr__(self, name):
+        # only an unset slot gets here: a view not read yet
+        view = _VIEWS.get(name)
+        if view is None:
+            raise AttributeError(name)
+        value = view(self.hom, self.n)
+        setattr(self, name, value)
+        return value
 
     # -- construction --------------------------------------------------
 
@@ -601,14 +647,13 @@ class Polyhedron:
     def faces(self) -> list["Polyhedron"]:
         """All nonempty faces, the polyhedron itself first."""
         hom, n = self.hom, self.n
+        sets, incidence = _face_sets(hom.rays, hom.ineqs)
         # generator sets without a vertex are faces at infinity of the
         # homogenized cone, not faces of the polyhedron
-        sets = [s for s in _face_sets(hom.rays, hom.ineqs) if any(hom.rays[i][n] for i in s)]
         return [
-            self
-            if len(s) == len(hom.rays)
-            else Polyhedron(n, Cone.from_rays([hom.rays[i] for i in s], hom.lines, n + 1))
+            self if len(s) == len(hom.rays) else Polyhedron(n, hom._face(s, incidence))
             for s in sets
+            if any(hom.rays[i][n] for i in s)
         ]
 
     # -- lattice points ----------------------------------------------------
@@ -645,6 +690,22 @@ class Polyhedron:
             box = box.minkowski(seg)
         pts = box.lattice_points()
         return [p for p in pts if self.contains_point(p)]
+
+
+# The views of a polyhedron P in Q^n, read off its `hom`.
+_VIEWS = {
+    "vertices": lambda hom, n: tuple(
+        sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r in hom.rays if r[n])
+    ),
+    "rays": lambda hom, n: tuple(r[:n] for r in hom.rays if not r[n]),
+    "lines": lambda hom, n: tuple(l[:n] for l in hom.lines),
+    # the row (0, 1) of t >= 0 is no inequality of P
+    "ineqs": lambda hom, n: tuple(
+        sorted((a[:n], -a[n]) for a in hom.ineqs if any(a[:n]))
+    ),
+    # the equations of the zero cone say nothing of the empty polyhedron
+    "eqs": lambda hom, n: tuple(sorted((a[:n], -a[n]) for a in hom.eqs)) if hom.rays else (),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from pdivisors.base import (
     positivity,
     ray_label,
 )
-from pdivisors.errors import NoDegreeMap, NonIntegral, UnsupportedBase
+from pdivisors import base as base_module
+from pdivisors.errors import NoDegreeMap, NonIntegral, TooManySections, UnsupportedBase
 from pdivisors.polyhedra import Cone
 
 F = Fraction
@@ -102,6 +103,20 @@ def test_sections_riemann_roch_random():
         assert s.dimension == max(0, int(dd) + 1)
         for f in s.basis:
             assert f.divisor(P1).add(d).is_effective()
+
+
+def test_sections_above_the_bound_raise_before_the_basis(monkeypatch):
+    monkeypatch.setattr(base_module, "MAX_CURVE_SECTIONS", 3)
+    assert global_sections(qdiv(P1, [(point_label(0), 2)])).dimension == 3
+    with pytest.raises(TooManySections, match="dimension 4"):
+        global_sections(qdiv(P1, [(point_label(0), F(7, 2))]))
+    monkeypatch.undo()
+    # 10^40 + 1 sections: raised at once, no basis function is built
+    built = []
+    monkeypatch.setattr(CurveFunction, "mul", lambda *a: built.append(a))
+    with pytest.raises(TooManySections):
+        global_sections(qdiv(P1, [(point_label(0), 10**40)]))
+    assert built == []
 
 
 def test_sections_open_curve_truncated():

@@ -8,6 +8,9 @@ denominators once and compare integers; they are checked against the
 `Fraction` dot products they replaced.  The chamber closure keyed by
 member sets, the face test without a construction and the images on the
 homogenized cone are checked against copies of the routes they replaced.
+Faces are read off the incidence with no DD, and a polyhedron computes its
+views on first access; both are checked against copies of the routes they
+replaced, field by field.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from fractions import Fraction
 from fraction_route import fraction_primitive
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
 from pdivisors import polyhedra
 from pdivisors.linalg import F1, _cleared, _int_row, vdot, vec
@@ -433,3 +437,122 @@ def test_int_row_on_int_bool_and_fraction_rows():
             assert got == tuple(0 for _ in row)
     assert _int_row([4, 6]) == (2, 3)
     assert _int_row((True,)) == (1,)
+
+
+# -- faces off the incidence, views on demand ----------------------------------
+
+
+def from_rays_faces(c):
+    """The faces of a cone, each built by a construction on its generators."""
+    sets = polyhedra._face_sets(c.rays, c.ineqs)[0]
+    return [c] + [Cone.from_rays([c.rays[i] for i in sorted(s)], c.lines, c.n) for s in sets[1:]]
+
+
+def from_rays_polyhedron_faces(p):
+    hom, n = p.hom, p.n
+    sets = polyhedra._face_sets(hom.rays, hom.ineqs)[0]
+    return [
+        p if len(s) == len(hom.rays) else Polyhedron(n, Cone.from_rays([hom.rays[i] for i in sorted(s)], hom.lines, n + 1))
+        for s in sets
+        if any(hom.rays[i][n] for i in s)
+    ]
+
+
+def eager_views(p):
+    """(vertices, rays, lines, ineqs, eqs) computed eagerly from `hom`."""
+    n, hom = p.n, p.hom
+    verts = [tuple(F(x, r[n]) for x in r[:n]) for r in hom.rays if r[n]]
+    return (
+        tuple(sorted(verts)),
+        tuple(r[:n] for r in hom.rays if not r[n]),
+        tuple(l[:n] for l in hom.lines),
+        tuple(sorted((a[:n], -a[n]) for a in hom.ineqs if any(a[:n]))),
+        () if not verts else tuple(sorted((a[:n], -a[n]) for a in hom.eqs)),
+    )
+
+
+VIEWS = ("vertices", "rays", "lines", "ineqs", "eqs")
+
+
+def _face_cases(seed, count):
+    """Seeded cones with their duals, then polyhedra with rays and lines,
+    H-polyhedra (some of them empty) and their intersections."""
+    rng = random.Random(seed)
+    cones, polys = [], []
+    for n, gens, lines in _cases(seed, count):
+        c = Cone.from_rays(gens, lines, n)
+        cones += [c, c.dual()]
+    for _ in range(count // 2):
+        n = rng.randint(1, 4)
+        pts = [tuple(F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) for _ in range(n)) for _ in range(rng.randint(1, n + 2))]
+        rays, lines = _random_gens(rng, n)
+        p = Polyhedron.from_generators(pts, rays[:3], lines[:1], n)
+        halfspaces = [(tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-3, 1)) for _ in range(rng.randint(0, 2 * n + 1))]
+        q = Polyhedron.from_H(halfspaces, n=n)
+        polys += [p, q, p.intersect(q)]
+    polys.append(Polyhedron.empty_polyhedron(3))
+    return cones, polys
+
+
+def test_faces_match_from_rays_route_field_by_field():
+    cones, polys = _face_cases(seed=83, count=250)
+    seen = {"lines": 0, "lower": 0, "zero": 0, "poly lines": 0, "poly rays": 0, "empty": 0, "faces": 0}
+    for c in cones:
+        got = c.faces()
+        assert [_slots(f) for f in got] == [_slots(f) for f in from_rays_faces(c)]
+        assert got[0] is c
+        seen["lines"] += bool(c.lines and c.rays)
+        seen["lower"] += bool(c.eqs and c.rays)
+        seen["zero"] += not (c.rays or c.lines)
+        seen["faces"] += len(got)
+    for p in polys:
+        got = p.faces()
+        want = from_rays_polyhedron_faces(p)
+        assert [_slots(f.hom) for f in got] == [_slots(f.hom) for f in want]
+        assert [_slots(f) for f in got] == [_slots(f) for f in want]
+        seen["poly lines"] += bool(p.lines)
+        seen["poly rays"] += bool(p.rays)
+        seen["empty"] += p.empty
+        assert got == [] if p.empty else got[0] is p
+    assert Polyhedron.empty_polyhedron(2).faces() == []
+    assert min(seen.values()) >= 5 and seen["faces"] > 2000, seen
+
+
+def test_faces_run_no_dd(monkeypatch):
+    cones, polys = _face_cases(seed=89, count=60)
+    calls = []
+    dd = polyhedra.dd_cone
+
+    def counting(*args):
+        calls.append(args)
+        return dd(*args)
+
+    memo.cache_clear()
+    monkeypatch.setattr(polyhedra, "dd_cone", counting)
+    faces = [f for x in cones + polys for f in x.faces()]
+    assert calls == [] and len(faces) > 500
+    # a construction on a cold memo still runs its one DD
+    Cone.from_rays([(1, 2, 3)])
+    assert len(calls) == 1
+
+
+def test_views_on_first_access_match_eager_formula():
+    _, polys = _face_cases(seed=97, count=80)
+    polys += [f for p in polys[:30] for f in p.faces()] + [Polyhedron.empty_polyhedron(1)]
+    for p in polys:
+        want = eager_views(p)
+        assert p.empty == (not want[0])
+        got = tuple(getattr(p, k) for k in VIEWS)
+        assert got == want
+        assert all(getattr(p, k) is v for k, v in zip(VIEWS, got))
+    # the constructor leaves the view slots unset; the first access fills one
+    fresh = Polyhedron.from_generators([(0, 0), (1, 2)], [(1, 0)])
+    for k in VIEWS:
+        slot = Polyhedron.__dict__[k]
+        with pytest.raises(AttributeError):
+            slot.__get__(fresh)
+        assert getattr(fresh, k) is slot.__get__(fresh)
+    with pytest.raises(AttributeError):
+        fresh.volume
+    e = Polyhedron.empty_polyhedron(2)
+    assert (e.vertices, e.rays, e.lines, e.ineqs, e.eqs) == ((), (), (), (), ())

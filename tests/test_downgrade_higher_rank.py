@@ -166,14 +166,14 @@ POOL = {e["id"]: e for e in json.loads((Path(__file__).resolve().parents[1] / "p
 
 
 # The budgets are the `dd_cone` runs of one `pdiv downgrade` on a cold
-# construction memo with order-free memo keys, and with face tests and images
-# that build no cone of their own; order-dependent keys or cones rebuilt in
-# face tests exceed them.
+# construction memo with order-free memo keys, and with faces, face tests and
+# images that build no cone of their own; order-dependent keys, or cones
+# rebuilt for faces or in face tests, exceed them.
 @pytest.mark.parametrize(
     "doc, projection, budget",
     [
-        (lambda: POOL["downgrade-2"]["doc"], '[["1","1"]]', 108),
-        (lambda: cli.emit(rank3_case(), "pdivisor").decode(), '[["1","1","0"],["0","0","1"]]', 212),
+        (lambda: POOL["downgrade-2"]["doc"], '[["1","1"]]', 90),
+        (lambda: cli.emit(rank3_case(), "pdivisor").decode(), '[["1","1","0"],["0","0","1"]]', 169),
     ],
     ids=["rank2", "rank3"],
 )

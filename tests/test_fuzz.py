@@ -13,6 +13,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from pdivisors import cli
 
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "cli_pool.json"
 FIX = Path(__file__).parent / "fixtures"
-SEEDS = tuple(range(1, 9))
+SEEDS = tuple(range(1, 41))
 # a huge coordinate comes as a string: a huge count would ask for a matrix
 # of that many rows
 REPLACEMENTS = (None, True, 1.5, 7, "x", "1" + "0" * 40, [], {})
@@ -134,6 +135,21 @@ def test_fan_prime_missing_from_explicit_verts_exits_one(tmp_path, capsys):
     proc = _pdiv(["bpf", str(path)])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and proc.stderr.startswith("input error:")
+
+
+def test_huge_curve_section_space_exits_one_at_once(tmp_path):
+    # seed 37 of the mutator: a coefficient of 10^40 asks for 10^40 + 1 basis
+    # functions, which ran into `MemoryError` after about 100 s
+    entry = next(e for e in json.loads(POOL.read_text()) if e["id"] == "sections-1")
+    doc = json.loads(entry["doc"])
+    _set("1" + "0" * 40, "coefficients", 1, 1, "vertices", 0, 0)(doc["payload"])
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    proc = _pdiv([entry["command"], str(path), *entry["args"]])
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: L(D) has dimension 2") and "MAX_CURVE_SECTIONS" in proc.stderr
 
 
 def _bpf0_with(**fields):
