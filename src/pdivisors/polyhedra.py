@@ -407,6 +407,7 @@ class Cone:
             ineqs = sorted(_representatives(normals, eqs, rays, lines, n))
             rays = sorted(_representatives(rays, lines, ineqs, eqs, n))
         else:
+            # `_representatives` gives the same rows, 12% slower on geometry (BENCH_11.json)
             ineqs = sorted(_orthogonal(normals, eqs))
         return Cone(n, rays, lines, ineqs, eqs)
 
