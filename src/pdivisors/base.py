@@ -123,6 +123,13 @@ def point_label(x) -> PrimeDivisorLabel:
     return PrimeDivisorLabel(id=pid, kind="point", point=x, degree=Fraction(1))
 
 
+def spare_points(taken) -> list[Fraction]:
+    """The points 0, 1, ..., 49 of the line, in order, whose labels are not
+    in `taken`: fresh points to pad a set of marks or to place slack at."""
+    taken = set(taken)
+    return [Fraction(k) for k in range(50) if point_label(k) not in taken]
+
+
 def ray_label(ray, degree=None) -> PrimeDivisorLabel:
     r = vec(ray)
     pid = "ray(" + ",".join(str(x) for x in r) + ")"
@@ -552,7 +559,7 @@ class ToricFunction:
                 decl[lab] = decl.get(lab, 0) + k
         self.declared = decl
 
-    def order_along(self, label: PrimeDivisorLabel, declared_span=None) -> int:
+    def order_along(self, label: PrimeDivisorLabel) -> int:
         if label.kind == "ray":
             total = 0
             for m, k in self.chars.items():
@@ -693,24 +700,13 @@ def is_principal(d: QDivisor):
         factors = {l.point: int(c) for l, c in d.coeffs.items() if not is_inf(l.point)}
         return True, CurveFunction(factors)
     if base.kind == "toric":
-        # substitute declared primes by their invariant representatives
-        cr = {vec(r): Fraction(0) for r in base.rays()}
-        declared_part = {}
-        for l, c in d.coeffs.items():
-            if l.kind == "ray":
-                cr[l.ray] += c
-            elif l.kind == "declared":
-                declared_part[l] = int(c)
-                for r, rc in l.class_rep:
-                    cr[vec(r)] += c * rc
-            else:
-                raise UnsupportedBase("mixed labels")
+        cr = _invariant_representative(d)
         rays = base.rays()
-        m = integral_solve(rays, [cr[r] for r in rays])
+        m = integral_solve(rays, [cr.get(r, Fraction(0)) for r in rays])
         if m is None:
             return False, None
-        wit = ToricFunction({tuple(m): 1}, declared_part)
-        return True, wit
+        declared_part = {l: int(c) for l, c in d.coeffs.items() if l.kind == "declared"}
+        return True, ToricFunction({tuple(m): 1}, declared_part)
     raise UnsupportedBase(base.kind)
 
 
@@ -734,11 +730,9 @@ def positivity(d: QDivisor) -> PositivityFlags:
     raise UnsupportedBase(base.kind)
 
 
-def _toric_positivity(base: BaseVariety, d: QDivisor) -> PositivityFlags:
-    # invariant representative of the class, restricted to the locus subfan
-    removed = [l.ray for l in d.infinity_primes() if l.kind == "ray"]
-    if any(l.kind == "declared" and is_inf(c) for l, c in d.coeffs.items()):
-        raise UnsupportedBase("infinite coefficients on declared primes")
+def _invariant_representative(d: QDivisor) -> dict:
+    """ray -> coefficient of the invariant divisor in the class of the finite
+    part of d: each declared prime is replaced by its representative."""
     cr = {}
     for l, c in d.coeffs.items():
         if is_inf(c):
@@ -750,6 +744,15 @@ def _toric_positivity(base: BaseVariety, d: QDivisor) -> PositivityFlags:
                 cr[vec(r)] = cr.get(vec(r), Fraction(0)) + c * rc
         else:
             raise UnsupportedBase("mixed labels")
+    return cr
+
+
+def _toric_positivity(base: BaseVariety, d: QDivisor) -> PositivityFlags:
+    # invariant representative of the class, restricted to the locus subfan
+    removed = [l.ray for l in d.infinity_primes() if l.kind == "ray"]
+    if any(l.kind == "declared" and is_inf(c) for l, c in d.coeffs.items()):
+        raise UnsupportedBase("infinite coefficients on declared primes")
+    cr = _invariant_representative(d)
     subfan = base.subfan_without_rays(removed) if removed else list(base.fan)
     rays = sorted({r for c in subfan for r in c.rays})
     a = {r: cr.get(r, Fraction(0)) for r in rays}

@@ -31,7 +31,13 @@ from .errors import PDivError, SchemaError, VersionMismatch
 from .lattice import Lattice, LatticeMap
 from .pdivisor import PolyhedralDivisor, toric_downgrade
 from .polyhedra import Cone, PolyhedralComplex, Polyhedron, common_refinement
-from .tvariety import DivisorialFan, TInvariantDivisor, invariant_prime_divisors, is_basepoint_free
+from .tvariety import (
+    SHARPNESS_K_BOUND,
+    DivisorialFan,
+    TInvariantDivisor,
+    invariant_prime_divisors,
+    is_basepoint_free,
+)
 from .upgrade import InvariantPDivisorOnFan, correct_pic_z, upgrade
 
 SCHEMA_VERSION = "1"
@@ -334,21 +340,21 @@ def json_to_invariant_pdivisor(data) -> InvariantPDivisorOnFan:
     fan = json_to_fan(data["fan"])
     n = json_to_count(data["lattice_rank"], "lattice_rank")
     tail = json_to_cone(data["tail"])
-    base = fan.base
-    rays = [json_to_vec(r) for r in data["rays"]] if data.get("rays") is not None else None
+    base, m = fan.base, fan.n
+    rays = json_to_vecs(data["rays"], m, "ray") if data.get("rays") is not None else None
     verts = None
     if data.get("verts") is not None:
         verts = {}
         for lab, vs in data["verts"]:
-            verts[json_to_label(lab, base)] = [json_to_vec(v) for v in vs]
+            verts[json_to_label(lab, base)] = json_to_vecs(vs, m, "vertex")
     ray_coeffs = {}
     for r, p in data.get("ray_coeffs", []):
-        ray_coeffs[json_to_vec(r)] = json_to_polyhedron(p, ambient=n)
+        [r] = json_to_vecs([r], m, "ray")
+        ray_coeffs[r] = json_to_polyhedron(p, ambient=n)
     vertex_coeffs = {}
     for lab, v, p in data.get("vertex_coeffs", []):
-        vertex_coeffs[(json_to_label(lab, base), json_to_vec(v))] = json_to_polyhedron(
-            p, ambient=n
-        )
+        [v] = json_to_vecs([v], m, "vertex")
+        vertex_coeffs[(json_to_label(lab, base), v)] = json_to_polyhedron(p, ambient=n)
     if (rays is not None or verts is not None) and fan.is_contraction_free():
         # explicit data must name the fan's own primes: bpf looks up every
         # vertex of every marked prime, and an unmarked prime carries only
@@ -488,7 +494,7 @@ def _load(path, kind):
 def _report(args, payload, exit_code=0):
     payload = dict(payload)
     payload["defaults"] = {
-        "k_bound": 12,
+        "k_bound": SHARPNESS_K_BOUND,
         "window": args.window,
         "parallelism": 1,
     }
@@ -655,14 +661,7 @@ def cmd_deform_upgrade(args):
 
 
 def cmd_refine(args):
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise SchemaError(str(exc))
-    if parse_document(text)["kind"] != "complexes":
-        raise SchemaError("refine expects a 'complexes' document")
-    complexes, _ = parse(text)
+    complexes, _ = _load(args.input, "complexes")
     out = common_refinement(complexes)
     payload = {"kind": "refine", "complex": complex_to_json(out)}
     return _report(args, payload)

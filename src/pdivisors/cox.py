@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import _Record
-from .base import point_label
+from .base import point_label, spare_points
 from .errors import FormsDisagree, NoDegreeMap, TorsionCokernel
 from .lattice import Lattice, LatticeMap, multiplicity, smith_split
 from .linalg import mat_vec, smith_normal_form, vec
@@ -24,12 +24,11 @@ from .upgrade import InvariantPDivisorOnFan, correct_pic_z, upgrade_coefficients
 
 class CoxData(_Record):
     __slots__ = ("fan", "primes", "pairs", "rays", "quotient_rows", "pi", "section",
-                 "retraction", "kernel", "cl_rank", "asserted_flags")
+                 "retraction", "kernel", "cl_rank")
 
     def __init__(self, fan: DivisorialFan, primes: tuple, pairs: tuple, rays: tuple,
                  quotient_rows: tuple, pi: LatticeMap, section: LatticeMap,
-                 retraction: LatticeMap, kernel: LatticeMap, cl_rank: int,
-                 asserted_flags: dict | None = None):
+                 retraction: LatticeMap, kernel: LatticeMap, cl_rank: int):
         self.fan = fan
         self.primes = primes  # chosen prime labels, ordered
         self.pairs = pairs  # ordered (label, vertex) pairs
@@ -40,15 +39,13 @@ class CoxData(_Record):
         self.retraction = retraction  # s: middle -> Cl(X)* coordinates
         self.kernel = kernel  # Cl(X)* -> middle
         self.cl_rank = cl_rank
-        self.asserted_flags = {} if asserted_flags is None else asserted_flags
 
     def basis_vector(self, index: int):
         m = self.pi.source.rank
         return tuple(Fraction(1) if i == index else Fraction(0) for i in range(m))
 
 
-def cox_sequence(fan: DivisorialFan, primes=None, *, canonical=True, pivot_order=None,
-                 asserted_flags=None) -> CoxData:
+def cox_sequence(fan: DivisorialFan, primes=None, *, canonical=True, pivot_order=None) -> CoxData:
     """Assemble and split the presentation of the class-group dual.
 
     `primes` must include every prime with a nontrivial slice; when omitted
@@ -69,14 +66,7 @@ def cox_sequence(fan: DivisorialFan, primes=None, *, canonical=True, pivot_order
     if not primes:
         raise ValueError("the prime set must be nonempty")
     if len(primes) < 2:
-        extra = point_label(
-            next(
-                Fraction(k)
-                for k in range(0, 50)
-                if point_label(Fraction(k)) not in set(primes)
-            )
-        )
-        primes.append(extra)
+        primes.append(point_label(spare_points(primes)[0]))
     primes = sorted(primes, key=lambda l: l.id)
     zero = (Fraction(0),) * fan.n
     pairs = []
@@ -129,7 +119,6 @@ def cox_sequence(fan: DivisorialFan, primes=None, *, canonical=True, pivot_order
         retraction=t,
         kernel=kernel,
         cl_rank=cl_rank,
-        asserted_flags=dict(asserted_flags or {}),
     )
 
 

@@ -25,9 +25,9 @@ from .base import (
 )
 from .errors import NotAdmissible, RoutesDisagree, SumMismatch, UnsupportedBase
 from .lattice import Lattice, LatticeMap
-from .linalg import frac, vdot, vec, zero_vec
+from .linalg import frac, int_identity, vdot, vec, zero_vec
 from .pdivisor import PolyhedralDivisor, PullbackTriple
-from .polyhedra import Cone, Polyhedron, common_refinement, linearity_regions
+from .polyhedra import Cone, Polyhedron, normal_fan
 from .tvariety import DivisorialFan
 from .upgrade import InvariantPDivisorOnFan, upgrade_coefficients
 
@@ -77,11 +77,7 @@ class DeformationInput(_Record):
         cut = self.delta.as_polyhedron().slice_at(
             tuple([0] * self.n + [1]), frac(height)
         )
-        proj = [
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.n + 1))
-            for i in range(self.n)
-        ]
-        return cut.map_image(proj)
+        return cut.map_image(int_identity(self.n + 1)[: self.n])
 
     @property
     def sigma(self) -> Cone:
@@ -115,7 +111,7 @@ def check_admissible(din: DeformationInput):
 
     Returns (True, None) or (False, witness) with the failing weight and
     the indices of the lattice-free faces; raises SumMismatch when the
-    decomposition does not sum to the slice.
+    decomposition does not sum to the slice or has an empty summand.
     """
     k = din.k
     summands = list(din.deltas)
@@ -140,13 +136,10 @@ def check_admissible(din: DeformationInput):
         for v in p.vertices:
             if any(x.denominator != 1 for x in v):
                 return False, ("non-lattice summand", p)
-    omega = din.sigma.dual().as_polyhedron()
-    regions = []
-    for p in summands:
-        pieces = [(v, Fraction(0)) for v in p.vertices]
-        regions.append(linearity_regions(pieces, omega))
-    chambers = common_refinement(regions)
-    for cell in chambers:
+    if any(p.empty for p in summands):
+        # an empty summand sums to an empty slice and has no normal fan
+        raise SumMismatch("the summands must be nonempty")
+    for cell in normal_fan(summands, din.sigma.dual().as_polyhedron()):
         u = cell.relint_point()
         scale = 1
         for x in u:

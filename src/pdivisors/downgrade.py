@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import _Record
-from .base import is_inf, point_label
+from .base import INF, is_inf, point_label, spare_points
 from .errors import (
     BoxNotFullDimensional,
     MarksMissingSupport,
@@ -22,10 +22,9 @@ from .errors import (
     WeightOutsideCone,
 )
 from .lattice import LatticeMap, smith_split
-from .linalg import transpose, vdot, vec
+from .linalg import int_identity, transpose, vdot, vec
 from .pdivisor import PolyhedralDivisor
 from .polyhedra import (
-    Cone,
     PolyhedralComplex,
     Polyhedron,
     chamber_complex,
@@ -81,11 +80,8 @@ def dualize(f: ConcavePL):
     one affine piece per vertex of the graph.
     """
     n = f.domain.n
-    flip = [
-        tuple(Fraction(1) if j == i else Fraction(0) for j in range(n + 1))
-        for i in range(n)
-    ]
-    flip.append(tuple([Fraction(0)] * n + [Fraction(-1)]))
+    flip = int_identity(n + 1)
+    flip[n][n] = -1
     epi = f.hypo.map_image(flip)  # epigraph of -f
     rec = epi.tail()
     ineqs = []
@@ -128,13 +124,8 @@ def fan_from(psi: PLDivisorMap, marks):
     mark_labels = [point_label(p) if not hasattr(p, "kind") else p for p in marks]
     if psi.base.kind == "P1" and len(mark_labels) < 2:
         # members need an empty coefficient somewhere for affine loci
-        from .base import INF as _INF
-
-        have = {l.id for l in mark_labels}
-        extra = point_label(_INF) if "inf" not in have else next(
-            point_label(Fraction(k)) for k in range(0, 50) if str(k) not in have
-        )
-        mark_labels.append(extra)
+        extra = INF if point_label(INF) not in mark_labels else spare_points(mark_labels)[0]
+        mark_labels.append(point_label(extra))
     support = {l for l, g in psi.per_prime.items() if is_inf(g) or g.pieces != zero_function_on(box).pieces}
     if not support <= set(mark_labels):
         raise MarksMissingSupport(
@@ -213,7 +204,7 @@ def downgrade_box_psi(d: PolyhedralDivisor, ctx: DowngradeContext, ubar) -> PLDi
 
 def _slices_by_faces(coeff: Polyhedron, pi_rows) -> PolyhedralComplex:
     """The second slice route: the chamber complex of the projected faces."""
-    return chamber_complex([f.map_image(pi_rows) for f in coeff.faces()])
+    return chamber_complex([coeff], pi_rows)
 
 
 def downgrade(d: PolyhedralDivisor, ctx: DowngradeContext):
@@ -233,9 +224,7 @@ def downgrade(d: PolyhedralDivisor, ctx: DowngradeContext):
     # chambers: when Mbar has rank 2 or more, the images of two chambers can
     # overlap without being equal, and a weight per evaluation chamber would
     # miss break lines
-    projected = chamber_complex(
-        [f.map_image(ctx.pr.matrix) for cell in d.evaluation_chambers() for f in cell.faces()]
-    )
+    projected = chamber_complex(d.evaluation_chambers(), ctx.pr.matrix)
     total = None
     for cone in projected:
         pl = downgrade_box_psi(d, ctx, cone.tail().relint_point())
@@ -256,8 +245,7 @@ def downgrade(d: PolyhedralDivisor, ctx: DowngradeContext):
     s_rows = ctx.s_rows
     nbar = ctx.pr.target.rank
     tail_poly = d.tail.as_polyhedron()
-    fiber0 = map_fiber_slice(tail_poly, pi_rows, (Fraction(0),) * ctx.fiber_rank, s_rows)
-    sigma_bar = Cone.from_rays(list(fiber0.rays), list(fiber0.lines), nbar)
+    sigma_bar = map_fiber_slice(tail_poly, pi_rows, (Fraction(0),) * ctx.fiber_rank, s_rows).tail()
     ray_coeffs = {}
     for r in fan.rays():
         p = map_fiber_slice(tail_poly, pi_rows, r, s_rows)

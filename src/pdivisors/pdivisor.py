@@ -30,16 +30,15 @@ from .errors import (
     UnsupportedBase,
     WeightOutsideCone,
 )
-from .lattice import Lattice, LatticeMap
+from .lattice import LatticeMap
 from .linalg import is_zero_vec, solve, vdot, vec
 from .polyhedra import (
     Cone,
     PolyhedralComplex,
     Polyhedron,
     chamber_complex,
-    common_refinement,
-    linearity_regions,
     map_fiber_slice,
+    normal_fan,
 )
 
 
@@ -121,20 +120,8 @@ class PolyhedralDivisor:
     def evaluation_chambers(self) -> PolyhedralComplex:
         """Domains of linearity of u -> D(u) inside the weight cone."""
         if self._chambers is None:
-            self._chambers = self._linearity_domains()
+            self._chambers = normal_fan(self.coeffs.values(), self.weight_cone().as_polyhedron())
         return self._chambers
-
-    def _linearity_domains(self) -> PolyhedralComplex:
-        omega = self.weight_cone().as_polyhedron()
-        complexes = []
-        for label, p in self.coeffs.items():
-            if p.empty:
-                continue
-            pieces = [(v, Fraction(0)) for v in p.vertices]
-            complexes.append(linearity_regions(pieces, omega))
-        if not complexes:
-            return PolyhedralComplex([omega])
-        return common_refinement(complexes)
 
     def convexity_check(self, samples=()) -> bool:
         omega = self.weight_cone()
@@ -421,7 +408,6 @@ def toric_downgrade(delta: Cone, sub: LatticeMap):
     k = sub.source.rank
     # quotient projection killing the sublattice, from a splitting
     quot_rank = ntilde - k
-    big = Lattice(ntilde, "Ntilde")
     # build the projection via smith_split of the transpose route:
     # find Q with Q . sub = 0 and Q surjective onto Z^{ntilde-k}
     from .linalg import smith_normal_form
@@ -432,8 +418,6 @@ def toric_downgrade(delta: Cone, sub: LatticeMap):
         raise NotSplit("sublattice is not saturated (torsion quotient)")
     # rows k.. of U kill the image and are unimodular onto the quotient
     q_rows = [u[i] for i in range(k, ntilde)]
-    quot = Lattice(quot_rank, "Nquot")
-    q_map = LatticeMap(big, quot, q_rows)
     # retraction onto Nbar: s = V . D^+ . U (first k rows pattern)
     dplus = [[1 if (i == j and i < k) else 0 for j in range(ntilde)] for i in range(k)]
     vd = [[sum(v[i][t] * dplus[t][j] for t in range(k)) for j in range(ntilde)] for i in range(k)]
@@ -441,22 +425,17 @@ def toric_downgrade(delta: Cone, sub: LatticeMap):
         [sum(vd[i][t] * u[t][j] for t in range(ntilde)) for j in range(ntilde)]
         for i in range(k)
     ]
-    s_map = LatticeMap(big, sub.source, s_rows)
+    dpoly = delta.as_polyhedron()
     # image fan: chamber complex of the projected faces
-    pieces = [f.as_polyhedron().map_image(q_rows) for f in delta.faces()]
-    chambers = chamber_complex(pieces)
-    maximal = list(chambers.cells)
     cones = []
-    for c in maximal:
+    for c in chamber_complex([dpoly], q_rows):
         t = c.tail()
         if not t.is_pointed():
             raise UnsupportedBase("image fan is not pointed; base is not a toric variety")
         cones.append(t)
     base = BaseVariety.toric(cones, name="chow-quotient")
     # divisor: coefficient at each ray = retracted fiber over its generator
-    dpoly = delta.as_polyhedron()
-    fiber0 = map_fiber_slice(dpoly, q_rows, (Fraction(0),) * quot_rank, s_rows)
-    tail = Cone.from_rays(list(fiber0.rays), list(fiber0.lines), k)
+    tail = map_fiber_slice(dpoly, q_rows, (Fraction(0),) * quot_rank, s_rows).tail()
     coeffs = {}
     for r in base.rays():
         p = map_fiber_slice(dpoly, q_rows, r, s_rows)

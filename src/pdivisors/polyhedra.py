@@ -15,6 +15,10 @@ vertices are Fractions.  Images are taken on `hom` with integer rows, and
 face tests compare integer dot products instead of building a cone.
 Point tests clear a point's denominators once and compare integers.
 
+Two chamber algorithms have one entry point each: `chamber_complex(polys,
+rows)` projects the faces of `polys` itself, and `normal_fan(polys,
+domain)` refines the vertex regions of each polyhedron over `domain`.
+
 The empty polyhedron is a first-class value, the zero cone homogenized:
 sums and intersections treat it as absorbing, images of it are empty.
 Infinity never appears here; divisor coefficients handle it in `base`.
@@ -735,12 +739,9 @@ def map_fiber_slice(p: Polyhedron, rows, target_point, retraction_rows) -> Polyh
     return p.with_equalities(list(zip(rows, target_point))).map_image(retraction_rows)
 
 
-def cross_section(c: Cone, functional, value, chart_rows=None) -> Polyhedron:
+def cross_section(c: Cone, functional, value) -> Polyhedron:
     """c intersected with the affine hyperplane <functional, x> = value."""
-    p = c.as_polyhedron().slice_at(functional, value)
-    if chart_rows is not None:
-        return p.map_image(chart_rows)
-    return p
+    return c.as_polyhedron().slice_at(functional, value)
 
 
 class PolyhedralComplex:
@@ -833,16 +834,16 @@ def common_refinement(complexes) -> PolyhedralComplex:
     return PolyhedralComplex(cells)
 
 
-def chamber_complex(pieces) -> PolyhedralComplex:
-    """Chamber complex of a projected-face family.
+def chamber_complex(polys, rows) -> PolyhedralComplex:
+    """Chamber complex of the images of all faces of `polys` under the
+    linear map with rows `rows` (Billera-Sturmfels, "Fiber polytopes", 1992).
 
-    `pieces` must be the images of all faces of a polyhedron under a fixed
-    linear map (or a union of such families with common support).  For such
-    families every chamber equals the intersection of the members containing
-    it, so the intersection closure filtered by a relative-interior
-    membership test yields exactly the chamber cells.
+    `polys` is one polyhedron or the cells of one polyhedral complex.  Then
+    every chamber equals the intersection of the face images containing it,
+    so the intersection closure filtered by a relative-interior membership
+    test yields exactly the chamber cells.
     """
-    family = sorted({p for p in pieces if not p.empty}, key=_cell_key)
+    family = sorted({f.map_image(rows) for p in polys for f in p.faces()}, key=_cell_key)
 
     def members(c, known=frozenset()):
         return known | {k for k, f in enumerate(family) if k not in known and f.contains(c)}
@@ -903,3 +904,13 @@ def linearity_regions(pieces, domain: Polyhedron) -> PolyhedralComplex:
         if not reg.empty and reg.dim() == ddim:
             regions.append(reg)
     return PolyhedralComplex(regions)
+
+
+def normal_fan(polys, domain: Polyhedron) -> PolyhedralComplex:
+    """Common refinement over `domain` of the regions where one vertex of
+    each nonempty polyhedron of `polys` minimizes <v, u>; `domain` itself
+    when all are empty."""
+    fans = [
+        linearity_regions([(v, 0) for v in p.vertices], domain) for p in polys if not p.empty
+    ]
+    return common_refinement(fans) if fans else PolyhedralComplex([domain])

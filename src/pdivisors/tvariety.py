@@ -26,6 +26,7 @@ from .base import (
     is_inf,
     order_along,
     point_label,
+    spare_points,
 )
 from .errors import (
     NotContractionFree,
@@ -33,7 +34,7 @@ from .errors import (
     UnsupportedBase,
     WeightOutsideBox,
 )
-from .linalg import Vec, frac, solve, vdot, vec, vsub, zero_vec
+from .linalg import Vec, frac, int_identity, solve, vdot, vec, vsub, zero_vec
 from .polyhedra import (
     Cone,
     PolyhedralComplex,
@@ -147,12 +148,7 @@ def contraction_free_refinement(fan: DivisorialFan) -> DivisorialFan:
         raise UnsupportedBase("the splitting is implemented for curve bases")
     marked = [l for l in fan.marked_primes() if l.kind == "point"]
     if len(marked) < 2:
-        extra = next(
-            point_label(Fraction(k))
-            for k in range(0, 50)
-            if point_label(Fraction(k)) not in set(marked)
-        )
-        marked = marked + [extra]
+        marked = marked + [point_label(spare_points(marked)[0])]
     members = []
     for m in fan.members:
         if fan.member_locus_affine(m):
@@ -303,7 +299,9 @@ class ConcavePL:
     """min of finitely many affine pieces restricted to a domain polyhedron.
 
     Canonical via the hypograph {(u,t) : u in dom, t <= value(u)}; equality
-    of two of these is equality of functions with equal domains.
+    of two of these is equality of functions with equal domains.  The
+    pieces are read off the upper facets of the hypograph, which
+    `from_hypograph` keeps as given.
     """
 
     __slots__ = ("domain", "pieces", "hypo")
@@ -312,33 +310,23 @@ class ConcavePL:
         pieces = [(vec(a), frac(c)) for a, c in pieces]
         if not pieces:
             raise ValueError("a concave piece list must be nonempty")
-        n = domain.n
         ineqs = [(a + (Fraction(-1),), -c) for a, c in pieces]
         ineqs += [(a + (Fraction(0),), b) for a, b in domain.ineqs]
         eqs = [(a + (Fraction(0),), b) for a, b in domain.eqs]
-        self.hypo = Polyhedron.from_H(ineqs, eqs, n + 1)
-        hypo = self.hypo
+        self.hypo = Polyhedron.from_H(ineqs, eqs, domain.n + 1)
         self.domain = domain
-        canon = []
-        for a, b in hypo.ineqs:
-            lam = a[n]
-            if lam < 0:
-                canon.append((tuple(Fraction(x, -lam) for x in a[:n]), Fraction(b, lam)))
-        self.pieces = tuple(sorted(set(canon)))
+        self.pieces = _upper_pieces(self.hypo)
 
     @classmethod
     def from_hypograph(cls, hypo: Polyhedron) -> "ConcavePL":
-        n = hypo.n - 1
-        proj = [tuple(Fraction(1) if j == i else Fraction(0) for j in range(n + 1)) for i in range(n)]
-        domain = hypo.map_image(proj)
-        pieces = []
-        for a, b in hypo.ineqs:
-            lam = a[n]
-            if lam < 0:
-                pieces.append((tuple(Fraction(x, -lam) for x in a[:n]), Fraction(b, lam)))
+        pieces = _upper_pieces(hypo)
         if not pieces:
             raise ValueError("hypograph is not bounded above by affine pieces")
-        return cls(domain, pieces)
+        f = cls.__new__(cls)
+        f.hypo = hypo
+        f.domain = hypo.map_image(int_identity(hypo.n)[:-1])
+        f.pieces = pieces
+        return f
 
     def __eq__(self, other):
         return isinstance(other, ConcavePL) and self.hypo == other.hypo
@@ -383,6 +371,17 @@ class ConcavePL:
 
     def sup_convolve(self, other: "ConcavePL") -> "ConcavePL":
         return ConcavePL.from_hypograph(self.hypo.minkowski(other.hypo))
+
+
+def _upper_pieces(hypo: Polyhedron) -> tuple:
+    """The affine pieces (a, c) of u -> <a, u> + c, sorted and distinct,
+    whose graphs carry the upper facets of a hypograph in Q^n x Q."""
+    n = hypo.n - 1
+    return tuple(sorted({
+        (tuple(Fraction(x, -a[n]) for x in a[:n]), Fraction(b, a[n]))
+        for a, b in hypo.ineqs
+        if a[n] < 0
+    }))
 
 
 def zero_function_on(domain: Polyhedron) -> ConcavePL:
@@ -667,10 +666,7 @@ def is_basepoint_free(d: TInvariantDivisor, window_steps: int = 1) -> BpfReport:
     if box.empty:
         return BpfReport("not_free", {}, failing=(("(no weights)", "Box is empty"),))
     marked = [l for l in pl.marked() if l.kind == "point"]
-    slack_candidates = [Fraction(k) for k in range(0, 50)]
-    slack_points = [
-        p for p in slack_candidates if point_label(p) not in set(marked)
-    ]
+    slack_points = spare_points(marked)
     witnesses = {}
     inconclusive = False
     for mi, member in enumerate(fan.members):
@@ -679,11 +675,10 @@ def is_basepoint_free(d: TInvariantDivisor, window_steps: int = 1) -> BpfReport:
         for label in classes:
             found = None
             constraint_eqs = []
+            attain_ineqs = []
             if label is None:
-                tail_rays = member.tail.rays
-                for r in tail_rays:
+                for r in member.tail.rays:
                     constraint_eqs.append((r, -d.ray_coeffs.get(r, Fraction(0))))
-                region = Polyhedron.from_H(box.ineqs, list(box.eqs) + constraint_eqs, box.n)
             else:
                 coeff = member.coefficient(label)
                 vs = list(coeff.vertices)
@@ -693,17 +688,15 @@ def is_basepoint_free(d: TInvariantDivisor, window_steps: int = 1) -> BpfReport:
                     constraint_eqs.append(
                         (vsub(v, vs[0]), d.vertex_coeffs[(label, vs[0])] - d.vertex_coeffs[(label, v)])
                     )
-                region = Polyhedron.from_H(box.ineqs, list(box.eqs) + constraint_eqs, box.n)
                 # the member's vertices must attain the slice minimum
                 v0 = vs[0]
                 b0 = d.vertex_coeffs[(label, v0)]
-                attain_ineqs = []
                 for w in d.verts.get(label, ()):
                     bw = d.vertex_coeffs[(label, w)]
                     attain_ineqs.append((vsub(w, v0), b0 - bw))
-                region = Polyhedron.from_H(
-                    list(region.ineqs) + attain_ineqs, region.eqs, box.n
-                )
+            region = Polyhedron.from_H(
+                list(box.ineqs) + attain_ineqs, list(box.eqs) + constraint_eqs, box.n
+            )
             if region.empty:
                 return BpfReport(
                     "not_free",
@@ -749,7 +742,11 @@ def is_basepoint_free(d: TInvariantDivisor, window_steps: int = 1) -> BpfReport:
 # ---------------------------------------------------------------------------
 
 
-def sharpness(psi: PLDivisorMap, k_bound: int = 12, window_steps: int = 1) -> str:
+# the largest multiple k of a divisor the sharpness search tries
+SHARPNESS_K_BOUND = 12
+
+
+def sharpness(psi: PLDivisorMap) -> str:
     """Classify a divisor map as sharp / asymptotically_sharp / fails /
     inconclusive by searching section witnesses at the vertices of each
     prime's function modulo its lineality space.
@@ -758,8 +755,7 @@ def sharpness(psi: PLDivisorMap, k_bound: int = 12, window_steps: int = 1) -> st
     if base.kind not in ("P1", "open_p1"):
         raise UnsupportedBase("sharpness search runs on curve bases")
     marked = [l for l in psi.marked() if l.kind == "point"]
-    slack_points = [Fraction(k) for k in range(0, 50)]
-    slack_points = [p for p in slack_points if point_label(p) not in set(marked)]
+    slack_points = spare_points(marked)
     overall = "sharp"
     for label, f in psi.per_prime.items():
         if is_inf(f):
@@ -772,8 +768,8 @@ def sharpness(psi: PLDivisorMap, k_bound: int = 12, window_steps: int = 1) -> st
             if region.empty:
                 continue
             bounded = region.is_bounded()
-            for k in range(1, k_bound + 1):
-                for u in region.lattice_window(window_steps):
+            for k in range(1, SHARPNESS_K_BOUND + 1):
+                for u in region.lattice_window():
                     dv = psi.evaluate(u)
                     val = dv.coefficient(label)
                     if is_inf(val):

@@ -371,12 +371,14 @@ def test_chamber_complex_matches_bfs_closure():
                 seen["split"] += 1
         family = [f.map_image(rows) for c in cells for f in c.faces()]
         if rng.random() < 0.3:
-            family.append(Polyhedron.empty_polyhedron(k))
-        got = chamber_complex(family)
+            # an empty polyhedron adds no face
+            cells.append(Polyhedron.empty_polyhedron(n))
+        got = chamber_complex(cells, rows)
         assert got == bfs_chamber_complex(family)
         seen[k] += 1
         seen["several"] += len(got.cells) > 1
-    assert chamber_complex([]) == bfs_chamber_complex([]) == chamber_complex([Polyhedron.empty_polyhedron(2)])
+    empty = Polyhedron.empty_polyhedron(2)
+    assert chamber_complex([], [(1, 0)]) == bfs_chamber_complex([]) == chamber_complex([empty], [(1, 0)])
     assert min(seen.values()) >= 5, seen
 
 

@@ -71,6 +71,16 @@ def test_sum_mismatch_raises():
         check_admissible(din)
 
 
+def test_empty_summand_raises_sum_mismatch():
+    # the degree slice of a cone below height zero is empty, so the sum
+    # of empty summands matches it; an empty summand has no normal fan
+    delta = Cone.from_rays([(1, -1), (-1, -1)])
+    empty = Polyhedron.empty_polyhedron(1)
+    for deltas, mult in [((empty,), None), ((empty, point_poly(0)), None), ((empty, empty), (1,))]:
+        with pytest.raises(SumMismatch):
+            check_admissible(DeformationInput(delta, (0, 2 if mult is None else 1), deltas, mult))
+
+
 def test_nonlattice_summand_rejected_for_k_two():
     delta = Cone.from_rays([(1, 1), (-1, 1)])
     din = DeformationInput(delta, (0, 2), (point_poly(0), interval(F(-1, 2), F(1, 2))))

@@ -21,7 +21,7 @@ from pdivisors import cli
 
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "cli_pool.json"
 FIX = Path(__file__).parent / "fixtures"
-SEEDS = tuple(range(1, 41))
+SEEDS = tuple(range(1, 81))
 # a huge coordinate comes as a string: a huge count would ask for a matrix
 # of that many rows
 REPLACEMENTS = (None, True, 1.5, 7, "x", "1" + "0" * 40, [], {})
@@ -134,6 +134,29 @@ def test_fan_prime_missing_from_explicit_verts_exits_one(tmp_path, capsys):
     proc = _pdiv(["bpf", str(path)])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and proc.stderr.startswith("input error:")
+
+
+SHORT = [
+    # seed 75 of the mutator: a fan vertex with its coordinate deleted made
+    # `upgrade` index past a too-short generator
+    ("verts", [[{"point": "0"}, [[]]], [{"point": "inf"}, [["-1"]]]]),
+    ("rays", [[]]),
+    ("ray_coeffs", [[[], "empty"]]),
+    ("vertex_coeffs", [[{"point": "0"}, [], "empty"]]),
+]
+
+
+@pytest.mark.parametrize("field, value", SHORT, ids=[c[0] for c in SHORT])
+def test_explicit_vectors_shorter_than_the_fan_rank_exit_one(tmp_path, capsys, field, value):
+    entry = next(e for e in json.loads(POOL.read_text()) if e["id"] == "upgrade-0")
+    doc = json.loads(entry["doc"])
+    doc["payload"][field] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["upgrade", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and "must have 1 entries" in captured.err
 
 
 def test_huge_curve_section_space_exits_one(tmp_path):

@@ -16,7 +16,7 @@ from pdivisors.base import (
 )
 from pdivisors.errors import AmbientMismatch, WeightOutsideCone
 from pdivisors.lattice import Lattice, LatticeMap
-from pdivisors.linalg import vec
+from pdivisors.linalg import vdot, vec
 from pdivisors.pdivisor import (
     PolyhedralDivisor,
     PullbackTriple,
@@ -135,13 +135,13 @@ def test_properness_and_chambers_computed_once(monkeypatch):
     from pdivisors.downgrade import DowngradeContext, downgrade
 
     calls = []
-    real = pdivisor_module.linearity_regions
+    real = pdivisor_module.normal_fan
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(pdivisor_module, "linearity_regions", counting)
+    monkeypatch.setattr(pdivisor_module, "normal_fan", counting)
     sigma = Cone.from_rays([(1, 0), (0, 1)])
     sp = sigma.as_polyhedron()
     d = PolyhedralDivisor(
@@ -155,11 +155,11 @@ def test_properness_and_chambers_computed_once(monkeypatch):
     )
     rep = d.is_proper()
     assert rep.proper and d.is_proper() == rep
-    # one linearity-region complex per coefficient: the chambers' body ran once
-    assert len(calls) == len(d.coeffs)
+    # one normal fan for all coefficients: the chambers' body ran once
+    assert len(calls) == 1
     ctx = DowngradeContext.from_projection(LatticeMap(Lattice(2), Lattice(1), [[0, 1]]))
     downgrade(d, ctx)
-    assert len(calls) == len(d.coeffs)
+    assert len(calls) == 1
 
 
 def test_sigma_only_divisor_fails_bigness():
@@ -237,6 +237,36 @@ def test_pullback_then_inverse_shift_identity():
     fwd = PullbackTriple(shift=(((1, 1), f),))
     back = PullbackTriple(shift=(((-1, -1), f),))
     assert d.pullback(fwd).pullback(back) == d
+
+
+def test_pullback_by_a_lattice_map():
+    # unimodular F: D'(F^T u) = D(u) on the weight cone
+    sigma = Cone.from_rays([(1, 0), (1, 2)])
+    sp = sigma.as_polyhedron()
+    d = PolyhedralDivisor(P1, 2, sigma, {
+        point_label(0): hull([(0, 0), (1, 0)]).minkowski(sp),
+        point_label(1): hull([(F(1, 2), 1), (0, 3)]).minkowski(sp),
+    })
+    rows, inverse = [[2, 1], [1, 1]], [[1, -1], [-1, 2]]
+    out = d.pullback(PullbackTriple(lattice_map=LatticeMap(Lattice(2), Lattice(2), rows)))
+    assert out.tail == Cone.from_rays([tuple(vdot(r, v) for r in inverse) for v in sigma.rays])
+    omega = d.weight_cone()
+    for u in [*omega.rays, (1, 1), (2, 3), (4, -1)]:
+        assert omega.contains(u)
+        ft_u = tuple(sum(rows[i][j] * u[i] for i in range(2)) for j in range(2))
+        assert out.evaluate(ft_u) == d.evaluate(u)
+    # F = (1, 1)^T on the README divisor: the diagonal cuts
+    # conv{(1,0),(0,1)} + sigma at x >= 1/2
+    sigma = Cone.from_rays([(1, 0), (0, 1)])
+    sp = sigma.as_polyhedron()
+    d = PolyhedralDivisor(P1, 2, sigma, {
+        point_label(0): hull([(1, 0), (0, 1)]).minkowski(sp),
+        point_label(1): hull([(0, 0), (1, 1)]).minkowski(sp),
+    })
+    diag = d.lattice_preimage(LatticeMap(Lattice(1), Lattice(2), [[1], [1]]))
+    assert diag.n == 1 and diag.tail == Cone.from_rays([(1,)])
+    assert diag.coefficient(point_label(0)) == Polyhedron.from_generators([(F(1, 2),)], [(1,)])
+    assert diag.coefficient(point_label(1)) == Polyhedron.from_generators([(0,)], [(1,)])
 
 
 # -- toric downgrade ----------------------------------------------------

@@ -301,8 +301,7 @@ def test_chamber_complex_pathology_ray():
     cols = [(0, 0, 1, 0), (0, 1, 1, 0), (0, 0, 0, 1), (1, 1, 0, 1)]
     delta = Cone.from_rays(cols)
     proj = [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    pieces = [f.as_polyhedron().map_image(proj) for f in delta.faces()]
-    cc = chamber_complex(pieces)
+    cc = chamber_complex([delta.as_polyhedron()], proj)
     rays = cc.rays()
     assert vec((1, 1, 1)) in rays
     maximal = [c for c in cc.cells if c.dim() == 3]

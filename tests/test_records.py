@@ -42,9 +42,8 @@ RECORDS = [
     (SectionSpace, (2, ("f", "g"), None, True), {"polytope": None, "truncated": False},
      (2, ("f", "g"), None, False), False),
     (PositivityFlags, (True, False, True), {}, (True, True, True), True),
-    (CoxData, ("fan", ("p",), (), ((1,),), (), "pi", "t", "s", "k", 1, {"big": True}),
-     {"asserted_flags": {}},
-     ("fan", ("p",), (), ((1,),), (), "pi", "t", "s", "k", 2, {"big": True}), False),
+    (CoxData, ("fan", ("p",), (), ((1,),), (), "pi", "t", "s", "k", 1), {},
+     ("fan", ("p",), (), ((1,),), (), "pi", "t", "s", "k", 2), False),
     (DeformationInput, (DELTA, (0, 2), DELTAS, None), {"multiplicities": None},
      (DELTA, (0, 2), DELTAS, (1,)), False),
     (FamilyBase, ("base", "fan", "p0", ["p1"], "q", {}), {},
@@ -129,13 +128,6 @@ def test_record_construction_checks():
     assert type(din.multiplicities[0]) is int
     assert (din.k, din.n) == (3, 1)
     assert DeformationInput(DELTA, (0, 2), DELTAS).k == 2
-
-
-def test_cox_data_flags_are_fresh_per_instance():
-    args = ("fan", (), (), (), (), "pi", "t", "s", "k", 1)
-    one, two = CoxData(*args), CoxData(*args)
-    one.asserted_flags["big"] = True
-    assert two.asserted_flags == {} and one.asserted_flags is not two.asserted_flags
 
 
 def test_downgrade_context_derives_its_rows_once():
