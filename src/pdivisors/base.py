@@ -253,6 +253,14 @@ class BaseVariety:
     def declare_prime(self, label: PrimeDivisorLabel):
         if self.kind != "toric":
             raise UnsupportedBase("declared primes only live on toric bases")
+        # the class is read off the fan's rays only: another vector would be dropped
+        rays = set(self.rays())
+        for r, _ in label.class_rep:
+            if r not in rays:
+                raise UnsupportedBase(
+                    f"the class representative of {label.id} names ({','.join(map(str, r))}),"
+                    " which is not a ray of the fan"
+                )
         self._declared[label.id] = label
         return label
 

@@ -96,7 +96,8 @@ class PolyhedralDivisor:
         return list(self.coeffs)
 
     def coefficient(self, label) -> Polyhedron:
-        return self.coeffs.get(label, self.tail.as_polyhedron())
+        p = self.coeffs.get(label)
+        return self.tail.as_polyhedron() if p is None else p
 
     def empty_primes(self) -> list[PrimeDivisorLabel]:
         return [l for l, p in self.coeffs.items() if p.empty]
@@ -221,7 +222,7 @@ class PolyhedralDivisor:
         moved = dict(self.coeffs)
         shifts = _principal_shifts(fshift, self.base)
         for label, w in shifts.items():
-            cur = moved.get(label, self.tail.as_polyhedron())
+            cur = self.coefficient(label)
             if not cur.empty:
                 moved[label] = cur.translate(w)
         return PolyhedralDivisor(self.base, self.n, self.tail, moved)

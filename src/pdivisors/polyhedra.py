@@ -173,11 +173,17 @@ def _frame(ineqs, eqs, n: int):
     return sbasis, aprime, rspace, _echelon_kernel(rspace, pivots, len(sbasis))
 
 
-# Bound of the construction memo.  Faces do not go through it.  In two
-# benchmark runs per workload (seed 101, 30 s, 2-core x86_64, Python
-# 3.11.7), 4096 entries instead of 512 raised peak memory by 4% on geometry
-# (18.96 -> 19.7 MiB) and by 3% on roundtrip (19.1 -> 19.7 MiB).
-DD_CACHE_SIZE = 512
+# Bound of the construction memo, sized to hold a round trip's working set.
+# Faces do not go through it.  The benchmark's 213 roundtrip inputs of seed
+# 101, run in order from a cold memo, look up 3,205 distinct keys: an LRU of
+# 512 entries misses 6,533 times, one of 4096 only on the 3,205 first
+# lookups.  Over 1,000 roundtrip inputs of seed 107 (6,320 distinct keys)
+# the misses are 31.3 per input at 512 and 7.8 at 4096.  Geometry's 123
+# inputs of seed 101 look up 1,115 keys, each once, so the size does not
+# matter there.  4096 entries instead of 512 raise peak memory by 4% on
+# roundtrip and geometry (19.1 -> 19.8 MiB, medians of ten 30 s benchmark
+# runs each, 2-core x86_64, Python 3.11.7).
+DD_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=DD_CACHE_SIZE)

@@ -44,10 +44,11 @@ class InvariantPDivisorOnFan:
         self.rays = tuple(vec(r) for r in rays)
         self.verts = {label: tuple(vec(v) for v in vs) for label, vs in verts.items()}
         trivial = tail.as_polyhedron()
+        invariant_rays = set(self.rays)
         rc = {}
         for r, p in (ray_coeffs or {}).items():
             r = vec(r)
-            if r not in set(self.rays):
+            if r not in invariant_rays:
                 raise ValueError(f"{r} is not an invariant ray of the fan")
             if p.empty:
                 raise ValueError("ray coefficients must be nonempty")
@@ -70,10 +71,12 @@ class InvariantPDivisorOnFan:
         self.vertex_coeffs = vc
 
     def ray_coefficient(self, r) -> Polyhedron:
-        return self.ray_coeffs.get(vec(r), self.tail.as_polyhedron())
+        p = self.ray_coeffs.get(vec(r))
+        return self.tail.as_polyhedron() if p is None else p
 
     def vertex_coefficient(self, label, v) -> Polyhedron:
-        return self.vertex_coeffs.get((label, vec(v)), self.tail.as_polyhedron())
+        p = self.vertex_coeffs.get((label, vec(v)))
+        return self.tail.as_polyhedron() if p is None else p
 
     def __eq__(self, other):
         return (

@@ -153,6 +153,15 @@ def test_divisor_of_function_degree_zero():
         assert degree(f.divisor(P1)) == 0
 
 
+def test_declared_prime_needs_rays_of_the_fan():
+    y = bl0_a2()
+    assert y.declare_prime(declared_label("D2", [((1, 1), -1)])).id == "D2"
+    for vector in ((1,), (2, 3), (1, 1, 0)):
+        with pytest.raises(UnsupportedBase, match="not a ray of the fan"):
+            y.declare_prime(declared_label("E", [((1, 0), 1), (vector, 5)]))
+    assert "E" not in y._declared
+
+
 def test_binomial_prime_order_one():
     # D = V(x1^k - y x0^k) on P^1 x A^1, entered via its toric fan
     cones = [

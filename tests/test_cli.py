@@ -114,6 +114,38 @@ def test_wrong_length_weight_exit_one(capsys, command, weight):
     assert "Traceback" not in captured.err
 
 
+def _proper_0():
+    pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "cli_pool.json").read_text())
+    return next(json.loads(e["doc"]) for e in pool if e["id"] == "proper-0")
+
+
+@pytest.mark.parametrize(
+    "class_rep, code",
+    [
+        # a ray of the fan: the representative is read, and this one leaves
+        # the divisor not proper
+        ([[["1", "1"], "5"]], 2),
+        # a vector of the wrong length, and one that is no ray of the fan
+        ([[["1"], "5"]], 1),
+        ([[["2", "3"], "5"]], 1),
+    ],
+    ids=["ray", "short", "not-a-ray"],
+)
+def test_declared_class_rep_must_name_rays(tmp_path, capsys, class_rep, code):
+    doc = _proper_0()
+    doc["payload"]["base"]["declared"][0]["class_rep"] = class_rep
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["proper", str(p)]) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert captured.out == ""
+        assert captured.err.startswith("error: the class representative of D2 names")
+        assert "not a ray of the fan" in captured.err
+    else:
+        assert json.loads(captured.out)["report"]["proper"] is False
+
+
 def test_upgrade_noncf_exit_two(capsys):
     code, out = run(capsys, "upgrade", fixture("noncf_p2.json"))
     assert code == 2

@@ -1,7 +1,8 @@
-"""The construction memo (`polyhedra._canonical`): bounded, never
-corrupted, and invisible in the results; the integer DD core behind it
-equals the Fraction route it replaced, and the objects built on it store
-integral data as `int` and points as `Fraction`, never a float."""
+"""The construction memo (`polyhedra._canonical`): bounded, large enough for
+a round trip's working set, never corrupted, and invisible in the results;
+the integer DD core behind it equals the Fraction route it replaced, and the
+objects built on it store integral data as `int` and points as `Fraction`,
+never a float."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from pathlib import Path
 from fraction_route import fraction_dd_cone
 from helpers import random_proper_rank2
 from pdivisors import cli, polyhedra
-from pdivisors.base import QDivisor, is_inf
+from pdivisors.base import QDivisor, is_inf, point_label
 from pdivisors.downgrade import DowngradeContext, downgrade
 from pdivisors.lattice import Lattice, LatticeMap, smith_split
 from pdivisors.pdivisor import PolyhedralDivisor
@@ -24,18 +25,36 @@ FIX = Path(__file__).parent / "fixtures"
 memo = polyhedra._canonical
 
 
+def _divisors(count, seed):
+    """`count` random proper rank-2 divisors, a function of the seed."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = random_proper_rank2(rng)
+        if d is not None:
+            out.append(d)
+    return out
+
+
 def _round_trips(count, seed):
     """Downgrade and upgrade `count` random proper rank-2 divisors."""
-    rng = random.Random(seed)
     ctx = DowngradeContext.from_projection(LatticeMap(Lattice(2), Lattice(1), [[1, 1]]))
-    done = 0
-    while done < count:
-        d = random_proper_rank2(rng)
-        if d is None:
-            continue
+    for d in _divisors(count, seed):
         _, dbar = downgrade(d, ctx)
         upgrade(dbar)
-        done += 1
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of `polyhedra.<name>` from now on."""
+    calls = []
+    fn = getattr(polyhedra, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(polyhedra, name, counting)
+    return calls
 
 
 def test_memo_matches_uncached_dd(monkeypatch):
@@ -58,6 +77,64 @@ def test_memo_matches_uncached_dd(monkeypatch):
     info = memo.cache_info()
     assert info.maxsize == polyhedra.DD_CACHE_SIZE
     assert info.currsize <= info.maxsize
+
+
+def test_round_trip_working_set_fits_the_memo(monkeypatch):
+    # 20 round trips look up more distinct constructions than the 512 entries
+    # that once bounded the memo; a second pass over them must find them all
+    memo.cache_clear()
+    _round_trips(20, seed=1)
+    distinct = memo.cache_info().currsize
+    assert 512 < distinct < polyhedra.DD_CACHE_SIZE
+    runs = _counting(monkeypatch, "dd_cone")
+    _round_trips(20, seed=1)
+    assert runs == []
+    assert memo.cache_info().currsize == distinct
+
+
+def _downgrades_with_defaults():
+    """Downgrades whose ray and vertex coefficients are partly held and
+    partly left to the tailcone."""
+    ctx = DowngradeContext.from_projection(LatticeMap(Lattice(2), Lattice(1), [[1, 1]]))
+    out = []
+    for d in _divisors(30, seed=13):
+        _, dbar = downgrade(d, ctx)
+        vertices = [(label, v) for label, vs in dbar.verts.items() for v in vs]
+        if (
+            dbar.ray_coeffs
+            and set(dbar.rays) - set(dbar.ray_coeffs)
+            and dbar.vertex_coeffs
+            and set(vertices) - set(dbar.vertex_coeffs)
+        ):
+            out.append((dbar, vertices))
+    return out
+
+
+def test_held_coefficients_need_no_construction(monkeypatch):
+    d = _divisors(1, seed=2)[0]
+    held = list(d.coeffs.items())
+    missing = point_label(Fraction(7))
+    assert missing not in d.coeffs
+    downgrades = _downgrades_with_defaults()
+    assert downgrades
+    lookups = _counting(monkeypatch, "_canonical")
+    for label, p in held:
+        assert d.coefficient(label) is p
+    for dbar, _ in downgrades:
+        for r, p in dbar.ray_coeffs.items():
+            assert dbar.ray_coefficient(r) is p
+        for (label, v), p in dbar.vertex_coeffs.items():
+            assert dbar.vertex_coefficient(label, v) is p
+    assert lookups == []
+    # a missing key gives the tailcone, built on demand
+    assert d.coefficient(missing) == d.tail.as_polyhedron()
+    for dbar, vertices in downgrades:
+        trivial = dbar.tail.as_polyhedron()
+        for r in set(dbar.rays) - set(dbar.ray_coeffs):
+            assert dbar.ray_coefficient(r) == trivial
+        for label, v in set(vertices) - set(dbar.vertex_coeffs):
+            assert dbar.vertex_coefficient(label, v) == trivial
+    assert lookups
 
 
 def test_mutated_result_leaves_memo_intact():
