@@ -16,8 +16,10 @@ face tests compare integer dot products instead of building a cone.
 Point tests clear a point's denominators once and compare integers.
 
 Two chamber algorithms have one entry point each: `chamber_complex(polys,
-rows)` projects the faces of `polys` itself, and `normal_fan(polys,
-domain)` refines the vertex regions of each polyhedron over `domain`.
+rows)` projects the faces of the polyhedra `polys` itself, reading each
+face's generator set off the polyhedron's incidence and mapping the
+generators as integers, and `normal_fan(polys, domain)` refines the vertex
+regions of each polyhedron over `domain`.
 
 The empty polyhedron is a first-class value, the zero cone homogenized:
 sums and intersections treat it as absorbing, images of it are empty.
@@ -373,11 +375,9 @@ class Cone:
     def is_fulldim(self) -> bool:
         return self.dim() == self.n
 
-    def relint_point(self) -> Vec:
-        out = zero_vec(self.n)
-        for r in self.rays:
-            out = vadd(out, r)
-        return out
+    def relint_point(self) -> tuple:
+        """The sum of the rays: an integer point of the relative interior."""
+        return tuple(sum(r[i] for r in self.rays) for i in range(self.n))
 
     def as_polyhedron(self) -> "Polyhedron":
         return Polyhedron.from_generators([(0,) * self.n], self.rays, self.lines, self.n)
@@ -422,17 +422,22 @@ class Cone:
         return Cone(n, rays, lines, ineqs, eqs)
 
     def map_image(self, rows) -> "Cone":
-        # a positive multiple of the map has the same image: clear the
-        # denominators of all rows by one common factor
-        cleared = [_cleared(r) for r in rows]
-        d = math.lcm(*(dr for _, dr in cleared))
-        rows = [tuple(x * (d // dr) for x in row) for row, dr in cleared]
+        rows = _cleared_rows(rows)
+        return Cone.from_rays(_apply(rows, self.rays), _apply(rows, self.lines), len(rows))
 
-        def image(gens):
-            out = (tuple(sum(map(mul, row, g)) for row in rows) for g in gens)
-            return [v for v in out if any(v)]
 
-        return Cone.from_rays(image(self.rays), image(self.lines), len(rows))
+def _cleared_rows(rows) -> list[tuple]:
+    """The integer rows of a positive multiple of the map with rows `rows`,
+    which has the same image on cones: every row, a homogenizing row too,
+    is cleared by one common denominator."""
+    cleared = [_cleared(r) for r in rows]
+    d = math.lcm(*(dr for _, dr in cleared))
+    return [tuple(x * (d // dr) for x in row) for row, dr in cleared]
+
+
+def _apply(rows, gens) -> list[tuple]:
+    """The images of the generators under the integer rows."""
+    return [tuple(sum(map(mul, row, g)) for row in rows) for g in gens]
 
 
 def dual_cone(c: Cone) -> Cone:
@@ -840,16 +845,41 @@ def common_refinement(complexes) -> PolyhedralComplex:
     return PolyhedralComplex(cells)
 
 
+def _projected_faces(polys, rows) -> list[Polyhedron]:
+    """The distinct images of the nonempty faces of the polyhedra `polys`
+    under the linear map with rows `rows`, sorted by their integer data.
+
+    A face is its generator set on the incidence of the polyhedron's `hom`
+    (`_face_sets`), so the generators of `hom` are mapped once and no face
+    is built; faces with the same image generators give one construction.
+    """
+    m = len(rows)
+    keys = set()
+    for p in polys:
+        hom, n = p.hom, p.n
+        hrows = _cleared_rows([(*r, 0) for r in rows] + [(0,) * n + (1,)])
+        gens = _apply(hrows, hom.rays)
+        lines = _primitive_rows(_apply(hrows, hom.lines))
+        for s in _face_sets(hom.rays, hom.ineqs)[0]:
+            # a set without a vertex is a face at infinity of `hom`, none of p
+            if any(hom.rays[i][n] for i in s):
+                keys.add((_primitive_rows(gens[i] for i in s), lines))
+    family = {Polyhedron(m, Cone(m + 1, *_canonical(m + 1, *key))) for key in keys}
+    return sorted(family, key=lambda f: (f.hom.rays, f.hom.lines))
+
+
 def chamber_complex(polys, rows) -> PolyhedralComplex:
     """Chamber complex of the images of all faces of `polys` under the
     linear map with rows `rows` (Billera-Sturmfels, "Fiber polytopes", 1992).
 
-    `polys` is one polyhedron or the cells of one polyhedral complex.  Then
-    every chamber equals the intersection of the face images containing it,
-    so the intersection closure filtered by a relative-interior membership
-    test yields exactly the chamber cells.
+    `polys` is an iterable of polyhedra: a list of one polyhedron or the
+    cells of one polyhedral complex.  The projected faces are read off each
+    polyhedron's incidence (`_projected_faces`).  Every chamber equals the
+    intersection of the face images containing any one of its
+    relative-interior points, so the intersection closure filtered by a
+    relative-interior membership test yields exactly the chamber cells.
     """
-    family = sorted({f.map_image(rows) for p in polys for f in p.faces()}, key=_cell_key)
+    family = _projected_faces(polys, rows)
 
     def members(c, known=frozenset()):
         return known | {k for k, f in enumerate(family) if k not in known and f.contains(c)}
@@ -880,8 +910,8 @@ def chamber_complex(polys, rows) -> PolyhedralComplex:
         frontier = nxt
     cells = []
     for s, c in closure.items():
-        rp = c.relint_point()
-        if not any(k not in s and f.contains_point(rp) for k, f in enumerate(family)):
+        x = c.hom.relint_point()
+        if not any(k not in s and f.hom.contains(x) for k, f in enumerate(family)):
             cells.append(c)
     return PolyhedralComplex(cells)
 

@@ -6,8 +6,9 @@ and `Polyhedron` built on it, with a copy of the route it replaced, which
 ran `dd_cone` a second time on the first result.  The point tests clear
 denominators once and compare integers; they are checked against the
 `Fraction` dot products they replaced.  The chamber closure keyed by
-member sets, the face test without a construction and the images on the
-homogenized cone are checked against copies of the routes they replaced.
+member sets, its projected faces read off the incidence, the face test
+without a construction and the images on the homogenized cone are checked
+against copies of the routes they replaced.
 Faces are read off the incidence with no DD, and a polyhedron computes its
 views on first access; both are checked against copies of the routes they
 replaced, field by field.
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 import pytest
 
 from pdivisors import polyhedra
-from pdivisors.linalg import F1, _cleared, _int_row, vdot, vec
+from pdivisors.linalg import F1, _cleared, _int_row, _kernel, vdot, vec, vsub
 from pdivisors.polyhedra import Cone, Polyhedron, chamber_complex
 
 F = Fraction
@@ -379,6 +380,63 @@ def test_chamber_complex_matches_bfs_closure():
         seen["several"] += len(got.cells) > 1
     empty = Polyhedron.empty_polyhedron(2)
     assert chamber_complex([], [(1, 0)]) == bfs_chamber_complex([]) == chamber_complex([empty], [(1, 0)])
+    assert min(seen.values()) >= 5, seen
+
+
+def face_object_family(polys, rows):
+    """The projected faces as face objects gave them: every nonempty face
+    of every polyhedron, built and then mapped."""
+    return {f.map_image(rows) for p in polys for f in p.faces()}
+
+
+def _kernel_face_rows(rng, p):
+    """Rational rows whose kernel holds a face of p of dimension >= 1 and
+    the face, or None when p has no such face short of the whole space."""
+    faces = [f for f in p.faces() if f.dim() >= 1]
+    if not faces:
+        return None
+    f = rng.choice(faces)
+    directions = [vsub(v, f.vertices[0]) for v in f.vertices[1:]] + [*f.rays, *f.lines]
+    basis = _kernel(directions, p.n)
+    if not basis:
+        return None
+    scales = [F(rng.choice([-2, -1, 1, 2]), rng.choice([1, 3])) for _ in basis]
+    rows = [tuple(s * x for x in b) for s, b in zip(scales, basis)]
+    return rng.sample(rows, rng.randint(1, len(rows))), f
+
+
+def test_projected_faces_match_face_objects():
+    rng = random.Random(67)
+    seen = dict.fromkeys(["lines", "rays", "rational", "empty", "split", "kernel face", "several"], 0)
+    for _ in range(60):
+        n = rng.randint(2, 3)
+        p = _random_polyhedron(rng, n)
+        cells = [p]
+        a = tuple(rng.randint(-1, 1) for _ in range(n))
+        if rng.random() < 0.4 and any(a):
+            b = rng.randint(-1, 1)
+            halves = [p.intersect(Polyhedron.from_H([(a, b)], n=n)), p.intersect(Polyhedron.from_H([(tuple(-x for x in a), -b)], n=n))]
+            if all(not h.empty for h in halves):
+                cells = halves
+                seen["split"] += 1
+        drawn = _kernel_face_rows(rng, p) if rng.random() < 0.4 else None
+        if drawn:
+            rows, face = drawn
+            assert face.map_image(rows).dim() == 0
+            seen["kernel face"] += 1
+        else:
+            rows = _random_rows(rng, rng.randint(1, n), n)
+        if rng.random() < 0.3:
+            cells.append(Polyhedron.empty_polyhedron(n))
+            seen["empty"] += 1
+        family = face_object_family(cells, rows)
+        assert polyhedra._projected_faces(cells, rows) == sorted(family, key=lambda f: (f.hom.rays, f.hom.lines))
+        got = chamber_complex(cells, rows)
+        assert got == bfs_chamber_complex(family)
+        seen["lines"] += bool(p.lines)
+        seen["rays"] += bool(p.rays)
+        seen["rational"] += any(type(x) is not int and x.denominator > 1 for r in rows for x in r)
+        seen["several"] += len(got.cells) > 1
     assert min(seen.values()) >= 5, seen
 
 

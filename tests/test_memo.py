@@ -137,6 +137,31 @@ def test_held_coefficients_need_no_construction(monkeypatch):
     assert lookups
 
 
+def test_chamber_complex_builds_no_face(monkeypatch):
+    # the projected faces are generator sets on each polyhedron's incidence,
+    # so no face object is built; from a cold memo a fixed family runs as
+    # many DDs as the route that mapped one face object at a time (19, 35)
+    coeff = max(_divisors(1, seed=5)[0].coeffs.values(), key=lambda p: len(p.hom.rays))
+    pi_rows = DowngradeContext.from_projection(LatticeMap(Lattice(2), Lattice(1), [[1, 1]])).pi_rows
+    with_line = polyhedra.Polyhedron.from_generators(
+        [(0, 0, 0), (1, 0, Fraction(1, 2)), (0, 2, 1)], [(1, 1, 0)], [(0, 1, -1)]
+    )
+    line_rows = [(1, 0, 1), (Fraction(1, 2), 1, 0)]
+
+    def no_face(*args):
+        raise AssertionError("chamber_complex built a face object")
+
+    monkeypatch.setattr(polyhedra.Cone, "_face", no_face)
+    monkeypatch.setattr(polyhedra.Cone, "faces", no_face)
+    monkeypatch.setattr(polyhedra.Polyhedron, "faces", no_face)
+    runs = _counting(monkeypatch, "dd_cone")
+    for polys, rows, budget in ([coeff], pi_rows, 19), ([with_line], line_rows, 35):
+        memo.cache_clear()
+        runs.clear()
+        assert len(polyhedra.chamber_complex(polys, rows).cells) == 3
+        assert len(runs) == budget
+
+
 def test_mutated_result_leaves_memo_intact():
     ineqs = [(1, 0, 0), (0, 1, 0), (1, 1, 1)]
     eqs = [(0, 0, 0)]
