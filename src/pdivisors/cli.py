@@ -35,7 +35,6 @@ from .tvariety import (
     SHARPNESS_K_BOUND,
     DivisorialFan,
     TInvariantDivisor,
-    invariant_prime_divisors,
     is_basepoint_free,
 )
 from .upgrade import InvariantPDivisorOnFan, correct_pic_z, upgrade
@@ -355,20 +354,6 @@ def json_to_invariant_pdivisor(data) -> InvariantPDivisorOnFan:
     for lab, v, p in data.get("vertex_coeffs", []):
         [v] = json_to_vecs([v], m, "vertex")
         vertex_coeffs[(json_to_label(lab, base), v)] = json_to_polyhedron(p, ambient=n)
-    if (rays is not None or verts is not None) and fan.is_contraction_free():
-        # explicit data must name the fan's own primes: bpf looks up every
-        # vertex of every marked prime, and an unmarked prime carries only
-        # the vertex 0 of its trivial slice
-        frays, fverts = invariant_prime_divisors(fan)
-        if rays is not None and set(rays) != set(frays):
-            raise ValueError("rays differ from the tail rays of the fan")
-        zero = (Fraction(0),) * fan.n
-        for label, vs in (verts or {}).items():
-            if label not in fverts and any(v != zero for v in vs):
-                raise ValueError(f"the unmarked prime {label.id} has only the vertex 0")
-        for label, vs in fverts.items():
-            if verts is not None and not set(vs) <= set(verts.get(label, ())):
-                raise ValueError(f"verts miss a slice vertex of the marked prime {label.id}")
     return InvariantPDivisorOnFan(
         fan, n, tail, ray_coeffs=ray_coeffs, vertex_coeffs=vertex_coeffs, rays=rays, verts=verts
     )

@@ -18,7 +18,7 @@ from .lattice import Lattice, LatticeMap, multiplicity, smith_split
 from .linalg import mat_vec, smith_normal_form, vec
 from .pdivisor import PolyhedralDivisor
 from .polyhedra import Cone, Polyhedron
-from .tvariety import DivisorialFan, invariant_prime_divisors
+from .tvariety import DivisorialFan, invariant_index
 from .upgrade import InvariantPDivisorOnFan, correct_pic_z, upgrade_coefficients
 
 
@@ -56,7 +56,6 @@ def cox_sequence(fan: DivisorialFan, primes=None, *, canonical=True, pivot_order
     base = fan.base
     if base.kind != "P1":
         raise NoDegreeMap("the construction needs a base with class group Z")
-    rays, verts = invariant_prime_divisors(fan)
     if primes is None:
         primes = list(fan.marked_primes())
     primes = [point_label(p) if not hasattr(p, "kind") else p for p in primes]
@@ -68,14 +67,8 @@ def cox_sequence(fan: DivisorialFan, primes=None, *, canonical=True, pivot_order
     if len(primes) < 2:
         primes.append(point_label(spare_points(primes)[0]))
     primes = sorted(primes, key=lambda l: l.id)
-    zero = (Fraction(0),) * fan.n
-    pairs = []
-    for label in primes:
-        vs = verts.get(label, (zero,))
-        for v in vs:
-            pairs.append((label, v))
-    pairs = tuple(pairs)
-    rays = tuple(rays)
+    rays, verts = invariant_index(fan, primes=primes)
+    pairs = tuple((label, v) for label in primes for v in verts[label])
     p = len(primes)
     n = fan.n
     # quotient Z^P / Z * (deg P): degrees are 1 on P^1
@@ -139,16 +132,14 @@ def cox_raw(cd: CoxData) -> InvariantPDivisorOnFan:
         e = cd.basis_vector(idx)
         ray_coeffs[r] = Polyhedron.point(cd.retraction(e))
         idx += 1
-    verts = {}
-    for label, v in cd.pairs:
-        verts.setdefault(label, []).append(v)
+    rays, verts = invariant_index(cd.fan, primes=cd.primes)
     return InvariantPDivisorOnFan(
         cd.fan,
         k,
         tail,
         ray_coeffs=ray_coeffs,
         vertex_coeffs=vertex_coeffs,
-        rays=cd.rays,
+        rays=rays,
         verts=verts,
     )
 

@@ -51,6 +51,8 @@ class DeformationInput(_Record):
         ntot = delta.n
         if len(self.degree) != ntot:
             raise ValueError("degree covector has the wrong length")
+        if any(x.denominator != 1 for x in self.degree):
+            raise ValueError("the degree must be an integral covector")
         k = int(self.degree[-1])
         if k <= 0 or any(x != 0 for x in self.degree[:-1]):
             raise UnsupportedBase(
@@ -63,6 +65,8 @@ class DeformationInput(_Record):
             raise SumMismatch("the decomposition needs at least the summand Delta_0")
         self.multiplicities = multiplicities
         if multiplicities is not None:
+            if any(frac(m).denominator != 1 or m < 1 for m in multiplicities):
+                raise ValueError("multiplicities must be positive integers")
             self.multiplicities = tuple(int(m) for m in multiplicities)
             if len(self.multiplicities) != len(self.deltas) - 1:
                 raise ValueError("one multiplicity per parameter summand")

@@ -22,7 +22,7 @@ from .errors import (
     WeightOutsideCone,
 )
 from .lattice import LatticeMap, smith_split
-from .linalg import int_identity, transpose, vdot, vec
+from .linalg import int_identity, transpose, vdot, vec, zero_vec
 from .pdivisor import PolyhedralDivisor
 from .polyhedra import (
     PolyhedralComplex,
@@ -37,7 +37,6 @@ from .tvariety import (
     PLDivisorMap,
     TInvariantDivisor,
     sum_psi,
-    zero_function_on,
 )
 from .upgrade import InvariantPDivisorOnFan
 
@@ -126,7 +125,9 @@ def fan_from(psi: PLDivisorMap, marks):
         # members need an empty coefficient somewhere for affine loci
         extra = INF if point_label(INF) not in mark_labels else spare_points(mark_labels)[0]
         mark_labels.append(point_label(extra))
-    support = {l for l, g in psi.per_prime.items() if is_inf(g) or g.pieces != zero_function_on(box).pieces}
+    # the zero function on the full-dimensional box has the single piece 0
+    zero = ((zero_vec(box.n), Fraction(0)),)
+    support = {l for l, g in psi.per_prime.items() if is_inf(g) or g.pieces != zero}
     if not support <= set(mark_labels):
         raise MarksMissingSupport(
             f"marks must contain the support {[l.id for l in support]}"

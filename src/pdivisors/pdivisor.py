@@ -31,7 +31,7 @@ from .errors import (
     WeightOutsideCone,
 )
 from .lattice import LatticeMap
-from .linalg import is_zero_vec, solve, vdot, vec
+from .linalg import is_zero_vec, smith_normal_form, solve, vdot, vec
 from .polyhedra import (
     Cone,
     PolyhedralComplex,
@@ -407,25 +407,17 @@ def toric_downgrade(delta: Cone, sub: LatticeMap):
         raise ValueError("toric downgrade needs a pointed cone")
     ntilde = delta.n
     k = sub.source.rank
-    # quotient projection killing the sublattice, from a splitting
+    # quotient projection killing the sublattice, from the Smith form
+    # U . sub . V = D
     quot_rank = ntilde - k
-    # build the projection via smith_split of the transpose route:
-    # find Q with Q . sub = 0 and Q surjective onto Z^{ntilde-k}
-    from .linalg import smith_normal_form
-
     u, dmat, v = smith_normal_form(sub.matrix)
     diag = [dmat[i][i] for i in range(min(ntilde, k))]
     if any(abs(x) != 1 for x in diag[:k]):
         raise NotSplit("sublattice is not saturated (torsion quotient)")
     # rows k.. of U kill the image and are unimodular onto the quotient
     q_rows = [u[i] for i in range(k, ntilde)]
-    # retraction onto Nbar: s = V . D^+ . U (first k rows pattern)
-    dplus = [[1 if (i == j and i < k) else 0 for j in range(ntilde)] for i in range(k)]
-    vd = [[sum(v[i][t] * dplus[t][j] for t in range(k)) for j in range(ntilde)] for i in range(k)]
-    s_rows = [
-        [sum(vd[i][t] * u[t][j] for t in range(ntilde)) for j in range(ntilde)]
-        for i in range(k)
-    ]
+    # retraction onto Nbar: s = V . (first k rows of U)
+    s_rows = [[sum(v[i][t] * u[t][j] for t in range(k)) for j in range(ntilde)] for i in range(k)]
     dpoly = delta.as_polyhedron()
     # image fan: chamber complex of the projected faces
     cones = []

@@ -142,7 +142,6 @@ def contraction_free_refinement(fan: DivisorialFan) -> DivisorialFan:
     fresh extra point is used when fewer than two points are marked).
     """
     from .pdivisor import PolyhedralDivisor
-    from .polyhedra import Polyhedron as _P
 
     if fan.base.kind not in ("P1", "open_p1"):
         raise UnsupportedBase("the splitting is implemented for curve bases")
@@ -156,7 +155,7 @@ def contraction_free_refinement(fan: DivisorialFan) -> DivisorialFan:
             continue
         for label in marked:
             coeffs = dict(m.coeffs)
-            coeffs[label] = _P.empty_polyhedron(fan.n)
+            coeffs[label] = Polyhedron.empty_polyhedron(fan.n)
             members.append(PolyhedralDivisor(fan.base, fan.n, m.tail, coeffs))
     return DivisorialFan(fan.base, members, semicomplete=fan.semicomplete)
 
@@ -174,6 +173,40 @@ def invariant_prime_divisors(s: DivisorialFan):
     return rays, verts
 
 
+def invariant_index(fan: DivisorialFan, rays=None, verts=None, primes=()):
+    """The (rays, verts) that coefficient vectors on `fan` are indexed by.
+
+    A missing `rays` or `verts` is the fan's own.  On a contraction-free fan
+    a given index must name exactly the fan's tail rays and the slice
+    vertices of each marked prime.  An unmarked prime carries the trivial slice, whose
+    only vertex is 0: it appears only with that vertex, and each unmarked
+    prime in `primes` is added with it.
+    """
+    if rays is None or verts is None or fan.is_contraction_free():
+        own_rays, own_verts = invariant_prime_divisors(fan)
+        if rays is None:
+            rays = own_rays
+        elif set(map(vec, rays)) != set(own_rays):
+            raise ValueError("rays differ from the tail rays of the fan")
+        if verts is None:
+            verts = own_verts
+        else:
+            for label, vs in own_verts.items():
+                if set(vs) != set(map(vec, verts.get(label, ()))):
+                    raise ValueError(f"verts differ from the slice vertices of the marked prime {label.id}")
+    rays = tuple(vec(r) for r in rays)
+    verts = {label: tuple(vec(v) for v in vs) for label, vs in verts.items()}
+    marked = set(fan.marked_primes())
+    zero = zero_vec(fan.n)
+    for label in primes:
+        if label not in marked:
+            verts.setdefault(label, (zero,))
+    for label, vs in verts.items():
+        if label not in marked and any(v != zero for v in vs):
+            raise ValueError(f"the unmarked prime {label.id} has only the vertex 0")
+    return rays, verts
+
+
 # ---------------------------------------------------------------------------
 # invariant divisors
 # ---------------------------------------------------------------------------
@@ -184,25 +217,8 @@ class TInvariantDivisor:
 
     def __init__(self, fan: DivisorialFan, ray_coeffs=None, vertex_coeffs=None, rays=None, verts=None):
         self.fan = fan
-        if rays is None or verts is None:
-            frays, fverts = invariant_prime_divisors(fan)
-            rays = frays if rays is None else [vec(r) for r in rays]
-            verts = dict(fverts) if verts is None else dict(verts)
-        else:
-            verts = dict(verts)
-        self.rays = tuple(vec(r) for r in rays)
-        zero = zero_vec(fan.n)
-        for (label, v) in (vertex_coeffs or {}):
-            v = vec(v)
-            if label not in verts:
-                # an unmarked prime carries the trivial slice with vertex 0
-                if v != zero:
-                    raise ValueError(
-                        f"({label.id}, {v}) is not a vertex of a trivial slice"
-                    )
-                verts[label] = (zero,)
-        self.verts = {label: tuple(vec(v) for v in vs) for label, vs in verts.items()}
-        rc = {vec(r): Fraction(0) for r in self.rays}
+        self.rays, self.verts = invariant_index(fan, rays, verts)
+        rc = {r: Fraction(0) for r in self.rays}
         for r, a in (ray_coeffs or {}).items():
             r = vec(r)
             if r not in rc:
@@ -273,14 +289,8 @@ def principal_invariant_divisor(fan: DivisorialFan, f, u) -> TInvariantDivisor:
     slice's vertex 0 there.
     """
     u = vec(u)
-    rays, verts = invariant_prime_divisors(fan)
-    verts = dict(verts)
-    if isinstance(f, CurveFunction):
-        zero = zero_vec(fan.n)
-        marked = set(verts)
-        for label, c in f.divisor(fan.base).coeffs.items():
-            if label not in marked:
-                verts[label] = (zero,)
+    primes = f.divisor(fan.base).coeffs if isinstance(f, CurveFunction) else ()
+    rays, verts = invariant_index(fan, primes=primes)
     rc = {r: vdot(r, u) for r in rays}
     vc = {}
     for label, vs in verts.items():

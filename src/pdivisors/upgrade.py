@@ -20,7 +20,7 @@ from .errors import NoDegreeMap
 from .linalg import _int_row, smith_normal_form, vdot, vec, zero_vec
 from .pdivisor import PolyhedralDivisor, PropernessReport
 from .polyhedra import Cone, Polyhedron
-from .tvariety import DivisorialFan, invariant_prime_divisors
+from .tvariety import DivisorialFan, invariant_index
 
 
 class InvariantPDivisorOnFan:
@@ -37,12 +37,7 @@ class InvariantPDivisorOnFan:
         self.fan = fan
         self.n = n
         self.tail = tail
-        if rays is None or verts is None:
-            frays, fverts = invariant_prime_divisors(fan)
-            rays = frays if rays is None else rays
-            verts = fverts if verts is None else verts
-        self.rays = tuple(vec(r) for r in rays)
-        self.verts = {label: tuple(vec(v) for v in vs) for label, vs in verts.items()}
+        self.rays, self.verts = invariant_index(fan, rays, verts)
         trivial = tail.as_polyhedron()
         invariant_rays = set(self.rays)
         rc = {}

@@ -165,7 +165,7 @@ def test_cox_raw_on_a_slice_without_cells():
     assert fan.is_contraction_free()
     cd = cox_sequence(fan)
     raw = cox_raw(cd)
-    assert raw.verts == {point_label(1): ((F(0),),)}
+    assert raw.verts == {point_label(0): (), point_label(1): ((F(0),),)}
     assert set(raw.rays) == {(F(1),), (F(-1),)}
     # the marked prime without vertices gets the empty coefficient on both
     # routes of the upgrade, so the degree of the correction is undefined

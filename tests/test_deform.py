@@ -64,6 +64,17 @@ def test_two_lattice_free_faces_rejected():
     assert not ok and witness is not None
 
 
+def test_degree_and_multiplicities_checked():
+    delta = Cone.from_rays([(1, 1), (-1, 1)])
+    # 5/2 was truncated to k = 2, and the summands took the blame
+    with pytest.raises(ValueError, match="integral"):
+        DeformationInput(delta, (0, F(5, 2)), (point_poly(F(-1, 2)), interval(0, 1)))
+    # a multiplicity 0 made k = gcd(0) = 0, and 3/2 was truncated to 1
+    for m in (0, F(3, 2)):
+        with pytest.raises(ValueError, match="positive integers"):
+            DeformationInput(delta, (0, 1), (interval(-1, 1), point_poly(0)), (m,))
+
+
 def test_sum_mismatch_raises():
     delta = Cone.from_rays([(1, 1), (-1, 1)])
     din = DeformationInput(delta, (0, 2), (point_poly(F(-1, 2)), interval(0, 2)))

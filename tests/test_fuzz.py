@@ -106,6 +106,13 @@ ESCAPES = [
     ("degrees-list", "c3_like_threefold.json", ["proper"], _set(["1"], "base", "degrees")),
     ("fan-base-list", "psi0_fan.json", ["cox"], _set([], "base")),
     ("no-deltas", "a1_deformation.json", ["deform-upgrade"], _set([], "deltas")),
+    # a multiplicity 0 made the degree k = gcd(0) = 0, and the base fan
+    # divided by it
+    ("zero-multiplicity", "a1_deformation.json", ["deform-upgrade"], lambda payload: payload.update(
+        deltas=[{"ambient": 1, "lines": [], "rays": [], "vertices": [["-1"], ["1"]]},
+                {"ambient": 1, "lines": [], "rays": [], "vertices": [["0"]]}],
+        multiplicities=[0],
+    )),
 ]
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_force_graded_dimension, complete_cstar_fan, halfline, interval
+from helpers import brute_force_graded_dimension, complete_cstar_fan, halfline, interval, point_poly
 from pdivisors.base import (
     INF,
     BaseVariety,
@@ -34,6 +34,7 @@ from pdivisors.tvariety import (
     support_functions,
     zero_function_on,
 )
+from pdivisors.upgrade import InvariantPDivisorOnFan
 
 F = Fraction
 P1 = BaseVariety.projective_line()
@@ -74,6 +75,36 @@ def test_invariant_primes_require_contraction_free():
     fan = DivisorialFan(P1, [m])
     with pytest.raises(NotContractionFree):
         invariant_prime_divisors(fan)
+
+
+def _on_fan(cls, fan, keys=(), **index):
+    """A divisor of `cls` on `fan` with coefficient 1 at each vertex key."""
+    if cls is TInvariantDivisor:
+        return cls(fan, {}, {k: 1 for k in keys}, **index)
+    return cls(fan, 1, Cone.zero(1), vertex_coeffs={k: point_poly(1) for k in keys}, **index)
+
+
+@pytest.mark.parametrize("cls", [TInvariantDivisor, InvariantPDivisorOnFan])
+def test_explicit_index_checked_against_fan(cls):
+    fan = complete_cstar_fan()
+    p0, pinf, p5 = point_label(0), point_label(INF), point_label(5)
+    own = {p0: [(F(1, 2),)], pinf: [(0,)]}
+    bad = [
+        ({"verts": {pinf: [(0,)]}}, "slice vertices of the marked prime 0"),
+        # a vertex the slice does not have would add a piece to Psi_0
+        ({"verts": {**own, p0: [(F(1, 2),), (3,)]}}, "slice vertices of the marked prime 0"),
+        ({"rays": [(1,)]}, "rays differ"),
+        ({"verts": {**own, p5: [(1,)]}}, "unmarked prime 5 has only the vertex 0"),
+    ]
+    for index, message in bad:
+        with pytest.raises(ValueError, match=message):
+            _on_fan(cls, fan, **index)
+    d = _on_fan(cls, fan, [(p5, (0,))], verts={**own, p5: [(0,)]})
+    assert d.rays == ((-1,), (1,))
+    assert d.verts == {p0: ((F(1, 2),),), pinf: ((0,),), p5: ((0,),)}
+    # without the prime in `verts`, its vertex 0 indexes nothing
+    with pytest.raises(ValueError, match="not an invariant vertex"):
+        _on_fan(cls, fan, [(p5, (0,))])
 
 
 def test_psi0_golden_nsa():
