@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from ._record import _Frozen, _Record
 from .errors import (
+    NegativePoleBound,
     NoDegreeMap,
     NonIntegral,
     TooManySections,
@@ -399,9 +400,6 @@ class QDivisor:
     def coefficient(self, label) -> Fraction:
         return self.coeffs.get(label, Fraction(0))
 
-    def support(self):
-        return list(self.coeffs)
-
     def finite_part(self) -> dict:
         return {l: c for l, c in self.coeffs.items() if not is_inf(c)}
 
@@ -484,10 +482,6 @@ class CurveFunction:
             if k:
                 data[a] = data.get(a, 0) + k
         self.factors = {a: k for a, k in data.items() if k}
-
-    @staticmethod
-    def one() -> "CurveFunction":
-        return CurveFunction({})
 
     @staticmethod
     def coordinate() -> "CurveFunction":
@@ -630,13 +624,18 @@ MAX_CURVE_SECTIONS = 10**5
 def global_sections(d: QDivisor, pole_bound: int | None = None) -> SectionSpace:
     """Basis description of L(d) = {f : div(f) + d >= 0}.
 
-    P^1: explicit rational-function basis of dimension deg(floor d) + 1;
-    above `MAX_CURVE_SECTIONS` it raises `TooManySections` instead.
+    P^1: explicit rational-function basis of dimension deg(floor d) + 1,
+    f0 * x^k for k = 0..deg; each element is built from f0's factors with
+    only the exponent at 0 changed.  Above `MAX_CURVE_SECTIONS` it raises
+    `TooManySections` instead.
     Open subsets of P^1 (or infinite coefficients): poles at removed primes
-    are unbounded; they are truncated at `pole_bound`.
+    are unbounded; they are truncated at `pole_bound`, which must be >= 0
+    (`NegativePoleBound` otherwise: a negative bound would force zeros there).
     Toric with invariant d: characters in the section polytope; an unbounded
     polytope gives no basis and dimension None.
     """
+    if pole_bound is not None and pole_bound < 0:
+        raise NegativePoleBound(f"the pole bound must be >= 0, got {pole_bound}")
     base = d.base
     if base.kind in ("P1", "open_p1"):
         removed = set(base.removed)
@@ -659,15 +658,8 @@ def global_sections(d: QDivisor, pole_bound: int | None = None) -> SectionSpace:
             raise TooManySections(
                 f"L(D) has dimension {deg + 1}, above MAX_CURVE_SECTIONS = {MAX_CURVE_SECTIONS}"
             )
-        f0_factors = {a: int(-c) for a, c in floor_c.items() if not is_inf(a)}
-        f0 = CurveFunction(f0_factors)
-        x = CurveFunction.coordinate()
-        basis = []
-        cur = f0
-        for _ in range(int(deg) + 1):
-            basis.append(cur)
-            cur = cur.mul(x)
-        return SectionSpace(int(deg) + 1, tuple(basis), truncated=truncated)
+        f0 = CurveFunction({a: int(-c) for a, c in floor_c.items() if not is_inf(a)})
+        return SectionSpace(int(deg) + 1, _times_powers_of_x(f0, int(deg)), truncated=truncated)
     if base.kind == "toric":
         if any(l.kind != "ray" for l in d.coeffs):
             raise UnsupportedBase("toric sections need a torus-invariant divisor")
@@ -693,6 +685,29 @@ def global_sections(d: QDivisor, pole_bound: int | None = None) -> SectionSpace:
 # ---------------------------------------------------------------------------
 # principality and positivity
 # ---------------------------------------------------------------------------
+
+
+def _times_powers_of_x(f0: CurveFunction, deg: int) -> tuple:
+    """f0 * x^k for k = 0..deg, with the factors in the order of
+    `f0.mul(x)` applied k times: the factor at 0 keeps its place while
+    its exponent keeps the sign it has in f0, is dropped at exponent 0,
+    and is appended last once the exponent turns positive from <= 0."""
+    zero = Fraction(0)
+    e0 = f0.factors.get(zero, 0)
+    rest = {a: k for a, k in f0.factors.items() if a != zero}
+    out = []
+    for e in range(e0, e0 + deg + 1):
+        if e == 0:
+            factors = dict(rest)
+        elif e0 > 0 or e < 0:
+            factors = dict(f0.factors)
+            factors[zero] = e
+        else:
+            factors = {**rest, zero: e}
+        f = CurveFunction.__new__(CurveFunction)
+        f.factors = factors
+        out.append(f)
+    return tuple(out)
 
 
 def is_principal(d: QDivisor):

@@ -41,6 +41,10 @@ class TooManySections(PDivError):
     pass
 
 
+class NegativePoleBound(PDivError):
+    pass
+
+
 class NonIntegral(PDivError):
     pass
 

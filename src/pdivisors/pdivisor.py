@@ -10,6 +10,7 @@ to infinity.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from ._record import _Frozen
 from .base import (
@@ -31,7 +32,7 @@ from .errors import (
     WeightOutsideCone,
 )
 from .lattice import LatticeMap
-from .linalg import is_zero_vec, smith_normal_form, solve, vdot, vec
+from .linalg import _cleared, is_zero_vec, smith_normal_form, solve, vdot, vec
 from .polyhedra import (
     Cone,
     PolyhedralComplex,
@@ -105,17 +106,23 @@ class PolyhedralDivisor:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, u) -> QDivisor:
+        """D(u) = sum min_{v in D_P} <v, u> P, on cleared integers: with u =
+        U / e and each vertex the ray (X, d) of the coefficient's `hom`,
+        the minimum over vertices of <X, U> / (d e)."""
         u = vec(u)
-        if len(u) != self.n:
-            raise AmbientMismatch(f"weight has {len(u)} entries, the divisor has rank {self.n}")
+        n = self.n
+        if len(u) != n:
+            raise AmbientMismatch(f"weight has {len(u)} entries, the divisor has rank {n}")
         if not self.weight_cone().contains(u):
             raise WeightOutsideCone(f"{u} is outside the weight cone")
+        U, e = _cleared(u)
         out = {}
         for label, p in self.coeffs.items():
             if p.empty:
                 out[label] = INF
             else:
-                out[label] = min(vdot(v, u) for v in p.vertices)
+                # zip stops at U's n entries, before the last entry d of (X, d)
+                out[label] = min(Fraction(sum(map(mul, X, U)), X[n] * e) for X in p.hom.rays if X[n])
         return QDivisor(self.base, out)
 
     def evaluation_chambers(self) -> PolyhedralComplex:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
+from types import MappingProxyType
 
 from ._record import _Record
 from .base import (
@@ -34,7 +36,7 @@ from .errors import (
     UnsupportedBase,
     WeightOutsideBox,
 )
-from .linalg import Vec, frac, int_identity, solve, vdot, vec, vsub, zero_vec
+from .linalg import Vec, _cleared, frac, int_identity, solve, vdot, vec, vsub, zero_vec
 from .polyhedra import (
     Cone,
     PolyhedralComplex,
@@ -88,12 +90,6 @@ class DivisorialFan:
     def slice_of(self, label) -> PolyhedralComplex:
         if label in self._slices:
             return self._slices[label]
-        return self._tailfan
-
-    def slices(self) -> dict:
-        return dict(self._slices)
-
-    def tailfan(self) -> PolyhedralComplex:
         return self._tailfan
 
     def is_contraction_free(self) -> bool:
@@ -213,20 +209,26 @@ def invariant_index(fan: DivisorialFan, rays=None, verts=None, primes=()):
 
 
 class TInvariantDivisor:
-    """D = sum a_rho D_rho + sum mu(v) b_{P,v} D_{P,v} on X(S)."""
+    """D = sum a_rho D_rho + sum mu(v) b_{P,v} D_{P,v} on X(S).
+
+    The divisor is immutable: `ray_coeffs`, `vertex_coeffs` and `verts` are
+    read-only mappings, so its Box and Psi (`box_and_psi`) are built once,
+    on first use, and kept.
+    """
 
     def __init__(self, fan: DivisorialFan, ray_coeffs=None, vertex_coeffs=None, rays=None, verts=None):
         self.fan = fan
-        self.rays, self.verts = invariant_index(fan, rays, verts)
+        self.rays, verts = invariant_index(fan, rays, verts)
+        self.verts = MappingProxyType(verts)
         rc = {r: Fraction(0) for r in self.rays}
         for r, a in (ray_coeffs or {}).items():
             r = vec(r)
             if r not in rc:
                 raise ValueError(f"{r} is not an invariant ray")
             rc[r] = frac(a)
-        self.ray_coeffs = rc
+        self.ray_coeffs = MappingProxyType(rc)
         vc = {}
-        for label, vs in self.verts.items():
+        for label, vs in verts.items():
             for v in vs:
                 vc[(label, v)] = Fraction(0)
         for (label, v), b in (vertex_coeffs or {}).items():
@@ -234,7 +236,8 @@ class TInvariantDivisor:
             if key not in vc:
                 raise ValueError(f"({label.id}, {v}) is not an invariant vertex")
             vc[key] = frac(b)
-        self.vertex_coeffs = vc
+        self.vertex_coeffs = MappingProxyType(vc)
+        self._psi = None
 
     def __eq__(self, other):
         return (
@@ -351,7 +354,14 @@ class ConcavePL:
         u = vec(u)
         if not self.domain.contains_point(u):
             raise WeightOutsideBox(f"{u} is outside the domain")
-        return min(vdot(a, u) + c for a, c in self.pieces)
+        return self._at(*_cleared(u))
+
+    def _at(self, U, e) -> Fraction:
+        """The value at a point U / e of the domain, on integers: the least
+        (<a, U> - b e) / (-s e) over the upper facets <a, u> + s t >= b,
+        s < 0, of the hypograph, which are the pieces."""
+        n = self.domain.n
+        return min(Fraction(sum(map(mul, a, U)) - b * e, -a[n] * e) for a, b in self.hypo.ineqs if a[n] < 0)
 
     def scale(self, k) -> "ConcavePL":
         k = frac(k)
@@ -412,7 +422,7 @@ class PLDivisorMap:
                 if f.domain != box:
                     raise ValueError("all prime functions must share the Box domain")
                 data[label] = f
-        self.per_prime = dict(sorted(data.items(), key=lambda kv: kv[0].id))
+        self.per_prime = MappingProxyType(dict(sorted(data.items(), key=lambda kv: kv[0].id)))
 
     def __eq__(self, other):
         return (
@@ -441,9 +451,11 @@ class PLDivisorMap:
         u = vec(u)
         if not self.box.contains_point(u):
             raise WeightOutsideBox(f"{u} not in Box")
+        # every function's domain is the box, so u is in each of them
+        U, e = _cleared(u)
         out = {}
         for label, f in self.per_prime.items():
-            out[label] = INF if is_inf(f) else f.value(u)
+            out[label] = INF if is_inf(f) else f._at(U, e)
         return QDivisor(self.base, out)
 
     def drop_trivial(self) -> "PLDivisorMap":
@@ -480,25 +492,28 @@ def sum_psi(a: PLDivisorMap, b: PLDivisorMap) -> PLDivisorMap:
 
 
 def box_and_psi(d: TInvariantDivisor) -> PLDivisorMap:
-    """Weight polyhedron from the ray inequalities and the vertex minima."""
+    """Weight polyhedron from the ray inequalities and the vertex minima.
+
+    Built on the first call for a divisor and kept on it (the divisor is
+    immutable), so later calls, and `graded_sections` and
+    `is_basepoint_free` at any number of weights, return the same map.
+    """
+    if d._psi is not None:
+        return d._psi
     fan = d.fan
     n = fan.n
-    ineqs = [(r, -a) for r, a in d.ray_coeffs.items()]
-    box = Polyhedron.from_H(ineqs, (), n) if ineqs else Polyhedron.from_H((), (), n)
+    box = Polyhedron.from_H([(r, -a) for r, a in d.ray_coeffs.items()], (), n)
     per = {}
     labels = {l: None for l in fan.marked_primes()}
     labels.update({l: None for l in d.verts})
     for label in labels:
-        vs = d.verts.get(label, ())
-        pieces = []
-        for v in vs:
-            b = d.vertex_coeffs[(label, v)]
-            pieces.append((v, b))
+        pieces = [(v, d.vertex_coeffs[(label, v)]) for v in d.verts.get(label, ())]
         if not pieces or box.empty:
             per[label] = INF
         else:
             per[label] = ConcavePL(box, pieces)
-    return PLDivisorMap(fan.base, box, per)
+    d._psi = PLDivisorMap(fan.base, box, per)
+    return d._psi
 
 
 def psi0_pdivisor(fan: DivisorialFan):
@@ -528,15 +543,16 @@ def psi0_pdivisor(fan: DivisorialFan):
 
 
 def graded_sections(d: TInvariantDivisor, u, pole_bound=None) -> SectionSpace:
-    """The weight-u piece of L(D), via sections of Psi^D(u) on the base."""
-    pl = box_and_psi(d)
+    """The weight-u piece of L(D), via sections of Psi^D(u) on the base.
+
+    Reads the divisor's kept Box and Psi (`box_and_psi`), so asking one
+    divisor at several weights builds them once.  A u that is no lattice
+    point or lies outside Box^D raises `WeightOutsideBox`.
+    """
     u = vec(u)
-    if not pl.box.contains_point(u):
-        raise WeightOutsideBox(f"{u} is outside Box^D")
-    if any(frac(x).denominator != 1 for x in u):
+    if any(x.denominator != 1 for x in u):
         raise WeightOutsideBox("graded pieces live at lattice points")
-    dv = pl.evaluate(u)
-    return base_global_sections(dv, pole_bound=pole_bound)
+    return base_global_sections(box_and_psi(d).evaluate(u), pole_bound=pole_bound)
 
 
 # ---------------------------------------------------------------------------

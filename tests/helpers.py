@@ -119,6 +119,17 @@ def span_dimension(functions) -> int:
     return fraction_rank(rows)
 
 
+def mul_chain_basis(f0: CurveFunction, deg: int) -> tuple:
+    """f0 * x^k for k = 0..deg by repeated `mul` with the coordinate x, the
+    route `global_sections` built its curve bases by before it set the
+    exponent at 0 directly; the factor order, and so `repr`, is this chain's."""
+    x = CurveFunction.coordinate()
+    basis = [f0]
+    for _ in range(deg):
+        basis.append(basis[-1].mul(x))
+    return tuple(basis)
+
+
 def brute_force_graded_dimension(d: TInvariantDivisor, u, order_bound=6) -> int:
     """Dimension of the weight-u piece of L(D) by monomial enumeration.
 

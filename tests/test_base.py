@@ -22,7 +22,7 @@ from pdivisors.base import (
     ray_label,
 )
 from pdivisors import base as base_module
-from pdivisors.errors import NoDegreeMap, NonIntegral, TooManySections, UnsupportedBase
+from pdivisors.errors import NegativePoleBound, NoDegreeMap, NonIntegral, TooManySections, UnsupportedBase
 from pdivisors.polyhedra import Cone
 
 F = Fraction
@@ -113,7 +113,7 @@ def test_sections_above_the_bound_raise_before_the_basis(monkeypatch):
     monkeypatch.undo()
     # 10^40 + 1 sections: raised at once, no basis function is built
     built = []
-    monkeypatch.setattr(CurveFunction, "mul", lambda *a: built.append(a))
+    monkeypatch.setattr(base_module, "_times_powers_of_x", lambda *a: built.append(a))
     with pytest.raises(TooManySections):
         global_sections(qdiv(P1, [(point_label(0), 10**40)]))
     assert built == []
@@ -123,6 +123,19 @@ def test_sections_open_curve_truncated():
     base = BaseVariety.open_projective_line([INF])
     d = QDivisor(base, {})
     s = global_sections(d, pole_bound=2)
+    assert s.truncated and s.dimension == 3
+
+
+def test_sections_reject_a_negative_pole_bound():
+    # a negative bound would force zeros at the removed point: -1 gave
+    # dimension 2 here, the space of sections vanishing at 0
+    base = BaseVariety.open_projective_line([0])
+    d = QDivisor(base, {point_label(1): 2})
+    with pytest.raises(NegativePoleBound, match="got -1"):
+        global_sections(d, pole_bound=-1)
+    with pytest.raises(NegativePoleBound):
+        global_sections(qdiv(P1, [(point_label(1), 2)]), pole_bound=-1)
+    s = global_sections(d, pole_bound=0)
     assert s.truncated and s.dimension == 3
 
 

@@ -102,6 +102,25 @@ def test_sections(tmp_path, capsys):
     assert code == 1
 
 
+def test_sections_negative_pole_bound_exit_one(tmp_path, capsys):
+    from pdivisors.base import BaseVariety, point_label
+    from pdivisors.pdivisor import PolyhedralDivisor
+    from pdivisors.polyhedra import Cone, hull
+
+    base = BaseVariety.open_projective_line([0])
+    d = PolyhedralDivisor(base, 1, Cone.zero(1), {point_label(1): hull([(2,)])})
+    p = tmp_path / "d.json"
+    p.write_bytes(cli.emit(d, "pdivisor"))
+    code = cli.main(["sections", str(p), "--weight", "1", "--pole-bound", "-5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: the pole bound must be >= 0, got -5\n"
+    code, out = run(capsys, "sections", str(p), "--weight", "1", "--pole-bound", "0")
+    assert code == 0
+    assert out["dimension"] == 3 and out["truncated"] is True
+
+
 @pytest.mark.parametrize("command", ["eval", "sections"])
 @pytest.mark.parametrize("weight", ["1,2", "1,0,0"])
 def test_wrong_length_weight_exit_one(capsys, command, weight):
