@@ -7,13 +7,18 @@ for the other side and reads the irredundant input side off the
 generator-facet incidence, so both sides are canonical and structural
 equality of the stored data coincides with equality of the underlying
 sets.  The memo key holds the input rows primitive, sorted and without
-duplicates, so it does not depend on their order.  Faces run no DD:
-both sides of a face are read off its parent's generator-facet
-incidence.  A polyhedron stores one cone, its homogenization `hom`, and
-derives its generators and halfspaces from it on first access; only its
-vertices are Fractions.  Images are taken on `hom` with integer rows, and
-face tests compare integer dot products instead of building a cone.
-Point tests clear a point's denominators once and compare integers.
+duplicates, so it does not depend on their order.  A construction takes
+two steps: the public constructors check the row lengths and normalize
+the rows to that key (`_primitive_rows`), and `_cone`/`_cut` build from a
+key.  Rows of a canonical cone are a key as they are, so intersections,
+`as_polyhedron`, tails and the slices and regions cut from a polyhedron
+merge or pass them through.  Faces run no DD: both sides of a face are
+read off its parent's generator-facet incidence.  A polyhedron stores one
+cone, its homogenization `hom`, and derives its generators, halfspaces
+and tail cone from it on first access; only its vertices are Fractions.
+Images are taken on `hom` with integer rows, and face and containment
+tests compare integer dot products instead of building a cone.  Point
+tests clear a point's denominators once and compare integers.
 
 Two chamber algorithms have one entry point each: `chamber_complex(polys,
 rows)` projects the faces of the polyhedra `polys` itself, reading each
@@ -45,7 +50,6 @@ from .linalg import (
     frac,
     int_identity,
     mat_vec,
-    rank,
     vadd,
     vec,
     vscale,
@@ -177,9 +181,9 @@ def _frame(ineqs, eqs, n: int):
 
 # Bound of the construction memo, sized to hold a round trip's working set.
 # Faces do not go through it.  The benchmark's 213 roundtrip inputs of seed
-# 101, run in order from a cold memo, look up 3,205 distinct keys: an LRU of
-# 512 entries misses 6,533 times, one of 4096 only on the 3,205 first
-# lookups.  Over 1,000 roundtrip inputs of seed 107 (6,320 distinct keys)
+# 101, run in order from a cold memo, make 37,657 lookups of 3,204 distinct
+# keys (42,329 before tails were kept): an LRU of 512 entries misses 6,913
+# times, one of 4096 only on the 3,204 first lookups.  Over 1,000 roundtrip inputs of seed 107 (6,320 distinct keys)
 # the misses are 31.3 per input at 512 and 7.8 at 4096.  Geometry's 123
 # inputs of seed 101 look up 1,115 keys, each once, so the size does not
 # matter there.  4096 entries instead of 512 raise peak memory by 4% on
@@ -305,31 +309,19 @@ class Cone:
 
     @classmethod
     def from_rays(cls, rays, lines=(), n=None) -> "Cone":
-        if n is None:
-            src = [*rays, *lines]
-            if not src:
-                raise ValueError("ambient dimension required for the zero cone")
-            n = len(src[0])
-        return cls(n, *_canonical(n, _primitive_rows(rays), _primitive_rows(lines)))
+        rays, lines = list(rays), list(lines)
+        n = _ambient(n, rays + lines, "the zero cone")
+        return _cone(n, _primitive_rows(rays), _primitive_rows(lines))
 
     @classmethod
     def from_inequalities(cls, ineqs, eqs=(), n=None) -> "Cone":
-        if n is None:
-            src = [*ineqs, *eqs]
-            if not src:
-                raise ValueError("ambient dimension required for the full cone")
-            n = len(src[0])
-        # the cone is the dual of pos(ineqs) + span(eqs): swap the sides
-        drays, dlines, dineqs, deqs = _canonical(n, _primitive_rows(ineqs), _primitive_rows(eqs))
-        return cls(n, dineqs, deqs, drays, dlines)
+        ineqs, eqs = list(ineqs), list(eqs)
+        n = _ambient(n, ineqs + eqs, "the full cone")
+        return _cut(n, _primitive_rows(ineqs), _primitive_rows(eqs))
 
     @classmethod
     def zero(cls, n: int) -> "Cone":
-        return cls.from_rays([], [], n)
-
-    @classmethod
-    def full(cls, n: int) -> "Cone":
-        return cls.from_inequalities([], [], n)
+        return _cone(n, (), ())
 
     def __eq__(self, other):
         return (
@@ -361,16 +353,21 @@ class Cone:
         return self._contains_gens(other.rays, other.lines)
 
     def _contains_gens(self, rays, lines) -> bool:
-        """Whether pos(rays) + span(lines) lies in the cone."""
-        return all(map(self.contains, rays)) and all(
-            self.contains(l) and self.contains(tuple(-x for x in l)) for l in lines
+        """Whether pos(rays) + span(lines) lies in the cone; the generators
+        are integer, so the dot products are compared as they are."""
+        ineqs, eqs = self.ineqs, self.eqs
+        return (
+            all(sum(map(mul, a, r)) >= 0 for r in rays for a in ineqs)
+            and not any(sum(map(mul, a, l)) for l in lines for a in ineqs)
+            and not any(sum(map(mul, a, g)) for a in eqs for g in (*rays, *lines))
         )
 
     def is_pointed(self) -> bool:
         return not self.lines
 
     def dim(self) -> int:
-        return rank(list(self.rays) + list(self.lines)) if (self.rays or self.lines) else 0
+        # the equations of a canonical cone are a basis of its span's complement
+        return self.n - len(self.eqs)
 
     def is_fulldim(self) -> bool:
         return self.dim() == self.n
@@ -380,14 +377,16 @@ class Cone:
         return tuple(sum(r[i] for r in self.rays) for i in range(self.n))
 
     def as_polyhedron(self) -> "Polyhedron":
-        return Polyhedron.from_generators([(0,) * self.n], self.rays, self.lines, self.n)
+        # the apex (0, 1) and the rays (r, 0), sorted, and the lines (l, 0)
+        # are the key `from_generators` would normalize them to
+        n = self.n
+        gens = tuple(sorted([(0,) * n + (1,), *(r + (0,) for r in self.rays)]))
+        return Polyhedron(n, _cone(n + 1, gens, tuple(l + (0,) for l in self.lines)))
 
     def intersect(self, other: "Cone") -> "Cone":
         if self.n != other.n:
             raise AmbientMismatch("cone ambient dimensions differ")
-        return Cone.from_inequalities(
-            list(self.ineqs) + list(other.ineqs), list(self.eqs) + list(other.eqs), self.n
-        )
+        return _cut(self.n, _merged(self.ineqs, other.ineqs), _merged(self.eqs, other.eqs))
 
     def faces(self) -> list["Cone"]:
         """All faces, the cone itself first."""
@@ -424,6 +423,36 @@ class Cone:
     def map_image(self, rows) -> "Cone":
         rows = _cleared_rows(rows)
         return Cone.from_rays(_apply(rows, self.rays), _apply(rows, self.lines), len(rows))
+
+
+def _ambient(n, rows, what: str) -> int:
+    """The ambient dimension: `n`, or the length of the first row when `n`
+    is None; a row of another length raises `AmbientMismatch`."""
+    if n is None:
+        if not rows:
+            raise ValueError(f"ambient dimension required for {what}")
+        n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise AmbientMismatch(f"every row must have the ambient dimension {n}")
+    return n
+
+
+def _cone(n: int, gens: tuple, lines: tuple) -> Cone:
+    """pos(gens) + span(lines) from rows that are `_primitive_rows` already,
+    the memo key as they are."""
+    return Cone(n, *_canonical(n, gens, lines))
+
+
+def _cut(n: int, ineqs: tuple, eqs: tuple) -> Cone:
+    """{x : ineqs.x >= 0, eqs.x = 0} from rows that are `_primitive_rows`
+    already: the dual of pos(ineqs) + span(eqs), so the sides swap."""
+    rays, lines, dineqs, deqs = _canonical(n, ineqs, eqs)
+    return Cone(n, dineqs, deqs, rays, lines)
+
+
+def _merged(a: tuple, b: tuple) -> tuple:
+    """`_primitive_rows` of the rows of a and b, each `_primitive_rows`."""
+    return tuple(sorted({*a, *b}))
 
 
 def _cleared_rows(rows) -> list[tuple]:
@@ -468,7 +497,7 @@ class Polyhedron:
     (a, b) pairs meaning <a, x> >= b, `eqs` the same with equality.
     """
 
-    __slots__ = ("n", "hom", "empty", "vertices", "rays", "lines", "ineqs", "eqs")
+    __slots__ = ("n", "hom", "empty", "vertices", "rays", "lines", "ineqs", "eqs", "_tail")
 
     def __init__(self, n: int, hom: Cone):
         self.n = n
@@ -494,27 +523,20 @@ class Polyhedron:
     @classmethod
     def from_generators(cls, vertices, rays=(), lines=(), n=None) -> "Polyhedron":
         vertices, rays, lines = list(vertices), list(rays), list(lines)
-        if n is None:
-            src = vertices + rays + lines
-            if not src:
-                raise ValueError("ambient dimension required for empty input")
-            n = len(src[0])
+        n = _ambient(n, vertices + rays + lines, "empty input")
         # a vertex v = X / d homogenizes to the positive multiple (X, d) of (v, 1)
         gens = [x + (d,) for x, d in map(_cleared, vertices)]
         gens += [_cleared(r)[0] + (0,) for r in rays]
-        return cls(n, Cone.from_rays(gens, [_cleared(l)[0] + (0,) for l in lines], n + 1))
+        lines = [_cleared(l)[0] + (0,) for l in lines]
+        return cls(n, _cone(n + 1, _primitive_rows(gens), _primitive_rows(lines)))
 
     @classmethod
     def from_H(cls, ineqs, eqs=(), n=None) -> "Polyhedron":
         """ineqs/eqs are (a, b) pairs encoding <a, x> >= b resp. == b."""
         ineqs, eqs = list(ineqs), list(eqs)
-        if n is None:
-            src = ineqs + eqs
-            if not src:
-                raise ValueError("ambient dimension required for the full space")
-            n = len(src[0][0])
+        n = _ambient(n, [a for a, _ in ineqs + eqs], "the full space")
         rows = _hom_rows(ineqs) + [(0,) * n + (1,)]
-        return cls(n, Cone.from_inequalities(rows, _hom_rows(eqs), n + 1))
+        return cls(n, _cut(n + 1, _primitive_rows(rows), _primitive_rows(_hom_rows(eqs))))
 
     @classmethod
     def point(cls, p) -> "Polyhedron":
@@ -549,7 +571,7 @@ class Polyhedron:
     def tail(self) -> Cone:
         if self.empty:
             raise ValueError("tailcone of the empty polyhedron is undefined")
-        return Cone.from_rays(self.rays, self.lines, self.n)
+        return self._tail
 
     def is_pointed(self) -> bool:
         return not self.lines
@@ -641,9 +663,8 @@ class Polyhedron:
     def with_equalities(self, eqs) -> "Polyhedron":
         """Intersection with the hyperplanes <a, x> = b of the pairs (a, b)."""
         hom = self.hom
-        return Polyhedron(
-            self.n, Cone.from_inequalities(hom.ineqs, [*hom.eqs, *_hom_rows(eqs)], self.n + 1)
-        )
+        eqs = _merged(hom.eqs, _primitive_rows(_hom_rows(eqs)))
+        return Polyhedron(self.n, _cut(self.n + 1, hom.ineqs, eqs))
 
     # -- faces -----------------------------------------------------------
 
@@ -721,6 +742,8 @@ _VIEWS = {
     ),
     # the equations of the zero cone say nothing of the empty polyhedron
     "eqs": lambda hom, n: tuple(sorted((a[:n], -a[n]) for a in hom.eqs)) if hom.rays else (),
+    # the tail cone, whose key is the `rays` and `lines` views as they are
+    "_tail": lambda hom, n: _cone(n, _VIEWS["rays"](hom, n), _VIEWS["lines"](hom, n)),
 }
 
 
@@ -820,12 +843,6 @@ class PolyhedralComplex:
                 out[r] = None
         return sorted(out)
 
-    def locate(self, x) -> Polyhedron | None:
-        for c in self.cells:
-            if c.contains_point(x):
-                return c
-        return None
-
 
 def _cell_key(c: Polyhedron):
     return (c.vertices, c.rays, c.lines)
@@ -864,7 +881,7 @@ def _projected_faces(polys, rows) -> list[Polyhedron]:
             # a set without a vertex is a face at infinity of `hom`, none of p
             if any(hom.rays[i][n] for i in s):
                 keys.add((_primitive_rows(gens[i] for i in s), lines))
-    family = {Polyhedron(m, Cone(m + 1, *_canonical(m + 1, *key))) for key in keys}
+    family = {Polyhedron(m, _cone(m + 1, *key)) for key in keys}
     return sorted(family, key=lambda f: (f.hom.rays, f.hom.lines))
 
 
@@ -928,15 +945,13 @@ def linearity_regions(pieces, domain: Polyhedron) -> PolyhedralComplex:
     if not pieces:
         raise NotConcave("no affine pieces supplied")
     uniq = sorted(set(pieces))
-    ddim = domain.dim()
+    n, hom, ddim = domain.n, domain.hom, domain.dim()
     regions = []
     for i, (ai, ci) in enumerate(uniq):
-        ineqs = [
-            (vsub(aj, ai), ci - cj)
-            for j, (aj, cj) in enumerate(uniq)
-            if j != i
-        ]
-        reg = Polyhedron.from_H(list(domain.ineqs) + ineqs, domain.eqs, domain.n)
+        # <aj - ai, x> >= ci - cj and t >= 0 on (x, t) join the domain's rows
+        rows = [(*vsub(aj, ai), cj - ci) for j, (aj, cj) in enumerate(uniq) if j != i]
+        ineqs = _merged(hom.ineqs, _primitive_rows([*rows, (0,) * n + (1,)]))
+        reg = Polyhedron(n, _cut(n + 1, ineqs, hom.eqs))
         if not reg.empty and reg.dim() == ddim:
             regions.append(reg)
     return PolyhedralComplex(regions)

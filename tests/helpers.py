@@ -29,6 +29,16 @@ def point_poly(a):
     return hull([(F(a),)])
 
 
+def full_cone(n) -> Cone:
+    """All of Q^n: the cone cut out by no inequality."""
+    return Cone.from_inequalities([], [], n)
+
+
+def locate(cx, x):
+    """The first maximal cell of the complex `cx` that contains x, or None."""
+    return next((c for c in cx.cells if c.contains_point(x)), None)
+
+
 def complete_cstar_fan(split=F(1, 2)) -> DivisorialFan:
     """A complete C*-surface over P^1: slice at 0 subdivided at `split`."""
     plus = Cone.from_rays([(1,)])

@@ -20,7 +20,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from fraction_route import fraction_primitive
+from fraction_route import fraction_primitive, fraction_rank
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -202,6 +202,13 @@ def fraction_contains(p, q):
     )
 
 
+def fraction_contains_cone(c, d):
+    """pos(d.rays) + span(d.lines) lies in c: on Fractions, every ray and
+    both signs of every line pass c's inequalities and equations."""
+    gens = list(d.rays) + list(d.lines) + [tuple(-x for x in l) for l in d.lines]
+    return all(fraction_cone_contains(c, g) for g in gens)
+
+
 def fraction_is_face_of(p, q):
     if p.empty:
         return True
@@ -236,6 +243,7 @@ def _points(rng, p, n):
 def test_point_tests_match_fraction_route():
     rng = random.Random(41)
     seen = {True: 0, False: 0}
+    cones_seen = {True: 0, False: 0}
     for _ in range(25):
         n = rng.randint(1, 4)
         pts = [tuple(F(rng.randint(-6, 6), rng.choice([1, 2, 3, 10**12])) for _ in range(n)) for _ in range(rng.randint(1, 5))]
@@ -260,7 +268,17 @@ def test_point_tests_match_fraction_route():
                 assert a.contains(b) == fraction_contains(a, b)
                 assert b.contains(a) == fraction_contains(b, a)
                 assert a.is_face_of(b) == fraction_is_face_of(a, b)
+        # cones with lines and with equations, and their faces, both ways round
+        normals = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n + 1)]
+        cones = [c, Cone.from_rays(pts + rays, [line], n), Cone.from_inequalities(normals, [line], n)]
+        for a, b in itertools.product(cones, [f for b in cones for f in b.faces()]):
+            for got, want in (a.contains_cone(b), fraction_contains_cone(a, b)), (
+                b.contains_cone(a), fraction_contains_cone(b, a)
+            ):
+                assert got == want
+                cones_seen[got] += 1
     assert min(seen.values()) > 100, seen
+    assert min(cones_seen.values()) > 300, cones_seen
 
 
 def test_cleared_point():
@@ -561,6 +579,8 @@ def test_faces_match_from_rays_route_field_by_field():
         got = c.faces()
         assert [_slots(f) for f in got] == [_slots(f) for f in from_rays_faces(c)]
         assert got[0] is c
+        # the equations of a canonical cone span the complement of its span
+        assert [f.dim() for f in got] == [fraction_rank(f.rays + f.lines) for f in got]
         seen["lines"] += bool(c.lines and c.rays)
         seen["lower"] += bool(c.eqs and c.rays)
         seen["zero"] += not (c.rays or c.lines)

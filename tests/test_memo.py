@@ -13,10 +13,12 @@ from pathlib import Path
 
 from fraction_route import fraction_dd_cone
 from helpers import random_proper_rank2
+from test_canonical import _cases
 from pdivisors import cli, polyhedra
 from pdivisors.base import QDivisor, is_inf, point_label
 from pdivisors.downgrade import DowngradeContext, downgrade
 from pdivisors.lattice import Lattice, LatticeMap, smith_split
+from pdivisors.linalg import vec, vsub
 from pdivisors.pdivisor import PolyhedralDivisor
 from pdivisors.tvariety import ConcavePL, PLDivisorMap
 from pdivisors.upgrade import upgrade
@@ -160,6 +162,91 @@ def test_chamber_complex_builds_no_face(monkeypatch):
         runs.clear()
         assert len(polyhedra.chamber_complex(polys, rows).cells) == 3
         assert len(runs) == budget
+
+
+def _fast_path_inputs(seed):
+    """Inputs of every construction that builds its key from canonical rows,
+    on the generators of `tests/test_canonical.py`: cones with redundant
+    rows, lines and equations, polyhedra with and without lines, equations
+    and affine pieces."""
+    rng = random.Random(seed)
+    out = []
+    for n, gens, lines in _cases(seed, count=120):
+        pts = [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        eqs = [(tuple(rng.randint(-1, 1) for _ in range(n)), rng.randint(-1, 1))]
+        pieces = [(tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-2, 2)) for _ in range(3)]
+        out.append((n, gens, lines, pts, eqs, pieces))
+    return out
+
+
+def _fast_paths(n, gens, lines, pts, eqs, pieces):
+    """Pairs of what a construction on canonical rows builds and what the
+    public constructors built from the same rows before."""
+    Cone, Polyhedron = polyhedra.Cone, polyhedra.Polyhedron
+    c = Cone.from_rays(gens, lines, n)
+    d = Cone.from_inequalities(gens, lines, n)
+    pairs = [
+        (Cone.zero(n), Cone.from_rays([], [], n)),
+        (c.intersect(d), Cone.from_inequalities(c.ineqs + d.ineqs, c.eqs + d.eqs, n)),
+    ]
+    pairs += [(e.as_polyhedron(), Polyhedron.from_generators([(0,) * n], e.rays, e.lines, n)) for e in (c, d)]
+    for p in Polyhedron.from_generators(pts, gens[:2], lines[:1], n), c.as_polyhedron():
+        hom_eqs = [*p.hom.eqs, *polyhedra._hom_rows(eqs)]
+        pairs += [
+            (p.tail(), Cone.from_rays(p.rays, p.lines, n)),
+            (p.with_equalities(eqs), Polyhedron(n, Cone.from_inequalities(p.hom.ineqs, hom_eqs, n + 1))),
+            (polyhedra.linearity_regions(pieces, p), _from_h_regions(pieces, p)),
+        ]
+    return pairs
+
+
+def _from_h_regions(pieces, domain):
+    """`linearity_regions` with one `from_H` on the domain's pairs per piece."""
+    uniq = sorted({(vec(a), F(c)) for a, c in pieces})
+    regions = []
+    for i, (ai, ci) in enumerate(uniq):
+        ineqs = [(vsub(aj, ai), ci - cj) for j, (aj, cj) in enumerate(uniq) if j != i]
+        reg = polyhedra.Polyhedron.from_H(list(domain.ineqs) + ineqs, domain.eqs, domain.n)
+        if not reg.empty and reg.dim() == domain.dim():
+            regions.append(reg)
+    return polyhedra.PolyhedralComplex(regions)
+
+
+def _fields(obj):
+    """Every stored field of a cone, of a polyhedron's `hom`, or of the
+    cells of a complex."""
+    if isinstance(obj, polyhedra.PolyhedralComplex):
+        return [_fields(c) for c in obj.cells]
+    if isinstance(obj, polyhedra.Polyhedron):
+        return (obj.n, obj.empty, _slots(obj.hom))
+    return _slots(obj)
+
+
+def test_every_memo_key_is_canonical_rows(monkeypatch):
+    keys = []
+
+    def recording(n, gens, lines):
+        keys.append((gens, lines))
+        return memo(n, gens, lines)
+
+    monkeypatch.setattr(polyhedra, "_canonical", recording)
+    _round_trips(20, seed=1)
+    inputs = _fast_path_inputs(seed=29)
+    built = [pair for args in inputs for pair in _fast_paths(*args)]
+    rows = polyhedra._primitive_rows
+    assert len(keys) > 5000
+    for gens, lines in keys:
+        assert (rows(gens), rows(lines)) == (gens, lines)
+    # each construction on canonical rows equals the public constructor's,
+    # field by field, and so does a run with the memo off
+    for fast, old in built:
+        assert _fields(fast) == _fields(old)
+    monkeypatch.setattr(polyhedra, "_canonical", memo.__wrapped__)
+    off = [pair for args in inputs for pair in _fast_paths(*args)]
+    assert [_fields(fast) for fast, _ in off] == [_fields(fast) for fast, _ in built]
+    cones = [fast for fast, _ in built if isinstance(fast, polyhedra.Cone)]
+    assert sum(bool(c.lines) for c in cones) > 20
+    assert sum(bool(c.eqs and c.ineqs) for c in cones) > 20
 
 
 def test_mutated_result_leaves_memo_intact():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from exact_lp import lp_feasible
+from helpers import full_cone, locate
 
 from pdivisors.errors import AmbientMismatch
 from pdivisors.linalg import vdot, vec
@@ -45,7 +46,7 @@ def test_dual_quadric_cone():
 
 
 def test_dual_full_space_is_origin():
-    c = Cone.full(2)
+    c = full_cone(2)
     d = dual_cone(c)
     assert d.rays == () and d.lines == ()
     assert d == Cone.zero(2)
@@ -221,6 +222,29 @@ def test_intersect_ambient_mismatch():
         intersect(hull([(0,)]), hull([(0, 0)]))
 
 
+def test_constructors_reject_rows_of_another_length():
+    cases = [
+        lambda: Cone.from_rays([(1, 0, 0)], n=2),
+        lambda: Cone.from_rays([(1, 0), (0, 1, 1)]),
+        lambda: Cone.from_rays([(1, 0)], [(0, 1, 1)]),
+        lambda: Cone.from_inequalities([(1, 0, 0)], n=2),
+        lambda: Cone.from_inequalities([(1, 0)], [(1,)]),
+        lambda: Polyhedron.from_generators([(0, 0)], n=3),
+        lambda: Polyhedron.from_generators([(0, 0)], [(1, 0, 0)]),
+        lambda: Polyhedron.from_generators([(0, 0)], lines=[(1,)]),
+        lambda: Polyhedron.from_H([((1, 0), 0)], n=3),
+        lambda: Polyhedron.from_H([((1, 0), 0)], [((1, 0, 1), 2)]),
+    ]
+    for build in cases:
+        with pytest.raises(AmbientMismatch):
+            build()
+    # the ambient dimension of empty input is still a ValueError of its own
+    for build in (Cone.from_rays, Cone.from_inequalities, Polyhedron.from_generators, Polyhedron.from_H):
+        with pytest.raises(ValueError, match="ambient dimension required"):
+            build([])
+    assert Cone.from_rays([(1, 0)], n=2) == Cone.from_rays([(1, 0)])
+
+
 def test_quadric_cone_height_zero_slice():
     delta = Cone.from_rays([(1, 1), (-1, 1)])
     sigma = delta.as_polyhedron().slice_at((0, 1), 0)
@@ -344,7 +368,7 @@ def test_linearity_regions_grid_oracle():
             vals = [vdot(vec(a), vec(pt)) + c for a, c in pieces]
             mval = min(vals)
             argmins = [k for k, v in enumerate(vals) if v == mval]
-            cell = regs.locate(pt)
+            cell = locate(regs, pt)
             assert cell is not None
             # the cell's piece must attain the minimum at pt: every cell is
             # an argmin region of some piece, so pt's cell minimizer wins
