@@ -2,12 +2,17 @@
 
 A cone stores both representations (generators and halfspaces) as the
 primitive `int` tuples the double description method (`dd_cone`)
-computes.  A construction (`_canonical`, memoized) runs `dd_cone` once
-for the other side and reads the irredundant input side off the
-generator-facet incidence, so both sides are canonical and structural
-equality of the stored data coincides with equality of the underlying
-sets.  The memo key holds the input rows primitive, sorted and without
-duplicates, so it does not depend on their order.  A construction takes
+computes.  The DD keeps the tight set of each ray as an `int` bit mask,
+skips a pair of rays with fewer than d - 2 common tight rows before its
+adjacency scan, and works in the input coordinates (the identity frame)
+when there are no equations and the rows have full rank; otherwise it
+changes to a basis of the equations' kernel and of the rows' span there.
+A construction (`_canonical`, memoized) runs `dd_cone` once for the
+other side and reads the irredundant input side off the generator-facet
+incidence, kept as bit masks too, so both sides are canonical and
+structural equality of the stored data coincides with equality of the
+underlying sets.  The memo key holds the input rows primitive, sorted and
+without duplicates, so it does not depend on their order.  A construction takes
 two steps: the public constructors check the row lengths and normalize
 the rows to that key (`_primitive_rows`), and `_cone`/`_cut` build from a
 key.  Rows of a canonical cone are a key as they are, so intersections,
@@ -62,18 +67,25 @@ from .linalg import (
 # ---------------------------------------------------------------------------
 
 
-def _dd_pointed(rows: list[tuple], d: int) -> list[tuple]:
+def _dd_pointed(rows: list[tuple], d: int, base_idx: list[int] | None = None) -> list[tuple]:
     """Extreme rays of the pointed cone {w in Q^d : <row, w> >= 0 for all rows}.
 
     Integer rows in, primitive integer rays out.  Requires rank(rows) == d.
+    `base_idx` are the lex-first independent rows, the pivot columns of the
+    transposed rows; a caller that has eliminated those already passes them.
     Classic incremental double description with the combinatorial adjacency
-    test.
+    test (Fukuda-Prodon, "Double description method revisited", 1996).  The
+    tight set of a ray, the processed rows it lies on, is an `int` bit mask
+    with bit i for row i.  Two rays are adjacent exactly when no third ray
+    is tight on every row both are tight on.  Adjacent rays span a 2-face of
+    the d-dimensional cone, which lies on at least d - 2 independent rows,
+    so a pair with fewer common rows is skipped before that scan.
     """
     if d == 0:
         return []
-    # the lex-first independent rows span the initial simplicial cone; they
-    # are the pivot columns of the transposed matrix
-    base_idx = _echelon(list(zip(*rows)))[1]
+    # the lex-first independent rows span the initial simplicial cone
+    if base_idx is None:
+        base_idx = _echelon(list(zip(*rows)))[1]
     if len(base_idx) < d:
         raise ValueError("cone is not pointed (constraint rank deficient)")
     # rays = columns of the inverse of the base matrix B: eliminating [B | I]
@@ -86,50 +98,47 @@ def _dd_pointed(rows: list[tuple], d: int) -> list[tuple]:
         g = math.gcd(*col)
         rays.append(tuple(x // g for x in col))
     # ray j is tight exactly on the base rows other than row j
-    tight = [frozenset(base_idx[:j] + base_idx[j + 1:]) for j in range(d)]
+    full = sum(1 << k for k in base_idx)
+    tight = [full ^ (1 << k) for k in base_idx]
     base = set(base_idx)
+    least = d - 2
     for i, a in enumerate(rows):
         if i in base:
             continue
+        bit = 1 << i
         vals = [sum(map(mul, a, r)) for r in rays]
-        if all(v >= 0 for v in vals):
-            tight = [
-                t | {i} if v == 0 else t for t, v in zip(tight, vals)
-            ]
-            continue
         plus = [j for j, v in enumerate(vals) if v > 0]
         zero = [j for j, v in enumerate(vals) if v == 0]
         minus = [j for j, v in enumerate(vals) if v < 0]
+        if not minus:
+            tight = [t | bit if v == 0 else t for t, v in zip(tight, vals)]
+            continue
         new_rays: list[tuple] = []
-        new_tight: list[frozenset] = []
+        new_tight: list[int] = []
         seen = set()
-        for p, q in itertools.product(plus, minus):
-            common = tight[p] & tight[q]
-            adjacent = True
-            for k in range(len(rays)):
-                if k != p and k != q and common <= tight[k]:
-                    adjacent = False
-                    break
-            if not adjacent:
-                continue
-            vp, vq = vals[p], vals[q]
-            r = [vp * x - vq * y for x, y in zip(rays[q], rays[p])]
-            g = math.gcd(*r)
-            r = tuple(x // g for x in r)
-            if r in seen:
-                continue
-            seen.add(r)
-            new_rays.append(r)
-            # r is a positive combination of rays p and q, and every row
-            # processed so far is >= 0 on both, so r is tight exactly where
-            # both are
-            new_tight.append(common | {i})
+        for p in plus:
+            tp = tight[p]
+            for q in minus:
+                common = tp & tight[q]
+                if common.bit_count() < least:
+                    continue
+                # a third ray tight on all of `common` makes p and q non-adjacent
+                if sum(t & common == common for t in tight) > 2:
+                    continue
+                vp, vq = vals[p], vals[q]
+                r = [vp * x - vq * y for x, y in zip(rays[q], rays[p])]
+                g = math.gcd(*r)
+                r = tuple(x // g for x in r)
+                if r in seen:
+                    continue
+                seen.add(r)
+                new_rays.append(r)
+                # r is a positive combination of rays p and q, and every row
+                # processed so far is >= 0 on both, so r is tight exactly where
+                # both are
+                new_tight.append(common | bit)
         rays = [rays[j] for j in plus] + [rays[j] for j in zero] + new_rays
-        tight = (
-            [tight[j] for j in plus]
-            + [tight[j] | {i} for j in zero]
-            + new_tight
-        )
+        tight = [tight[j] for j in plus] + [tight[j] | bit for j in zero] + new_tight
     return rays
 
 
@@ -140,9 +149,23 @@ def dd_cone(ineqs, eqs, n: int) -> tuple[list[Vec], list[Vec]]:
     cone unchanged, and the method runs on integers only.  Rays and lines
     come back as sorted primitive `int` tuples.  The memo is one level up,
     on the whole construction (`_canonical`).
+
+    With no equations, one elimination of the transposed rows picks the
+    lex-first independent rows.  If they are n, the cone is pointed and the
+    frame is the identity: `_dd_pointed` runs on the rows as they are, from
+    that base, and its rays are the answer, since the primitive extreme
+    rays of a pointed cone are unique.  Otherwise the rays are computed in
+    the frame of `_frame` and mapped back; with no equations the frame's
+    rows have the rows' linear dependencies, so the same base serves.
     """
     ineqs = _primitive_rows(ineqs)
     eqs = _primitive_rows(eqs)
+    base_idx = None
+    if not eqs:
+        base_idx = _echelon(list(zip(*ineqs)))[1] if ineqs else []
+        if len(base_idx) == n:
+            # rank n and no equations: the identity frame
+            return sorted(set(_dd_pointed(ineqs, n, base_idx))), []
     sbasis, aprime, rspace, lprime = _frame(ineqs, eqs, n)
     if not sbasis:
         return [], []
@@ -150,7 +173,7 @@ def dd_cone(ineqs, eqs, n: int) -> tuple[list[Vec], list[Vec]]:
     a2 = [tuple(sum(map(mul, ap, w)) for w in rspace) for ap in aprime]
     rays = {
         _int_row(mix_basis(mix_basis(w, rspace), sbasis))
-        for w in _dd_pointed(a2, len(rspace))
+        for w in _dd_pointed(a2, len(rspace), base_idx)
     }
     return sorted(rays), sorted(lines)
 
@@ -207,12 +230,15 @@ def _canonical(n: int, gens: tuple, lines: tuple) -> tuple[tuple, tuple, tuple, 
     equation rows as `lines` canonicalizes an H-description.
     """
     ineqs, eqs = dd_cone(gens, lines, n)
+    # bit i of a generator's mask: the generator is tight on facet i
     tight = [
-        frozenset(i for i, a in enumerate(ineqs) if not sum(map(mul, a, g))) for g in gens
+        sum(1 << i for i, a in enumerate(ineqs) if not sum(map(mul, a, g))) for g in gens
     ]
-    lineal = [g for g, t in zip(gens, tight) if len(t) == len(ineqs)]
-    pointed = [(g, t) for g, t in zip(gens, tight) if len(t) < len(ineqs)]
-    rays = [g for g, t in pointed if not any(t < u for _, u in pointed)]
+    full = (1 << len(ineqs)) - 1
+    lineal = [g for g, t in zip(gens, tight) if t == full]
+    pointed = [(g, t) for g, t in zip(gens, tight) if t != full]
+    # t & u == t != u: t is a strict subset of u
+    rays = [g for g, t in pointed if not any(t & u == t != u for _, u in pointed)]
     clines = _echelon(list(lines) + lineal)[0]
     if clines and rays:
         rays = _representatives(rays, clines, ineqs, eqs, n)
@@ -344,6 +370,8 @@ class Cone:
         return Cone(self.n, self.ineqs, self.eqs, self.rays, self.lines)
 
     def contains(self, x) -> bool:
+        if len(x) != self.n:
+            raise AmbientMismatch(f"point has {len(x)} entries, the cone lives in Q^{self.n}")
         x = _cleared(x)[0]
         return all(sum(map(mul, a, x)) >= 0 for a in self.ineqs) and not any(
             sum(map(mul, a, x)) for a in self.eqs
@@ -580,6 +608,8 @@ class Polyhedron:
         return not self.empty and not self.rays and not self.lines
 
     def contains_point(self, x) -> bool:
+        if len(x) != self.n:
+            raise AmbientMismatch(f"point has {len(x)} entries, the polyhedron lives in Q^{self.n}")
         return self.hom.contains((*x, 1))
 
     def contains(self, other: "Polyhedron") -> bool:

@@ -20,7 +20,7 @@ from helpers import P1, mul_chain_basis, random_proper_rank2
 from pdivisors import tvariety
 from pdivisors.base import INF, BaseVariety, QDivisor, global_sections, is_inf, point_label
 from pdivisors.downgrade import DowngradeContext, downgrade
-from pdivisors.errors import WeightOutsideBox
+from pdivisors.errors import AmbientMismatch, WeightOutsideBox
 from pdivisors.lattice import Lattice, LatticeMap
 from pdivisors.linalg import vdot, vec
 from pdivisors.pdivisor import PolyhedralDivisor
@@ -134,6 +134,21 @@ def test_box_built_once_for_several_weights(monkeypatch):
     # one box plus one hypograph per prime with a function
     assert len(calls) == 1 + sum(not is_inf(f) for f in ref.per_prime.values())
     assert dims == [uncached_graded_dimension(ref, u, None) for u in weights]
+
+
+def test_weights_of_another_length_raise():
+    _fan, d, _k = invariant_divisors("rank2", 1, 60601)[1]
+    pl = box_and_psi(d)
+    label = next(iter(pl.per_prime))
+    assert pl.box.n == 1 and pl.box.contains_point((0,))
+    # a weight of length 2 on a rank-1 box used to give dimension 0
+    for test in (
+        lambda: graded_sections(d, (0, 5)),
+        lambda: pl.evaluate((0, 5)),
+        lambda: pl.psi(label).value((0, 5)),
+    ):
+        with pytest.raises(AmbientMismatch):
+            test()
 
 
 def test_invariant_divisor_is_read_only():

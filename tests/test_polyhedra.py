@@ -222,6 +222,21 @@ def test_intersect_ambient_mismatch():
         intersect(hull([(0,)]), hull([(0, 0)]))
 
 
+def test_point_tests_reject_points_of_another_length():
+    cone = Cone.from_rays([(1, 0), (0, 1)])
+    triangle = hull([(0, 0), (1, 0), (0, 1)])
+    # `zip` used to cut the point to the ambient length and answer True
+    for test in (
+        lambda: cone.contains((1, 1, 1)),
+        lambda: cone.contains((1,)),
+        lambda: triangle.contains_point((0, 0, 7)),
+        lambda: triangle.contains_point((0,)),
+    ):
+        with pytest.raises(AmbientMismatch):
+            test()
+    assert cone.contains((1, 1)) and triangle.contains_point((0, 0))
+
+
 def test_constructors_reject_rows_of_another_length():
     cases = [
         lambda: Cone.from_rays([(1, 0, 0)], n=2),
