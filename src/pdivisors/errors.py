@@ -61,6 +61,10 @@ class EmptyCoefficient(PDivError):
     pass
 
 
+class EmptyDomain(PDivError):
+    pass
+
+
 class IndeterminateBaseMap(PDivError):
     pass
 

@@ -7,20 +7,28 @@ skips a pair of rays with fewer than d - 2 common tight rows before its
 adjacency scan, and works in the input coordinates (the identity frame)
 when there are no equations and the rows have full rank; otherwise it
 changes to a basis of the equations' kernel and of the rows' span there.
-A construction (`_canonical`, memoized) runs `dd_cone` once for the
+A construction (`_canonical`, memoized) runs the DD once for the
 other side and reads the irredundant input side off the generator-facet
 incidence, kept as bit masks too, so both sides are canonical and
 structural equality of the stored data coincides with equality of the
 underlying sets.  The memo key holds the input rows primitive, sorted and
-without duplicates, so it does not depend on their order.  A construction takes
-two steps: the public constructors check the row lengths and normalize
-the rows to that key (`_primitive_rows`), and `_cone`/`_cut` build from a
-key.  Rows of a canonical cone are a key as they are, so intersections,
-`as_polyhedron`, tails and the slices and regions cut from a polyhedron
-merge or pass them through.  Faces run no DD: both sides of a face are
-read off its parent's generator-facet incidence.  A polyhedron stores one
-cone, its homogenization `hom`, and derives its generators, halfspaces
-and tail cone from it on first access; only its vertices are Fractions.
+without duplicates, so it does not depend on their order, and the DD runs
+on it as it is (`_dd`; the public `dd_cone` normalizes first).  A
+construction takes two steps: the public constructors check the row
+lengths and normalize the rows to that key (`_primitive_rows`), and
+`_canonical`/`_cut` build from a key.  Rows of a canonical cone are a key
+as they are, so intersections, `as_polyhedron`, tails and the slices and
+regions cut from a polyhedron merge or pass them through.  Faces run no
+DD: both sides of a face are read off its parent's generator-facet
+incidence.  A polyhedron stores one cone, its homogenization `hom`, and
+derives its generators, halfspaces and tail cone from it on first
+access; only its vertices are Fractions.
+
+The memo hands out one read-only `Cone` per key (hash-consing:
+Filliatre-Conchon, "Type-safe modular hash-consing", 2006), and `_cut`
+returns that cone's dual, kept on it.  From its second use as a
+homogenization on, a cone keeps the `Polyhedron` over it, so a repeated
+construction returns one object that reads its views and hash once.
 Images are taken on `hom` with integer rows, and face and containment
 tests compare integer dot products instead of building a cone.  Point
 tests clear a point's denominators once and compare integers.
@@ -44,6 +52,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
+from ._record import _Frozen
 from .errors import AmbientMismatch, NotConcave
 from .linalg import (
     Vec,
@@ -146,9 +155,15 @@ def dd_cone(ineqs, eqs, n: int) -> tuple[list[Vec], list[Vec]]:
     """Extreme rays and lineality basis of {x : eqs.x = 0, ineqs.x >= 0}.
 
     Each row is scaled once to its primitive integer row, which leaves the
-    cone unchanged, and the method runs on integers only.  Rays and lines
-    come back as sorted primitive `int` tuples.  The memo is one level up,
-    on the whole construction (`_canonical`).
+    cone unchanged, and the method (`_dd`) runs on integers only.  Rays and
+    lines come back as sorted primitive `int` tuples.  The memo is one level
+    up, on the whole construction (`_canonical`).
+    """
+    return _dd(_primitive_rows(ineqs), _primitive_rows(eqs), n)
+
+
+def _dd(ineqs: tuple, eqs: tuple, n: int) -> tuple[list[Vec], list[Vec]]:
+    """`dd_cone` on rows that are `_primitive_rows` already, a memo key.
 
     With no equations, one elimination of the transposed rows picks the
     lex-first independent rows.  If they are n, the cone is pointed and the
@@ -158,8 +173,6 @@ def dd_cone(ineqs, eqs, n: int) -> tuple[list[Vec], list[Vec]]:
     the frame of `_frame` and mapped back; with no equations the frame's
     rows have the rows' linear dependencies, so the same base serves.
     """
-    ineqs = _primitive_rows(ineqs)
-    eqs = _primitive_rows(eqs)
     base_idx = None
     if not eqs:
         base_idx = _echelon(list(zip(*ineqs)))[1] if ineqs else []
@@ -204,32 +217,37 @@ def _frame(ineqs, eqs, n: int):
 
 # Bound of the construction memo, sized to hold a round trip's working set.
 # Faces do not go through it.  The benchmark's 213 roundtrip inputs of seed
-# 101, run in order from a cold memo, make 37,657 lookups of 3,204 distinct
-# keys (42,329 before tails were kept): an LRU of 512 entries misses 6,913
-# times, one of 4096 only on the 3,204 first lookups.  Over 1,000 roundtrip inputs of seed 107 (6,320 distinct keys)
-# the misses are 31.3 per input at 512 and 7.8 at 4096.  Geometry's 123
-# inputs of seed 101 look up 1,115 keys, each once, so the size does not
-# matter there.  4096 entries instead of 512 raise peak memory by 4% on
-# roundtrip and geometry (19.1 -> 19.8 MiB, medians of ten 30 s benchmark
-# runs each, 2-core x86_64, Python 3.11.7).
+# 101, run in order from a cold memo, make 30,314 lookups of 3,204 distinct
+# keys: an LRU of 512 entries misses 6,533 times, one of 4096 only on the
+# 3,204 first lookups.  Over 1,000 roundtrip inputs of seed 107 (6,320
+# distinct keys) the misses are 31.4 per input at 512 and 7.8 at 4096.
+# Geometry's 123 inputs of seed 101 make 1,354 lookups of 1,115 keys, so the
+# size does not matter there.  An entry is one cone, with its dual once cut
+# and, from its second use as a homogenization on, the polyhedron over it
+# and its views.  Against entries of bare tuples this raises peak memory by
+# 4% on roundtrip (19.7 -> 20.6 MiB) and not at all on geometry (19.8 ->
+# 19.9 MiB), medians of twelve and four 30 s benchmark runs, 2-core x86_64,
+# Python 3.11.7.  Keeping the polyhedron from the first use on would raise
+# geometry's peak to 23.3 MiB (+17%, two runs), for its one-shot
+# constructions.
 DD_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=DD_CACHE_SIZE)
-def _canonical(n: int, gens: tuple, lines: tuple) -> tuple[tuple, tuple, tuple, tuple]:
-    """(rays, lines, ineqs, eqs) of pos(gens) + span(lines), both canonical.
+def _canonical(n: int, gens: tuple, lines: tuple) -> "Cone":
+    """The cone pos(gens) + span(lines), canonical on both sides.
 
     `gens` and `lines` are `_primitive_rows`, so the key is free of row
-    order, scaling and duplicates.  One `dd_cone` gives the H-side; the
-    V-side is read off the generator-facet incidence (Fukuda-Prodon,
-    "Double description method revisited", 1996).  A
-    generator tight on every facet lies in the lineality space; the others
+    order, scaling and duplicates, and every caller of one key shares the
+    one read-only `Cone`.  One DD (`_dd`) gives the H-side; the V-side is
+    read off the generator-facet incidence (Fukuda-Prodon, "Double
+    description method revisited", 1996).  A generator tight on every facet lies in the lineality space; the others
     are extreme exactly when no generator is tight on a strict superset of
     their facets.  The result is what `dd_cone` gives on the H-side, so the
     construction is self-dual: passing inequality rows as `gens` and
     equation rows as `lines` canonicalizes an H-description.
     """
-    ineqs, eqs = dd_cone(gens, lines, n)
+    ineqs, eqs = _dd(gens, lines, n)
     # bit i of a generator's mask: the generator is tight on facet i
     tight = [
         sum(1 << i for i, a in enumerate(ineqs) if not sum(map(mul, a, g))) for g in gens
@@ -242,7 +260,7 @@ def _canonical(n: int, gens: tuple, lines: tuple) -> tuple[tuple, tuple, tuple, 
     clines = _echelon(list(lines) + lineal)[0]
     if clines and rays:
         rays = _representatives(rays, clines, ineqs, eqs, n)
-    return tuple(sorted(set(rays))), tuple(sorted(clines)), tuple(ineqs), tuple(eqs)
+    return Cone(n, sorted(set(rays)), sorted(clines), ineqs, eqs)
 
 
 def _representatives(rays, lines, ineqs, eqs, n: int) -> list[tuple]:
@@ -321,23 +339,25 @@ def _face_sets(gens, normals) -> tuple[list[frozenset], list[frozenset]]:
 # ---------------------------------------------------------------------------
 
 
-class Cone:
-    """Rational polyhedral cone, canonical on both sides."""
+class Cone(_Frozen):
+    """Rational polyhedral cone, canonical on both sides.
 
-    __slots__ = ("n", "rays", "lines", "ineqs", "eqs")
+    A cone is read-only, so one object serves every construction of it: the
+    memo (`_canonical`) hands out the same `Cone` for one key, and the cone
+    keeps what it computes once in its last three slots: its dual, its hash
+    and the polyhedron homogenized to it (see `Polyhedron`).
+    """
+
+    __slots__ = ("n", "rays", "lines", "ineqs", "eqs", "_dual", "_hash", "_poly")
 
     def __init__(self, n, rays, lines, ineqs, eqs):
-        self.n = n
-        self.rays = tuple(rays)
-        self.lines = tuple(lines)
-        self.ineqs = tuple(ineqs)
-        self.eqs = tuple(eqs)
+        self._init(n, tuple(rays), tuple(lines), tuple(ineqs), tuple(eqs), None, None, None)
 
     @classmethod
     def from_rays(cls, rays, lines=(), n=None) -> "Cone":
         rays, lines = list(rays), list(lines)
         n = _ambient(n, rays + lines, "the zero cone")
-        return _cone(n, _primitive_rows(rays), _primitive_rows(lines))
+        return _canonical(n, _primitive_rows(rays), _primitive_rows(lines))
 
     @classmethod
     def from_inequalities(cls, ineqs, eqs=(), n=None) -> "Cone":
@@ -347,18 +367,20 @@ class Cone:
 
     @classmethod
     def zero(cls, n: int) -> "Cone":
-        return _cone(n, (), ())
+        return _canonical(n, (), ())
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Cone)
-            and self.n == other.n
-            and self.rays == other.rays
-            and self.lines == other.lines
+        return isinstance(other, Cone) and (
+            self is other
+            or (self.n == other.n and self.rays == other.rays and self.lines == other.lines)
         )
 
     def __hash__(self):
-        return hash((self.n, self.rays, self.lines))
+        h = self._hash
+        if h is None:
+            h = hash((self.n, self.rays, self.lines))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         return f"Cone(rays={[tuple(map(str, r)) for r in self.rays]}, lines={len(self.lines)})"
@@ -366,8 +388,14 @@ class Cone:
     def dual(self) -> "Cone":
         # facets of a canonical cone are the extreme rays of its dual and
         # vice versa, so the stored data swaps sides directly; every field is
-        # already sorted, since each construction goes through `_canonical`
-        return Cone(self.n, self.ineqs, self.eqs, self.rays, self.lines)
+        # already sorted, since each construction goes through `_canonical`.
+        # The two cones keep each other.
+        d = self._dual
+        if d is None:
+            d = Cone(self.n, self.ineqs, self.eqs, self.rays, self.lines)
+            object.__setattr__(d, "_dual", self)
+            object.__setattr__(self, "_dual", d)
+        return d
 
     def contains(self, x) -> bool:
         if len(x) != self.n:
@@ -409,7 +437,7 @@ class Cone:
         # are the key `from_generators` would normalize them to
         n = self.n
         gens = tuple(sorted([(0,) * n + (1,), *(r + (0,) for r in self.rays)]))
-        return Polyhedron(n, _cone(n + 1, gens, tuple(l + (0,) for l in self.lines)))
+        return Polyhedron(n, _canonical(n + 1, gens, tuple(l + (0,) for l in self.lines)))
 
     def intersect(self, other: "Cone") -> "Cone":
         if self.n != other.n:
@@ -449,11 +477,12 @@ class Cone:
         return Cone(n, rays, lines, ineqs, eqs)
 
     def map_image(self, rows) -> "Cone":
+        _ambient(self.n, rows)
         rows = _cleared_rows(rows)
         return Cone.from_rays(_apply(rows, self.rays), _apply(rows, self.lines), len(rows))
 
 
-def _ambient(n, rows, what: str) -> int:
+def _ambient(n, rows, what: str = "") -> int:
     """The ambient dimension: `n`, or the length of the first row when `n`
     is None; a row of another length raises `AmbientMismatch`."""
     if n is None:
@@ -465,17 +494,10 @@ def _ambient(n, rows, what: str) -> int:
     return n
 
 
-def _cone(n: int, gens: tuple, lines: tuple) -> Cone:
-    """pos(gens) + span(lines) from rows that are `_primitive_rows` already,
-    the memo key as they are."""
-    return Cone(n, *_canonical(n, gens, lines))
-
-
 def _cut(n: int, ineqs: tuple, eqs: tuple) -> Cone:
     """{x : ineqs.x >= 0, eqs.x = 0} from rows that are `_primitive_rows`
-    already: the dual of pos(ineqs) + span(eqs), so the sides swap."""
-    rays, lines, dineqs, deqs = _canonical(n, ineqs, eqs)
-    return Cone(n, dineqs, deqs, rays, lines)
+    already: the kept dual of pos(ineqs) + span(eqs)."""
+    return _canonical(n, ineqs, eqs).dual()
 
 
 def _merged(a: tuple, b: tuple) -> tuple:
@@ -512,7 +534,7 @@ def _hom_rows(pairs) -> list[tuple]:
     return [r[:-1] + (-r[-1],) for r in rows]
 
 
-class Polyhedron:
+class Polyhedron(_Frozen):
     """Rational polyhedron P in Q^n, stored as its homogenization.
 
     `hom` is the canonical cone over P x {1} in Q^(n+1): a vertex X/d is
@@ -523,15 +545,32 @@ class Polyhedron:
     (orthogonal to the lineality space), `rays` the extreme ray directions
     modulo lineality, `lines` a canonical lineality basis; `ineqs` are
     (a, b) pairs meaning <a, x> >= b, `eqs` the same with equality.
+
+    A polyhedron is read-only.  From its second construction on, `hom`
+    keeps the polyhedron built over it, and `Polyhedron(n, hom)` returns
+    that one object, views and all; a cone built once keeps none, so
+    one-shot constructions cost no memory (see `DD_CACHE_SIZE`).
     """
 
     __slots__ = ("n", "hom", "empty", "vertices", "rays", "lines", "ineqs", "eqs", "_tail")
 
-    def __init__(self, n: int, hom: Cone):
-        self.n = n
+    def __new__(cls, n: int, hom: Cone):
+        kept = hom._poly
+        if kept:
+            return kept
         # a cone without a vertex ray lies in t = 0: P is empty
-        self.empty = not any(r[n] for r in hom.rays)
-        self.hom = Cone.zero(n + 1) if self.empty else hom
+        empty = not any(r[n] for r in hom.rays)
+        if empty and (hom.rays or hom.lines):
+            return cls(n, Cone.zero(n + 1))
+        p = object.__new__(cls)
+        p._init(n, hom, empty)
+        # None: no polyhedron built over hom yet; False: one, not kept
+        object.__setattr__(hom, "_poly", False if kept is None else p)
+        return p
+
+    def __init__(self, n: int, hom: Cone):
+        # `__new__` sets the fields, or hands out the polyhedron kept on hom
+        pass
 
     def __getattr__(self, name):
         # only an unset slot gets here: a view not read yet
@@ -539,7 +578,7 @@ class Polyhedron:
         if view is None:
             raise AttributeError(name)
         value = view(self.hom, self.n)
-        setattr(self, name, value)
+        object.__setattr__(self, name, value)
         return value
 
     # -- construction --------------------------------------------------
@@ -556,7 +595,7 @@ class Polyhedron:
         gens = [x + (d,) for x, d in map(_cleared, vertices)]
         gens += [_cleared(r)[0] + (0,) for r in rays]
         lines = [_cleared(l)[0] + (0,) for l in lines]
-        return cls(n, _cone(n + 1, _primitive_rows(gens), _primitive_rows(lines)))
+        return cls(n, _canonical(n + 1, _primitive_rows(gens), _primitive_rows(lines)))
 
     @classmethod
     def from_H(cls, ineqs, eqs=(), n=None) -> "Polyhedron":
@@ -668,13 +707,18 @@ class Polyhedron:
         """Image under x -> A x (+ shift): the image of `hom` under
         (x, t) -> (A x + t shift, t)."""
         m = len(rows)
+        _ambient(self.n, rows)
         shift = (0,) * m if shift is None else shift
+        _ambient(m, [shift])
         hom_rows = [(*r, s) for r, s in zip(rows, shift)] + [(0,) * self.n + (1,)]
         return Polyhedron(m, self.hom.map_image(hom_rows))
 
     def preimage(self, rows, source_dim: int) -> "Polyhedron":
         """Preimage under x -> A x (A has len(rows) = self.n rows)."""
         n = self.n
+        if len(rows) != n:
+            raise AmbientMismatch(f"the map must have {n} rows, one per coordinate of Q^{n}")
+        _ambient(source_dim, rows)
         cols = [tuple(r[j] for r in rows) for j in range(source_dim)]
 
         def pull(a):
@@ -692,6 +736,8 @@ class Polyhedron:
 
     def with_equalities(self, eqs) -> "Polyhedron":
         """Intersection with the hyperplanes <a, x> = b of the pairs (a, b)."""
+        eqs = list(eqs)
+        _ambient(self.n, [a for a, _ in eqs])
         hom = self.hom
         eqs = _merged(hom.eqs, _primitive_rows(_hom_rows(eqs)))
         return Polyhedron(self.n, _cut(self.n + 1, hom.ineqs, eqs))
@@ -773,7 +819,7 @@ _VIEWS = {
     # the equations of the zero cone say nothing of the empty polyhedron
     "eqs": lambda hom, n: tuple(sorted((a[:n], -a[n]) for a in hom.eqs)) if hom.rays else (),
     # the tail cone, whose key is the `rays` and `lines` views as they are
-    "_tail": lambda hom, n: _cone(n, _VIEWS["rays"](hom, n), _VIEWS["lines"](hom, n)),
+    "_tail": lambda hom, n: _canonical(n, _VIEWS["rays"](hom, n), _VIEWS["lines"](hom, n)),
 }
 
 
@@ -800,6 +846,8 @@ def map_image(p: Polyhedron, rows, shift=None) -> Polyhedron:
 
 def map_fiber_slice(p: Polyhedron, rows, target_point, retraction_rows) -> Polyhedron:
     """retraction image of p intersected with the fiber {x : A x = target}."""
+    if len(rows) != len(target_point):
+        raise AmbientMismatch("the fiber needs one target value per row")
     return p.with_equalities(list(zip(rows, target_point))).map_image(retraction_rows)
 
 
@@ -911,7 +959,7 @@ def _projected_faces(polys, rows) -> list[Polyhedron]:
             # a set without a vertex is a face at infinity of `hom`, none of p
             if any(hom.rays[i][n] for i in s):
                 keys.add((_primitive_rows(gens[i] for i in s), lines))
-    family = {Polyhedron(m, _cone(m + 1, *key)) for key in keys}
+    family = {Polyhedron(m, _canonical(m + 1, *key)) for key in keys}
     return sorted(family, key=lambda f: (f.hom.rays, f.hom.lines))
 
 

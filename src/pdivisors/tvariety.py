@@ -31,6 +31,8 @@ from .base import (
     spare_points,
 )
 from .errors import (
+    AmbientMismatch,
+    EmptyDomain,
     NotContractionFree,
     NotQCartier,
     UnsupportedBase,
@@ -41,6 +43,9 @@ from .polyhedra import (
     Cone,
     PolyhedralComplex,
     Polyhedron,
+    _cut,
+    _merged,
+    _primitive_rows,
 )
 
 # ---------------------------------------------------------------------------
@@ -320,13 +325,21 @@ class ConcavePL:
     __slots__ = ("domain", "pieces", "hypo")
 
     def __init__(self, domain: Polyhedron, pieces):
-        pieces = [(vec(a), frac(c)) for a, c in pieces]
+        pieces = list(pieces)
         if not pieces:
             raise ValueError("a concave piece list must be nonempty")
-        ineqs = [(a + (Fraction(-1),), -c) for a, c in pieces]
-        ineqs += [(a + (Fraction(0),), b) for a, b in domain.ineqs]
-        eqs = [(a + (Fraction(0),), b) for a, b in domain.eqs]
-        self.hypo = Polyhedron.from_H(ineqs, eqs, domain.n + 1)
+        if domain.empty:
+            raise EmptyDomain("a concave function needs a nonempty domain")
+        n, hom = domain.n, domain.hom
+        if any(len(a) != n for a, _ in pieces):
+            raise AmbientMismatch(f"every slope must have the domain's dimension {n}")
+        # the hypograph's homogenization on (u, t, s): the domain's rows with
+        # a 0 at t, which keeps them a sorted key, t <= <a, u> + c as the
+        # cleared row (a, -1, c), and s >= 0
+        ineqs = tuple(r[:n] + (0,) + r[n:] for r in hom.ineqs)
+        eqs = tuple(r[:n] + (0,) + r[n:] for r in hom.eqs)
+        rows = [_cleared((*a, -1, c))[0] for a, c in pieces] + [(0,) * (n + 1) + (1,)]
+        self.hypo = Polyhedron(n + 1, _cut(n + 2, _merged(ineqs, _primitive_rows(rows)), eqs))
         self.domain = domain
         self.pieces = _upper_pieces(self.hypo)
 

@@ -9,6 +9,7 @@ from pdivisors.base import INF, BaseVariety, CurveFunction, is_inf, point_label
 from pdivisors.lattice import multiplicity
 from fraction_route import fraction_rank
 from pdivisors.linalg import vdot, vec
+from pdivisors import polyhedra
 from pdivisors.pdivisor import PolyhedralDivisor
 from pdivisors.polyhedra import Cone, Polyhedron, hull
 from pdivisors.tvariety import DivisorialFan, TInvariantDivisor, box_and_psi
@@ -32,6 +33,20 @@ def point_poly(a):
 def full_cone(n) -> Cone:
     """All of Q^n: the cone cut out by no inequality."""
     return Cone.from_inequalities([], [], n)
+
+
+def counting_dd(monkeypatch):
+    """The DD runs from now on: the calls of the key-level core
+    `polyhedra._dd`, which every construction runs on a memo miss."""
+    calls = []
+    dd = polyhedra._dd
+
+    def counting(*args):
+        calls.append(args)
+        return dd(*args)
+
+    monkeypatch.setattr(polyhedra, "_dd", counting)
+    return calls
 
 
 def locate(cx, x):

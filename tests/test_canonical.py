@@ -21,6 +21,7 @@ import random
 from fractions import Fraction
 
 from fraction_route import fraction_primitive, fraction_rank
+from helpers import counting_dd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -41,8 +42,16 @@ def two_pass(n, gens, lines):
     return tuple(rays), tuple(clines), tuple(ineqs), tuple(eqs)
 
 
+def fields(cone):
+    """The four sides a construction (`_canonical`) returns on its cone."""
+    return cone.rays, cone.lines, cone.ineqs, cone.eqs
+
+
 def _slots(obj):
-    return tuple(getattr(obj, k) for k in type(obj).__slots__)
+    """The stored fields of a cone, without the values it keeps once
+    computed (dual, hash, polyhedron), or every slot of a polyhedron."""
+    names = ("n", "rays", "lines", "ineqs", "eqs") if isinstance(obj, Cone) else type(obj).__slots__
+    return tuple(getattr(obj, k) for k in names)
 
 
 def _random_gens(rng, n):
@@ -75,9 +84,9 @@ def test_construction_matches_two_dd_route():
     kinds = {"lineality": 0, "equations": 0, "redundant": 0}
     for n, gens, lines in _cases(seed=7, count=400):
         rows = polyhedra._primitive_rows
-        got = memo.__wrapped__(n, rows(gens), rows(lines))
+        got = fields(memo.__wrapped__(n, rows(gens), rows(lines)))
         assert got == two_pass(n, gens, lines)
-        assert memo(n, rows(gens), rows(lines)) == got
+        assert fields(memo(n, rows(gens), rows(lines))) == got
         rays, clines, ineqs, eqs = got
         c = Cone.from_rays(gens, lines, n)
         assert _slots(c) == (n, rays, clines, ineqs, eqs)
@@ -120,7 +129,7 @@ def test_polyhedra_match_two_dd_route(monkeypatch):
 
     one = build()
     slots = [_slots(x) for x in one]
-    monkeypatch.setattr(polyhedra, "_canonical", two_pass)
+    monkeypatch.setattr(polyhedra, "_canonical", lambda n, g, l: Cone(n, *two_pass(n, g, l)))
     assert [_slots(x) for x in build()] == slots
     polys = [x for x in one if isinstance(x, Polyhedron)]
     assert sum(p.empty for p in polys) > 10
@@ -145,19 +154,12 @@ def test_construction_property(n, gens, lines, scale):
     gens = [tuple(scale * x for x in g[:n]) for g in gens]
     lines = [tuple(g[:n]) for g in lines]
     rows = polyhedra._primitive_rows
-    assert memo.__wrapped__(n, rows(gens), rows(lines)) == two_pass(n, gens, lines)
-    assert memo.__wrapped__(n, rows(gens + gens[:2]), rows(lines)) == two_pass(n, gens, lines)
+    assert fields(memo.__wrapped__(n, rows(gens), rows(lines))) == two_pass(n, gens, lines)
+    assert fields(memo.__wrapped__(n, rows(gens + gens[:2]), rows(lines))) == two_pass(n, gens, lines)
 
 
 def test_cold_construction_runs_one_dd_and_warm_none(monkeypatch):
-    calls = []
-    dd = polyhedra.dd_cone
-
-    def counting(*args):
-        calls.append(args)
-        return dd(*args)
-
-    monkeypatch.setattr(polyhedra, "dd_cone", counting)
+    calls = counting_dd(monkeypatch)
     constructions = [
         lambda: Cone.from_rays([(1, 0, 0), (1, 1, 0), (0, 1, 0), (1, 2, 3)], [(0, 0, 1)]),
         lambda: Cone.from_inequalities([(1, 0, 0), (0, 1, 0), (1, 1, 1)], [(0, 0, 0)]),
@@ -600,15 +602,8 @@ def test_faces_match_from_rays_route_field_by_field():
 
 def test_faces_run_no_dd(monkeypatch):
     cones, polys = _face_cases(seed=89, count=60)
-    calls = []
-    dd = polyhedra.dd_cone
-
-    def counting(*args):
-        calls.append(args)
-        return dd(*args)
-
     memo.cache_clear()
-    monkeypatch.setattr(polyhedra, "dd_cone", counting)
+    calls = counting_dd(monkeypatch)
     faces = [f for x in cones + polys for f in x.faces()]
     assert calls == [] and len(faces) > 500
     # a construction on a cold memo still runs its one DD
@@ -625,7 +620,9 @@ def test_views_on_first_access_match_eager_formula():
         got = tuple(getattr(p, k) for k in VIEWS)
         assert got == want
         assert all(getattr(p, k) is v for k, v in zip(VIEWS, got))
-    # the constructor leaves the view slots unset; the first access fills one
+    # the constructor leaves the view slots unset; the first access fills
+    # one (a cold memo, so no polyhedron kept on the cone is handed out)
+    memo.cache_clear()
     fresh = Polyhedron.from_generators([(0, 0), (1, 2)], [(1, 0)])
     for k in VIEWS:
         slot = Polyhedron.__dict__[k]

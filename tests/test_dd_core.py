@@ -18,7 +18,7 @@ import itertools
 import random
 
 from fraction_route import fraction_dd_cone
-from test_canonical import two_pass
+from test_canonical import fields, two_pass
 
 from pdivisors import polyhedra
 from pdivisors.linalg import _echelon
@@ -118,7 +118,7 @@ def test_dd_cone_matches_fraction_route_on_degenerate_inputs():
 def test_construction_matches_two_dd_route_on_degenerate_inputs():
     for name, rows, eqs, n, _want in _cases():
         key = (n, polyhedra._primitive_rows(rows), polyhedra._primitive_rows(eqs))
-        got = polyhedra._canonical.__wrapped__(*key)
+        got = fields(polyhedra._canonical.__wrapped__(*key))
         for field, a, b in zip(("rays", "lines", "ineqs", "eqs"), got, two_pass(*key)):
             assert a == b, (name, field)
 

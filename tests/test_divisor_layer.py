@@ -130,9 +130,18 @@ def test_box_built_once_for_several_weights(monkeypatch):
         return from_H(cls, *args, **kwargs)
 
     monkeypatch.setattr(Polyhedron, "from_H", classmethod(counting))
+    hypographs = []
+    init = ConcavePL.__init__
+
+    def counting_pl(self, *args):
+        hypographs.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ConcavePL, "__init__", counting_pl)
     dims = [graded_sections(d, u).dimension for u in weights]
     # one box plus one hypograph per prime with a function
-    assert len(calls) == 1 + sum(not is_inf(f) for f in ref.per_prime.values())
+    assert len(calls) == 1
+    assert len(hypographs) == sum(not is_inf(f) for f in ref.per_prime.values())
     assert dims == [uncached_graded_dimension(ref, u, None) for u in weights]
 
 

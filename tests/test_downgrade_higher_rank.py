@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import counting_dd
 from pdivisors import cli, polyhedra
 from pdivisors.base import BaseVariety, global_sections, point_label
 from pdivisors.downgrade import DowngradeContext, downgrade
@@ -180,15 +181,8 @@ POOL = {e["id"]: e for e in json.loads((Path(__file__).resolve().parents[1] / "p
 def test_pdiv_downgrade_dd_budget(tmp_path, capsys, monkeypatch, doc, projection, budget):
     p = tmp_path / "d.json"
     p.write_text(doc(), encoding="utf-8")
-    calls = []
-    dd = polyhedra.dd_cone
-
-    def counting(*args):
-        calls.append(args)
-        return dd(*args)
-
     polyhedra._canonical.cache_clear()
-    monkeypatch.setattr(polyhedra, "dd_cone", counting)
+    calls = counting_dd(monkeypatch)
     assert cli.main(["downgrade", str(p), "--projection", projection]) == 0
     assert json.loads(capsys.readouterr().out)["kind"] == "downgrade"
     assert len(calls) <= budget

@@ -1,6 +1,7 @@
 """The construction memo (`polyhedra._canonical`): bounded, large enough for
 a round trip's working set, never corrupted, and invisible in the results;
-the integer DD core behind it equals the Fraction route it replaced, and the
+it hands out one read-only cone per key, and a repeated construction one
+polyhedron that reads its views once; the integer DD core behind it equals the Fraction route it replaced, and the
 objects built on it store integral data as `int` and points as `Fraction`,
 never a float."""
 
@@ -11,9 +12,11 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from fraction_route import fraction_dd_cone
 from helpers import random_proper_rank2
-from test_canonical import _cases
+from test_canonical import _cases, fields
 from pdivisors import cli, polyhedra
 from pdivisors.base import QDivisor, is_inf, point_label
 from pdivisors.downgrade import DowngradeContext, downgrade
@@ -72,10 +75,10 @@ def test_memo_matches_uncached_dd(monkeypatch):
     assert memo.cache_info().hits > 0
     assert len(seen) > 100
     for n, gens, lines in seen:
-        assert memo(n, gens, lines) == memo.__wrapped__(n, gens, lines)
+        assert fields(memo(n, gens, lines)) == fields(memo.__wrapped__(n, gens, lines))
         # the H-side is the DD of the generators
         ineqs, eqs = polyhedra.dd_cone(gens, lines, n)
-        assert (tuple(ineqs), tuple(eqs)) == memo.__wrapped__(n, gens, lines)[2:]
+        assert (tuple(ineqs), tuple(eqs)) == fields(memo.__wrapped__(n, gens, lines))[2:]
     info = memo.cache_info()
     assert info.maxsize == polyhedra.DD_CACHE_SIZE
     assert info.currsize <= info.maxsize
@@ -88,7 +91,7 @@ def test_round_trip_working_set_fits_the_memo(monkeypatch):
     _round_trips(20, seed=1)
     distinct = memo.cache_info().currsize
     assert 512 < distinct < polyhedra.DD_CACHE_SIZE
-    runs = _counting(monkeypatch, "dd_cone")
+    runs = _counting(monkeypatch, "_dd")
     _round_trips(20, seed=1)
     assert runs == []
     assert memo.cache_info().currsize == distinct
@@ -142,7 +145,9 @@ def test_held_coefficients_need_no_construction(monkeypatch):
 def test_chamber_complex_builds_no_face(monkeypatch):
     # the projected faces are generator sets on each polyhedron's incidence,
     # so no face object is built; from a cold memo a fixed family runs as
-    # many DDs as the route that mapped one face object at a time (19, 35)
+    # many DDs as the route that mapped one face object at a time (19, 35),
+    # less one on the first family: an empty intersection that is the zero
+    # cone already is its own homogenization, with no lookup of the zero key
     coeff = max(_divisors(1, seed=5)[0].coeffs.values(), key=lambda p: len(p.hom.rays))
     pi_rows = DowngradeContext.from_projection(LatticeMap(Lattice(2), Lattice(1), [[1, 1]])).pi_rows
     with_line = polyhedra.Polyhedron.from_generators(
@@ -156,8 +161,8 @@ def test_chamber_complex_builds_no_face(monkeypatch):
     monkeypatch.setattr(polyhedra.Cone, "_face", no_face)
     monkeypatch.setattr(polyhedra.Cone, "faces", no_face)
     monkeypatch.setattr(polyhedra.Polyhedron, "faces", no_face)
-    runs = _counting(monkeypatch, "dd_cone")
-    for polys, rows, budget in ([coeff], pi_rows, 19), ([with_line], line_rows, 35):
+    runs = _counting(monkeypatch, "_dd")
+    for polys, rows, budget in ([coeff], pi_rows, 18), ([with_line], line_rows, 35):
         memo.cache_clear()
         runs.clear()
         assert len(polyhedra.chamber_complex(polys, rows).cells) == 3
@@ -258,19 +263,88 @@ def test_mutated_result_leaves_memo_intact():
     del rays[0]
     lines.append((1, 0, 0))
     assert polyhedra.dd_cone(ineqs, eqs, 3) == expected
-    # a cone shares the memo's immutable tuples; rebinding its fields
-    # leaves the memo as it was
+
+
+def test_cones_and_polyhedra_are_read_only():
+    # the memo hands out one object per key: no field of it can be rebound
     memo.cache_clear()
-    cone = polyhedra.Cone.from_inequalities(ineqs, eqs, 3)
-    # the key holds the rows sorted and deduplicated
+    cone = polyhedra.Cone.from_inequalities([(1, 0, 0), (0, 1, 0), (1, 1, 1)], [(0, 0, 0)], 3)
+    # the key holds the rows sorted and deduplicated; a cut is the kept dual
     stored = memo(3, ((0, 1, 0), (1, 0, 0), (1, 1, 1)), ())
-    fields = (cone.rays, cone.lines, cone.ineqs, cone.eqs)
-    assert fields == (stored[2], stored[3], stored[0], stored[1])
-    cone.rays = ((9, 9, 9),)
-    cone.ineqs = ()
-    again = polyhedra.Cone.from_inequalities(ineqs, eqs, 3)
-    assert (again.rays, again.lines, again.ineqs, again.eqs) == fields
+    assert cone is stored.dual() and cone.dual() is stored
+    before = fields(cone)
+    p = polyhedra.Polyhedron.from_H([((1, 0), 0), ((0, 1), 0)])
+    view = p.vertices
+    for obj, names in (cone, polyhedra.Cone.__slots__), (p, polyhedra.Polyhedron.__slots__):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, ())
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    assert fields(cone) == before and p.vertices is view
+    again = polyhedra.Cone.from_inequalities([(1, 1, 1), (1, 0, 0), (0, 1, 0)], [], 3)
+    assert again is cone and fields(again) == before
     assert memo.cache_info().hits >= 2
+
+
+def _constructions():
+    """A function per public construction that can repeat, each building
+    one object on every call."""
+    Polyhedron = polyhedra.Polyhedron
+    tri = Polyhedron.from_generators([(0, 0), (1, 0), (0, 1)])
+    return {
+        "from_H": lambda: Polyhedron.from_H([((1, 0), 0), ((0, 1), 0), ((-1, -1), -1)]),
+        "from_generators": lambda: Polyhedron.from_generators([(0, 0), (2, 0), (0, 1)]),
+        "intersect": lambda: tri.intersect(Polyhedron.from_H([((1, 1), F2)])),
+        "with_equalities": lambda: tri.with_equalities([((1, -1), 0)]),
+        "map_image": lambda: tri.map_image([[1, 1]], [3]),
+        "as_polyhedron": lambda: polyhedra.Cone.from_rays([(1, 0), (1, 2)]).as_polyhedron(),
+        "empty_polyhedron": lambda: Polyhedron.empty_polyhedron(2),
+        "tail": lambda: Polyhedron.from_generators([(0, 0)], [(1, 0), (1, 2)]).tail(),
+    }
+
+
+def test_repeated_construction_is_one_object():
+    for name, build in _constructions().items():
+        memo.cache_clear()
+        first, second, third = build(), build(), build()
+        assert first == second and second is third, name
+        if isinstance(second, polyhedra.Polyhedron):
+            # the second construction is the one its cone keeps
+            assert first is not second and second.hom._poly is second, name
+
+
+def test_kept_polyhedron_computes_each_view_once(monkeypatch):
+    memo.cache_clear()
+    build = _constructions()["from_H"]
+    build()
+    counted = []
+    getattr_ = polyhedra.Polyhedron.__getattr__
+
+    def counting(self, name):
+        counted.append((id(self), name))
+        return getattr_(self, name)
+
+    monkeypatch.setattr(polyhedra.Polyhedron, "__getattr__", counting)
+    built = [build() for _ in range(4)]
+    assert all(p is built[0] for p in built)
+    for p in built:
+        p.vertices, p.ineqs, p.eqs, p.tail(), polyhedra._cell_key(p), hash(p)
+    assert sorted(name for _, name in counted) == ["_tail", "eqs", "ineqs", "lines", "rays", "vertices"]
+    assert len({i for i, _ in counted}) == 1
+    assert built[0].hom._hash == hash(built[0])
+
+
+def test_one_shot_construction_keeps_no_polyhedron(monkeypatch):
+    memo.cache_clear()
+    for name, build in _constructions().items():
+        if name != "tail":
+            assert build().hom._poly is False, name
+    # with the memo off each construction is a new cone, so none is kept
+    monkeypatch.setattr(polyhedra, "_canonical", memo.__wrapped__)
+    for name, build in _constructions().items():
+        first, second, third = build(), build(), build()
+        assert first == second == third and first is not second is not third, name
 
 
 def test_report_same_with_memo_cold_warm_or_off(tmp_path, monkeypatch):
@@ -361,7 +435,7 @@ def test_memo_holds_integers_only(monkeypatch):
 
     def recording(n, gens, lines):
         out = memo(n, gens, lines)
-        seen.append((gens, lines, *out))
+        seen.append((gens, lines, *fields(out)))
         return out
 
     monkeypatch.setattr(polyhedra, "_canonical", recording)

@@ -260,6 +260,34 @@ def test_constructors_reject_rows_of_another_length():
     assert Cone.from_rays([(1, 0)], n=2) == Cone.from_rays([(1, 0)])
 
 
+def test_maps_and_cuts_reject_rows_of_another_length():
+    triangle = hull([(0, 0), (1, 0), (0, 1)])
+    cone = Cone.from_rays([(1, 0), (0, 1)])
+    # `zip` used to cut these rows, or indexing past them raised IndexError
+    cases = {
+        # a row of length 3 on Q^2 gave conv{(5), (6)}
+        "Polyhedron.map_image": lambda: triangle.map_image([[1, 1, 5]]),
+        "map_image shift": lambda: triangle.map_image([[1, 0], [0, 1]], [1]),
+        # the second equation was dropped
+        "map_fiber_slice": lambda: map_fiber_slice(triangle, [[1, 0], [0, 1]], [1], [[1, 0]]),
+        "Cone.map_image": lambda: cone.map_image([[1]]),
+        "preimage": lambda: triangle.preimage([[1], [0, 1]], 2),
+        "preimage rows": lambda: triangle.preimage([[1, 0]], 2),
+        "slice_at": lambda: triangle.slice_at((1, 1, 1), 1),
+        "with_equalities": lambda: triangle.with_equalities([((1,), 0)]),
+    }
+    for name, build in cases.items():
+        with pytest.raises(AmbientMismatch):
+            build()
+            pytest.fail(name)
+    # the same calls with rows of the right length
+    assert triangle.map_image([[1, 1]], [5]) == hull([(5,), (6,)])
+    assert map_fiber_slice(triangle, [[1, 0], [0, 1]], [0, 1], [[1, 0]]) == hull([(0,)])
+    assert cone.map_image([[1, 1]]) == Cone.from_rays([(1,)])
+    assert triangle.preimage([[1, 0], [0, 1]], 2) == triangle
+    assert triangle.slice_at((1, 1), 1) == hull([(1, 0), (0, 1)])
+
+
 def test_quadric_cone_height_zero_slice():
     delta = Cone.from_rays([(1, 1), (-1, 1)])
     sigma = delta.as_polyhedron().slice_at((0, 1), 0)

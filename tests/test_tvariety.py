@@ -14,7 +14,7 @@ from pdivisors.base import (
     positivity,
     ray_label,
 )
-from pdivisors.errors import NotContractionFree, NotQCartier, WeightOutsideBox
+from pdivisors.errors import AmbientMismatch, EmptyDomain, NotContractionFree, NotQCartier, WeightOutsideBox
 from pdivisors.pdivisor import PolyhedralDivisor
 from pdivisors.polyhedra import Cone, Polyhedron, hull
 from pdivisors.tvariety import (
@@ -371,3 +371,44 @@ def test_concavity_of_psi_exact():
                 for label in pl.marked():
                     fa = pl.psi(label)
                     assert fa.value(u) + fa.value(v) <= 2 * fa.value(mid)
+
+
+def _from_h_hypograph(domain, pieces):
+    """The hypograph of min(<a, u> + c) over the domain, by `from_H` on the
+    `Fraction` pairs."""
+    ineqs = [(tuple(a) + (-1,), -F(c)) for a, c in pieces]
+    ineqs += [(a + (0,), b) for a, b in domain.ineqs]
+    return Polyhedron.from_H(ineqs, [(a + (0,), b) for a, b in domain.eqs], domain.n + 1)
+
+
+def test_concave_pl_hypograph_matches_from_h_route():
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        gens = [tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        rays = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(rng.randint(0, 2))]
+        domain = Polyhedron.from_generators(gens, rays, n=n)
+        if rng.random() < 0.3:
+            domain = domain.slice_at(tuple(rng.randint(-1, 1) for _ in range(n)), 0)
+        pieces = [(tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)), F(rng.randint(-4, 4), 3)) for _ in range(rng.randint(1, 4))]
+        if domain.empty:
+            continue
+        f = ConcavePL(domain, pieces)
+        want = _from_h_hypograph(domain, pieces)
+        assert (f.hypo.n, f.hypo.hom.rays, f.hypo.hom.lines, f.hypo.hom.ineqs, f.hypo.hom.eqs) == (
+            want.n, want.hom.rays, want.hom.lines, want.hom.ineqs, want.hom.eqs
+        )
+        checked += 1
+    assert checked > 40
+
+
+def test_concave_pl_rejects_an_empty_domain_and_short_slopes():
+    # an empty domain used to give the hypograph over all of Q^n
+    with pytest.raises(EmptyDomain):
+        ConcavePL(Polyhedron.empty_polyhedron(2), [((1, 2), 0)])
+    square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    for slope in ((1,), (1, 2, 3)):
+        with pytest.raises(AmbientMismatch):
+            ConcavePL(square, [((1, 1), 0), (slope, 0)])
+    assert ConcavePL(square, [((1, 1), 0)]).value((1, 1)) == 2
