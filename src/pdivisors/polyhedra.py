@@ -2,11 +2,14 @@
 
 A cone stores both representations (generators and halfspaces) as the
 primitive `int` tuples the double description method (`dd_cone`)
-computes.  The DD keeps the tight set of each ray as an `int` bit mask,
-skips a pair of rays with fewer than d - 2 common tight rows before its
-adjacency scan, and works in the input coordinates (the identity frame)
-when there are no equations and the rows have full rank; otherwise it
-changes to a basis of the equations' kernel and of the rows' span there.
+computes.  A pointed cone in Q^1 to Q^3 needs no DD: its extreme rays are
+the candidates on n - 1 rows (cross products of two rows in Q^3) that lie
+in the cone up to sign (`_small_rays`).  The DD keeps the tight set of each
+ray as an `int` bit mask, skips a pair of rays with fewer than d - 2
+common tight rows before its adjacency scan, and works in the input
+coordinates (the identity frame) when there are no equations and the rows
+have full rank; otherwise it changes to a basis of the equations' kernel
+and of the rows' span there.
 A construction (`_canonical`, memoized) runs the DD once for the
 other side and reads the irredundant input side off the generator-facet
 incidence, kept as bit masks too, so both sides are canonical and
@@ -34,10 +37,14 @@ tests compare integer dot products instead of building a cone.  Point
 tests clear a point's denominators once and compare integers.
 
 Two chamber algorithms have one entry point each: `chamber_complex(polys,
-rows)` projects the faces of the polyhedra `polys` itself, reading each
+rows)` projects the faces of the polyhedra `polys` itself, and
+`normal_fan(polys, domain)` refines the vertex regions of each polyhedron
+over `domain`.  On one row the chambers are the gaps between the vertex
+images, each of them the intersection of the edge images that leave its
+ends, so only the cells are built (`_line_chambers`); on more rows the
+intersection closure of the projected faces gives them, reading each
 face's generator set off the polyhedron's incidence and mapping the
-generators as integers, and `normal_fan(polys, domain)` refines the vertex
-regions of each polyhedron over `domain`.
+generators as integers (`_chamber_closure`).
 
 The empty polyhedron is a first-class value, the zero cone homogenized:
 sums and intersections treat it as absorbing, images of it are empty.
@@ -172,7 +179,12 @@ def _dd(ineqs: tuple, eqs: tuple, n: int) -> tuple[list[Vec], list[Vec]]:
     rays of a pointed cone are unique.  Otherwise the rays are computed in
     the frame of `_frame` and mapped back; with no equations the frame's
     rows have the rows' linear dependencies, so the same base serves.
+    In Q^1 to Q^3 a pointed cone takes `_small_rays` instead.
     """
+    if n <= 3:
+        rays = _small_rays(ineqs, eqs, n)
+        if rays is not None:
+            return rays, []
     base_idx = None
     if not eqs:
         base_idx = _echelon(list(zip(*ineqs)))[1] if ineqs else []
@@ -189,6 +201,47 @@ def _dd(ineqs: tuple, eqs: tuple, n: int) -> tuple[list[Vec], list[Vec]]:
         for w in _dd_pointed(a2, len(rspace), base_idx)
     }
     return sorted(rays), sorted(lines)
+
+
+def _small_rays(ineqs: tuple, eqs: tuple, n: int) -> list[tuple] | None:
+    """The sorted primitive extreme rays of a pointed cone in Q^n, n <= 3,
+    from `_dd`'s rows; None when the cone is not pointed or is {0}.
+
+    An extreme ray of a pointed cone lies on n - 1 independent rows, so it
+    is a multiple of a candidate: in Q^3 the cross product of two rows, in
+    Q^2 the perpendicular of a row, in Q^1 the unit.  A candidate in the
+    cone up to sign, with no mixed signs on `ineqs` and 0 on `eqs`, lies on
+    a face of dimension 1, an extreme ray.  A nonzero candidate that is 0
+    on every row is a line, so the cone is not pointed; with no candidate
+    left the cone is {0} or the rows have rank below n - 1.  Both go to
+    the frame route.
+    """
+    rows = ineqs + eqs
+    if n == 3:
+        cands = {
+            (b * f - c * e, c * d - a * f, a * e - b * d)
+            for (a, b, c), (d, e, f) in itertools.combinations(rows, 2)
+        }
+    elif n == 2:
+        cands = {(-b, a) for a, b in rows}
+    else:
+        cands = {(1,) * n}
+    cands.discard((0,) * n)
+    rays = set()
+    for w in cands:
+        if any(sum(map(mul, a, w)) for a in eqs):
+            continue
+        vals = [sum(map(mul, a, w)) for a in ineqs]
+        if min(vals, default=0) >= 0:
+            if max(vals, default=0) == 0:
+                return None
+        elif max(vals) <= 0:
+            w = tuple(-x for x in w)
+        else:
+            continue
+        g = math.gcd(*w)
+        rays.add(tuple(x // g for x in w) if g > 1 else w)
+    return sorted(rays) if rays else None
 
 
 def _primitive_rows(rows) -> tuple:
@@ -217,10 +270,10 @@ def _frame(ineqs, eqs, n: int):
 
 # Bound of the construction memo, sized to hold a round trip's working set.
 # Faces do not go through it.  The benchmark's 213 roundtrip inputs of seed
-# 101, run in order from a cold memo, make 30,314 lookups of 3,204 distinct
-# keys: an LRU of 512 entries misses 6,533 times, one of 4096 only on the
-# 3,204 first lookups.  Over 1,000 roundtrip inputs of seed 107 (6,320
-# distinct keys) the misses are 31.4 per input at 512 and 7.8 at 4096.
+# 101, run in order from a cold memo, make 26,291 lookups of 2,855 distinct
+# keys: an LRU of 512 entries misses 5,161 times, one of 4096 only on the
+# 2,855 first lookups.  Over 1,000 roundtrip inputs of seed 107 (5,849
+# distinct keys) the misses are 24.3 per input at 512 and 6.8 at 4096.
 # Geometry's 123 inputs of seed 101 make 1,354 lookups of 1,115 keys, so the
 # size does not matter there.  An entry is one cone, with its dual once cut
 # and, from its second use as a homogenization on, the polyhedron over it
@@ -508,7 +561,9 @@ def _merged(a: tuple, b: tuple) -> tuple:
 def _cleared_rows(rows) -> list[tuple]:
     """The integer rows of a positive multiple of the map with rows `rows`,
     which has the same image on cones: every row, a homogenizing row too,
-    is cleared by one common denominator."""
+    is cleared by one common denominator; integer rows are that as they are."""
+    if all(type(x) is int for r in rows for x in r):
+        return rows
     cleared = [_cleared(r) for r in rows]
     d = math.lcm(*(dr for _, dr in cleared))
     return [tuple(x * (d // dr) for x in row) for row, dr in cleared]
@@ -967,12 +1022,101 @@ def chamber_complex(polys, rows) -> PolyhedralComplex:
     """Chamber complex of the images of all faces of `polys` under the
     linear map with rows `rows` (Billera-Sturmfels, "Fiber polytopes", 1992).
 
-    `polys` is an iterable of polyhedra: a list of one polyhedron or the
-    cells of one polyhedral complex.  The projected faces are read off each
-    polyhedron's incidence (`_projected_faces`).  Every chamber equals the
-    intersection of the face images containing any one of its
-    relative-interior points, so the intersection closure filtered by a
-    relative-interior membership test yields exactly the chamber cells.
+    `polys` is an iterable of polyhedra in one Q^n: a list of one
+    polyhedron or the cells of one polyhedral complex; each row has n
+    entries.  On one row the chambers are the gaps between the vertex
+    images, read off them with only the cells built (`_line_chambers`):
+    the edges that leave the vertices at a gap's two ends hold the gap, so
+    the face images through a point of it meet in the gap itself.  On more
+    rows, or where the images of different polyhedra interleave, the
+    intersection closure of the projected faces gives the chambers
+    (`_chamber_closure`).  Both routes give the same complex.
+    """
+    polys = list(polys)
+    if polys:
+        n = polys[0].n
+        if any(p.n != n for p in polys):
+            raise AmbientMismatch("polyhedra live in different ambient spaces")
+        _ambient(n, rows)
+    if len(rows) == 1:
+        cells = _line_chambers(polys, rows[0])
+        if cells is not None:
+            return PolyhedralComplex(cells)
+    return _chamber_closure(polys, rows)
+
+
+def _line_chambers(polys, row) -> list[Polyhedron] | None:
+    """The cells of `chamber_complex` under the map x -> <row, x> to Q, or
+    None when the closure must decide.
+
+    A polyhedron whose lines map to 0 has the images of its vertices as
+    breakpoints: its image runs from the least to the largest, unbounded
+    at an end a ray maps towards; one with a line of nonzero image maps
+    onto Q with no breakpoint.  Among its face images holding a point x of
+    an open gap between its breakpoints, the edges (or rays) that leave
+    the vertices at the gap's two ends in the direction of x hold the gap
+    (simplex method: a vertex off the optimum has an improving edge or
+    ray), so their intersection, its chamber at x, is the gap's closure.
+    Between consecutive breakpoints of all the polyhedra the chamber is
+    then the intersection of the gaps of the polyhedra whose image holds
+    that gap, and one breakpoint b alone is the chamber {b}.  Each covered
+    gap is a cell, and so is each breakpoint whose two neighbouring gaps
+    are not covered; these are the closure's cells as long as each chamber
+    is its gap.  A chamber wider than its gap, where the vertex images of
+    different polyhedra interleave, gives None.
+    """
+    row, d = _cleared(row)
+    images = []  # per nonempty polyhedron: breakpoints, least and largest, None if unbounded
+    for p in polys:
+        if p.empty:
+            continue
+        hom = p.hom
+        # `row` has n entries, so <row, g> reads the x of a generator (x, t)
+        if any(sum(map(mul, row, l)) for l in hom.lines):
+            images.append((set(), None, None))
+            continue
+        points, below, above = set(), False, False
+        for g in hom.rays:
+            v, t = sum(map(mul, row, g)), g[-1]
+            if t:
+                points.add(Fraction(v, d * t))
+            else:
+                below, above = below or v < 0, above or v > 0
+        images.append((points, None if below else min(points), None if above else max(points)))
+    points = sorted(set().union(*(im[0] for im in images)))
+    covered, cells = [], []
+    for lo, hi in zip([None, *points], [*points, None]):
+        holders = [
+            breaks
+            for breaks, least, largest in images
+            if (least is None or lo is not None and least <= lo)
+            and (largest is None or hi is not None and largest >= hi)
+        ]
+        covered.append(bool(holders))
+        if holders:
+            # the chamber is the gap when a holder breaks at each finite end
+            if not all(e is None or any(e in b for b in holders) for e in (lo, hi)):
+                return None
+            cells.append(_line_cell(lo, hi))
+    cells += [_line_cell(b, b) for i, b in enumerate(points) if not covered[i] and not covered[i + 1]]
+    return cells
+
+
+def _line_cell(lo, hi) -> Polyhedron:
+    """The interval [lo, hi] of Q, unbounded at an end that is None."""
+    if lo is None and hi is None:
+        return Polyhedron(1, _canonical(2, ((0, 1),), ((1, 0),)))
+    gens = {(-1, 0) if lo is None else (lo.numerator, lo.denominator)}
+    gens.add((1, 0) if hi is None else (hi.numerator, hi.denominator))
+    return Polyhedron(1, _canonical(2, tuple(sorted(gens)), ()))
+
+
+def _chamber_closure(polys, rows) -> PolyhedralComplex:
+    """`chamber_complex` by the intersection closure of the projected faces
+    (`_projected_faces`).  Every chamber equals the intersection of the
+    face images containing any one of its relative-interior points, so the
+    intersection closure filtered by a relative-interior membership test
+    yields exactly the chamber cells.
     """
     family = _projected_faces(polys, rows)
 
@@ -1017,9 +1161,10 @@ def linearity_regions(pieces, domain: Polyhedron) -> PolyhedralComplex:
     `pieces` is a list of (a, c) with the function x -> <a, x> + c; the cells
     are the maximal regions where one piece attains the minimum.
     """
+    pieces = [(vec(a), frac(c)) for a, c in pieces]
+    _ambient(domain.n, [a for a, _ in pieces])
     if domain.empty:
         return PolyhedralComplex([])
-    pieces = [(vec(a), frac(c)) for a, c in pieces]
     if not pieces:
         raise NotConcave("no affine pieces supplied")
     uniq = sorted(set(pieces))

@@ -8,7 +8,8 @@ denominators once and compare integers; they are checked against the
 `Fraction` dot products they replaced.  The chamber closure keyed by
 member sets, its projected faces read off the incidence, the face test
 without a construction and the images on the homogenized cone are checked
-against copies of the routes they replaced.
+against copies of the routes they replaced; on one row the chambers
+read off the vertex images are checked against the closure and the BFS.
 Faces are read off the incidence with no DD, and a polyhedron computes its
 views on first access; both are checked against copies of the routes they
 replaced, field by field.
@@ -28,7 +29,7 @@ import pytest
 
 from pdivisors import polyhedra
 from pdivisors.linalg import F1, _cleared, _int_row, _kernel, vdot, vec, vsub
-from pdivisors.polyhedra import Cone, Polyhedron, chamber_complex
+from pdivisors.polyhedra import Cone, Polyhedron, chamber_complex, hull
 
 F = Fraction
 memo = polyhedra._canonical
@@ -458,6 +459,119 @@ def test_projected_faces_match_face_objects():
         seen["rational"] += any(type(x) is not int and x.denominator > 1 for r in rows for x in r)
         seen["several"] += len(got.cells) > 1
     assert min(seen.values()) >= 5, seen
+
+
+def _one_row_polyhedron(rng, n, row):
+    """A random polyhedron in Q^n, sometimes with rays and a line, which
+    `row` maps to 0 or not."""
+    pts = [tuple(F(rng.randint(-3, 3), rng.choice([1, 1, 2])) for _ in range(n)) for _ in range(rng.randint(1, n + 2))]
+    rays = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(rng.choice([0, 0, 1, 2]))]
+    lines = []
+    if rng.random() < 0.35:
+        kernel = _kernel([row], n)
+        if kernel and rng.random() < 0.6:
+            lines = [rng.choice(kernel)]
+        else:
+            lines = [tuple(rng.randint(-1, 1) for _ in range(n))]
+    return Polyhedron.from_generators(pts, rays, lines, n)
+
+
+def _one_row_cells(rng, n, row):
+    """(kind, cells): one polyhedron, the cells of one cut by one or two
+    hyperplanes, one with a point beside its image, or a few unrelated
+    polyhedra."""
+    kind = rng.choice(["one", "split", "split", "beside", "several"])
+    p = _one_row_polyhedron(rng, n, row)
+    if kind == "one":
+        return kind, [p]
+    if kind == "several":
+        return kind, [p] + [_one_row_polyhedron(rng, n, row) for _ in range(rng.randint(1, 2))]
+    if kind == "beside":
+        image = p.map_image([row])
+        if image.lines or not image.vertices:
+            return "one", [p]
+        right = not image.rays or image.rays[0][0] < 0
+        end = max(v[0] for v in image.vertices) + 1 if right else min(v[0] for v in image.vertices) - 1
+        # a point that maps to end, away from the image of p
+        j = next(i for i, x in enumerate(row) if x)
+        q = tuple(F(end) / row[j] if i == j else F(0) for i in range(n))
+        return kind, [p, Polyhedron.point(q)]
+    cells = [p]
+    for _ in range(rng.randint(1, 2)):
+        a = tuple(rng.randint(-1, 1) for _ in range(n))
+        if not any(a):
+            continue
+        b = rng.randint(-1, 1)
+        up, down = Polyhedron.from_H([(a, b)], n=n), Polyhedron.from_H([(tuple(-x for x in a), -b)], n=n)
+        cells = [c.intersect(h) for c in cells for h in (up, down)]
+        cells = [c for c in cells if not c.empty and c.dim() == p.dim()]
+    return kind, cells
+
+
+def _spied_closure(monkeypatch):
+    """The closure itself and the list of the rows of its calls from now on."""
+    closure = polyhedra._chamber_closure
+    calls = []
+
+    def spy(polys, rows):
+        calls.append(rows)
+        return closure(polys, rows)
+
+    monkeypatch.setattr(polyhedra, "_chamber_closure", spy)
+    return closure, calls
+
+
+def test_one_row_chambers_match_bfs_closure(monkeypatch):
+    # on one row `chamber_complex` reads the chambers off the vertex images,
+    # which agree with the closure and the BFS, and hands interleaved
+    # images to the closure
+    closure, calls = _spied_closure(monkeypatch)
+    rng = random.Random(73)
+    seen = dict.fromkeys(
+        ["lines to 0", "line not to 0", "rays", "point cell", "several cells", "several polyhedra", "fallback"], 0
+    )
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        row = tuple(F(rng.randint(-2, 2), rng.choice([1, 1, 3])) for _ in range(n))
+        if not any(row):
+            row = (F(1),) + row[1:]
+        kind, cells = _one_row_cells(rng, n, row)
+        calls.clear()
+        got = chamber_complex(cells, [row])
+        assert got == closure(cells, [row]), (kind, cells, row)
+        fell_back = bool(calls)
+        if not fell_back:
+            # on interleaved images the closure and the BFS test different
+            # relative-interior points and can disagree
+            assert got == bfs_chamber_complex(face_object_family(cells, [row])), (kind, cells, row)
+            # the route builds the cells and nothing else
+            assert len(polyhedra._line_chambers(cells, row)) == len(got.cells)
+        seen["fallback"] += fell_back
+        images = [vdot(row, x) for c in cells for x in c.lines]
+        seen["lines to 0"] += bool(images) and not any(images)
+        seen["line not to 0"] += any(images)
+        seen["rays"] += any(vdot(row, r) for c in cells for r in c.rays)
+        seen["point cell"] += len(got.cells) > 1 and any(c.dim() == 0 for c in got.cells)
+        seen["several cells"] += not fell_back and len(cells) > 1 and kind == "split"
+        seen["several polyhedra"] += not fell_back and kind in ("beside", "several")
+    assert min(seen.values()) >= 5, seen
+
+
+def test_interleaved_images_fall_back_to_the_closure(monkeypatch):
+    # the vertex images 1, 2, 3 of A and 0, 2, 4 of B interleave: the
+    # chamber at 1/2 is [0, 2], wider than its gap, so the closure decides,
+    # and its relative-interior test keeps neither [0, 1] nor [3, 4]
+    a = hull([(1, 0), (3, 0), (2, 1)])
+    b = hull([(0, 5), (4, 5), (2, 6)])
+    _, calls = _spied_closure(monkeypatch)
+    got = chamber_complex([a, b], [(1, 0)])
+    assert calls == [[(1, 0)]]
+    assert got == bfs_chamber_complex(face_object_family([a, b], [(1, 0)]))
+    assert set(got.cells) == {hull([(0,)]), hull([(1,), (2,)]), hull([(2,), (3,)]), hull([(4,)])}
+    # each alone is read off its vertex images
+    calls.clear()
+    assert set(chamber_complex([b], [(1, 0)]).cells) == {hull([(0,), (2,)]), hull([(2,), (4,)])}
+    assert not calls
 
 
 def test_is_face_of_matches_dd_face():

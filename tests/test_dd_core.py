@@ -8,7 +8,10 @@ many rows meet in one ray and many rays lie on one row, are where the
 pruning, the scan and the identity frame decide the result.  Each case is
 checked against the `Fraction` route of `fraction_route.py`, which has
 frozenset incidence, no pruning and always changes frame, in both
-directions, and `_canonical` against two `dd_cone` runs.
+directions, and `_canonical` against two `dd_cone` runs.  Pointed cones in
+Q^1 to Q^3 take `_small_rays`; those are checked against both the
+`Fraction` route and the frame route, with the cones that are not pointed
+or are {0} going to the frame route.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fraction_route import fraction_dd_cone
 from test_canonical import fields, two_pass
 
 from pdivisors import polyhedra
-from pdivisors.linalg import _echelon
+from pdivisors.linalg import _echelon, _kernel
 
 
 def _hom(points):
@@ -135,3 +138,72 @@ def test_dd_pointed_does_not_depend_on_row_order():
             assert sorted(polyhedra._dd_pointed(permuted, n)) == want, name
         checked += 1
     assert checked >= 20
+
+
+# -- cones in Q^1 to Q^3 -------------------------------------------------------
+
+
+def _small_cases():
+    """(kind, ineqs, eqs, n) in Q^1 to Q^3 as memo keys: random rows, an
+    equation, an equation with its negative beside it, inequalities of
+    rank below n, and rows that all vanish on one vector."""
+    rng = random.Random(20)
+    out = []
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        kind = rng.choice(["random", "equation", "+-equation", "flat", "line"])
+
+        def row():
+            return tuple(rng.randint(-3, 3) for _ in range(n))
+
+        ineqs, eqs = [row() for _ in range(rng.randint(0, 7))], []
+        if kind == "equation":
+            eqs = [row()]
+        elif kind == "+-equation":
+            e = row()
+            eqs = [e, tuple(-x for x in e), tuple(2 * x for x in e)]
+        elif kind in ("flat", "line"):
+            # rows in the span of n - 1 vectors, or orthogonal to a vector v
+            v = row()
+            span = _kernel([v], n) if kind == "line" else [row() for _ in range(n - 1)]
+
+            def comb():
+                return tuple(sum(rng.randint(-2, 2) * b[i] for b in span) for i in range(n))
+
+            ineqs = [comb() for _ in range(rng.randint(1, 6))] if span else []
+            if kind == "line" and span and rng.random() < 0.5:
+                eqs = [comb()]
+            elif kind == "flat" and rng.random() < 0.6:
+                eqs = [row()]
+        out.append((kind, polyhedra._primitive_rows(ineqs), polyhedra._primitive_rows(eqs), n))
+    return out
+
+
+def test_small_cones_match_fraction_and_frame_routes(monkeypatch):
+    seen = dict.fromkeys(
+        ["Q^1", "Q^2", "Q^3", "equations", "+-equations", "flat rows, pointed", "not pointed", "zero cone"], 0
+    )
+    cases = _small_cases()
+    got = [(polyhedra._small_rays(i, e, n), polyhedra._dd(i, e, n)) for _, i, e, n in cases]
+    # the frame route alone
+    monkeypatch.setattr(polyhedra, "_small_rays", lambda ineqs, eqs, n: None)
+    for (kind, ineqs, eqs, n), (small, dd) in zip(cases, got):
+        name = (kind, ineqs, eqs, n)
+        want = fraction_dd_cone(ineqs, eqs, n)
+        assert dd == want, name
+        assert dd == polyhedra._dd(ineqs, eqs, n), name
+        pointed = len(_echelon([*ineqs, *eqs])[0]) == n
+        if not pointed:
+            # a line: the frame route decides
+            assert small is None, name
+            seen["not pointed"] += 1
+        elif not want[0]:
+            assert small is None, name
+            seen["zero cone"] += 1
+        else:
+            assert small == want[0], name
+            seen[f"Q^{n}"] += 1
+            seen["equations"] += bool(eqs)
+            seen["+-equations"] += kind == "+-equation"
+            seen["flat rows, pointed"] += len(_echelon(ineqs)[0]) < n
+    assert min(seen.values()) >= 10, seen

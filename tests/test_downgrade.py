@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -17,11 +18,12 @@ from pdivisors.downgrade import (
     linear_part,
     subdivision_of_dual,
 )
-from pdivisors.errors import NotProper, WeightOutsideCone
+from pdivisors import polyhedra
+from pdivisors.errors import NotProper, RoutesDisagree, WeightOutsideCone
 from pdivisors.lattice import Lattice, LatticeMap
 from pdivisors.linalg import mat_vec, vdot, vec
 from pdivisors.pdivisor import PolyhedralDivisor
-from pdivisors.polyhedra import Cone, Polyhedron, hull
+from pdivisors.polyhedra import Cone, PolyhedralComplex, Polyhedron, hull
 from pdivisors.tvariety import (
     ConcavePL,
     PLDivisorMap,
@@ -215,6 +217,35 @@ def test_downgrade_roundtrip_upgrade_identity():
     for label, p in d.coeffs.items():
         assert res.divisor.coefficient(label) == p.map_image(rows)
     assert set(res.divisor.coeffs) <= set(d.coeffs)
+
+
+def test_wrong_first_slice_route_raises_on_a_rank_one_fiber(monkeypatch):
+    # on a rank-1 fiber the second slice route reads the chambers off the
+    # vertex images, with no closure; it still checks the first route,
+    # whose slice at 0 is shifted here by one
+    dg = importlib.import_module("pdivisors.downgrade")
+    d = quadric_cone_total_space()
+    ctx = ctx_second_coordinate()
+    assert ctx.fiber_rank == 1
+    downgrade(d, ctx)
+    real = dg.fan_from
+    label = point_label(0)
+
+    def shifted(psi, marks):
+        fan, duals, dstar = real(psi, marks)
+        right = fan.slice_of(label)
+        wrong = PolyhedralComplex([c.translate((1,)) for c in right.cells])
+        assert set(wrong.cells) != set(right.cells)
+        fan._slices[label] = wrong
+        return fan, duals, dstar
+
+    def no_closure(polys, rows):
+        raise AssertionError("a one-row chamber complex ran the closure")
+
+    monkeypatch.setattr(dg, "fan_from", shifted)
+    monkeypatch.setattr(polyhedra, "_chamber_closure", no_closure)
+    with pytest.raises(RoutesDisagree, match="slice routes disagree at 0"):
+        dg.downgrade(d, ctx)
 
 
 def test_downgrade_dcoeff_duality_samples():

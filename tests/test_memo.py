@@ -144,10 +144,11 @@ def test_held_coefficients_need_no_construction(monkeypatch):
 
 def test_chamber_complex_builds_no_face(monkeypatch):
     # the projected faces are generator sets on each polyhedron's incidence,
-    # so no face object is built; from a cold memo a fixed family runs as
-    # many DDs as the route that mapped one face object at a time (19, 35),
-    # less one on the first family: an empty intersection that is the zero
-    # cone already is its own homogenization, with no lookup of the zero key
+    # so no face object is built; from a cold memo the closure runs as many
+    # DDs as the route that mapped one face object at a time (19, 35), less
+    # one on the first family: an empty intersection that is the zero cone
+    # already is its own homogenization, with no lookup of the zero key.  On
+    # one row `chamber_complex` builds only its three cells.
     coeff = max(_divisors(1, seed=5)[0].coeffs.values(), key=lambda p: len(p.hom.rays))
     pi_rows = DowngradeContext.from_projection(LatticeMap(Lattice(2), Lattice(1), [[1, 1]])).pi_rows
     with_line = polyhedra.Polyhedron.from_generators(
@@ -162,10 +163,15 @@ def test_chamber_complex_builds_no_face(monkeypatch):
     monkeypatch.setattr(polyhedra.Cone, "faces", no_face)
     monkeypatch.setattr(polyhedra.Polyhedron, "faces", no_face)
     runs = _counting(monkeypatch, "_dd")
-    for polys, rows, budget in ([coeff], pi_rows, 18), ([with_line], line_rows, 35):
+    cases = [
+        (polyhedra.chamber_complex, [coeff], pi_rows, 3),
+        (polyhedra._chamber_closure, [coeff], pi_rows, 18),
+        (polyhedra.chamber_complex, [with_line], line_rows, 35),
+    ]
+    for route, polys, rows, budget in cases:
         memo.cache_clear()
         runs.clear()
-        assert len(polyhedra.chamber_complex(polys, rows).cells) == 3
+        assert len(route(polys, rows).cells) == 3
         assert len(runs) == budget
 
 

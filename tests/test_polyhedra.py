@@ -24,6 +24,7 @@ from pdivisors.polyhedra import (
     map_fiber_slice,
     map_image,
     minkowski_sum,
+    normal_fan,
 )
 
 F = Fraction
@@ -286,6 +287,34 @@ def test_maps_and_cuts_reject_rows_of_another_length():
     assert cone.map_image([[1, 1]]) == Cone.from_rays([(1,)])
     assert triangle.preimage([[1, 0], [0, 1]], 2) == triangle
     assert triangle.slice_at((1, 1), 1) == hull([(1, 0), (0, 1)])
+
+
+def test_chambers_and_regions_reject_rows_of_another_length():
+    triangle = hull([(0, 0), (2, 0), (0, 2)])
+    segment = hull([(0, 0, 0), (1, 1, 1)])
+    plane = Polyhedron.from_generators([(0, 0)], lines=[(1, 0), (0, 1)])
+    # `zip` used to cut these rows and slopes
+    cases = {
+        # one row of length 3 on Q^2 gave conv{5, 7}
+        "chamber_complex long row": lambda: chamber_complex([triangle], [(1, 0, 5)]),
+        # (1,) acted as (1, 0)
+        "chamber_complex short row": lambda: chamber_complex([triangle], [(1,)]),
+        "chamber_complex rows": lambda: chamber_complex([triangle], [(1, 0), (0, 1, 1)]),
+        "chamber_complex mixed, one row": lambda: chamber_complex([triangle, segment], [(1, 0)]),
+        "chamber_complex mixed, two rows": lambda: chamber_complex([triangle, segment], [(1, 0), (0, 1)]),
+        # two cells came back
+        "linearity_regions": lambda: linearity_regions([((1, 0, 0), 0), ((0, 1), 1)], triangle),
+        "normal_fan": lambda: normal_fan([segment], plane),
+    }
+    for name, build in cases.items():
+        with pytest.raises(AmbientMismatch):
+            build()
+            pytest.fail(name)
+    # the same calls with rows of the right length
+    assert set(chamber_complex([triangle], [(1, 0)]).cells) == {hull([(0,), (2,)])}
+    assert len(chamber_complex([triangle], [(1, 0), (0, 1)]).cells) == 1
+    assert len(linearity_regions([((1, 0), 0), ((0, 1), 1)], triangle).cells) == 2
+    assert len(normal_fan([triangle], plane).cells) == 3
 
 
 def test_quadric_cone_height_zero_slice():
