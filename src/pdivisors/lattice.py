@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from ._record import _Frozen
-from .errors import NonIntegral, NotSurjective, ZeroVector
+from .errors import AmbientMismatch, NonIntegral, NotSurjective, ZeroVector
 from .linalg import (
     Vec,
     _echelon,
@@ -64,6 +64,8 @@ class LatticeMap:
         self.matrix = tuple(tuple(x.numerator for x in row) for row in rows)
 
     def __call__(self, v: Vec) -> Vec:
+        if len(v) != self.source.rank:
+            raise AmbientMismatch(f"vector has {len(v)} entries, the source has rank {self.source.rank}")
         return mat_vec(self.matrix, vec(v))
 
     def __eq__(self, other):

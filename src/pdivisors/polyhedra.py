@@ -12,7 +12,8 @@ have full rank; otherwise it changes to a basis of the equations' kernel
 and of the rows' span there.
 A construction (`_canonical`, memoized) runs the DD once for the
 other side and reads the irredundant input side off the generator-facet
-incidence, kept as bit masks too, so both sides are canonical and
+incidence, which every route of the DD returns as the tight sets it kept
+on the way, so both sides are canonical and
 structural equality of the stored data coincides with equality of the
 underlying sets.  The memo key holds the input rows primitive, sorted and
 without duplicates, so it does not depend on their order, and the DD runs
@@ -23,17 +24,23 @@ lengths and normalize the rows to that key (`_primitive_rows`), and
 as they are, so intersections, `as_polyhedron`, tails and the slices and
 regions cut from a polyhedron merge or pass them through.  Faces run no
 DD: both sides of a face are read off its parent's generator-facet
-incidence.  A polyhedron stores one cone, its homogenization `hom`, and
-derives its generators, halfspaces and tail cone from it on first
-access; only its vertices are Fractions.
+incidence.  On a pointed parent a face's facet normals are the parent's
+normals projected onto its span, solved by the adjugate of a Gram matrix
+on the side with fewer rows (its rays or its equations), and the
+equations of rays and of facets of a full-dimensional cone are written
+out; a face in Q^5 or below takes at most one elimination.  A polyhedron
+stores one cone, its homogenization `hom`, and derives its generators,
+halfspaces and tail cone from it on first access; only its vertices are
+Fractions.
 
 The memo hands out one read-only `Cone` per key (hash-consing:
 Filliatre-Conchon, "Type-safe modular hash-consing", 2006), and `_cut`
 returns that cone's dual, kept on it.  From its second use as a
 homogenization on, a cone keeps the `Polyhedron` over it, so a repeated
 construction returns one object that reads its views and hash once.
-Images are taken on `hom` with integer rows, and face and containment
-tests compare integer dot products instead of building a cone.  Point
+Images are taken on `hom` with integer rows, Minkowski sums and
+translations add its integer rays, and face and containment tests
+compare integer dot products instead of building a cone.  Point
 tests clear a point's denominators once and compare integers.
 
 Two chamber algorithms have one entry point each: `chamber_complex(polys,
@@ -83,22 +90,24 @@ from .linalg import (
 # ---------------------------------------------------------------------------
 
 
-def _dd_pointed(rows: list[tuple], d: int, base_idx: list[int] | None = None) -> list[tuple]:
+def _dd_pointed(rows: list[tuple], d: int, base_idx: list[int] | None = None) -> dict[tuple, int]:
     """Extreme rays of the pointed cone {w in Q^d : <row, w> >= 0 for all rows}.
 
-    Integer rows in, primitive integer rays out.  Requires rank(rows) == d.
+    Integer rows in; out, each primitive integer ray mapped to its tight
+    set, as an `int` bit mask with bit i for row i.  Requires rank(rows) == d.
     `base_idx` are the lex-first independent rows, the pivot columns of the
     transposed rows; a caller that has eliminated those already passes them.
     Classic incremental double description with the combinatorial adjacency
     test (Fukuda-Prodon, "Double description method revisited", 1996).  The
-    tight set of a ray, the processed rows it lies on, is an `int` bit mask
-    with bit i for row i.  Two rays are adjacent exactly when no third ray
-    is tight on every row both are tight on.  Adjacent rays span a 2-face of
-    the d-dimensional cone, which lies on at least d - 2 independent rows,
-    so a pair with fewer common rows is skipped before that scan.
+    tight set of a ray, the processed rows it lies on, is kept as that mask
+    all along, so the result holds the full ray-row incidence.  Two rays
+    are adjacent exactly when no third ray is tight on every row both are
+    tight on.  Adjacent rays span a 2-face of the d-dimensional cone, which
+    lies on at least d - 2 independent rows, so a pair with fewer common
+    rows is skipped before that scan.
     """
     if d == 0:
-        return []
+        return {}
     # the lex-first independent rows span the initial simplicial cone
     if base_idx is None:
         base_idx = _echelon(list(zip(*rows)))[1]
@@ -155,7 +164,7 @@ def _dd_pointed(rows: list[tuple], d: int, base_idx: list[int] | None = None) ->
                 new_tight.append(common | bit)
         rays = [rays[j] for j in plus] + [rays[j] for j in zero] + new_rays
         tight = [tight[j] for j in plus] + [tight[j] | bit for j in zero] + new_tight
-    return rays
+    return dict(zip(rays, tight))
 
 
 def dd_cone(ineqs, eqs, n: int) -> tuple[list[Vec], list[Vec]]:
@@ -166,11 +175,14 @@ def dd_cone(ineqs, eqs, n: int) -> tuple[list[Vec], list[Vec]]:
     lines come back as sorted primitive `int` tuples.  The memo is one level
     up, on the whole construction (`_canonical`).
     """
-    return _dd(_primitive_rows(ineqs), _primitive_rows(eqs), n)
+    rays, lines, _ = _dd(_primitive_rows(ineqs), _primitive_rows(eqs), n)
+    return rays, lines
 
 
-def _dd(ineqs: tuple, eqs: tuple, n: int) -> tuple[list[Vec], list[Vec]]:
-    """`dd_cone` on rows that are `_primitive_rows` already, a memo key.
+def _dd(ineqs: tuple, eqs: tuple, n: int) -> tuple[list[Vec], list[Vec], list[int]]:
+    """`dd_cone` on rows that are `_primitive_rows` already, a memo key,
+    with the tight sets of the rays: (rays, lines, tight), where bit i of
+    tight[j] says that ineqs[i] is 0 on rays[j].
 
     With no equations, one elimination of the transposed rows picks the
     lex-first independent rows.  If they are n, the cone is pointed and the
@@ -179,33 +191,43 @@ def _dd(ineqs: tuple, eqs: tuple, n: int) -> tuple[list[Vec], list[Vec]]:
     rays of a pointed cone are unique.  Otherwise the rays are computed in
     the frame of `_frame` and mapped back; with no equations the frame's
     rows have the rows' linear dependencies, so the same base serves.
-    In Q^1 to Q^3 a pointed cone takes `_small_rays` instead.
+    In Q^1 to Q^3 a pointed cone takes `_small_rays` instead.  Every route
+    keeps the rows in their order, so the tight sets it computes on the way
+    are the incidence with `ineqs` as it is.
     """
     if n <= 3:
         rays = _small_rays(ineqs, eqs, n)
         if rays is not None:
-            return rays, []
+            return _sorted_tight(rays, [])
     base_idx = None
     if not eqs:
         base_idx = _echelon(list(zip(*ineqs)))[1] if ineqs else []
         if len(base_idx) == n:
             # rank n and no equations: the identity frame
-            return sorted(set(_dd_pointed(ineqs, n, base_idx))), []
+            return _sorted_tight(_dd_pointed(ineqs, n, base_idx), [])
     sbasis, aprime, rspace, lprime = _frame(ineqs, eqs, n)
     if not sbasis:
-        return [], []
+        return [], [], []
     lines = _echelon([mix_basis(lv, sbasis) for lv in lprime])[0] if lprime else []
+    # <a, mix(w, rspace)> = <a2, w>, so a ray's tight set carries over
     a2 = [tuple(sum(map(mul, ap, w)) for w in rspace) for ap in aprime]
     rays = {
-        _int_row(mix_basis(mix_basis(w, rspace), sbasis))
-        for w in _dd_pointed(a2, len(rspace), base_idx)
+        _int_row(mix_basis(mix_basis(w, rspace), sbasis)): t
+        for w, t in _dd_pointed(a2, len(rspace), base_idx).items()
     }
-    return sorted(rays), sorted(lines)
+    return _sorted_tight(rays, sorted(lines))
 
 
-def _small_rays(ineqs: tuple, eqs: tuple, n: int) -> list[tuple] | None:
-    """The sorted primitive extreme rays of a pointed cone in Q^n, n <= 3,
-    from `_dd`'s rows; None when the cone is not pointed or is {0}.
+def _sorted_tight(rays: dict, lines) -> tuple[list[Vec], list[Vec], list[int]]:
+    """`_dd`'s triple from a map of each ray to its tight set."""
+    order = sorted(rays)
+    return order, lines, [rays[r] for r in order]
+
+
+def _small_rays(ineqs: tuple, eqs: tuple, n: int) -> dict[tuple, int] | None:
+    """The primitive extreme rays of a pointed cone in Q^n, n <= 3, from
+    `_dd`'s rows, each mapped to its tight set on `ineqs` as in
+    `_dd_pointed`; None when the cone is not pointed or is {0}.
 
     An extreme ray of a pointed cone lies on n - 1 independent rows, so it
     is a multiple of a candidate: in Q^3 the cross product of two rows, in
@@ -227,7 +249,7 @@ def _small_rays(ineqs: tuple, eqs: tuple, n: int) -> list[tuple] | None:
     else:
         cands = {(1,) * n}
     cands.discard((0,) * n)
-    rays = set()
+    rays = {}
     for w in cands:
         if any(sum(map(mul, a, w)) for a in eqs):
             continue
@@ -240,8 +262,8 @@ def _small_rays(ineqs: tuple, eqs: tuple, n: int) -> list[tuple] | None:
         else:
             continue
         g = math.gcd(*w)
-        rays.add(tuple(x // g for x in w) if g > 1 else w)
-    return sorted(rays) if rays else None
+        rays[tuple(x // g for x in w) if g > 1 else w] = sum(1 << i for i, v in enumerate(vals) if not v)
+    return rays or None
 
 
 def _primitive_rows(rows) -> tuple:
@@ -253,17 +275,17 @@ def _primitive_rows(rows) -> tuple:
 def _frame(ineqs, eqs, n: int):
     """The coordinates `dd_cone` works in: (sbasis, aprime, rspace, lprime).
 
-    `sbasis` is a basis of {x : eqs.x = 0}, `aprime` the nonzero inequality
-    rows in sbasis coordinates, `rspace` a basis of their row space and
-    `lprime` of their kernel, from one elimination.  The DD runs in rspace
-    coordinates, so a ray's representative modulo the lineality space is
-    the one whose sbasis coordinates lie in that row space.
+    `sbasis` is a basis of {x : eqs.x = 0}, `aprime` the inequality rows in
+    sbasis coordinates, one per row and in order (a row in span(eqs) is
+    0 there), `rspace` a basis of their row space and `lprime` of their
+    kernel, from one elimination.  The DD runs in rspace coordinates, so a
+    ray's representative modulo the lineality space is the one whose
+    sbasis coordinates lie in that row space.
     """
     sbasis = _kernel(eqs, n) if eqs else int_identity(n)
     if not sbasis:
         return sbasis, [], [], []
     aprime = [tuple(sum(map(mul, a, b)) for b in sbasis) for a in ineqs]
-    aprime = [r for r in aprime if any(r)]
     rspace, pivots = _echelon(aprime)
     return sbasis, aprime, rspace, _echelon_kernel(rspace, pivots, len(sbasis))
 
@@ -292,19 +314,25 @@ def _canonical(n: int, gens: tuple, lines: tuple) -> "Cone":
 
     `gens` and `lines` are `_primitive_rows`, so the key is free of row
     order, scaling and duplicates, and every caller of one key shares the
-    one read-only `Cone`.  One DD (`_dd`) gives the H-side; the V-side is
-    read off the generator-facet incidence (Fukuda-Prodon, "Double
-    description method revisited", 1996).  A generator tight on every facet lies in the lineality space; the others
-    are extreme exactly when no generator is tight on a strict superset of
-    their facets.  The result is what `dd_cone` gives on the H-side, so the
-    construction is self-dual: passing inequality rows as `gens` and
-    equation rows as `lines` canonicalizes an H-description.
+    one read-only `Cone`.  One DD (`_dd`) gives the H-side and, with it,
+    the tight set of each facet on `gens`; the V-side is read off that
+    generator-facet incidence with no dot product (Fukuda-Prodon, "Double
+    description method revisited", 1996).  A generator tight on every facet
+    lies in the lineality space; the others are extreme exactly when no
+    generator is tight on a strict superset of their facets.  The result is
+    what `dd_cone` gives on the H-side, so the construction is self-dual:
+    passing inequality rows as `gens` and equation rows as `lines`
+    canonicalizes an H-description.
     """
-    ineqs, eqs = _dd(gens, lines, n)
-    # bit i of a generator's mask: the generator is tight on facet i
-    tight = [
-        sum(1 << i for i, a in enumerate(ineqs) if not sum(map(mul, a, g))) for g in gens
-    ]
+    ineqs, eqs, facet_tight = _dd(gens, lines, n)
+    # transpose: bit j of a generator's mask, the generator is tight on facet j
+    tight = [0] * len(gens)
+    for j, t in enumerate(facet_tight):
+        bit = 1 << j
+        while t:
+            low = t & -t
+            tight[low.bit_length() - 1] |= bit
+            t ^= low
     full = (1 << len(ineqs)) - 1
     lineal = [g for g, t in zip(gens, tight) if t == full]
     pointed = [(g, t) for g, t in zip(gens, tight) if t != full]
@@ -333,21 +361,75 @@ def _representatives(rays, lines, ineqs, eqs, n: int) -> list[tuple]:
     ]
 
 
-def _orthogonal(rows, eqs) -> list[tuple]:
-    """The primitive point of each a + span(eqs) orthogonal to eqs, which
-    is the representative `_representatives` gives when nothing is a line:
-    a - E^T y with the Gram system (E E^T) y = E a, one elimination for all
-    rows.  `eqs` are independent and not empty."""
-    e = len(eqs)
-    gram = [[sum(map(mul, u, v)) for v in (*eqs, *rows)] for u in eqs]
-    # row i is a positive multiple p_i of (e_i | y's i-th entries)
-    red, _ = _echelon(gram)
-    scale = math.lcm(*(red[i][i] for i in range(e)))
+def _projections(rows, basis, onto: bool) -> list[tuple]:
+    """The primitive multiple of each row's orthogonal projection onto
+    span(basis) (`onto`) or onto its orthogonal complement.
+
+    `basis` is independent and not empty.  With its Gram matrix G = B B^T
+    and y = adj(G) B a, the projection of a onto span(B) is B^T y / det G
+    and the one onto the complement a - B^T y / det G; det G > 0, so
+    B^T y and det(G) a - B^T y are positive multiples of them.  For one
+    or two basis rows the adjugate is written out; for more, one
+    elimination of [G | B a ...] gives every y times a common scale.
+    """
+    k = len(basis)
+    gram = [[sum(map(mul, u, v)) for v in basis] for u in basis]
+    ts = [[sum(map(mul, b, a)) for b in basis] for a in rows]
+    if k == 1:
+        det, ys = gram[0][0], ts
+    elif k == 2:
+        (p, q), (_, r) = gram
+        det = p * r - q * q
+        ys = [(r * t - q * u, p * u - q * t) for t, u in ts]
+    else:
+        # row i is a positive multiple p_i of (e_i | row i of G^-1 B a ...)
+        red, _ = _echelon([g + [t[i] for t in ts] for i, g in enumerate(gram)])
+        det = math.lcm(*(red[i][i] for i in range(k)))
+        ys = [[red[i][k + j] * (det // red[i][i]) for i in range(k)] for j in range(len(rows))]
+    cols = list(zip(*basis))
     out = []
-    for j, a in enumerate(rows):
-        y = mix_basis([red[i][e + j] * (scale // red[i][i]) for i in range(e)], eqs)
-        out.append(_int_row([scale * x - z for x, z in zip(a, y)]))
+    for a, y in zip(rows, ys):
+        z = [sum(map(mul, y, c)) for c in cols]
+        if not onto:
+            z = [det * x - w for x, w in zip(a, z)]
+        g = math.gcd(*z)
+        out.append(tuple(x // g for x in z))
     return out
+
+
+def _span_complement(rays, tight, eqs, n: int) -> list[tuple]:
+    """The equations of a face of a pointed cone with equations `eqs`: the
+    sorted rows `_echelon` gives on a basis of span(rays)'s complement.
+
+    `tight` are the cone's facets that hold the face.  The zero face has
+    the unit rows.  A ray r has the rows of its reduced echelon form: with
+    r_j the last nonzero entry, e_i for i > j and the primitive positive
+    multiple of r_j e_i - r_i e_j for i < j.  A facet of a full-dimensional
+    cone has its normal, led by a positive entry.  Every other face takes
+    one elimination of the equations and the facets.
+    """
+    if not rays:
+        return sorted(map(tuple, int_identity(n)))
+    if len(rays) == 1:
+        r = rays[0]
+        j = max(i for i, x in enumerate(r) if x)
+        rj = r[j]
+        out = []
+        for i in range(n):
+            if i == j:
+                continue
+            row = [0] * n
+            if i < j and r[i]:
+                g = math.gcd(rj, r[i]) * (1 if rj > 0 else -1)
+                row[i], row[j] = rj // g, -r[i] // g
+            else:
+                row[i] = 1
+            out.append(tuple(row))
+        return sorted(out)
+    if not eqs and len(tight) == 1:
+        a = tight[0]
+        return [a if next(x for x in a if x) > 0 else tuple(-x for x in a)]
+    return sorted(_echelon([*eqs, *tight])[0])
 
 
 def mix_basis(coords, basis) -> tuple:
@@ -459,6 +541,8 @@ class Cone(_Frozen):
         )
 
     def contains_cone(self, other: "Cone") -> bool:
+        if other.n != self.n:
+            raise AmbientMismatch(f"a cone in Q^{other.n} is tested in one in Q^{self.n}")
         return self._contains_gens(other.rays, other.lines)
 
     def _contains_gens(self, rays, lines) -> bool:
@@ -508,25 +592,35 @@ class Cone(_Frozen):
 
         Its rays are the generators in `s` and its lines the cone's.  Its
         equations cut out the span: the cone's equations and the facets
-        tight on all of `s`.  Its facets are its maximal proper faces, each
-        cut out by one facet of the cone, whose normal goes to the
-        representative the DD on the face's generators gives.
+        tight on all of `s` (`_span_complement`).  Its facets are its
+        maximal proper faces, each cut out by one facet of the cone, whose
+        normal goes to the representative the DD on the face's generators
+        gives.  On a pointed cone that is the normal's orthogonal
+        projection onto span(F), the only one of its class that lies there.
+        It is taken on the side with fewer rows: onto the rays when the face
+        is simplicial and dim F <= codim F, else off the equations
+        (`_projections`); in Q^5 and below one side has at most two rows.
         """
         n, lines = self.n, self.lines
         rays = [self.rays[i] for i in sorted(s)]
         tight = [a for a, f in zip(self.ineqs, incidence) if s <= f]
-        eqs = sorted(_echelon([*self.eqs, *tight])[0])
         cut = {}
         for a, f in zip(self.ineqs, incidence):
             if not s <= f:
                 cut.setdefault(s & f, a)
         normals = [a for t, a in cut.items() if not any(t < u for u in cut)]
         if lines:
+            eqs = sorted(_echelon([*self.eqs, *tight])[0])
             ineqs = sorted(_representatives(normals, eqs, rays, lines, n))
             rays = sorted(_representatives(rays, lines, ineqs, eqs, n))
         else:
-            # `_representatives` gives the same rows, 12% slower on geometry (BENCH_11.json)
-            ineqs = sorted(_orthogonal(normals, eqs))
+            eqs = _span_complement(rays, tight, self.eqs, n)
+            if not normals:
+                ineqs = []
+            elif len(rays) == n - len(eqs) <= len(eqs):
+                ineqs = sorted(_projections(normals, rays, True))
+            else:
+                ineqs = sorted(_projections(normals, eqs, False))
         return Cone(n, rays, lines, ineqs, eqs)
 
     def map_image(self, rows) -> "Cone":
@@ -707,7 +801,9 @@ class Polyhedron(_Frozen):
         return self.hom.contains((*x, 1))
 
     def contains(self, other: "Polyhedron") -> bool:
-        return self.hom.contains_cone(other.hom)
+        if other.n != self.n:
+            raise AmbientMismatch(f"a polyhedron in Q^{other.n} is tested in one in Q^{self.n}")
+        return self.hom._contains_gens(other.hom.rays, other.hom.lines)
 
     def relint_point(self) -> Vec:
         if self.empty:
@@ -732,18 +828,33 @@ class Polyhedron(_Frozen):
             raise AmbientMismatch("polyhedra live in different ambient spaces")
         if self.empty or other.empty:
             return Polyhedron.empty_polyhedron(self.n)
-        verts = [vadd(v, w) for v in self.vertices for w in other.vertices]
-        rays = list(self.rays) + list(other.rays)
-        lines = list(self.lines) + list(other.lines)
-        return Polyhedron.from_generators(verts, rays, lines, self.n)
+        return self._moved(other.hom.rays, other.hom.lines)
 
     def translate(self, w) -> "Polyhedron":
+        w = tuple(w)
+        if len(w) != self.n:
+            raise AmbientMismatch(f"shift has {len(w)} entries, the polyhedron lives in Q^{self.n}")
         if self.empty:
             return self
-        w = vec(w)
-        return Polyhedron.from_generators(
-            [vadd(v, w) for v in self.vertices], self.rays, self.lines, self.n
-        )
+        x, d = _cleared(w)
+        return self._moved([(*x, d)], ())
+
+    def _moved(self, gens, lines: tuple) -> "Polyhedron":
+        """The sum of P and the polyhedron whose `hom` has the rays `gens`
+        and the lines `lines`, taken on integer rays: the vertices X1/d1
+        and X2/d2 sum to the ray (X1 d2 + X2 d1, d1 d2), and the rays and
+        lines of both are kept.  These are the rows `from_generators` would
+        make of the sum, up to positive scaling."""
+        n, hom = self.n, self.hom
+        rows = [r for r in (*hom.rays, *gens) if not r[n]]
+        rows += [
+            (*(x * w[n] + y * v[n] for x, y in zip(v[:n], w[:n])), v[n] * w[n])
+            for v in hom.rays
+            if v[n]
+            for w in gens
+            if w[n]
+        ]
+        return Polyhedron(n, _canonical(n + 1, _primitive_rows(rows), _merged(hom.lines, lines)))
 
     def scale(self, s) -> "Polyhedron":
         """s*P for s > 0; for s = 0 the tail polyhedron (the limit)."""

@@ -190,7 +190,8 @@ def test_small_cones_match_fraction_and_frame_routes(monkeypatch):
     for (kind, ineqs, eqs, n), (small, dd) in zip(cases, got):
         name = (kind, ineqs, eqs, n)
         want = fraction_dd_cone(ineqs, eqs, n)
-        assert dd == want, name
+        assert dd[:2] == want, name
+        # the rays and their tight sets on `ineqs` agree across the routes
         assert dd == polyhedra._dd(ineqs, eqs, n), name
         pointed = len(_echelon([*ineqs, *eqs])[0]) == n
         if not pointed:
@@ -201,7 +202,7 @@ def test_small_cones_match_fraction_and_frame_routes(monkeypatch):
             assert small is None, name
             seen["zero cone"] += 1
         else:
-            assert small == want[0], name
+            assert sorted(small) == want[0], name
             seen[f"Q^{n}"] += 1
             seen["equations"] += bool(eqs)
             seen["+-equations"] += kind == "+-equation"

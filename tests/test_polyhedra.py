@@ -9,6 +9,7 @@ from exact_lp import lp_feasible
 from helpers import full_cone, locate
 
 from pdivisors.errors import AmbientMismatch
+from pdivisors.lattice import Lattice, LatticeMap
 from pdivisors.linalg import vdot, vec
 from pdivisors.polyhedra import (
     Cone,
@@ -315,6 +316,93 @@ def test_chambers_and_regions_reject_rows_of_another_length():
     assert len(chamber_complex([triangle], [(1, 0), (0, 1)]).cells) == 1
     assert len(linearity_regions([((1, 0), 0), ((0, 1), 1)], triangle).cells) == 2
     assert len(normal_fan([triangle], plane).cells) == 3
+
+
+def _entry(k):
+    """The entries 1, 2, ..., k."""
+    return tuple(range(1, k + 1))
+
+
+# each takes a vector or polyhedron of length 2 + delta where it needs 2;
+# `zip` used to cut or pad what these got
+LENGTH_CASES = {
+    # the shift (1, 2, 3) moved the triangle by (1, 2)
+    "Polyhedron.translate": lambda delta: hull([(0, 0), (1, 0), (0, 1)]).translate(_entry(2 + delta)),
+    "Polyhedron.translate, empty": lambda delta: Polyhedron.empty_polyhedron(2).translate(_entry(2 + delta)),
+    # the map [[1, 0]] took (1, 2, 3) to (1,)
+    "LatticeMap.__call__": lambda delta: LatticeMap(Lattice(2), Lattice(1), [[1, 0]])(_entry(2 + delta)),
+    # pos((1, 0)) contained pos((1, 0, 0))
+    "Cone.contains_cone": lambda delta: Cone.from_rays([(1, 0)]).contains_cone(
+        Cone.from_rays([(1,) + (0,) * (1 + delta)])
+    ),
+    "Polyhedron.contains": lambda delta: hull([(0, 0), (1, 0)]).contains(hull([(0,) * (2 + delta)])),
+    # a point of another ambient space was no face, without an error
+    "Polyhedron.is_face_of": lambda delta: hull([(0,) * (2 + delta)]).is_face_of(hull([(0, 0), (1, 0)])),
+}
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["one too few", "one too many"])
+@pytest.mark.parametrize("name", sorted(LENGTH_CASES))
+def test_entry_points_reject_vectors_of_another_length(name, delta):
+    with pytest.raises(AmbientMismatch):
+        LENGTH_CASES[name](delta)
+    # the right length computes
+    LENGTH_CASES[name](0)
+
+
+def test_right_lengths_answer_as_before():
+    triangle = hull([(0, 0), (1, 0), (0, 1)])
+    assert triangle.translate((1, 2)) == hull([(1, 2), (2, 2), (1, 3)])
+    assert LatticeMap(Lattice(2), Lattice(1), [[1, 0]])((1, 2)) == (1,)
+    assert Cone.from_rays([(1, 0), (0, 1)]).contains_cone(Cone.from_rays([(1, 1)]))
+    assert hull([(0, 0)]).is_face_of(triangle) and not hull([(0, 0), (1, 1)]).is_face_of(triangle)
+    # a complex of cells in two ambient spaces is no complex
+    with pytest.raises(AmbientMismatch):
+        PolyhedralComplex([hull([(0,), (1,)]), hull([(0, 0), (1, 0)])])
+
+
+def test_minkowski_and_translate_match_the_fraction_sums():
+    # both are taken on the integer rays of `hom`; the fields are those of
+    # `from_generators` on the Fraction vertex sums
+    rng = random.Random(29)
+    seen = {"rays": 0, "lines": 0, "empty": 0}
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        p, q = (
+            Polyhedron.from_generators(
+                [tuple(F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)) for _ in range(rng.randint(1, 4))],
+                [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(rng.choice([0, 1, 2]))],
+                [tuple(rng.randint(-1, 1) for _ in range(n))] if rng.random() < 0.2 else [],
+                n,
+            )
+            for _ in range(2)
+        )
+        if rng.random() < 0.05:
+            q = Polyhedron.empty_polyhedron(n)
+        want = (
+            Polyhedron.empty_polyhedron(n)
+            if p.empty or q.empty
+            else Polyhedron.from_generators(
+                [tuple(a + b for a, b in zip(v, w)) for v in p.vertices for w in q.vertices],
+                p.rays + q.rays,
+                p.lines + q.lines,
+                n,
+            )
+        )
+        assert _fields(p.minkowski(q)) == _fields(want)
+        w = tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n))
+        moved = Polyhedron.from_generators([tuple(a + b for a, b in zip(v, w)) for v in p.vertices], p.rays, p.lines, n)
+        assert _fields(p.translate(w)) == _fields(moved)
+        assert p.translate([str(x) for x in w]) == moved
+        seen["rays"] += bool(p.rays and q.rays)
+        seen["lines"] += bool(p.lines or q.lines)
+        seen["empty"] += q.empty
+    assert min(seen.values()) >= 3, seen
+
+
+def _fields(p):
+    h = p.hom
+    return p.n, h.rays, h.lines, h.ineqs, h.eqs
 
 
 def test_quadric_cone_height_zero_slice():
