@@ -11,6 +11,7 @@ recovers the same variety for the subtorus action.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from ._record import _Record
 from .base import INF, is_inf, point_label, spare_points
@@ -22,13 +23,12 @@ from .errors import (
     WeightOutsideCone,
 )
 from .lattice import LatticeMap, smith_split
-from .linalg import int_identity, transpose, vdot, vec, zero_vec
+from .linalg import _cleared, int_identity, transpose, vec, zero_vec
 from .pdivisor import PolyhedralDivisor
 from .polyhedra import (
     PolyhedralComplex,
     Polyhedron,
     chamber_complex,
-    linearity_regions,
     map_fiber_slice,
 )
 from .tvariety import (
@@ -94,8 +94,10 @@ def dualize(f: ConcavePL):
         w, r = g[:n], g[n]
         eqs.append((w, -r))
     box_star = Polyhedron.from_H(ineqs, eqs, n)
-    pieces = [(u, t) for (u, t) in ((v[:n], v[n]) for v in epi.vertices)]
-    psi_star = ConcavePL(box_star, pieces)
+    # a vertex (X, T) / d of the graph, the ray (X, T, d) of `epi.hom`, is
+    # the piece (X, T) / d: the row (X, -d, T)
+    rows = [(*g[:n], -g[n + 1], g[n]) for g in epi.hom.rays if g[n + 1]]
+    psi_star = ConcavePL._from_rows(box_star, rows)
     return box_star, psi_star
 
 
@@ -103,8 +105,7 @@ def subdivision_of_dual(f: ConcavePL) -> PolyhedralComplex:
     """Xi(Psi*) as a complex of pointed polyhedra (domain must be full-dim)."""
     if f.domain.dim() != f.domain.n:
         raise BoxNotFullDimensional("the dual subdivision needs a full-dimensional Box")
-    box_star, psi_star = dualize(f)
-    return linearity_regions(psi_star.pieces, box_star)
+    return dualize(f)[1]._regions()
 
 
 def fan_from(psi: PLDivisorMap, marks):
@@ -138,8 +139,7 @@ def fan_from(psi: PLDivisorMap, marks):
         if is_inf(f):
             raise MarksMissingSupport("divisorial polyhedra take finite values")
         box_star, psi_star = dualize(f)
-        cells = linearity_regions(psi_star.pieces, box_star)
-        duals[label] = (box_star, psi_star, cells)
+        duals[label] = (box_star, psi_star, psi_star._regions())
     # tailfan independence across the marks (compared face-closed)
     tails = None
     for label, (_, _, cells) in duals.items():
@@ -162,14 +162,15 @@ def fan_from(psi: PLDivisorMap, marks):
             members.append(PolyhedralDivisor(psi.base, n, cell.tail(), coeffs))
     fan = DivisorialFan(psi.base, members)
     # support divisor from the dual values: h_P = Psi_P*
-    ray_coeffs = {}
-    for r in fan.rays():
-        ray_coeffs[r] = -min(vdot(r, u) for u in psi.box.vertices)
+    ray_coeffs = {r: -psi.box._vertex_min(r) for r in fan.rays()}
     vertex_coeffs = {}
     for label, (_, psi_star, cells) in duals.items():
         for c in cells:
-            for v in c.vertices:
-                vertex_coeffs[(label, v)] = -psi_star.value(v)
+            # the vertex X / d of a cell is the ray (X, d) of its `hom`
+            for g in c.hom.rays:
+                if g[n]:
+                    v = tuple(Fraction(x, g[n]) for x in g[:n])
+                    vertex_coeffs[(label, v)] = -psi_star._at(g[:n], g[n])
     dstar = TInvariantDivisor(fan, ray_coeffs, vertex_coeffs)
     return fan, duals, dstar
 
@@ -182,24 +183,29 @@ def fan_from(psi: PLDivisorMap, marks):
 def downgrade_box_psi(d: PolyhedralDivisor, ctx: DowngradeContext, ubar) -> PLDivisorMap:
     """Box[ubar] and Psi[ubar]: the fiber weight polyhedron and the divisor
     map u' -> D(u' + s*(ubar))."""
-    ubar = vec(ubar)
+    ubar = tuple(ubar)
     omega = d.weight_cone().as_polyhedron()
     image = omega.map_image(ctx.pr.matrix)
-    if not image.contains_point(ubar):
-        raise WeightOutsideCone(f"{ubar} is outside the projected weight cone")
+    U, e = _cleared(ubar)
+    if not image._holds(U, e):
+        raise WeightOutsideCone(f"{vec(ubar)} is outside the projected weight cone")
     box = map_fiber_slice(omega, ctx.pr.matrix, ubar, ctx.t.matrix)
-    lift = ctx.s_star(ubar)
+    # the lift s*(ubar) is L / e
+    L = [sum(map(mul, row, U)) for row in ctx.s_star.matrix]
     pi_rows = ctx.pi_rows
+    n = d.n
     per = {}
     for label, p in d.coeffs.items():
         if p.empty:
             raise NotProper("the downgrade needs locus equal to the whole curve")
-        pieces = []
-        for v in p.vertices:
-            a = tuple(vdot(row, v) for row in pi_rows)
-            c = vdot(v, lift)
-            pieces.append((a, c))
-        per[label] = ConcavePL(box, pieces)
+        # a vertex X / t, the ray (X, t) of `hom`, gives the piece
+        # (pi X / t, <X, L> / (t e)): the row (e pi X, -t e, <X, L>)
+        rows = [
+            (*(e * sum(map(mul, row, g)) for row in pi_rows), -g[n] * e, sum(map(mul, g, L)))
+            for g in p.hom.rays
+            if g[n]
+        ]
+        per[label] = ConcavePL._from_rows(box, rows)
     return PLDivisorMap(d.base, box, per)
 
 

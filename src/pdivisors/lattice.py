@@ -1,7 +1,8 @@
 """Free abelian groups, dual pairs, integer maps and their splittings.
 
 A lattice is just a rank with a name; a lattice map stores its matrix as
-`int` rows, and the points it maps are tuples of Fraction.  The
+`int` rows and maps a point of `int` or `Fraction` entries on its cleared
+integers, to a tuple of Fraction, one built per entry.  The
 interesting content is `smith_split`, which splits a surjection of lattices
 into a section, a compatible cosection and a kernel basis, canonicalized so
 that repeated runs (and hand-written tests) see identical matrices.  It
@@ -14,19 +15,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from ._record import _Frozen
 from .errors import AmbientMismatch, NonIntegral, NotSurjective, ZeroVector
 from .linalg import (
     Vec,
+    _cleared,
     _echelon,
     _int_row,
     frac,
     int_identity,
     mat_mul,
-    mat_vec,
     smith_normal_form,
-    vec,
 )
 
 
@@ -66,7 +67,8 @@ class LatticeMap:
     def __call__(self, v: Vec) -> Vec:
         if len(v) != self.source.rank:
             raise AmbientMismatch(f"vector has {len(v)} entries, the source has rank {self.source.rank}")
-        return mat_vec(self.matrix, vec(v))
+        x, d = _cleared(v)
+        return tuple(Fraction(sum(map(mul, row, x)), d) for row in self.matrix)
 
     def __eq__(self, other):
         return (

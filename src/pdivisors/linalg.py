@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals and integers.
 
 Vectors are tuples of numbers, matrices are tuples of row tuples.  Integral
-data (rays, normals, lattice maps) is `int`, rational points and values are
-`Fraction`, and the vector helpers accept either; `vdot` always returns a
-Fraction.  Exact point tests clear a point's denominators once
-(`_cleared`) and compare integer dot products.  Rank, kernel and `solve`
+data (rays, normals, lattice maps) is `int`, rational points and values
+handed out are `Fraction`, and the vector helpers accept either (`vdot`
+returns a Fraction).  Inside the library a rational point travels as its
+cleared integers (`_cleared`: the point X / d as the pair (X, d)), so a
+point test compares integer dot products and a minimum of ratios compares
+them by cross-multiplication (`_least`); a `Fraction` is built only for a
+value that leaves the library.  Rank, kernel and `solve`
 run on one fraction-free elimination over integer rows (`_echelon`), and
 integer matrices on one Smith normal form.  Nothing here eliminates over
 Fractions, and nothing ever touches a float.
@@ -75,11 +78,23 @@ def int_identity(n: int):
 def _cleared(x) -> tuple[tuple, int]:
     """(X, d) with `int` X, d > 0 and x = X / d: a rational point with its
     denominators cleared once, so <a, x> >= b tests as <a, X> >= b * d."""
+    x = tuple(x)
     if all(type(v) is int for v in x):
-        return tuple(x), 1
+        return x, 1
     x = [v if type(v) is int else frac(v) for v in x]
     d = lcm(*(v.denominator for v in x))
     return tuple(v.numerator * (d // v.denominator) for v in x), d
+
+
+def _least(pairs) -> Fraction:
+    """The least of the ratios p / q of the integer pairs (p, q), q > 0,
+    compared by cross-multiplication; the one `Fraction` built is the result."""
+    pairs = iter(pairs)
+    p, q = next(pairs)
+    for a, b in pairs:
+        if a * q < p * b:
+            p, q = a, b
+    return Fraction(p, q)
 
 
 def _int_row(v) -> tuple:

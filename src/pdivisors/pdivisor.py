@@ -10,7 +10,6 @@ to infinity.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
 from ._record import _Frozen
 from .base import (
@@ -106,23 +105,23 @@ class PolyhedralDivisor:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, u) -> QDivisor:
-        """D(u) = sum min_{v in D_P} <v, u> P, on cleared integers: with u =
-        U / e and each vertex the ray (X, d) of the coefficient's `hom`,
-        the minimum over vertices of <X, U> / (d e)."""
-        u = vec(u)
+        """D(u) = sum min_{v in D_P} <v, u> P, on cleared integers: u is
+        cleared once and tested in the weight cone as it is (`_at`)."""
+        u = tuple(u)
         n = self.n
         if len(u) != n:
             raise AmbientMismatch(f"weight has {len(u)} entries, the divisor has rank {n}")
-        if not self.weight_cone().contains(u):
-            raise WeightOutsideCone(f"{u} is outside the weight cone")
         U, e = _cleared(u)
+        if not self.weight_cone()._contains_gens((U,), ()):
+            raise WeightOutsideCone(f"{vec(u)} is outside the weight cone")
+        return self._at(U, e)
+
+    def _at(self, U, e: int) -> QDivisor:
+        """D(U / e) for a weight U / e of the weight cone: with each vertex
+        the ray (X, d) of the coefficient's `hom`, the least <X, U> / (d e)."""
         out = {}
         for label, p in self.coeffs.items():
-            if p.empty:
-                out[label] = INF
-            else:
-                # zip stops at U's n entries, before the last entry d of (X, d)
-                out[label] = min(Fraction(sum(map(mul, X, U)), X[n] * e) for X in p.hom.rays if X[n])
+            out[label] = INF if p.empty else p._vertex_min(U, e)
         return QDivisor(self.base, out)
 
     def evaluation_chambers(self) -> PolyhedralComplex:
@@ -163,10 +162,12 @@ class PolyhedralDivisor:
         sa = True
         big = True
         failures = []
+        # every probe lies in the weight cone: the rays of its chambers'
+        # tails and its own, and a relative-interior point of each chamber
         probe_rays = {r for c in chambers for r in c.tail().rays}
         probe_rays.update(omega.rays)
         for u in sorted(probe_rays):
-            fl = positivity(self.evaluate(u))
+            fl = positivity(self._at(u, 1))
             if not fl.qcartier:
                 qc = False
                 failures.append(("qcartier", u))
@@ -176,11 +177,10 @@ class PolyhedralDivisor:
         for c in chambers:
             if c.dim() < omega.dim():
                 continue
-            u = c.relint_point()
-            fl = positivity(self.evaluate(u))
+            fl = positivity(self._at(*c._relint()))
             if not fl.big:
                 big = False
-                failures.append(("big", u))
+                failures.append(("big", c.relint_point()))
         return PropernessReport(
             qcartier=qc,
             semiample=sa,

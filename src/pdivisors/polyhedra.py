@@ -75,13 +75,12 @@ from .linalg import (
     _echelon_kernel,
     _int_row,
     _kernel,
+    _least,
     frac,
     int_identity,
     mat_vec,
-    vadd,
     vec,
     vscale,
-    vsub,
     zero_vec,
 )
 
@@ -292,10 +291,10 @@ def _frame(ineqs, eqs, n: int):
 
 # Bound of the construction memo, sized to hold a round trip's working set.
 # Faces do not go through it.  The benchmark's 213 roundtrip inputs of seed
-# 101, run in order from a cold memo, make 26,291 lookups of 2,855 distinct
-# keys: an LRU of 512 entries misses 5,161 times, one of 4096 only on the
-# 2,855 first lookups.  Over 1,000 roundtrip inputs of seed 107 (5,849
-# distinct keys) the misses are 24.3 per input at 512 and 6.8 at 4096.
+# 101, run in order from a cold memo, make 24,428 lookups of 2,455 distinct
+# keys: an LRU of 512 entries misses 4,336 times, one of 4096 only on the
+# 2,455 first lookups.  Over 1,000 roundtrip inputs of seed 107 (5,056
+# distinct keys) the misses are 20.3 per input at 512 and 5.4 at 4096.
 # Geometry's 123 inputs of seed 101 make 1,354 lookups of 1,115 keys, so the
 # size does not matter there.  An entry is one cone, with its dual once cut
 # and, from its second use as a homogenization on, the polyhedron over it
@@ -441,9 +440,10 @@ def mix_basis(coords, basis) -> tuple:
     return tuple(out)
 
 
-def _face_sets(gens, normals) -> tuple[list[frozenset], list[frozenset]]:
+def _face_sets(gens, normals) -> tuple[list[int], list[int]]:
     """Generator index sets of all faces, the full set first, and the
-    incidence: for each normal, the set of generators tight on it.
+    incidence: for each normal, the set of generators tight on it.  A set
+    is an `int` bit mask, bit i for generator i (`_members` lists them).
 
     `gens` are the extreme rays and `normals` the facet normals of a
     canonical cone.  Every face is cut out by the facets containing it, so
@@ -453,9 +453,9 @@ def _face_sets(gens, normals) -> tuple[list[frozenset], list[frozenset]]:
     incidence.
     """
     incidence = [
-        frozenset(i for i, g in enumerate(gens) if not sum(map(mul, a, g))) for a in normals
+        sum(1 << i for i, g in enumerate(gens) if not sum(map(mul, a, g))) for a in normals
     ]
-    seen = dict.fromkeys([frozenset(range(len(gens)))])
+    seen = dict.fromkeys([(1 << len(gens)) - 1])
     frontier = list(seen)
     while frontier:
         nxt = []
@@ -467,6 +467,11 @@ def _face_sets(gens, normals) -> tuple[list[frozenset], list[frozenset]]:
                     nxt.append(t)
         frontier = nxt
     return list(seen), incidence
+
+
+def _members(s: int) -> list[int]:
+    """The indices in the bit mask s, ascending."""
+    return [i for i in range(s.bit_length()) if s >> i & 1]
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +592,9 @@ class Cone(_Frozen):
         return [self] + [self._face(s, incidence) for s in sets[1:]]
 
     def _face(self, s, incidence) -> "Cone":
-        """The face on the generator index set `s`, read off the incidence
-        of `_face_sets` with no DD; its fields are those `from_rays` gives.
+        """The face on the generator index set `s`, a bit mask, read off the
+        incidence of `_face_sets` with no DD; its fields are those
+        `from_rays` gives.
 
         Its rays are the generators in `s` and its lines the cone's.  Its
         equations cut out the span: the cone's equations and the facets
@@ -602,13 +608,20 @@ class Cone(_Frozen):
         (`_projections`); in Q^5 and below one side has at most two rows.
         """
         n, lines = self.n, self.lines
-        rays = [self.rays[i] for i in sorted(s)]
-        tight = [a for a, f in zip(self.ineqs, incidence) if s <= f]
+        rays = [self.rays[i] for i in _members(s)]
+        tight = [a for a, f in zip(self.ineqs, incidence) if s & f == s]
         cut = {}
         for a, f in zip(self.ineqs, incidence):
-            if not s <= f:
-                cut.setdefault(s & f, a)
-        normals = [a for t, a in cut.items() if not any(t < u for u in cut)]
+            t = s & f
+            if t != s:
+                cut.setdefault(t, a)
+        # the maximal cut sets, largest first: a set lies in a larger one
+        # exactly when it lies in a maximal one, which is kept already
+        kept = []
+        for t in sorted(cut, key=int.bit_count, reverse=True):
+            if not any(t & u == t for u in kept):
+                kept.append(t)
+        normals = [cut[t] for t in kept]
         if lines:
             eqs = sorted(_echelon([*self.eqs, *tight])[0])
             ineqs = sorted(_representatives(normals, eqs, rays, lines, n))
@@ -796,9 +809,21 @@ class Polyhedron(_Frozen):
         return not self.empty and not self.rays and not self.lines
 
     def contains_point(self, x) -> bool:
+        return self._holds(*_cleared(x))
+
+    def _holds(self, x, d: int) -> bool:
+        """Whether the point x / d, cleared (`_cleared`), lies in P: whether
+        `hom` holds the ray (x, d)."""
         if len(x) != self.n:
             raise AmbientMismatch(f"point has {len(x)} entries, the polyhedron lives in Q^{self.n}")
-        return self.hom.contains((*x, 1))
+        return self.hom._contains_gens(((*x, d),), ())
+
+    def _vertex_min(self, x, d: int = 1) -> Fraction:
+        """The least <v, x / d> over the vertices v of a nonempty P, on the
+        vertex rays (X, t) of `hom`: the least <X, x> / (t d)."""
+        n = self.n
+        # zip stops at x's n entries, before the last entry t of (X, t)
+        return _least((sum(map(mul, r, x)), r[n] * d) for r in self.hom.rays if r[n])
 
     def contains(self, other: "Polyhedron") -> bool:
         if other.n != self.n:
@@ -806,15 +831,23 @@ class Polyhedron(_Frozen):
         return self.hom._contains_gens(other.hom.rays, other.hom.lines)
 
     def relint_point(self) -> Vec:
+        """The average of the vertices plus the sum of the rays."""
+        x, d = self._relint()
+        return tuple(Fraction(v, d) for v in x)
+
+    def _relint(self) -> tuple[tuple, int]:
+        """`relint_point` cleared, on the rays of `hom`: with the vertices
+        X_i / t_i, k of them, and m = lcm(t_i), the point is
+        (sum X_i (m / t_i) + k m sum r) / (k m)."""
         if self.empty:
             raise ValueError("empty polyhedron has no relative interior")
-        acc = zero_vec(self.n)
-        for v in self.vertices:
-            acc = vadd(acc, v)
-        acc = vscale(Fraction(1, len(self.vertices)), acc)
-        for r in self.rays:
-            acc = vadd(acc, r)
-        return acc
+        n, gens = self.n, self.hom.rays
+        verts = [g for g in gens if g[n]]
+        m = math.lcm(*(g[n] for g in verts))
+        d = len(verts) * m
+        x = [sum(g[i] * (m // g[n]) for g in verts) + d * sum(g[i] for g in gens if not g[n]) for i in range(n)]
+        g = math.gcd(*x, d)
+        return tuple(v // g for v in x), d // g
 
     # -- calculus --------------------------------------------------------
 
@@ -929,10 +962,11 @@ class Polyhedron(_Frozen):
         sets, incidence = _face_sets(hom.rays, hom.ineqs)
         # generator sets without a vertex are faces at infinity of the
         # homogenized cone, not faces of the polyhedron
+        vertex_bits = sum(1 << i for i, r in enumerate(hom.rays) if r[n])
         return [
-            self if len(s) == len(hom.rays) else Polyhedron(n, hom._face(s, incidence))
+            self if s == sets[0] else Polyhedron(n, hom._face(s, incidence))
             for s in sets
-            if any(hom.rays[i][n] for i in s)
+            if s & vertex_bits
         ]
 
     # -- lattice points ----------------------------------------------------
@@ -1121,10 +1155,11 @@ def _projected_faces(polys, rows) -> list[Polyhedron]:
         hrows = _cleared_rows([(*r, 0) for r in rows] + [(0,) * n + (1,)])
         gens = _apply(hrows, hom.rays)
         lines = _primitive_rows(_apply(hrows, hom.lines))
+        vertex_bits = sum(1 << i for i, r in enumerate(hom.rays) if r[n])
         for s in _face_sets(hom.rays, hom.ineqs)[0]:
             # a set without a vertex is a face at infinity of `hom`, none of p
-            if any(hom.rays[i][n] for i in s):
-                keys.add((_primitive_rows(gens[i] for i in s), lines))
+            if s & vertex_bits:
+                keys.add((_primitive_rows(gens[i] for i in _members(s)), lines))
     family = {Polyhedron(m, _canonical(m + 1, *key)) for key in keys}
     return sorted(family, key=lambda f: (f.hom.rays, f.hom.lines))
 
@@ -1272,18 +1307,27 @@ def linearity_regions(pieces, domain: Polyhedron) -> PolyhedralComplex:
     `pieces` is a list of (a, c) with the function x -> <a, x> + c; the cells
     are the maximal regions where one piece attains the minimum.
     """
-    pieces = [(vec(a), frac(c)) for a, c in pieces]
+    pieces = list(pieces)
     _ambient(domain.n, [a for a, _ in pieces])
     if domain.empty:
         return PolyhedralComplex([])
     if not pieces:
         raise NotConcave("no affine pieces supplied")
-    uniq = sorted(set(pieces))
+    return _regions({_cleared((*a, c)) for a, c in pieces}, domain)
+
+
+def _regions(pieces, domain: Polyhedron) -> PolyhedralComplex:
+    """`linearity_regions` of the cleared pieces: (a, c) = (A, C) / q as
+    ((A, C), q), q > 0, on a nonempty domain.  A piece may come more than
+    once, scaled or not: equal pieces cut out equal regions, which the
+    complex keeps once."""
+    pieces = list(pieces)
     n, hom, ddim = domain.n, domain.hom, domain.dim()
     regions = []
-    for i, (ai, ci) in enumerate(uniq):
-        # <aj - ai, x> >= ci - cj and t >= 0 on (x, t) join the domain's rows
-        rows = [(*vsub(aj, ai), cj - ci) for j, (aj, cj) in enumerate(uniq) if j != i]
+    for i, (xi, qi) in enumerate(pieces):
+        # qi qj (<aj - ai, x> + (cj - ci) t) >= 0 and t >= 0 on (x, t) join
+        # the domain's rows
+        rows = [tuple(y * qi - x * qj for x, y in zip(xi, xj)) for j, (xj, qj) in enumerate(pieces) if j != i]
         ineqs = _merged(hom.ineqs, _primitive_rows([*rows, (0,) * n + (1,)]))
         reg = Polyhedron(n, _cut(n + 1, ineqs, hom.eqs))
         if not reg.empty and reg.dim() == ddim:
@@ -1295,7 +1339,12 @@ def normal_fan(polys, domain: Polyhedron) -> PolyhedralComplex:
     """Common refinement over `domain` of the regions where one vertex of
     each nonempty polyhedron of `polys` minimizes <v, u>; `domain` itself
     when all are empty."""
-    fans = [
-        linearity_regions([(v, 0) for v in p.vertices], domain) for p in polys if not p.empty
-    ]
+    fans = []
+    for p in polys:
+        if p.empty:
+            continue
+        if p.n != domain.n:
+            raise AmbientMismatch(f"every row must have the ambient dimension {domain.n}")
+        # a vertex X / t of p, the ray (X, t) of its `hom`, is the piece ((X, 0), t)
+        fans.append(_regions([((*g[:-1], 0), g[-1]) for g in p.hom.rays if g[-1]], domain))
     return common_refinement(fans) if fans else PolyhedralComplex([domain])

@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedBase,
     WeightOutsideBox,
 )
-from .linalg import Vec, _cleared, frac, int_identity, solve, vdot, vec, vsub, zero_vec
+from .linalg import F0, Vec, _cleared, _least, frac, int_identity, solve, vdot, vec, vsub, zero_vec
 from .polyhedra import (
     Cone,
     PolyhedralComplex,
@@ -46,6 +46,7 @@ from .polyhedra import (
     _cut,
     _merged,
     _primitive_rows,
+    _regions,
 )
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,7 @@ class TInvariantDivisor:
         self.fan = fan
         self.rays, verts = invariant_index(fan, rays, verts)
         self.verts = MappingProxyType(verts)
-        rc = {r: Fraction(0) for r in self.rays}
+        rc = {r: F0 for r in self.rays}
         for r, a in (ray_coeffs or {}).items():
             r = vec(r)
             if r not in rc:
@@ -235,7 +236,7 @@ class TInvariantDivisor:
         vc = {}
         for label, vs in verts.items():
             for v in vs:
-                vc[(label, v)] = Fraction(0)
+                vc[(label, v)] = F0
         for (label, v), b in (vertex_coeffs or {}).items():
             key = (label, vec(v))
             if key not in vc:
@@ -297,6 +298,8 @@ def principal_invariant_divisor(fan: DivisorialFan, f, u) -> TInvariantDivisor:
     slice's vertex 0 there.
     """
     u = vec(u)
+    if len(u) != fan.n:
+        raise AmbientMismatch(f"weight has {len(u)} entries, the fan lives in Q^{fan.n}")
     primes = f.divisor(fan.base).coeffs if isinstance(f, CurveFunction) else ()
     rays, verts = invariant_index(fan, primes=primes)
     rc = {r: vdot(r, u) for r in rays}
@@ -316,13 +319,19 @@ def principal_invariant_divisor(fan: DivisorialFan, f, u) -> TInvariantDivisor:
 class ConcavePL:
     """min of finitely many affine pieces restricted to a domain polyhedron.
 
-    Canonical via the hypograph {(u,t) : u in dom, t <= value(u)}; equality
-    of two of these is equality of functions with equal domains.  The
-    pieces are read off the upper facets of the hypograph, which
-    `from_hypograph` keeps as given.
+    A function keeps its pieces as cleared integer rows: the piece
+    u -> <a, u> + c with (a, c) = (A, C) / q as the row (A, -q, C), q > 0,
+    which is the inequality q t <= <A, u> + C s of the hypograph on its
+    homogenization (u, t, s).  It evaluates on these rows (`_at`).  The
+    hypograph {(u,t) : u in dom, t <= value(u)} makes it canonical:
+    equality of two of these is equality of functions with equal domains.
+    The hypograph and the canonical `pieces`, read off its upper facets,
+    are built on first use (equality, hash, `dualize`, `sup_convolve`) and
+    kept; `from_hypograph` keeps a given hypograph and takes its upper
+    facets as the rows.
     """
 
-    __slots__ = ("domain", "pieces", "hypo")
+    __slots__ = ("domain", "_rows", "_hypo", "_pieces")
 
     def __init__(self, domain: Polyhedron, pieces):
         pieces = list(pieces)
@@ -330,29 +339,55 @@ class ConcavePL:
             raise ValueError("a concave piece list must be nonempty")
         if domain.empty:
             raise EmptyDomain("a concave function needs a nonempty domain")
-        n, hom = domain.n, domain.hom
+        n = domain.n
         if any(len(a) != n for a, _ in pieces):
             raise AmbientMismatch(f"every slope must have the domain's dimension {n}")
-        # the hypograph's homogenization on (u, t, s): the domain's rows with
-        # a 0 at t, which keeps them a sorted key, t <= <a, u> + c as the
-        # cleared row (a, -1, c), and s >= 0
-        ineqs = tuple(r[:n] + (0,) + r[n:] for r in hom.ineqs)
-        eqs = tuple(r[:n] + (0,) + r[n:] for r in hom.eqs)
-        rows = [_cleared((*a, -1, c))[0] for a, c in pieces] + [(0,) * (n + 1) + (1,)]
-        self.hypo = Polyhedron(n + 1, _cut(n + 2, _merged(ineqs, _primitive_rows(rows)), eqs))
+        self._start(domain, [_cleared((*a, -1, c))[0] for a, c in pieces])
+
+    def _start(self, domain: Polyhedron, rows, hypo: Polyhedron | None = None):
+        """Set up the function on a nonempty domain from its cleared piece
+        rows (A, -q, C), at least one, and its hypograph if known."""
         self.domain = domain
-        self.pieces = _upper_pieces(self.hypo)
+        self._rows = rows
+        self._hypo = hypo
+        self._pieces = None
+
+    @classmethod
+    def _from_rows(cls, domain: Polyhedron, rows) -> "ConcavePL":
+        f = cls.__new__(cls)
+        f._start(domain, rows)
+        return f
 
     @classmethod
     def from_hypograph(cls, hypo: Polyhedron) -> "ConcavePL":
-        pieces = _upper_pieces(hypo)
-        if not pieces:
+        n = hypo.n - 1
+        rows = [r for r in hypo.hom.ineqs if r[n] < 0]
+        if not rows:
             raise ValueError("hypograph is not bounded above by affine pieces")
         f = cls.__new__(cls)
-        f.hypo = hypo
-        f.domain = hypo.map_image(int_identity(hypo.n)[:-1])
-        f.pieces = pieces
+        f._start(hypo.map_image(int_identity(hypo.n)[:-1]), rows, hypo)
         return f
+
+    @property
+    def hypo(self) -> Polyhedron:
+        hypo = self._hypo
+        if hypo is None:
+            # the hypograph's homogenization on (u, t, s): the domain's rows
+            # with a 0 at t, which keeps them a sorted key, the piece rows
+            # and s >= 0
+            n, hom = self.domain.n, self.domain.hom
+            ineqs = tuple(r[:n] + (0,) + r[n:] for r in hom.ineqs)
+            eqs = tuple(r[:n] + (0,) + r[n:] for r in hom.eqs)
+            rows = _primitive_rows([*self._rows, (0,) * (n + 1) + (1,)])
+            hypo = self._hypo = Polyhedron(n + 1, _cut(n + 2, _merged(ineqs, rows), eqs))
+        return hypo
+
+    @property
+    def pieces(self) -> tuple:
+        pieces = self._pieces
+        if pieces is None:
+            pieces = self._pieces = _upper_pieces(self.hypo)
+        return pieces
 
     def __eq__(self, other):
         return isinstance(other, ConcavePL) and self.hypo == other.hypo
@@ -364,17 +399,26 @@ class ConcavePL:
         return f"ConcavePL({len(self.pieces)} pieces on {self.domain!r})"
 
     def value(self, u) -> Fraction:
-        u = vec(u)
-        if not self.domain.contains_point(u):
-            raise WeightOutsideBox(f"{u} is outside the domain")
-        return self._at(*_cleared(u))
+        U, e = _cleared(u)
+        if not self.domain._holds(U, e):
+            raise WeightOutsideBox(f"{vec(u)} is outside the domain")
+        return self._at(U, e)
 
     def _at(self, U, e) -> Fraction:
         """The value at a point U / e of the domain, on integers: the least
-        (<a, U> - b e) / (-s e) over the upper facets <a, u> + s t >= b,
-        s < 0, of the hypograph, which are the pieces."""
+        (<A, U> + C e) / (q e) over the piece rows (A, -q, C).  A row the
+        hypograph finds redundant is at least the minimum on the domain,
+        so the rows give the value its upper facets give."""
         n = self.domain.n
-        return min(Fraction(sum(map(mul, a, U)) - b * e, -a[n] * e) for a, b in self.hypo.ineqs if a[n] < 0)
+        # zip stops at U's n entries, before the entries -q and C of a row
+        return _least((sum(map(mul, r, U)) + r[n + 1] * e, -r[n] * e) for r in self._rows)
+
+    def _regions(self) -> PolyhedralComplex:
+        """`linearity_regions(self.pieces, self.domain)`, on the piece rows:
+        the regions depend only on the function, and a row the hypograph
+        finds redundant is least on no more than a lower-dimensional set."""
+        n = self.domain.n
+        return _regions([((*r[:n], r[n + 1]), -r[n]) for r in self._rows], self.domain)
 
     def scale(self, k) -> "ConcavePL":
         k = frac(k)
@@ -400,6 +444,8 @@ class ConcavePL:
     def linear_part(self, w) -> Fraction:
         """Slope at infinity along a tail direction of the domain."""
         w = vec(w)
+        if len(w) != self.domain.n:
+            raise AmbientMismatch(f"direction has {len(w)} entries, the domain lives in Q^{self.domain.n}")
         return min(vdot(a, w) for a, _ in self.pieces)
 
     def sup_convolve(self, other: "ConcavePL") -> "ConcavePL":
@@ -461,11 +507,13 @@ class PLDivisorMap:
         return got
 
     def evaluate(self, u) -> QDivisor:
-        u = vec(u)
-        if not self.box.contains_point(u):
-            raise WeightOutsideBox(f"{u} not in Box")
+        return self._evaluate(u, *_cleared(u))
+
+    def _evaluate(self, u, U, e: int) -> QDivisor:
+        """`evaluate` at u = U / e, cleared."""
+        if not self.box._holds(U, e):
+            raise WeightOutsideBox(f"{vec(u)} not in Box")
         # every function's domain is the box, so u is in each of them
-        U, e = _cleared(u)
         out = {}
         for label, f in self.per_prime.items():
             out[label] = INF if is_inf(f) else f._at(U, e)
@@ -562,10 +610,10 @@ def graded_sections(d: TInvariantDivisor, u, pole_bound=None) -> SectionSpace:
     divisor at several weights builds them once.  A u that is no lattice
     point or lies outside Box^D raises `WeightOutsideBox`.
     """
-    u = vec(u)
-    if any(x.denominator != 1 for x in u):
+    U, e = _cleared(u)
+    if e != 1:
         raise WeightOutsideBox("graded pieces live at lattice points")
-    return base_global_sections(box_and_psi(d).evaluate(u), pole_bound=pole_bound)
+    return base_global_sections(box_and_psi(d)._evaluate(u, U, e), pole_bound=pole_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from operator import mul
 
 from ._record import _Record
 from .base import INF, BaseVariety, cone_index, cone_is_smooth
-from .errors import NoDegreeMap
-from .linalg import _int_row, smith_normal_form, vdot, vec, zero_vec
+from .errors import AmbientMismatch, NoDegreeMap
+from .linalg import _cleared, _int_row, smith_normal_form, vdot, vec, zero_vec
 from .pdivisor import PolyhedralDivisor, PropernessReport
 from .polyhedra import Cone, Polyhedron
 from .tvariety import DivisorialFan, invariant_index
@@ -95,20 +95,18 @@ class InvariantPDivisorOnFan:
         )
 
     def weights_at(self, u):
-        """(ray -> a_rho(u), (label, v) -> b(u) or INF) at a weight u."""
-        u = vec(u)
-        ra = {}
-        for r in self.rays:
-            p = self.ray_coefficient(r)
-            ra[r] = min(vdot(x, u) for x in p.vertices)
+        """(ray -> a_rho(u), (label, v) -> b(u) or INF) at a weight u, each
+        the least <x, u> over the coefficient's vertices x, on u cleared once."""
+        u = tuple(u)
+        if len(u) != self.n:
+            raise AmbientMismatch(f"weight has {len(u)} entries, the divisor has rank {self.n}")
+        U, e = _cleared(u)
+        ra = {r: self.ray_coefficient(r)._vertex_min(U, e) for r in self.rays}
         vb = {}
         for label, vs in self.verts.items():
             for v in vs:
                 p = self.vertex_coefficient(label, v)
-                if p.empty:
-                    vb[(label, v)] = INF
-                else:
-                    vb[(label, v)] = min(vdot(x, u) for x in p.vertices)
+                vb[(label, v)] = INF if p.empty else p._vertex_min(U, e)
         return ra, vb
 
 

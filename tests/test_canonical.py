@@ -639,16 +639,16 @@ def test_int_row_on_int_bool_and_fraction_rows():
 def from_rays_faces(c):
     """The faces of a cone, each built by a construction on its generators."""
     sets = polyhedra._face_sets(c.rays, c.ineqs)[0]
-    return [c] + [Cone.from_rays([c.rays[i] for i in sorted(s)], c.lines, c.n) for s in sets[1:]]
+    return [c] + [Cone.from_rays([c.rays[i] for i in polyhedra._members(s)], c.lines, c.n) for s in sets[1:]]
 
 
 def from_rays_polyhedron_faces(p):
     hom, n = p.hom, p.n
     sets = polyhedra._face_sets(hom.rays, hom.ineqs)[0]
     return [
-        p if len(s) == len(hom.rays) else Polyhedron(n, Cone.from_rays([hom.rays[i] for i in sorted(s)], hom.lines, n + 1))
+        p if s == sets[0] else Polyhedron(n, Cone.from_rays([hom.rays[i] for i in polyhedra._members(s)], hom.lines, n + 1))
         for s in sets
-        if any(hom.rays[i][n] for i in s)
+        if any(hom.rays[i][n] for i in polyhedra._members(s))
     ]
 
 

@@ -82,8 +82,8 @@ def test_face_route_matches_from_rays_on_every_branch(monkeypatch):
         for s in sets[1:]:
             calls.clear()
             got = c._face(s, incidence)
-            want = Cone.from_rays([c.rays[i] for i in sorted(s)], c.lines, c.n)
-            assert _slots(got) == _slots(want), (c, sorted(s))
+            want = Cone.from_rays([c.rays[i] for i in polyhedra._members(s)], c.lines, c.n)
+            assert _slots(got) == _slots(want), (c, polyhedra._members(s))
             faces += 1
             if c.lines:
                 seen["lines"] += 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,13 +18,13 @@ import pytest
 from fraction_route import fraction_dd_cone
 from helpers import random_proper_rank2
 from test_canonical import _cases, fields
-from pdivisors import cli, polyhedra
-from pdivisors.base import QDivisor, is_inf, point_label
+from pdivisors import cli, linalg, polyhedra
+from pdivisors.base import QDivisor, global_sections, is_inf, point_label
 from pdivisors.downgrade import DowngradeContext, downgrade
 from pdivisors.lattice import Lattice, LatticeMap, smith_split
 from pdivisors.linalg import vec, vsub
 from pdivisors.pdivisor import PolyhedralDivisor
-from pdivisors.tvariety import ConcavePL, PLDivisorMap
+from pdivisors.tvariety import ConcavePL, PLDivisorMap, TInvariantDivisor, box_and_psi, graded_sections
 from pdivisors.upgrade import upgrade
 
 FIX = Path(__file__).parent / "fixtures"
@@ -173,6 +174,52 @@ def test_chamber_complex_builds_no_face(monkeypatch):
         runs.clear()
         assert len(route(polys, rows).cells) == 3
         assert len(runs) == budget
+
+
+def _checked_round_trips(count, seed):
+    """The benchmark's round trip on `count` seeded divisors: downgrade, the
+    graded pieces at two fiber weights against the sections of the
+    evaluation, and the upgrade."""
+    ctx = DowngradeContext.from_projection(LatticeMap(Lattice(2), Lattice(1), [[1, 1]]))
+    for d in _divisors(count, seed):
+        fan, dbar = downgrade(d, ctx)
+        for ub in (Fraction(0),), (Fraction(1),):
+            ra, vb = dbar.weights_at(ub)
+            dv = TInvariantDivisor(fan, ra, dict(vb))
+            box = box_and_psi(dv).box
+            for up in range(-2, 3):
+                up = (Fraction(up),)
+                lift = tuple(a + b for a, b in zip(ctx.kernel(up), ctx.s_star(ub)))
+                if box.contains_point(up):
+                    assert graded_sections(dv, up).dimension == global_sections(d.evaluate(lift)).dimension
+        upgrade(dbar)
+
+
+# The `_cleared` calls on a point with a non-`int` entry over the 12 checked
+# round trips of seed 9, from a cold memo: each clears a rational point that
+# a Fraction carried back to integers.  Evaluators that tested membership
+# and then cleared the point again, and pieces built as Fractions from the
+# integer rays of `hom`, made 1,394 such calls here.
+CLEARED_BUDGET = 886
+
+
+def test_round_trips_clear_few_rational_points(monkeypatch):
+    # a count, not a time, so host noise does not hide a regression
+    cleared = linalg._cleared
+    seen = []
+
+    def counting(x):
+        x = tuple(x)
+        if not all(type(v) is int for v in x):
+            seen.append(x)
+        return cleared(x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pdivisors") and getattr(module, "_cleared", None) is cleared:
+            monkeypatch.setattr(module, "_cleared", counting)
+    memo.cache_clear()
+    _checked_round_trips(12, seed=9)
+    assert len(seen) == CLEARED_BUDGET
 
 
 def _fast_path_inputs(seed):
@@ -513,7 +560,7 @@ def _numbers(obj):
         integral, vertices = _integral_and_vertices(obj)
         return [x for v in integral + vertices for x in v]
     if isinstance(obj, ConcavePL):
-        return [x for a, c in obj.pieces for x in a + (c,)]
+        return [x for a, c in obj.pieces for x in a + (c,)] + [x for r in obj._rows for x in r]
     if isinstance(obj, LatticeMap):
         return [x for row in obj.matrix for x in row]
     if isinstance(obj, QDivisor):
@@ -524,14 +571,14 @@ def _numbers(obj):
 def test_round_trips_hold_no_float(monkeypatch):
     seen = []
 
-    def record_init(cls):
-        init = cls.__init__
+    def record_init(cls, name="__init__"):
+        init = getattr(cls, name)
 
         def recording(self, *args, **kwargs):
             init(self, *args, **kwargs)
             seen.append(self)
 
-        monkeypatch.setattr(cls, "__init__", recording)
+        monkeypatch.setattr(cls, name, recording)
 
     def record_result(cls, name):
         fn = getattr(cls, name)
@@ -543,11 +590,16 @@ def test_round_trips_hold_no_float(monkeypatch):
 
         monkeypatch.setattr(cls, name, recording)
 
-    for cls in (polyhedra.Cone, polyhedra.Polyhedron, ConcavePL, LatticeMap):
+    for cls in (polyhedra.Cone, polyhedra.Polyhedron, LatticeMap):
         record_init(cls)
-    record_result(PolyhedralDivisor, "evaluate")
+    # every construction of a function, from pieces, rows or a hypograph,
+    # sets it up in `_start`
+    record_init(ConcavePL, "_start")
+    # `evaluate` and `value` hand out what `_at` computes on cleared
+    # integers, which the properness probes and `fan_from` call directly
+    record_result(PolyhedralDivisor, "_at")
     record_result(PLDivisorMap, "evaluate")
-    record_result(ConcavePL, "value")
+    record_result(ConcavePL, "_at")
     _round_trips(2, seed=5)
     monkeypatch.undo()
     kinds = {type(obj) for obj in seen}
