@@ -44,7 +44,6 @@ from .downgrade import (
     downgrade_box_psi,
     dualize,
     fan_from,
-    linear_part,
     subdivision_of_dual,
 )
 from .lattice import (
@@ -59,12 +58,7 @@ from .pdivisor import (
     PropernessReport,
     PullbackTriple,
     as_curve_divisor,
-    convexity_check,
-    degree_polyhedron,
-    evaluate,
-    is_proper,
     principal_pdivisor,
-    pullback,
     toric_downgrade,
 )
 from .polyhedra import (
@@ -73,13 +67,10 @@ from .polyhedra import (
     Polyhedron,
     chamber_complex,
     common_refinement,
-    cross_section,
     dual_cone,
     hull,
-    intersect,
     linearity_regions,
     map_fiber_slice,
-    map_image,
     minkowski_sum,
 )
 from .tvariety import (

@@ -426,15 +426,6 @@ class QDivisor:
             raise ValueError("cannot negate an infinity coefficient")
         return QDivisor(self.base, {l: (c if is_inf(c) else s * c) for l, c in self.coeffs.items()})
 
-    def floor(self) -> "QDivisor":
-        return QDivisor(
-            self.base,
-            {l: (c if is_inf(c) else Fraction(math.floor(c))) for l, c in self.coeffs.items()},
-        )
-
-    def is_effective(self) -> bool:
-        return all(is_inf(c) or c >= 0 for c in self.coeffs.values())
-
     def leq(self, other: "QDivisor") -> bool:
         labels = set(self.coeffs) | set(other.coeffs)
         for l in labels:
@@ -482,22 +473,6 @@ class CurveFunction:
             if k:
                 data[a] = data.get(a, 0) + k
         self.factors = {a: k for a, k in data.items() if k}
-
-    @staticmethod
-    def coordinate() -> "CurveFunction":
-        return CurveFunction({Fraction(0): 1})
-
-    def is_one(self) -> bool:
-        return not self.factors
-
-    def mul(self, other: "CurveFunction") -> "CurveFunction":
-        out = dict(self.factors)
-        for a, k in other.factors.items():
-            out[a] = out.get(a, 0) + k
-        return CurveFunction(out)
-
-    def inverse(self) -> "CurveFunction":
-        return CurveFunction({a: -k for a, k in self.factors.items()})
 
     def order_at(self, x) -> int:
         x = INF if is_inf(x) else frac(x)
@@ -688,8 +663,8 @@ def global_sections(d: QDivisor, pole_bound: int | None = None) -> SectionSpace:
 
 
 def _times_powers_of_x(f0: CurveFunction, deg: int) -> tuple:
-    """f0 * x^k for k = 0..deg, with the factors in the order of
-    `f0.mul(x)` applied k times: the factor at 0 keeps its place while
+    """f0 * x^k for k = 0..deg, with the factors in the order that
+    multiplying by x one step at a time gives: the factor at 0 keeps its place while
     its exponent keeps the sign it has in f0, is dropped at exponent 0,
     and is appended last once the exponent turns positive from <= 0."""
     zero = Fraction(0)

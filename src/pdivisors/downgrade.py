@@ -66,11 +66,6 @@ class DowngradeContext(_Record):
         return DowngradeContext(pr, s_star, t, kernel)
 
 
-def linear_part(f: ConcavePL, w) -> Fraction:
-    """Slope of the eventually-affine tail of lambda -> f(u + lambda w)."""
-    return f.linear_part(w)
-
-
 def dualize(f: ConcavePL):
     """(Box*, Psi*) of one prime's concave function.
 

@@ -26,7 +26,6 @@ from .linalg import (
     _int_row,
     frac,
     int_identity,
-    mat_mul,
     smith_normal_form,
 )
 
@@ -38,14 +37,6 @@ class Lattice(_Frozen):
         if rank < 0:
             raise ValueError("lattice rank must be >= 0")
         self._init(rank, name)
-
-    def dual(self) -> "Lattice":
-        if self.name.endswith("*"):
-            return Lattice(self.rank, self.name[:-1])
-        return Lattice(self.rank, self.name + "*")
-
-    def zero(self) -> Vec:
-        return (Fraction(0),) * self.rank
 
 
 class LatticeMap:
@@ -84,23 +75,6 @@ class LatticeMap:
     def __repr__(self):
         rows = "; ".join(" ".join(str(x) for x in row) for row in self.matrix)
         return f"LatticeMap({self.source.name}->{self.target.name}: [{rows}])"
-
-    def compose(self, other: "LatticeMap") -> "LatticeMap":
-        """self after other."""
-        if other.target.rank != self.source.rank:
-            raise ValueError("composition rank mismatch")
-        return LatticeMap(other.source, self.target, mat_mul(self.matrix, other.matrix))
-
-    @staticmethod
-    def identity_on(lat: Lattice) -> "LatticeMap":
-        return LatticeMap(lat, lat, int_identity(lat.rank))
-
-    def is_surjective(self) -> bool:
-        _, d, _ = smith_normal_form(self.matrix) if self.matrix else (None, [], None)
-        k = self.target.rank
-        diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))] if d else []
-        nonzero = [x for x in diag if x != 0]
-        return len(nonzero) == k and all(abs(x) == 1 for x in nonzero)
 
 
 def multiplicity(v) -> int:

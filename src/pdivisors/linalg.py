@@ -22,7 +22,6 @@ Vec = tuple  # tuple of int or Fraction
 Mat = tuple  # tuple of row tuples
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -35,10 +34,6 @@ def vec(xs) -> Vec:
 
 def zero_vec(n: int) -> Vec:
     return (F0,) * n
-
-
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
@@ -60,11 +55,6 @@ def is_zero_vec(a: Vec) -> bool:
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
     return tuple(vdot(row, v) for row in a)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(vdot(row, col) for col in bt) for row in a)
 
 
 def transpose(a: Mat) -> Mat:

@@ -130,22 +130,6 @@ class PolyhedralDivisor:
             self._chambers = normal_fan(self.coeffs.values(), self.weight_cone().as_polyhedron())
         return self._chambers
 
-    def convexity_check(self, samples=()) -> bool:
-        omega = self.weight_cone()
-        gens = list(omega.rays) + [l for l in omega.lines] + [
-            tuple(-x for x in l) for l in omega.lines
-        ]
-        probes = []
-        for i, a in enumerate(gens):
-            for b in gens[i:]:
-                probes.append((vec(a), vec(b)))
-        for a, b in list(probes) + [(vec(a), vec(b)) for a, b in samples]:
-            da, db = self.evaluate(a), self.evaluate(b)
-            dab = self.evaluate(tuple(x + y for x, y in zip(a, b)))
-            if not da.add(db).leq(dab):
-                return False
-        return True
-
     # -- properness -----------------------------------------------------------
 
     def is_proper(self) -> "PropernessReport":
@@ -323,26 +307,6 @@ def principal_pdivisor(fshift, base: BaseVariety, n: int) -> PolyhedralDivisor:
     tail = Cone.zero(n)
     coeffs = {l: Polyhedron.point(w) for l, w in shifts.items()}
     return PolyhedralDivisor(base, n, tail, coeffs)
-
-
-def evaluate(d: PolyhedralDivisor, u) -> QDivisor:
-    return d.evaluate(u)
-
-
-def convexity_check(d: PolyhedralDivisor, samples=()) -> bool:
-    return d.convexity_check(samples)
-
-
-def is_proper(d: PolyhedralDivisor) -> PropernessReport:
-    return d.is_proper()
-
-
-def degree_polyhedron(d: PolyhedralDivisor) -> Polyhedron:
-    return d.degree_polyhedron()
-
-
-def pullback(d: PolyhedralDivisor, triple: PullbackTriple) -> PolyhedralDivisor:
-    return d.pullback(triple)
 
 
 def _toric_base_pullback(d, base_map: LatticeMap, new_base: BaseVariety):

@@ -1,7 +1,7 @@
 """Exact convex geometry: cones, polyhedra and polyhedral complexes in Q^n.
 
 A cone stores both representations (generators and halfspaces) as the
-primitive `int` tuples the double description method (`dd_cone`)
+primitive `int` tuples the double description method (`_dd`)
 computes.  A pointed cone in Q^1 to Q^3 needs no DD: its extreme rays are
 the candidates on n - 1 rows (cross products of two rows in Q^3) that lie
 in the cone up to sign (`_small_rays`).  The DD keeps the tight set of each
@@ -17,7 +17,7 @@ on the way, so both sides are canonical and
 structural equality of the stored data coincides with equality of the
 underlying sets.  The memo key holds the input rows primitive, sorted and
 without duplicates, so it does not depend on their order, and the DD runs
-on it as it is (`_dd`; the public `dd_cone` normalizes first).  A
+on it as it is.  A
 construction takes two steps: the public constructors check the row
 lengths and normalize the rows to that key (`_primitive_rows`), and
 `_canonical`/`_cut` build from a key.  Rows of a canonical cone are a key
@@ -166,22 +166,13 @@ def _dd_pointed(rows: list[tuple], d: int, base_idx: list[int] | None = None) ->
     return dict(zip(rays, tight))
 
 
-def dd_cone(ineqs, eqs, n: int) -> tuple[list[Vec], list[Vec]]:
-    """Extreme rays and lineality basis of {x : eqs.x = 0, ineqs.x >= 0}.
-
-    Each row is scaled once to its primitive integer row, which leaves the
-    cone unchanged, and the method (`_dd`) runs on integers only.  Rays and
-    lines come back as sorted primitive `int` tuples.  The memo is one level
-    up, on the whole construction (`_canonical`).
-    """
-    rays, lines, _ = _dd(_primitive_rows(ineqs), _primitive_rows(eqs), n)
-    return rays, lines
-
-
 def _dd(ineqs: tuple, eqs: tuple, n: int) -> tuple[list[Vec], list[Vec], list[int]]:
-    """`dd_cone` on rows that are `_primitive_rows` already, a memo key,
-    with the tight sets of the rays: (rays, lines, tight), where bit i of
-    tight[j] says that ineqs[i] is 0 on rays[j].
+    """Extreme rays and lineality basis of {x : eqs.x = 0, ineqs.x >= 0},
+    on rows that are `_primitive_rows` already (a memo key), on integers
+    only, with the tight sets of the rays: (rays, lines, tight), where bit
+    i of tight[j] says that ineqs[i] is 0 on rays[j].  Rays and lines come
+    back as sorted primitive `int` tuples.  The memo is one level up, on
+    the whole construction (`_canonical`).
 
     With no equations, one elimination of the transposed rows picks the
     lex-first independent rows.  If they are n, the cone is pointed and the
@@ -207,11 +198,11 @@ def _dd(ineqs: tuple, eqs: tuple, n: int) -> tuple[list[Vec], list[Vec], list[in
     sbasis, aprime, rspace, lprime = _frame(ineqs, eqs, n)
     if not sbasis:
         return [], [], []
-    lines = _echelon([mix_basis(lv, sbasis) for lv in lprime])[0] if lprime else []
+    lines = _echelon([_mix_basis(lv, sbasis) for lv in lprime])[0] if lprime else []
     # <a, mix(w, rspace)> = <a2, w>, so a ray's tight set carries over
     a2 = [tuple(sum(map(mul, ap, w)) for w in rspace) for ap in aprime]
     rays = {
-        _int_row(mix_basis(mix_basis(w, rspace), sbasis)): t
+        _int_row(_mix_basis(_mix_basis(w, rspace), sbasis)): t
         for w, t in _dd_pointed(a2, len(rspace), base_idx).items()
     }
     return _sorted_tight(rays, sorted(lines))
@@ -272,7 +263,7 @@ def _primitive_rows(rows) -> tuple:
 
 
 def _frame(ineqs, eqs, n: int):
-    """The coordinates `dd_cone` works in: (sbasis, aprime, rspace, lprime).
+    """The coordinates `_dd` works in: (sbasis, aprime, rspace, lprime).
 
     `sbasis` is a basis of {x : eqs.x = 0}, `aprime` the inequality rows in
     sbasis coordinates, one per row and in order (a row in span(eqs) is
@@ -319,7 +310,7 @@ def _canonical(n: int, gens: tuple, lines: tuple) -> "Cone":
     description method revisited", 1996).  A generator tight on every facet
     lies in the lineality space; the others are extreme exactly when no
     generator is tight on a strict superset of their facets.  The result is
-    what `dd_cone` gives on the H-side, so the construction is self-dual:
+    what `_dd` gives on the H-side, so the construction is self-dual:
     passing inequality rows as `gens` and equation rows as `lines`
     canonicalizes an H-description.
     """
@@ -344,18 +335,18 @@ def _canonical(n: int, gens: tuple, lines: tuple) -> "Cone":
 
 
 def _representatives(rays, lines, ineqs, eqs, n: int) -> list[tuple]:
-    """The representative `dd_cone(ineqs, eqs, n)` gives to each ray modulo
+    """The representative `_dd(ineqs, eqs, n)` gives to each ray modulo
     span(lines): the point of r + span(lines) in the span R of the frame's
     rspace.  R and the lines together form a basis of {x : eqs.x = 0}, so
     one elimination of [R | lines | rays] solves for every ray at once."""
     sbasis, _, rspace, _ = _frame(ineqs, eqs, n)
-    basis = [mix_basis(w, sbasis) for w in rspace]
+    basis = [_mix_basis(w, sbasis) for w in rspace]
     d, k = len(basis), len(basis) + len(lines)
     # row i is a positive multiple p_i of (e_i | R-coordinates of the rays)
     red, _ = _echelon(list(zip(*basis, *lines, *rays)))
     scale = math.lcm(*(red[i][i] for i in range(d)))
     return [
-        _int_row(mix_basis([red[i][k + j] * (scale // red[i][i]) for i in range(d)], basis))
+        _int_row(_mix_basis([red[i][k + j] * (scale // red[i][i]) for i in range(d)], basis))
         for j in range(len(rays))
     ]
 
@@ -431,7 +422,7 @@ def _span_complement(rays, tight, eqs, n: int) -> list[tuple]:
     return sorted(_echelon([*eqs, *tight])[0])
 
 
-def mix_basis(coords, basis) -> tuple:
+def _mix_basis(coords, basis) -> tuple:
     """The combination of the basis vectors with the given coefficients."""
     out = [0] * len(basis[0])
     for c, b in zip(coords, basis):
@@ -1036,24 +1027,11 @@ def minkowski_sum(a: Polyhedron, b: Polyhedron) -> Polyhedron:
     return a.minkowski(b)
 
 
-def intersect(a: Polyhedron, b: Polyhedron) -> Polyhedron:
-    return a.intersect(b)
-
-
-def map_image(p: Polyhedron, rows, shift=None) -> Polyhedron:
-    return p.map_image(rows, shift)
-
-
 def map_fiber_slice(p: Polyhedron, rows, target_point, retraction_rows) -> Polyhedron:
     """retraction image of p intersected with the fiber {x : A x = target}."""
     if len(rows) != len(target_point):
         raise AmbientMismatch("the fiber needs one target value per row")
     return p.with_equalities(list(zip(rows, target_point))).map_image(retraction_rows)
-
-
-def cross_section(c: Cone, functional, value) -> Polyhedron:
-    """c intersected with the affine hyperplane <functional, x> = value."""
-    return c.as_polyhedron().slice_at(functional, value)
 
 
 class PolyhedralComplex:
@@ -1083,9 +1061,6 @@ class PolyhedralComplex:
 
     def __iter__(self):
         return iter(self.cells)
-
-    def n(self) -> int:
-        return self.cells[0].n if self.cells else 0
 
     def validate(self):
         for a, b in itertools.combinations(self.cells, 2):

@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedBase,
     WeightOutsideBox,
 )
-from .linalg import F0, Vec, _cleared, _least, frac, int_identity, solve, vdot, vec, vsub, zero_vec
+from .linalg import F0, Vec, _cleared, _int_row, _kernel, _least, frac, int_identity, solve, vdot, vec, vsub, zero_vec
 from .polyhedra import (
     Cone,
     PolyhedralComplex,
@@ -285,11 +285,6 @@ class TInvariantDivisor:
             verts=self.verts,
         )
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.ray_coeffs.values()) and all(
-            b == 0 for b in self.vertex_coeffs.values()
-        )
-
 
 def principal_invariant_divisor(fan: DivisorialFan, f, u) -> TInvariantDivisor:
     """Div(f chi^u): ray part <v_rho, u>, vertex part <v, u> + ord_P(f).
@@ -427,14 +422,17 @@ class ConcavePL:
         return ConcavePL(self.domain, [(tuple(k * x for x in a), k * c) for a, c in self.pieces])
 
     def lineality(self) -> list[Vec]:
-        """Directions w with domain and value translation-invariant."""
+        """Directions w with domain and value translation-invariant: the
+        combinations (w, 0) of the hypograph's lines, whose t-entries
+        cancel, so slanted lines count too."""
         n = self.domain.n
-        out = []
-        for l in self.hypo.lines:
-            if l[n] == 0:
-                out.append(l[:n])
-        # lines with a slant contribute nothing to the strict lineality
-        return out
+        lines = self.hypo.lines
+        if not lines:
+            return []
+        return [
+            _int_row([sum(c * l[i] for c, l in zip(k, lines)) for i in range(n)])
+            for k in _kernel([tuple(l[n] for l in lines)], len(lines))
+        ]
 
     def graph_vertices(self) -> list[tuple[Vec, Fraction]]:
         """Canonical minimal-face representatives of the graph."""
@@ -518,14 +516,6 @@ class PLDivisorMap:
         for label, f in self.per_prime.items():
             out[label] = INF if is_inf(f) else f._at(U, e)
         return QDivisor(self.base, out)
-
-    def drop_trivial(self) -> "PLDivisorMap":
-        data = {}
-        for label, f in self.per_prime.items():
-            if not is_inf(f) and f == zero_function_on(self.box):
-                continue
-            data[label] = f
-        return PLDivisorMap(self.base, self.box, data)
 
 
 def sum_psi(a: PLDivisorMap, b: PLDivisorMap) -> PLDivisorMap:
@@ -660,21 +650,6 @@ def support_functions(d: TInvariantDivisor) -> SupportFunction:
             per_cell.append((cell, a, c))
         out[label] = tuple(per_cell)
     return SupportFunction(out)
-
-
-def support_function_concave(d: TInvariantDivisor, label) -> bool:
-    """h_P concave <=> each cell's piece dominates h on every other cell."""
-    sf = support_functions(d)
-    cells = sf.pieces.get(label, ())
-    for cell_i, a_i, c_i in cells:
-        for cell_j, a_j, c_j in cells:
-            for v in cell_j.vertices:
-                if vdot(a_i, v) + c_i < vdot(a_j, v) + c_j:
-                    return False
-            for r in cell_j.tail().rays:
-                if vdot(a_i, r) < vdot(a_j, r):
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------

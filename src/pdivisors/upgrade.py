@@ -17,9 +17,9 @@ from operator import mul
 from ._record import _Record
 from .base import INF, BaseVariety, cone_index, cone_is_smooth
 from .errors import AmbientMismatch, NoDegreeMap
-from .linalg import _cleared, _int_row, smith_normal_form, vdot, vec, zero_vec
+from .linalg import _cleared, _int_row, smith_normal_form, vdot, vec
 from .pdivisor import PolyhedralDivisor, PropernessReport
-from .polyhedra import Cone, Polyhedron
+from .polyhedra import Cone, Polyhedron, _canonical, _primitive_rows
 from .tvariety import DivisorialFan, invariant_index
 
 
@@ -111,50 +111,43 @@ class InvariantPDivisorOnFan:
 
 
 def upgrade_tailcone(d: InvariantPDivisorOnFan) -> Cone:
-    """pos of (tail x 0) together with each ray coefficient at its height."""
-    nprime = d.fan.n
-    gens = []
-    lines = []
-    for g in d.tail.rays:
-        gens.append(tuple(g) + zero_vec(nprime))
-    for l in d.tail.lines:
-        lines.append(tuple(l) + zero_vec(nprime))
+    """pos of (tail x 0) together with each ray coefficient at its height,
+    read off the rays of each coefficient's `hom`: at the height r = R / e
+    a vertex ray (X, t) gives (X e, t R) and a tail ray (X, 0) gives (X, 0)."""
+    n, zero = d.n, (0,) * d.fan.n
+    gens = [g + zero for g in d.tail.rays]
+    lines = [l + zero for l in d.tail.lines]
     for r in d.rays:
-        p = d.ray_coefficient(r)
-        for w in p.vertices:
-            gens.append(tuple(w) + tuple(r))
-        for ry in p.rays:
-            gens.append(tuple(ry) + zero_vec(nprime))
-        for l in p.lines:
-            lines.append(tuple(l) + zero_vec(nprime))
-    return Cone.from_rays(gens, lines, d.n + nprime)
+        hom = d.ray_coefficient(r).hom
+        R, e = _cleared(r)
+        gens += [tuple(e * x for x in g[:n]) + tuple(g[n] * y for y in R) for g in hom.rays]
+        lines += [l[:n] + zero for l in hom.lines]
+    return Cone.from_rays(gens, lines, n + d.fan.n)
 
 
 def upgrade_coefficients(d: InvariantPDivisorOnFan) -> PolyhedralDivisor:
-    """conv of the vertex coefficients at their heights, plus the tailcone."""
+    """conv of the vertex coefficients at their heights, plus the tailcone,
+    homogenized from the rays of each coefficient's `hom`: the vertex X / t
+    at the height v = V / e is the ray (X e, t V, t e)."""
     sigma_t = upgrade_tailcone(d)
-    nprime = d.fan.n
-    ntot = d.n + nprime
+    n, zero = d.n, (0,) * d.fan.n
+    ntot = n + d.fan.n
     sig_poly = sigma_t.as_polyhedron()
     coeffs = {}
     # a prime the fan marks but `d.verts` omits has no vertex: the hull of
     # none is empty
     for label in dict.fromkeys([*d.verts, *d.fan.marked_primes()]):
-        verts = []
-        rays = []
+        gens = []
         lines = []
         for v in d.verts.get(label, ()):
-            p = d.vertex_coefficient(label, v)
-            for w in p.vertices:
-                verts.append(tuple(w) + tuple(v))
-            for ry in p.rays:
-                rays.append(tuple(ry) + zero_vec(nprime))
-            for l in p.lines:
-                lines.append(tuple(l) + zero_vec(nprime))
-        if not verts:
+            hom = d.vertex_coefficient(label, v).hom
+            V, e = _cleared(v)
+            gens += [tuple(e * x for x in g[:n]) + tuple(g[n] * y for y in V) + (g[n] * e,) for g in hom.rays]
+            lines += [l[:n] + zero + (0,) for l in hom.lines]
+        if not any(g[-1] for g in gens):
             coeffs[label] = Polyhedron.empty_polyhedron(ntot)
             continue
-        hullpart = Polyhedron.from_generators(verts, rays, lines, ntot)
+        hullpart = Polyhedron(ntot, _canonical(ntot + 1, _primitive_rows(gens), _primitive_rows(lines)))
         coeffs[label] = hullpart.minkowski(sig_poly)
     return PolyhedralDivisor(d.fan.base, ntot, sigma_t, coeffs)
 

@@ -6,9 +6,9 @@ import itertools
 from fractions import Fraction
 
 from pdivisors.base import INF, BaseVariety, CurveFunction, is_inf, point_label
-from pdivisors.lattice import multiplicity
+from pdivisors.lattice import LatticeMap, multiplicity
 from fraction_route import fraction_rank
-from pdivisors.linalg import vdot, vec
+from pdivisors.linalg import smith_normal_form, vdot, vec
 from pdivisors import polyhedra
 from pdivisors.pdivisor import PolyhedralDivisor
 from pdivisors.polyhedra import Cone, Polyhedron, hull
@@ -33,6 +33,42 @@ def point_poly(a):
 def full_cone(n) -> Cone:
     """All of Q^n: the cone cut out by no inequality."""
     return Cone.from_inequalities([], [], n)
+
+
+def dd_cone(ineqs, eqs, n: int):
+    """Extreme rays and lineality basis of {x : eqs.x = 0, ineqs.x >= 0}:
+    the DD core `polyhedra._dd` on the rows scaled to their primitive rows."""
+    rays, lines, _ = polyhedra._dd(polyhedra._primitive_rows(ineqs), polyhedra._primitive_rows(eqs), n)
+    return rays, lines
+
+
+def mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def compose(f: LatticeMap, g: LatticeMap) -> LatticeMap:
+    """f after g."""
+    assert g.target.rank == f.source.rank
+    return LatticeMap(g.source, f.target, mat_mul(f.matrix, g.matrix))
+
+
+def identity_on(lat) -> LatticeMap:
+    return LatticeMap(lat, lat, [[int(i == j) for j in range(lat.rank)] for i in range(lat.rank)])
+
+
+def is_surjective(f: LatticeMap) -> bool:
+    """The invariant factors of f's matrix are target-rank many units."""
+    d = smith_normal_form(f.matrix)[1] if f.matrix else []
+    diag = [x for x in (d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))) if x]
+    return len(diag) == f.target.rank and all(abs(x) == 1 for x in diag)
+
+
+def curve_mul(f: CurveFunction, g: CurveFunction) -> CurveFunction:
+    """f g: the exponents of g's factors added to f's, new ones appended."""
+    out = dict(f.factors)
+    for a, k in g.factors.items():
+        out[a] = out.get(a, 0) + k
+    return CurveFunction(out)
 
 
 def counting_dd(monkeypatch):
@@ -145,13 +181,13 @@ def span_dimension(functions) -> int:
 
 
 def mul_chain_basis(f0: CurveFunction, deg: int) -> tuple:
-    """f0 * x^k for k = 0..deg by repeated `mul` with the coordinate x, the
+    """f0 * x^k for k = 0..deg by repeated `curve_mul` with the coordinate x, the
     route `global_sections` built its curve bases by before it set the
     exponent at 0 directly; the factor order, and so `repr`, is this chain's."""
-    x = CurveFunction.coordinate()
+    x = CurveFunction({F(0): 1})
     basis = [f0]
     for _ in range(deg):
-        basis.append(basis[-1].mul(x))
+        basis.append(curve_mul(basis[-1], x))
     return tuple(basis)
 
 

@@ -1,9 +1,9 @@
 """One DD per construction, and exact point tests on integers.
 
-`polyhedra._canonical` runs `dd_cone` once and reads the other side off
+`polyhedra._canonical` runs the DD (`_dd`) once and reads the other side off
 the generator-facet incidence.  These tests compare it, and every `Cone`
 and `Polyhedron` built on it, with a copy of the route it replaced, which
-ran `dd_cone` a second time on the first result.  The point tests clear
+ran the DD a second time on the first result.  The point tests clear
 denominators once and compare integers; they are checked against the
 `Fraction` dot products they replaced.  The chamber closure keyed by
 member sets, its projected faces read off the incidence, the face test
@@ -22,13 +22,13 @@ import random
 from fractions import Fraction
 
 from fraction_route import fraction_primitive, fraction_rank
-from helpers import counting_dd
+from helpers import counting_dd, dd_cone
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from pdivisors import polyhedra
-from pdivisors.linalg import F1, _cleared, _int_row, _kernel, vdot, vec, vsub
+from pdivisors.linalg import _cleared, _int_row, _kernel, vdot, vec, vsub
 from pdivisors.polyhedra import Cone, Polyhedron, chamber_complex, hull
 
 F = Fraction
@@ -37,9 +37,9 @@ memo = polyhedra._canonical
 
 def two_pass(n, gens, lines):
     """(rays, lines, ineqs, eqs) of pos(gens) + span(lines), with a second
-    `dd_cone` for the V-side."""
-    ineqs, eqs = polyhedra.dd_cone(gens, lines, n)
-    rays, clines = polyhedra.dd_cone(ineqs, eqs, n)
+    DD for the V-side."""
+    ineqs, eqs = dd_cone(gens, lines, n)
+    rays, clines = dd_cone(ineqs, eqs, n)
     return tuple(rays), tuple(clines), tuple(ineqs), tuple(eqs)
 
 
@@ -300,7 +300,7 @@ def test_faces_homogenize_vertices_on_integers():
         n = rng.randint(2, 4)
         pts = [tuple(F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)) for _ in range(rng.randint(2, 6))]
         p = Polyhedron.from_generators(pts, [tuple(rng.randint(0, 1) for _ in range(n))], n=n)
-        gens = [v + (F1,) for v in p.vertices] + [r + (0,) for r in p.rays]
+        gens = [v + (Fraction(1),) for v in p.vertices] + [r + (0,) for r in p.rays]
         ints = [x + (d,) for x, d in map(_cleared, p.vertices)] + [r + (0,) for r in p.rays]
         assert list(map(_int_row, ints)) == list(map(_int_row, gens))
         normals = [a + (-b,) for a, b in p.ineqs]

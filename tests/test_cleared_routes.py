@@ -5,7 +5,8 @@ Each integer route is checked against the Fraction route it replaced, on
 seeded divisors: calling a `LatticeMap`, `PolyhedralDivisor.evaluate` and
 the properness probes with `relint_point`, `InvariantPDivisorOnFan.weights_at`,
 the pieces of `downgrade_box_psi`, the support divisor of `fan_from`,
-`PLDivisorMap.evaluate` and `ConcavePL.value`; every value handed out is a
+`PLDivisorMap.evaluate` and `ConcavePL.value`, and the generators of the
+upgrade, read off each coefficient's `hom`; every value handed out is a
 `Fraction`.  A `ConcavePL` keeps its cleared piece
 rows and builds its hypograph and canonical pieces on first use: it equals
 one built eagerly from the hypograph of its pieces, and graded sections
@@ -14,18 +15,20 @@ build none.  Entry points that take a vector reject one of another length.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import P1, random_proper_rank2
+from helpers import P1, complete_cstar_fan, random_proper_rank2
 from test_downgrade_higher_rank import PROJECTIONS, random_proper
+from test_upgrade import noncf_p2_fan
 
-from pdivisors import tvariety
+from pdivisors import polyhedra, tvariety
 from pdivisors.base import INF, CurveFunction, QDivisor, is_inf, point_label, positivity
-from pdivisors.downgrade import DowngradeContext, downgrade, downgrade_box_psi, dualize, fan_from, linear_part
+from pdivisors.downgrade import DowngradeContext, downgrade, downgrade_box_psi, dualize, fan_from
 from pdivisors.errors import AmbientMismatch, WeightOutsideBox, WeightOutsideCone
 from pdivisors.lattice import Lattice, LatticeMap
 from pdivisors.linalg import _cleared, vdot, vec
@@ -38,6 +41,7 @@ from pdivisors.tvariety import (
     graded_sections,
     principal_invariant_divisor,
 )
+from pdivisors.upgrade import InvariantPDivisorOnFan, upgrade_coefficients, upgrade_tailcone
 
 F = Fraction
 
@@ -123,6 +127,38 @@ def dual_pieces(f: ConcavePL):
 
 def fraction_value(f: ConcavePL, u):
     return min(vdot(a, u) + c for a, c in f.pieces)
+
+
+def view_upgrade_tailcone(d: InvariantPDivisorOnFan) -> Cone:
+    """`upgrade_tailcone` from the Fraction views of each coefficient."""
+    zero = (0,) * d.fan.n
+    gens = [g + zero for g in d.tail.rays]
+    lines = [l + zero for l in d.tail.lines]
+    for r in d.rays:
+        p = d.ray_coefficient(r)
+        gens += [w + r for w in p.vertices] + [ry + zero for ry in p.rays]
+        lines += [l + zero for l in p.lines]
+    return Cone.from_rays(gens, lines, d.n + d.fan.n)
+
+
+def view_upgrade_coefficients(d: InvariantPDivisorOnFan) -> PolyhedralDivisor:
+    """`upgrade_coefficients` from the Fraction views of each coefficient."""
+    sigma_t = view_upgrade_tailcone(d)
+    zero, ntot = (0,) * d.fan.n, d.n + d.fan.n
+    sig_poly = sigma_t.as_polyhedron()
+    coeffs = {}
+    for label in dict.fromkeys([*d.verts, *d.fan.marked_primes()]):
+        verts, rays, lines = [], [], []
+        for v in d.verts.get(label, ()):
+            p = d.vertex_coefficient(label, v)
+            verts += [w + v for w in p.vertices]
+            rays += [ry + zero for ry in p.rays]
+            lines += [l + zero for l in p.lines]
+        if not verts:
+            coeffs[label] = Polyhedron.empty_polyhedron(ntot)
+            continue
+        coeffs[label] = Polyhedron.from_generators(verts, rays, lines, ntot).minkowski(sig_poly)
+    return PolyhedralDivisor(d.fan.base, ntot, sigma_t, coeffs)
 
 
 def assert_fractions(values) -> int:
@@ -411,6 +447,69 @@ def test_values_and_graded_sections_build_no_hypograph(monkeypatch):
     assert checked >= 20
 
 
+# -- the upgrade on hom rays ---------------------------------------------------
+
+
+def _upgrade_inputs():
+    """The downgrades of the seeded divisors, one input whose tail has a
+    line and whose heights and vertices are not integral, and one on a fan
+    that is not contraction-free, with a ray given as a fraction."""
+    out = [downgrade(d, ctx)[1] for d, ctx in DIVISORS]
+    tail = Cone.from_rays([(1, 0)], [(0, 1)])
+    tp = tail.as_polyhedron()
+    out.append(InvariantPDivisorOnFan(
+        complete_cstar_fan(),
+        2,
+        tail,
+        ray_coeffs={(1,): hull([(F(1, 3), 0)]).minkowski(tp)},
+        vertex_coeffs={
+            (point_label(0), (F(1, 2),)): hull([(F(2, 5), F(1, 7)), (1, 0)]).minkowski(tp),
+            (point_label(INF), (F(0),)): Polyhedron.empty_polyhedron(2),
+        },
+    ))
+    out.append(InvariantPDivisorOnFan(
+        noncf_p2_fan(),
+        1,
+        Cone.from_rays([(1,)]),
+        ray_coeffs={(F(1, 2),): Polyhedron.from_generators([(F(1, 3),)], [(1,)])},
+        rays=[(F(1, 2),)],
+        verts={point_label(INF): [(-1,)], point_label(0): [(0,)]},
+    ))
+    return out
+
+
+def test_upgrade_reads_hom_rays_like_the_views(monkeypatch):
+    # the generators come off each coefficient's `hom`, with no Fraction
+    # view; the constructions, memo keys included, are those of the views.
+    # Each route starts from an empty memo, so that neither finds objects,
+    # and the views kept on them, that the other built
+    keys = []
+    memo = polyhedra._canonical
+
+    def recording(*key):
+        keys.append(key)
+        return memo(*key)
+
+    for module in (polyhedra, importlib.import_module("pdivisors.upgrade")):
+        monkeypatch.setattr(module, "_canonical", recording)
+    inputs = _upgrade_inputs()
+    lines = rational = 0
+    for d in inputs:
+        memo.cache_clear()
+        keys.clear()
+        tail, out = upgrade_tailcone(d), upgrade_coefficients(d)
+        got = list(keys)
+        memo.cache_clear()
+        keys.clear()
+        want_tail, want = view_upgrade_tailcone(d), view_upgrade_coefficients(d)
+        assert got == keys
+        assert tail == want_tail and out == want
+        assert all(out.coefficient(l) == p for l, p in want.coeffs.items())
+        lines += bool(tail.lines)
+        rational += any(x.denominator > 1 for vs in d.verts.values() for v in vs for x in v)
+    assert len(inputs) == 15 and lines >= 1 and rational >= 5
+
+
 # -- the length contract ------------------------------------------------------
 
 
@@ -423,9 +522,8 @@ def test_vectors_of_another_length_raise():
         "weights_at": dbar.weights_at,
         "principal_invariant_divisor": lambda u: principal_invariant_divisor(fan, CurveFunction({}), u),
         "ConcavePL.linear_part": f.linear_part,
-        "downgrade.linear_part": lambda w: linear_part(f, w),
     }
-    right = {"weights_at": (F(1),), "principal_invariant_divisor": (F(1),), "ConcavePL.linear_part": (1, 0), "downgrade.linear_part": (1, 0)}
+    right = {"weights_at": (F(1),), "principal_invariant_divisor": (F(1),), "ConcavePL.linear_part": (1, 0)}
     for name, call in calls.items():
         n = len(right[name])
         # these once truncated or padded the vector: weights_at((1, 2, 3))
@@ -435,4 +533,4 @@ def test_vectors_of_another_length_raise():
             with pytest.raises(AmbientMismatch):
                 call(wrong)
         call(right[name])
-    assert linear_part(f, (1, 0)) == 0 and f.linear_part((0, 1)) == 1
+    assert f.linear_part((1, 0)) == 0 and f.linear_part((0, 1)) == 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import assert_cox_dims_equivalent, complete_cstar_fan, halfline, interval
+from helpers import assert_cox_dims_equivalent, complete_cstar_fan, compose, halfline, identity_on, interval
 from pdivisors.base import INF, BaseVariety, global_sections, point_label
 from pdivisors.cox import CoxData, cox_correct, cox_raw, cox_sequence, cox_upgrade
 from pdivisors.errors import EmptyCoefficient, TorsionCokernel
@@ -39,10 +39,7 @@ def test_sequence_exactness():
     prod = [mat_vec(cd.pi.matrix, col) for col in zip(*cd.kernel.matrix)]
     for col in prod:
         assert all(x == 0 for x in col)
-    comp = cd.pi.compose(cd.section)
-    from pdivisors.lattice import LatticeMap as LM
-
-    assert comp == LM.identity_on(cd.pi.target)
+    assert compose(cd.pi, cd.section) == identity_on(cd.pi.target)
 
 
 def quadric_cone_surface_fan():

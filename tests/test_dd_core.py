@@ -2,13 +2,13 @@
 
 `polyhedra._dd_pointed` keeps each ray's tight set as an `int` bit mask,
 skips a pair of rays with fewer than d - 2 common tight rows before its
-adjacency scan, and `dd_cone` runs it on the rows as they are when there
+adjacency scan, and `_dd` runs it on the rows as they are when there
 are no equations and the rows have full rank.  Degenerate inputs, where
 many rows meet in one ray and many rays lie on one row, are where the
 pruning, the scan and the identity frame decide the result.  Each case is
 checked against the `Fraction` route of `fraction_route.py`, which has
 frozenset incidence, no pruning and always changes frame, in both
-directions, and `_canonical` against two `dd_cone` runs.  Pointed cones in
+directions, and `_canonical` against two DD runs.  Pointed cones in
 Q^1 to Q^3 take `_small_rays`; those are checked against both the
 `Fraction` route and the frame route, with the cones that are not pointed
 or are {0} going to the frame route.
@@ -21,6 +21,7 @@ import itertools
 import random
 
 from fraction_route import fraction_dd_cone
+from helpers import dd_cone
 from test_canonical import fields, two_pass
 
 from pdivisors import polyhedra
@@ -115,7 +116,7 @@ def test_cases_are_degenerate_and_take_both_frames():
 
 def test_dd_cone_matches_fraction_route_on_degenerate_inputs():
     for name, rows, eqs, n, want in _cases():
-        assert polyhedra.dd_cone(rows, eqs, n) == want, name
+        assert dd_cone(rows, eqs, n) == want, name
 
 
 def test_construction_matches_two_dd_route_on_degenerate_inputs():

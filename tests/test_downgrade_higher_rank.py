@@ -22,7 +22,7 @@ from pdivisors import cli, polyhedra
 from pdivisors.base import BaseVariety, global_sections, point_label
 from pdivisors.downgrade import DowngradeContext, downgrade
 from pdivisors.lattice import Lattice, LatticeMap
-from pdivisors.linalg import vadd, vec
+from pdivisors.linalg import vec
 from pdivisors.pdivisor import PolyhedralDivisor
 from pdivisors.polyhedra import Cone, hull
 from pdivisors.tvariety import TInvariantDivisor, box_and_psi, graded_sections
@@ -99,7 +99,7 @@ def assert_round_trip(d, rows):
         box = box_and_psi(dv).box
         for up in itertools.product(range(-1, 2), repeat=ctx.fiber_rank):
             up = vec(up)
-            lift = vadd(ctx.kernel(up), ctx.s_star(ub))
+            lift = tuple(a + b for a, b in zip(ctx.kernel(up), ctx.s_star(ub)))
             in_box = box.contains_point(up)
             assert in_box == omega.contains(lift), (ub, up)
             if in_box:
@@ -166,7 +166,7 @@ def rank3_case():
 POOL = {e["id"]: e for e in json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "cli_pool.json").read_text())}
 
 
-# The budgets are the `dd_cone` runs of one `pdiv downgrade` on a cold
+# The budgets are the DD runs (`polyhedra._dd`) of one `pdiv downgrade` on a cold
 # construction memo with order-free memo keys, and with faces, face tests and
 # images that build no cone of their own; order-dependent keys, or cones
 # rebuilt for faces or in face tests, exceed them.

@@ -23,6 +23,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from helpers import dd_cone
 from test_canonical import _slots, two_pass
 
 from pdivisors import polyhedra
@@ -143,7 +144,7 @@ def test_dd_tight_sets_are_the_incidence_on_every_route(monkeypatch):
     for ineqs, eqs, n in _dd_keys(seed=22):
         route.clear()
         rays, lines, tight = polyhedra._dd(ineqs, eqs, n)
-        assert (rays, lines) == polyhedra.dd_cone(ineqs, eqs, n)
+        assert (rays, lines) == dd_cone(ineqs, eqs, n)
         assert tight == [sum(1 << i for i, a in enumerate(ineqs) if not sum(map(int.__mul__, a, r))) for r in rays]
         taken = [r for r in route if r] or ["identity frame"]
         seen[taken[-1]] += 1

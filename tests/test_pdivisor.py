@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -110,8 +111,15 @@ def test_evaluate_min_over_vertices_random():
 
 
 def test_convexity_check():
+    # D(u) + D(u') <= D(u + u') on pairs of the weight cone's generators and
+    # on the samples
     d = c3_like(F(5, 6))
-    assert d.convexity_check(samples=[((2,), (3,)), ((-1,), (5,))])
+    omega = d.weight_cone()
+    gens = [*omega.rays, *omega.lines, *(tuple(-x for x in l) for l in omega.lines)]
+    pairs = [*itertools.combinations_with_replacement(gens, 2), ((2,), (3,)), ((-1,), (5,))]
+    assert len(pairs) > 2
+    for a, b in pairs:
+        assert d.evaluate(a).add(d.evaluate(b)).leq(d.evaluate(tuple(x + y for x, y in zip(a, b))))
 
 
 def test_proper_downgrade_difficulties_input():
@@ -188,7 +196,7 @@ def test_degree_polyhedron_single_coefficient():
 
 
 def test_principal_pdivisor():
-    f = CurveFunction.coordinate()
+    f = CurveFunction({0: 1})
     d = principal_pdivisor([((1,), f)], P1, 1)
     for u in [(-2,), (0,), (3,)]:
         dv = d.evaluate(u)
@@ -199,7 +207,7 @@ def test_principal_pdivisor():
 
 
 def test_principal_two_terms_termwise():
-    f = CurveFunction.coordinate()
+    f = CurveFunction({0: 1})
     g = CurveFunction({1: 1})
     d = principal_pdivisor([((1, 0), f), ((0, 2), g)], P1, 2)
     dv = d.evaluate((3, 1))
@@ -220,7 +228,7 @@ def test_pullback_shift_translates():
         Cone.zero(1),
         {point_label(0): hull([(0,), (1,)])},
     )
-    tr = PullbackTriple(shift=(((1,), CurveFunction.coordinate()),))
+    tr = PullbackTriple(shift=(((1,), CurveFunction({0: 1})),))
     out = d.pullback(tr)
     assert out.coefficient(point_label(0)) == hull([(1,), (2,)])
     assert out.coefficient(point_label(INF)) == hull([(-1,)])

@@ -17,13 +17,10 @@ from pdivisors.polyhedra import (
     Polyhedron,
     chamber_complex,
     common_refinement,
-    cross_section,
     dual_cone,
     hull,
-    intersect,
     linearity_regions,
     map_fiber_slice,
-    map_image,
     minkowski_sum,
     normal_fan,
 )
@@ -198,7 +195,7 @@ def test_minkowski_commutative_associative_tail():
 
 def test_intersect_self():
     p = hull([(0, 0), (2, 0), (0, 2)])
-    assert intersect(p, p) == p
+    assert p.intersect(p) == p
 
 
 def test_intersect_boxes_oracle():
@@ -210,7 +207,7 @@ def test_intersect_boxes_oracle():
         hi2 = [l + rng.randint(0, 4) for l in lo2]
         b1 = hull(list(itertools.product(*[[l, h] for l, h in zip(lo1, hi1)])))
         b2 = hull(list(itertools.product(*[[l, h] for l, h in zip(lo2, hi2)])))
-        i = intersect(b1, b2)
+        i = b1.intersect(b2)
         lo = [max(a, b) for a, b in zip(lo1, lo2)]
         hi = [min(a, b) for a, b in zip(hi1, hi2)]
         if any(l > h for l, h in zip(lo, hi)):
@@ -221,7 +218,7 @@ def test_intersect_boxes_oracle():
 
 def test_intersect_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
-        intersect(hull([(0,)]), hull([(0, 0)]))
+        hull([(0,)]).intersect(hull([(0, 0)]))
 
 
 def test_point_tests_reject_points_of_another_length():
@@ -416,13 +413,13 @@ def test_quadric_cone_height_zero_slice():
 
 def test_map_image_projection():
     p = hull([(0, 0), (1, 1)])
-    q = map_image(p, [(0, 1)])  # kill first coordinate
+    q = p.map_image([(0, 1)])  # kill first coordinate
     assert q == hull([(0,), (1,)])
 
 
 def test_map_image_identity():
     p = hull([(0, 0), (1, 0), (0, 1)])
-    assert map_image(p, [(1, 0), (0, 1)]) == p
+    assert p.map_image([(1, 0), (0, 1)]) == p
 
 
 def test_map_image_vertex_subset_random():
@@ -431,7 +428,7 @@ def test_map_image_vertex_subset_random():
         pts = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(5)]
         p = hull(pts)
         rows = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(2)]
-        q = map_image(p, rows)
+        q = p.map_image(rows)
         images = [tuple(vdot(vec(r), vec(v)) for r in rows) for v in p.vertices]
         assert set(q.vertices) <= set(vec(i) for i in images)
         assert q == hull(images)
@@ -449,13 +446,13 @@ def test_map_fiber_slice_segment():
 
 def test_cross_section_quadric():
     delta = Cone.from_rays([(1, 1), (-1, 1)])
-    seg = cross_section(delta, (0, 2), 1)
+    seg = delta.as_polyhedron().slice_at((0, 2), 1)
     assert seg == hull([(F(-1, 2), F(1, 2)), (F(1, 2), F(1, 2))])
 
 
 def test_cross_section_orthant_facet():
     c = Cone.from_rays([(1, 0), (0, 1)])
-    f = cross_section(c, (1, 0), 0)
+    f = c.as_polyhedron().slice_at((1, 0), 0)
     assert f == Polyhedron.from_generators([(0, 0)], [(0, 1)], n=2)
 
 
