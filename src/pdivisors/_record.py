@@ -3,9 +3,11 @@
 A record sets its fields in its own `__init__`.  `_Record` gives equality
 field by field between records of one class and the repr
 `Name(field=value, ...)`; `_Frozen` records also hash over their fields and
-refuse assignment.  The package keeps `dataclasses` (and with it `inspect`
-and `ast`) off its import path, because every `pdiv` process pays for that
-import.
+refuse assignment.  The fields are the slots whose names do not start with
+an underscore, the inherited ones first (`_fields`); a slot such as
+`__weakref__` or a private cache is state, not a field.  The package keeps
+`dataclasses` (and with it `inspect` and `ast`) off its import path,
+because every `pdiv` process pays for that import.
 """
 
 from __future__ import annotations
@@ -13,9 +15,15 @@ from __future__ import annotations
 
 class _Record:
     __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__slots__", ())
+        cls._fields = cls._fields + tuple(f for f in own if not f.startswith("_"))
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
+        return tuple(getattr(self, f) for f in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -23,7 +31,7 @@ class _Record:
         return NotImplemented
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 

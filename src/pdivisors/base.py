@@ -14,6 +14,7 @@ declared binomial primes.
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 
 from ._record import _Frozen, _Record
@@ -97,25 +98,32 @@ class PrimeDivisorLabel(_Frozen):
     invariant linear-equivalence representative (ray -> coefficient) so that
     class-level predicates can substitute it: `class_rep` is a tuple of
     (ray, Fraction) pairs.
+
+    Labels are interned (hash-consed, Filliatre-Conchon 2006): a class and
+    its six fields give one object, kept in `_LABELS` for as long as
+    something else holds it, so equal labels are identical and equality and
+    hashing are those of `object`, which dict and set lookups run in C.
     """
 
-    __slots__ = ("id", "kind", "point", "ray", "class_rep", "degree")
+    __slots__ = ("id", "kind", "point", "ray", "class_rep", "degree", "__weakref__")
 
-    def __init__(self, id: str, kind: str, point: object = None, ray: tuple | None = None,
-                 class_rep: tuple = (), degree: Fraction | None = None):
-        self._init(id, kind, point, ray, class_rep, degree)
+    def __new__(cls, id: str, kind: str, point: object = None, ray: tuple | None = None,
+                class_rep: tuple = (), degree: Fraction | None = None):
+        key = (cls, id, kind, point, ray, class_rep, degree)
+        label = _LABELS.get(key)
+        if label is None:
+            label = object.__new__(cls)
+            for name, value in zip(cls._fields, key[1:]):
+                object.__setattr__(label, name, value)
+            _LABELS[key] = label
+        return label
 
-    def __eq__(self, other):
-        # spelled out: round trips compare labels in their inner loops
-        if other.__class__ is self.__class__:
-            return (self.id, self.kind, self.point, self.ray, self.class_rep, self.degree) == (
-                other.id, other.kind, other.point, other.ray, other.class_rep, other.degree
-            )
-        return NotImplemented
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __hash__(self):
-        # equal labels share id and kind; hashing the Fraction fields is slow
-        return hash((self.id, self.kind))
+
+# (class, fields) -> the one label with them, while something else holds it
+_LABELS = weakref.WeakValueDictionary()
 
 
 def point_label(x) -> PrimeDivisorLabel:
@@ -580,7 +588,15 @@ def order_along(f, label: PrimeDivisorLabel) -> int:
 
 
 class SectionSpace(_Record):
-    __slots__ = ("dimension", "basis", "polytope", "truncated")
+    """L(d) as its dimension and a basis, with the section polytope on a
+    toric base and whether poles at removed points were truncated.
+
+    On a curve the basis is built on first access to `basis` and kept, from
+    the function f0 in the private slot `_f0` (see `global_sections`), so a
+    caller that reads only `dimension` builds no function.
+    """
+
+    __slots__ = ("dimension", "basis", "polytope", "truncated", "_f0")
 
     def __init__(self, dimension: int | None, basis: tuple,
                  polytope: Polyhedron | None = None, truncated: bool = False):
@@ -588,6 +604,24 @@ class SectionSpace(_Record):
         self.basis = basis
         self.polytope = polytope
         self.truncated = truncated
+
+    @classmethod
+    def _on_curve(cls, f0: "CurveFunction", deg: int, truncated: bool) -> "SectionSpace":
+        """L(d) of dimension deg + 1 on a curve, with the basis f0 * x^k,
+        k = 0..deg, left to its first access."""
+        s = cls.__new__(cls)
+        s.dimension = deg + 1
+        s.polytope = None
+        s.truncated = truncated
+        s._f0 = f0
+        return s
+
+    def __getattr__(self, name):
+        # only an unset slot gets here: a curve basis not read yet
+        if name != "basis":
+            raise AttributeError(name)
+        self.basis = _times_powers_of_x(self._f0, self.dimension - 1)
+        return self.basis
 
 
 # Largest dimension of L(d) on a curve whose basis `global_sections` builds.
@@ -601,8 +635,9 @@ def global_sections(d: QDivisor, pole_bound: int | None = None) -> SectionSpace:
 
     P^1: explicit rational-function basis of dimension deg(floor d) + 1,
     f0 * x^k for k = 0..deg; each element is built from f0's factors with
-    only the exponent at 0 changed.  Above `MAX_CURVE_SECTIONS` it raises
-    `TooManySections` instead.
+    only the exponent at 0 changed.  The dimension is set here, the basis
+    on its first access (`SectionSpace`).  Above `MAX_CURVE_SECTIONS` it
+    raises `TooManySections` instead, here and not on that access.
     Open subsets of P^1 (or infinite coefficients): poles at removed primes
     are unbounded; they are truncated at `pole_bound`, which must be >= 0
     (`NegativePoleBound` otherwise: a negative bound would force zeros there).
@@ -625,16 +660,16 @@ def global_sections(d: QDivisor, pole_bound: int | None = None) -> SectionSpace:
             truncated = True
             for x in removed:
                 work[x] = work.get(x, Fraction(0)) + pole_bound
-        floor_c = {a: Fraction(math.floor(c)) for a, c in work.items()}
-        deg = sum(floor_c.values(), Fraction(0))
+        floor_c = {a: math.floor(c) for a, c in work.items()}
+        deg = sum(floor_c.values())
         if deg < 0:
             return SectionSpace(0, (), truncated=truncated)
         if deg + 1 > MAX_CURVE_SECTIONS:
             raise TooManySections(
                 f"L(D) has dimension {deg + 1}, above MAX_CURVE_SECTIONS = {MAX_CURVE_SECTIONS}"
             )
-        f0 = CurveFunction({a: int(-c) for a, c in floor_c.items() if not is_inf(a)})
-        return SectionSpace(int(deg) + 1, _times_powers_of_x(f0, int(deg)), truncated=truncated)
+        f0 = CurveFunction({a: -c for a, c in floor_c.items() if not is_inf(a)})
+        return SectionSpace._on_curve(f0, deg, truncated)
     if base.kind == "toric":
         if any(l.kind != "ray" for l in d.coeffs):
             raise UnsupportedBase("toric sections need a torus-invariant divisor")
@@ -721,8 +756,10 @@ def positivity(d: QDivisor) -> PositivityFlags:
     if base.kind in ("P1", "open_p1"):
         if base.kind == "open_p1" or d.infinity_primes():
             return PositivityFlags(True, True, True)
-        deg = sum(d.coeffs.values(), Fraction(0))
-        return PositivityFlags(True, deg >= 0, deg > 0)
+        # the sign of the degree, summed over one common denominator
+        den = math.lcm(*(c.denominator for c in d.coeffs.values()))
+        num = sum(c.numerator * (den // c.denominator) for c in d.coeffs.values())
+        return PositivityFlags(True, num >= 0, num > 0)
     if base.kind == "toric":
         return _toric_positivity(base, d)
     raise UnsupportedBase(base.kind)

@@ -106,9 +106,20 @@ def subdivision_of_dual(f: ConcavePL) -> PolyhedralComplex:
 def fan_from(psi: PLDivisorMap, marks):
     """Contraction-free fan from the dual subdivisions over the marked points.
 
+    Returns (fan, per-prime dual data, the support divisor read off from the
+    dual values): `fan_and_duals` and then `_support_divisor`.  `downgrade`
+    reads no support divisor and calls only the first.
+    """
+    fan, duals = fan_and_duals(psi, marks)
+    return fan, duals, _support_divisor(psi, fan, duals)
+
+
+def fan_and_duals(psi: PLDivisorMap, marks):
+    """(fan, per-prime dual data) of `fan_from`, with all of its checks.
+
     Members are the cells of each Xi(Psi_P*) attached to P with the empty
-    set at the other marks.  Returns (fan, per-prime dual data, the support
-    divisor read off from the dual values).
+    set at the other marks.  The tailfans of the dual subdivisions must
+    agree across the marks, and the fan validates its slices and tailfan.
     """
     marks = list(marks)
     if not marks:
@@ -123,8 +134,8 @@ def fan_from(psi: PLDivisorMap, marks):
         mark_labels.append(point_label(extra))
     # the zero function on the full-dimensional box has the single piece 0
     zero = ((zero_vec(box.n), Fraction(0)),)
-    support = {l for l, g in psi.per_prime.items() if is_inf(g) or g.pieces != zero}
-    if not support <= set(mark_labels):
+    support = [l for l, g in psi.per_prime.items() if is_inf(g) or g.pieces != zero]
+    if not set(support) <= set(mark_labels):
         raise MarksMissingSupport(
             f"marks must contain the support {[l.id for l in support]}"
         )
@@ -155,8 +166,13 @@ def fan_from(psi: PLDivisorMap, marks):
             for o in others:
                 coeffs[o] = Polyhedron.empty_polyhedron(n)
             members.append(PolyhedralDivisor(psi.base, n, cell.tail(), coeffs))
-    fan = DivisorialFan(psi.base, members)
-    # support divisor from the dual values: h_P = Psi_P*
+    return DivisorialFan(psi.base, members), duals
+
+
+def _support_divisor(psi: PLDivisorMap, fan: DivisorialFan, duals) -> TInvariantDivisor:
+    """The support divisor of `fan_from` from the dual values: h_P = Psi_P*,
+    with ray coefficients -min over Box of <r, .>."""
+    n = psi.box.n
     ray_coeffs = {r: -psi.box._vertex_min(r) for r in fan.rays()}
     vertex_coeffs = {}
     for label, (_, psi_star, cells) in duals.items():
@@ -166,8 +182,7 @@ def fan_from(psi: PLDivisorMap, marks):
                 if g[n]:
                     v = tuple(Fraction(x, g[n]) for x in g[:n])
                     vertex_coeffs[(label, v)] = -psi_star._at(g[:n], g[n])
-    dstar = TInvariantDivisor(fan, ray_coeffs, vertex_coeffs)
-    return fan, duals, dstar
+    return TInvariantDivisor(fan, ray_coeffs, vertex_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +249,7 @@ def downgrade(d: PolyhedralDivisor, ctx: DowngradeContext):
     marks = [l for l in d.marked() if l.kind == "point"]
     if not marks:
         marks = [point_label(Fraction(0))]
-    fan, duals, dstar = fan_from(total, marks)
+    fan, _ = fan_and_duals(total, marks)
     # second route: chamber complexes of the projected coefficient faces
     pi_rows = ctx.pi_rows
     for label in marks:

@@ -55,7 +55,13 @@ from .polyhedra import (
 
 
 class DivisorialFan:
-    """Finite compatible set of polyhedral divisors on a common base."""
+    """Finite compatible set of polyhedral divisors on a common base.
+
+    A fan is immutable.  It computes its contraction-freeness and, on a
+    contraction-free fan, its index (`_own_index`: the tail rays as the
+    tailfan's primitive `int` tuples and the slice vertices of each marked
+    prime) on first use, and keeps them for every divisor on it.
+    """
 
     def __init__(self, base: BaseVariety, members, semicomplete=None):
         self.base = base
@@ -67,8 +73,12 @@ class DivisorialFan:
             if m.base != base or m.n != self.n:
                 raise ValueError("members must share base and lattice")
         self.semicomplete = semicomplete
+        marked = {label: None for m in self.members for label in m.coeffs}
+        self._marked = tuple(sorted(marked, key=lambda l: l.id))
+        self._contraction_free = None
+        self._index = None
         self._slices = {}
-        for label in self.marked_primes():
+        for label in self._marked:
             cells = []
             for m in self.members:
                 p = m.coefficient(label)
@@ -87,11 +97,7 @@ class DivisorialFan:
                     )
 
     def marked_primes(self):
-        out = {}
-        for m in self.members:
-            for label in m.coeffs:
-                out[label] = None
-        return sorted(out, key=lambda l: l.id)
+        return list(self._marked)
 
     def slice_of(self, label) -> PolyhedralComplex:
         if label in self._slices:
@@ -99,7 +105,20 @@ class DivisorialFan:
         return self._tailfan
 
     def is_contraction_free(self) -> bool:
-        return all(self.member_locus_affine(m) for m in self.members)
+        if self._contraction_free is None:
+            self._contraction_free = all(self.member_locus_affine(m) for m in self.members)
+        return self._contraction_free
+
+    def _own_index(self):
+        """(tail rays, slice vertices per marked prime) as tuples, the rays
+        the tailfan's sorted primitive `int` tuples, the vertices in a
+        read-only mapping: computed on first use and kept."""
+        if self._index is None:
+            if not self.is_contraction_free():
+                raise NotContractionFree("invariant prime divisors need affine loci")
+            verts = {label: tuple(self.vertices_of(label)) for label in self._marked}
+            self._index = (tuple(self.rays()), MappingProxyType(verts))
+        return self._index
 
     def member_locus_affine(self, member) -> bool:
         base = self.base
@@ -163,42 +182,53 @@ def contraction_free_refinement(fan: DivisorialFan) -> DivisorialFan:
 
 
 def invariant_prime_divisors(s: DivisorialFan):
-    """(tail rays, slice vertices per marked prime) of a contraction-free fan.
+    """(tail rays, slice vertices per marked prime) of a contraction-free fan,
+    as lists read off the index the fan keeps (`DivisorialFan._own_index`).
 
     Every unmarked prime implicitly has the single vertex 0 of the trivial
     slice; those never carry nonzero data and are left implicit.
     """
-    if not s.is_contraction_free():
-        raise NotContractionFree("invariant prime divisors need affine loci")
-    rays = s.rays()
-    verts = {label: s.vertices_of(label) for label in s.marked_primes()}
-    return rays, verts
+    rays, verts = s._own_index()
+    return list(rays), {label: list(vs) for label, vs in verts.items()}
 
 
 def invariant_index(fan: DivisorialFan, rays=None, verts=None, primes=()):
     """The (rays, verts) that coefficient vectors on `fan` are indexed by.
 
-    A missing `rays` or `verts` is the fan's own.  On a contraction-free fan
-    a given index must name exactly the fan's tail rays and the slice
-    vertices of each marked prime.  An unmarked prime carries the trivial slice, whose
-    only vertex is 0: it appears only with that vertex, and each unmarked
-    prime in `primes` is added with it.
+    A missing `rays` or `verts` is the fan's own, kept on the fan
+    (`DivisorialFan._own_index`).  On a contraction-free fan a given index
+    must name exactly the fan's tail rays and the slice vertices of each
+    marked prime; the rays come back as the fan's own `int` tuples, in the
+    given order, and a part that is the fan's own object is taken without a
+    comparison.  An unmarked prime carries the trivial slice, whose only
+    vertex is 0: it appears only with that vertex, and each unmarked prime
+    in `primes` is added with it.
     """
+    own_verts = {}
     if rays is None or verts is None or fan.is_contraction_free():
-        own_rays, own_verts = invariant_prime_divisors(fan)
+        own_rays, own_verts = fan._own_index()
         if rays is None:
             rays = own_rays
-        elif set(map(vec, rays)) != set(own_rays):
-            raise ValueError("rays differ from the tail rays of the fan")
+        elif rays is not own_rays:
+            given = [vec(r) for r in rays]
+            if set(given) != set(own_rays):
+                raise ValueError("rays differ from the tail rays of the fan")
+            own = dict(zip(own_rays, own_rays))
+            rays = tuple(own[r] for r in given)
         if verts is None:
             verts = own_verts
         else:
             for label, vs in own_verts.items():
-                if set(vs) != set(map(vec, verts.get(label, ()))):
+                given = verts.get(label, ())
+                if given is not vs and set(vs) != set(map(vec, given)):
                     raise ValueError(f"verts differ from the slice vertices of the marked prime {label.id}")
-    rays = tuple(vec(r) for r in rays)
-    verts = {label: tuple(vec(v) for v in vs) for label, vs in verts.items()}
-    marked = set(fan.marked_primes())
+    else:
+        rays = tuple(vec(r) for r in rays)
+    verts = {
+        label: vs if vs is own_verts.get(label) else tuple(vec(v) for v in vs)
+        for label, vs in verts.items()
+    }
+    marked = fan._slices  # keyed by the marked primes
     zero = zero_vec(fan.n)
     for label in primes:
         if label not in marked:
@@ -226,11 +256,12 @@ class TInvariantDivisor:
         self.fan = fan
         self.rays, verts = invariant_index(fan, rays, verts)
         self.verts = MappingProxyType(verts)
-        rc = {r: F0 for r in self.rays}
+        # a key keeps the index's own ray: an equal tuple finds it
+        rc = dict.fromkeys(self.rays, F0)
         for r, a in (ray_coeffs or {}).items():
-            r = vec(r)
+            r = tuple(r)
             if r not in rc:
-                raise ValueError(f"{r} is not an invariant ray")
+                raise ValueError(f"{vec(r)} is not an invariant ray")
             rc[r] = frac(a)
         self.ray_coeffs = MappingProxyType(rc)
         vc = {}

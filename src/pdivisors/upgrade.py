@@ -39,12 +39,13 @@ class InvariantPDivisorOnFan:
         self.tail = tail
         self.rays, self.verts = invariant_index(fan, rays, verts)
         trivial = tail.as_polyhedron()
-        invariant_rays = set(self.rays)
+        # a key is the index's own ray, which an equal tuple finds
+        invariant_rays = dict(zip(self.rays, self.rays))
         rc = {}
-        for r, p in (ray_coeffs or {}).items():
-            r = vec(r)
-            if r not in invariant_rays:
-                raise ValueError(f"{r} is not an invariant ray of the fan")
+        for given, p in (ray_coeffs or {}).items():
+            r = invariant_rays.get(tuple(given))
+            if r is None:
+                raise ValueError(f"{vec(given)} is not an invariant ray of the fan")
             if p.empty:
                 raise ValueError("ray coefficients must be nonempty")
             if p.tail() != tail:
@@ -66,12 +67,18 @@ class InvariantPDivisorOnFan:
         self.vertex_coeffs = vc
 
     def ray_coefficient(self, r) -> Polyhedron:
-        p = self.ray_coeffs.get(vec(r))
+        p = self.ray_coeffs.get(self._fan_vector(r, "ray"))
         return self.tail.as_polyhedron() if p is None else p
 
     def vertex_coefficient(self, label, v) -> Polyhedron:
-        p = self.vertex_coeffs.get((label, vec(v)))
+        p = self.vertex_coeffs.get((label, self._fan_vector(v, "vertex")))
         return self.tail.as_polyhedron() if p is None else p
+
+    def _fan_vector(self, x, what: str) -> tuple:
+        x = tuple(x)
+        if len(x) != self.fan.n:
+            raise AmbientMismatch(f"{what} has {len(x)} entries, the fan lives in Q^{self.fan.n}")
+        return x
 
     def __eq__(self, other):
         return (

@@ -534,3 +534,22 @@ def test_vectors_of_another_length_raise():
                 call(wrong)
         call(right[name])
     assert f.linear_part((1, 0)) == 0 and f.linear_part((0, 1)) == 1
+
+
+def test_fan_vectors_of_another_length_raise():
+    d, ctx = DIVISORS[0]
+    fan, dbar = downgrade(d, ctx)
+    assert fan.n == 1 and dbar.rays
+    label, vs = next(iter(dbar.verts.items()))
+    calls = {
+        "ray_coefficient": dbar.ray_coefficient,
+        "vertex_coefficient": lambda v: dbar.vertex_coefficient(label, v),
+    }
+    right = {"ray_coefficient": dbar.rays[0], "vertex_coefficient": vs[0]}
+    for name, call in calls.items():
+        # these once answered with the tailcone: ray_coefficient((1, 0)) and
+        # ray_coefficient(()) gave conv{(0)} + pos{(1)} on this rank-1 fan
+        for wrong in ((1,) * (fan.n - 1), (1,) * (fan.n + 1)):
+            with pytest.raises(AmbientMismatch):
+                call(wrong)
+        assert call(right[name]) == call(tuple(map(F, right[name])))

@@ -227,21 +227,21 @@ def test_wrong_first_slice_route_raises_on_a_rank_one_fiber(monkeypatch):
     ctx = ctx_second_coordinate()
     assert ctx.fiber_rank == 1
     downgrade(d, ctx)
-    real = dg.fan_from
+    real = dg.fan_and_duals
     label = point_label(0)
 
     def shifted(psi, marks):
-        fan, duals, dstar = real(psi, marks)
+        fan, duals = real(psi, marks)
         right = fan.slice_of(label)
         wrong = PolyhedralComplex([c.translate((1,)) for c in right.cells])
         assert set(wrong.cells) != set(right.cells)
         fan._slices[label] = wrong
-        return fan, duals, dstar
+        return fan, duals
 
     def no_closure(polys, rows):
         raise AssertionError("a one-row chamber complex ran the closure")
 
-    monkeypatch.setattr(dg, "fan_from", shifted)
+    monkeypatch.setattr(dg, "fan_and_duals", shifted)
     monkeypatch.setattr(polyhedra, "_chamber_closure", no_closure)
     with pytest.raises(RoutesDisagree, match="slice routes disagree at 0"):
         dg.downgrade(d, ctx)

@@ -103,9 +103,10 @@ def test_record_repr_and_hash_match_the_dataclass_form():
         "PositivityFlags(qcartier=True, semiample=False, big=True)"
     )
     assert hash(Lattice(2)) == hash((2, "N"))
-    # a label hashes by id and kind only
+    # equal labels are one object, which hashes and compares by identity
     label = PrimeDivisorLabel("0", "point", F(0), degree=F(1))
-    assert hash(label) == hash(("0", "point"))
+    assert label is PrimeDivisorLabel(id="0", kind="point", point=F(0), degree=F(1))
+    assert hash(label) == object.__hash__(label)
     assert label != PrimeDivisorLabel("0", "point", F(0))
 
 
