@@ -648,8 +648,8 @@ def global_sections(d: QDivisor, pole_bound: int | None = None) -> SectionSpace:
         raise NegativePoleBound(f"the pole bound must be >= 0, got {pole_bound}")
     base = d.base
     if base.kind in ("P1", "open_p1"):
-        removed = set(base.removed)
-        removed.update(l.point for l in d.infinity_primes())
+        # in a fixed order: the order of f0's factors is that of `work`
+        removed = dict.fromkeys([*base.removed, *(l.point for l in d.infinity_primes())])
         work = {l.point: c for l, c in d.finite_part().items()}
         truncated = False
         if removed:

@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from ._record import _Record
 from .base import point_label, spare_points
-from .errors import FormsDisagree, NoDegreeMap, TorsionCokernel
+from .errors import FormsDisagree, NoDegreeMap, NotSurjective, TorsionCokernel
 from .lattice import Lattice, LatticeMap, multiplicity, smith_split
-from .linalg import mat_vec, smith_normal_form, vec
+from .linalg import mat_vec, vec
 from .pdivisor import PolyhedralDivisor
 from .polyhedra import Cone, Polyhedron
 from .tvariety import DivisorialFan, invariant_index
@@ -45,13 +45,15 @@ class CoxData(_Record):
         return tuple(Fraction(1) if i == index else Fraction(0) for i in range(m))
 
 
-def cox_sequence(fan: DivisorialFan, primes=None, *, canonical=True, pivot_order=None) -> CoxData:
+def cox_sequence(fan: DivisorialFan, primes=None) -> CoxData:
     """Assemble and split the presentation of the class-group dual.
 
     `primes` must include every prime with a nontrivial slice; when omitted
     the marked primes are used (padded to two on the projective line so the
-    degree quotient is nontrivial).  Smith pivots can be permuted to probe
-    section dependence; the kernel basis is always canonical.
+    degree quotient is nontrivial).  The presentation is split by the
+    canonical `smith_split`; the construction holds for any splitting, and
+    every other one differs from it by an integer matrix A (section
+    s + K A, retraction t - A pi).
     """
     base = fan.base
     if base.kind != "P1":
@@ -71,24 +73,17 @@ def cox_sequence(fan: DivisorialFan, primes=None, *, canonical=True, pivot_order
     pairs = tuple((label, v) for label in primes for v in verts[label])
     p = len(primes)
     n = fan.n
-    # quotient Z^P / Z * (deg P): degrees are 1 on P^1
-    degs = [[1] for _ in range(p)]
-    u, dmat, _ = smith_normal_form(degs)
-    diag = [dmat[i][i] for i in range(min(p, 1))]
-    if any(abs(x) != 1 for x in diag if x != 0):
-        raise TorsionCokernel("degree vector is not primitive")
-    q_rows = [u[i] for i in range(1, p)]
+    # quotient Z^P / Z (1, ..., 1), the degrees of the points of P^1, by
+    # the rows e_i - e_0 (those the Smith form of the all-ones column gives)
+    q_rows = [[int(j == i) - int(j == 0) for j in range(p)] for i in range(1, p)]
     # the presentation matrix
     cols = []
     for label, v in pairs:
         mu = multiplicity(v)
-        e_p = [Fraction(0)] * p
-        e_p[primes.index(label)] = Fraction(mu)
-        q_part = [sum(Fraction(r[j]) * e_p[j] for j in range(p)) for r in q_rows]
-        n_part = [mu * x for x in v]
-        cols.append(q_part + n_part)
+        k = primes.index(label)
+        cols.append([mu * r[k] for r in q_rows] + [mu * x for x in v])
     for r in rays:
-        cols.append([Fraction(0)] * (p - 1) + list(r))
+        cols.append([0] * (p - 1) + list(r))
     m = len(cols)
     target_rank = (p - 1) + n
     matrix = [[cols[j][i] for j in range(m)] for i in range(target_rank)]
@@ -96,11 +91,9 @@ def cox_sequence(fan: DivisorialFan, primes=None, *, canonical=True, pivot_order
     tgt = Lattice(target_rank, "Q+N")
     pi = LatticeMap(mid, tgt, matrix)
     try:
-        s_star, t, kernel = smith_split(pi, canonical=canonical, pivot_order=pivot_order)
-    except Exception as exc:  # invariant factors beyond 1 mean torsion
+        s_star, t, kernel = smith_split(pi)
+    except NotSurjective as exc:  # invariant factors beyond 1 mean torsion
         raise TorsionCokernel(str(exc))
-    cl_rank = m - target_rank
-    assert cl_rank == len(pairs) + len(rays) - (p - 1) - n
     return CoxData(
         fan=fan,
         primes=tuple(primes),
@@ -111,7 +104,7 @@ def cox_sequence(fan: DivisorialFan, primes=None, *, canonical=True, pivot_order
         section=s_star,
         retraction=t,
         kernel=kernel,
-        cl_rank=cl_rank,
+        cl_rank=m - target_rank,
     )
 
 

@@ -17,6 +17,10 @@ class NotSplit(PDivError):
     pass
 
 
+class NotPointed(PDivError):
+    pass
+
+
 class AmbientMismatch(PDivError):
     pass
 

@@ -133,7 +133,7 @@ def _reduce_mod_columns(col: list[int], hnf_cols: list[list[int]]) -> list[int]:
     return col
 
 
-def smith_split(pr: LatticeMap, *, canonical: bool = True, pivot_order=None):
+def smith_split(pr: LatticeMap):
     """Split a surjection pr: M -> Mbar of lattices.
 
     Returns (s_star, t, kernel) where s_star is a section (pr . s_star = id),
@@ -141,9 +141,10 @@ def smith_split(pr: LatticeMap, *, canonical: bool = True, pivot_order=None):
     the cosection M -> ker-coordinates with t . kernel = id and
     kernel . t + s_star . pr = id, so M = ker + s_star(Mbar) exactly.
 
-    With canonical=True the section is reduced modulo the kernel columnwise
-    (fixed column-echelon procedure), making the result independent of pivot
-    choices; pivot_order only matters with canonical=False.
+    The splitting is canonical: the kernel basis is the column Hermite
+    normal form of the kernel, and each section column is reduced modulo
+    it.  Every other splitting has section s_star + kernel . A and cosection
+    t - A . pr for an integer matrix A, and reduces to this one.
     """
     a = pr.matrix
     mbar, m = pr.target.rank, pr.source.rank
@@ -152,7 +153,7 @@ def smith_split(pr: LatticeMap, *, canonical: bool = True, pivot_order=None):
         t = LatticeMap(pr.source, pr.source, int_identity(m))
         s_star = LatticeMap(pr.target, pr.source, [[] for _ in range(m)])
         return s_star, t, kern
-    u, d, v = smith_normal_form(a, col_order=pivot_order)
+    u, d, v = smith_normal_form(a)
     diag = [d[i][i] for i in range(min(mbar, m))]
     if len([x for x in diag if x != 0]) < mbar or any(abs(x) != 1 for x in diag if x != 0):
         raise NotSurjective(f"invariant factors {diag} are not all unit")
@@ -165,11 +166,8 @@ def smith_split(pr: LatticeMap, *, canonical: bool = True, pivot_order=None):
     s_cols = [
         [sum(v[r][k] * u[k][j] for k in range(mbar)) for r in range(m)] for j in range(mbar)
     ]
-    # the kernel basis is always canonical (column HNF), so Cl-style
-    # coordinates agree across pivot choices; only the section varies
     ker_cols = _hnf_columns([[v[r][i] for r in range(m)] for i in range(mbar, m)])
-    if canonical:
-        s_cols = [_reduce_mod_columns(c, ker_cols) for c in s_cols]
+    s_cols = [_reduce_mod_columns(c, ker_cols) for c in s_cols]
     cols = s_cols + ker_cols
     # [S | K] is unimodular with inverse [pr; t]: t is the last m - mbar rows
     # of the inverse, read off one elimination of [S | K | I]

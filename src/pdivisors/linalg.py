@@ -180,27 +180,16 @@ def solve(rows, b) -> Vec | None:
 # ---------------------------------------------------------------------------
 
 
-def smith_normal_form(a, col_order=None):
+def smith_normal_form(a):
     """Smith normal form with transforms: returns (U, D, V) with U A V = D.
 
     U and V are unimodular integer matrices, D is diagonal with d_i | d_{i+1}.
-    `col_order` optionally permutes the column scan used for pivot selection,
-    which changes U and V (but never D).
     """
     d = [list(map(int, row)) for row in a]
     m = len(d)
     n = len(d[0]) if m else 0
     u = int_identity(m)
     v = int_identity(n)
-    if col_order is not None:
-        perm = list(col_order)
-        if sorted(perm) != list(range(n)):
-            raise ValueError("col_order must be a permutation of the columns")
-        # permute columns up front (a unimodular column operation)
-        for row in d:
-            row[:] = [row[j] for j in perm]
-        for row in v:
-            row[:] = [row[j] for j in perm]
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]

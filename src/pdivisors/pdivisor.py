@@ -26,6 +26,7 @@ from .errors import (
     EmptyCoefficient,
     IndeterminateBaseMap,
     NoDegreeMap,
+    NotPointed,
     NotSplit,
     UnsupportedBase,
     WeightOutsideCone,
@@ -375,7 +376,7 @@ def toric_downgrade(delta: Cone, sub: LatticeMap):
     its properness report.
     """
     if not delta.is_pointed():
-        raise ValueError("toric downgrade needs a pointed cone")
+        raise NotPointed("toric downgrade needs a pointed cone")
     ntilde = delta.n
     k = sub.source.rank
     # quotient projection killing the sublattice, from the Smith form

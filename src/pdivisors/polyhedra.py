@@ -46,12 +46,13 @@ tests clear a point's denominators once and compare integers.
 Two chamber algorithms have one entry point each: `chamber_complex(polys,
 rows)` projects the faces of the polyhedra `polys` itself, and
 `normal_fan(polys, domain)` refines the vertex regions of each polyhedron
-over `domain`.  On one row the chambers are the gaps between the vertex
-images, each of them the intersection of the edge images that leave its
-ends, so only the cells are built (`_line_chambers`); on more rows the
-intersection closure of the projected faces gives them, reading each
-face's generator set off the polyhedron's incidence and mapping the
-generators as integers (`_chamber_closure`).
+over `domain`.  On one row every family is answered by the gaps between
+consecutive vertex images that an image covers, so only the cells are
+built (`_line_chambers`); on two or more rows the intersection closure of
+the projected faces gives the chambers, reading each face's generator set
+off the polyhedron's incidence and mapping the generators as integers
+(`_chamber_closure`).  The closure assumes that the vertex images of
+different polyhedra do not interleave.
 
 The empty polyhedron is a first-class value, the zero cone homogenized:
 sums and intersections treat it as absorbing, images of it are empty.
@@ -1037,7 +1038,7 @@ def map_fiber_slice(p: Polyhedron, rows, target_point, retraction_rows) -> Polyh
 class PolyhedralComplex:
     """Finite polyhedral complex, stored by its maximal cells."""
 
-    def __init__(self, cells, validate: bool = False):
+    def __init__(self, cells):
         cells = [c for c in cells if not c.empty]
         # drop cells contained in another cell
         keep = []
@@ -1047,8 +1048,6 @@ class PolyhedralComplex:
             keep.append(c)
         uniq = sorted(set(keep), key=_cell_key)
         self.cells = tuple(uniq)
-        if validate:
-            self.validate()
 
     def __eq__(self, other):
         return isinstance(other, PolyhedralComplex) and self.cells == other.cells
@@ -1145,13 +1144,13 @@ def chamber_complex(polys, rows) -> PolyhedralComplex:
 
     `polys` is an iterable of polyhedra in one Q^n: a list of one
     polyhedron or the cells of one polyhedral complex; each row has n
-    entries.  On one row the chambers are the gaps between the vertex
-    images, read off them with only the cells built (`_line_chambers`):
-    the edges that leave the vertices at a gap's two ends hold the gap, so
-    the face images through a point of it meet in the gap itself.  On more
-    rows, or where the images of different polyhedra interleave, the
-    intersection closure of the projected faces gives the chambers
-    (`_chamber_closure`).  Both routes give the same complex.
+    entries.  On one row the cells are the gaps between consecutive vertex
+    images that an image covers, read off them with only the cells built
+    (`_line_chambers`); on one polyhedron each gap is the chamber of its
+    points.  On two or more rows the intersection closure of the projected
+    faces gives the chambers (`_chamber_closure`); it assumes that the
+    vertex images of different polyhedra do not interleave, and where they
+    do it can leave out a region that the images cover.
     """
     polys = list(polys)
     if polys:
@@ -1160,64 +1159,57 @@ def chamber_complex(polys, rows) -> PolyhedralComplex:
             raise AmbientMismatch("polyhedra live in different ambient spaces")
         _ambient(n, rows)
     if len(rows) == 1:
-        cells = _line_chambers(polys, rows[0])
-        if cells is not None:
-            return PolyhedralComplex(cells)
+        return PolyhedralComplex(_line_chambers(polys, rows[0]))
     return _chamber_closure(polys, rows)
 
 
-def _line_chambers(polys, row) -> list[Polyhedron] | None:
-    """The cells of `chamber_complex` under the map x -> <row, x> to Q, or
-    None when the closure must decide.
+def _line_chambers(polys, row) -> list[Polyhedron]:
+    """The cells of `chamber_complex` under the map x -> <row, x> to Q.
 
     A polyhedron whose lines map to 0 has the images of its vertices as
     breakpoints: its image runs from the least to the largest, unbounded
     at an end a ray maps towards; one with a line of nonzero image maps
-    onto Q with no breakpoint.  Among its face images holding a point x of
-    an open gap between its breakpoints, the edges (or rays) that leave
-    the vertices at the gap's two ends in the direction of x hold the gap
-    (simplex method: a vertex off the optimum has an improving edge or
-    ray), so their intersection, its chamber at x, is the gap's closure.
-    Between consecutive breakpoints of all the polyhedra the chamber is
-    then the intersection of the gaps of the polyhedra whose image holds
-    that gap, and one breakpoint b alone is the chamber {b}.  Each covered
-    gap is a cell, and so is each breakpoint whose two neighbouring gaps
-    are not covered; these are the closure's cells as long as each chamber
-    is its gap.  A chamber wider than its gap, where the vertex images of
-    different polyhedra interleave, gives None.
+    onto Q with no breakpoint.  The cells are the gaps between consecutive
+    breakpoints of all the polyhedra that an image covers, and each
+    breakpoint whose two neighbouring gaps are not covered, so they cover
+    the union of the images and no cell holds a breakpoint in its relative
+    interior.  On one polyhedron each cell is the chamber of its points:
+    among the face images holding a point x of an open gap, the edges (or
+    rays) that leave the vertices at the gap's two ends in the direction
+    of x hold the gap (simplex method: a vertex off the optimum has an
+    improving edge or ray), so their intersection is the gap's closure.
+    Where the vertex images of different polyhedra interleave, the face
+    images through a point can meet in more than its gap; the gap is still
+    the cell.
     """
     row, d = _cleared(row)
-    images = []  # per nonempty polyhedron: breakpoints, least and largest, None if unbounded
+    points, images = set(), []  # per nonempty polyhedron: least and largest, None if unbounded
     for p in polys:
         if p.empty:
             continue
         hom = p.hom
         # `row` has n entries, so <row, g> reads the x of a generator (x, t)
         if any(sum(map(mul, row, l)) for l in hom.lines):
-            images.append((set(), None, None))
+            images.append((None, None))
             continue
-        points, below, above = set(), False, False
+        breaks, below, above = set(), False, False
         for g in hom.rays:
             v, t = sum(map(mul, row, g)), g[-1]
             if t:
-                points.add(Fraction(v, d * t))
+                breaks.add(Fraction(v, d * t))
             else:
                 below, above = below or v < 0, above or v > 0
-        images.append((points, None if below else min(points), None if above else max(points)))
-    points = sorted(set().union(*(im[0] for im in images)))
+        points |= breaks
+        images.append((None if below else min(breaks), None if above else max(breaks)))
+    points = sorted(points)
     covered, cells = [], []
     for lo, hi in zip([None, *points], [*points, None]):
-        holders = [
-            breaks
-            for breaks, least, largest in images
-            if (least is None or lo is not None and least <= lo)
+        covered.append(any(
+            (least is None or lo is not None and least <= lo)
             and (largest is None or hi is not None and largest >= hi)
-        ]
-        covered.append(bool(holders))
-        if holders:
-            # the chamber is the gap when a holder breaks at each finite end
-            if not all(e is None or any(e in b for b in holders) for e in (lo, hi)):
-                return None
+            for least, largest in images
+        ))
+        if covered[-1]:
             cells.append(_line_cell(lo, hi))
     cells += [_line_cell(b, b) for i, b in enumerate(points) if not covered[i] and not covered[i + 1]]
     return cells

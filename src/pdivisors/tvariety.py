@@ -84,10 +84,10 @@ class DivisorialFan:
                 p = m.coefficient(label)
                 if not p.empty:
                     cells.append(p)
-            self._slices[label] = PolyhedralComplex(cells, validate=True)
-        self._tailfan = PolyhedralComplex(
-            [m.tail.as_polyhedron() for m in self.members], validate=True
-        )
+            self._slices[label] = PolyhedralComplex(cells)
+            self._slices[label].validate()
+        self._tailfan = PolyhedralComplex([m.tail.as_polyhedron() for m in self.members])
+        self._tailfan.validate()
         tail_faces = set(self._tailfan.all_faces())
         for label, sl in self._slices.items():
             for c in sl.cells:

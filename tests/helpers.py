@@ -241,6 +241,30 @@ def brute_force_graded_dimension(d: TInvariantDivisor, u, order_bound=6) -> int:
     return span_dimension(good)
 
 
+def resplit(cd, a):
+    """`cd` split with section s + K a and retraction t - a pi instead, for
+    an integer matrix `a` with `cd.cl_rank` rows and one column per row of
+    pi; every splitting of the presentation has this form."""
+    from pdivisors.cox import CoxData
+
+    s, k, t, pi = cd.section.matrix, cd.kernel.matrix, cd.retraction.matrix, cd.pi.matrix
+    r = range(cd.cl_rank)
+    section = [[x + sum(kr[l] * a[l][j] for l in r) for j, x in enumerate(sr)] for sr, kr in zip(s, k)]
+    retraction = [[x - sum(a[i][l] * pi[l][j] for l in range(len(pi))) for j, x in enumerate(t[i])] for i in r]
+    return CoxData(
+        cd.fan, cd.primes, cd.pairs, cd.rays, cd.quotient_rows, cd.pi,
+        LatticeMap(cd.section.source, cd.section.target, section),
+        LatticeMap(cd.retraction.source, cd.retraction.target, retraction),
+        cd.kernel, cd.cl_rank,
+    )
+
+
+def random_resplit(rng, cd):
+    """`resplit` by a matrix with entries drawn from -2..2."""
+    cols = cd.pi.target.rank
+    return resplit(cd, [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(cd.cl_rank)])
+
+
 def assert_cox_dims_equivalent(cd0, d0, cd1, d1, cl_range=1, n_range=2):
     """Graded dimensions of two corrected Cox divisors agree at weights
     matched through the section difference.

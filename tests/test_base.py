@@ -148,6 +148,23 @@ def test_sections_toric_polytope():
     assert not s.polytope.empty
 
 
+def test_sections_toric_bounded_and_empty():
+    # on P^2, L(k D_(1,0)) holds the characters of k times a unimodular
+    # triangle: (k + 1)(k + 2) / 2 of them; -D_(1,0) has none
+    p2 = BaseVariety.toric(
+        [Cone.from_rays(c) for c in ([(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)])], name="P2"
+    )
+    d = p2.ray((1, 0))
+    for k, dim in enumerate([1, 3, 6, 10]):
+        s = global_sections(qdiv(p2, [(d, k)]))
+        assert s.dimension == dim == len(s.basis)
+        assert s.polytope.is_bounded()
+        assert {m for f in s.basis for m in f.chars} == set(s.polytope.lattice_points())
+    s = global_sections(qdiv(p2, [(d, -1)]))
+    assert s.dimension == 0 and s.basis == ()
+    assert s.polytope.empty
+
+
 # -- orders ------------------------------------------------------------
 
 

@@ -206,8 +206,7 @@ def test_ray_keys_are_the_fan_rays_for_any_equal_tuple():
 def _eager_basis(d: QDivisor, pole_bound=None) -> tuple:
     """The basis the sections of a curve divisor had built eagerly: f0 x^k
     for k = 0..deg, f0 from floor(d + pole_bound at the removed points)."""
-    removed = set(d.base.removed)
-    removed.update(l.point for l in d.infinity_primes())
+    removed = dict.fromkeys([*d.base.removed, *(l.point for l in d.infinity_primes())])
     work = {l.point: c for l, c in d.finite_part().items()}
     for x in removed:
         work[x] = work.get(x, F(0)) + pole_bound

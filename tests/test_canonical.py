@@ -8,8 +8,10 @@ denominators once and compare integers; they are checked against the
 `Fraction` dot products they replaced.  The chamber closure keyed by
 member sets, its projected faces read off the incidence, the face test
 without a construction and the images on the homogenized cone are checked
-against copies of the routes they replaced; on one row the chambers
-read off the vertex images are checked against the closure and the BFS.
+against copies of the routes they replaced; on one row the cells read
+off the vertex images are checked against the closure and the BFS where
+each chamber is its gap, and where the images interleave they must cover
+the images with no vertex image inside a cell.
 Faces are read off the incidence with no DD, and a polyhedron computes its
 views on first access; both are checked against copies of the routes they
 replaced, field by field.
@@ -374,7 +376,8 @@ def _random_rows(rng, k, n):
     return [tuple(F(rng.randint(-2, 2), rng.choice([1, 1, 3])) for _ in range(n)) for _ in range(k)]
 
 
-def test_chamber_complex_matches_bfs_closure():
+def test_chamber_complex_matches_bfs_closure(monkeypatch):
+    _, calls = _spied_closure(monkeypatch)
     rng = random.Random(61)
     seen = {1: 0, 2: 0, 3: 0, "split": 0, "several": 0}
     for _ in range(60):
@@ -395,8 +398,11 @@ def test_chamber_complex_matches_bfs_closure():
         if rng.random() < 0.3:
             # an empty polyhedron adds no face
             cells.append(Polyhedron.empty_polyhedron(n))
+        calls.clear()
         got = chamber_complex(cells, rows)
         assert got == bfs_chamber_complex(family)
+        # one row never reaches the closure
+        assert bool(calls) == (k > 1)
         seen[k] += 1
         seen["several"] += len(got.cells) > 1
     empty = Polyhedron.empty_polyhedron(2)
@@ -426,7 +432,8 @@ def _kernel_face_rows(rng, p):
     return rng.sample(rows, rng.randint(1, len(rows))), f
 
 
-def test_projected_faces_match_face_objects():
+def test_projected_faces_match_face_objects(monkeypatch):
+    _, calls = _spied_closure(monkeypatch)
     rng = random.Random(67)
     seen = dict.fromkeys(["lines", "rays", "rational", "empty", "split", "kernel face", "several"], 0)
     for _ in range(60):
@@ -452,8 +459,10 @@ def test_projected_faces_match_face_objects():
             seen["empty"] += 1
         family = face_object_family(cells, rows)
         assert polyhedra._projected_faces(cells, rows) == sorted(family, key=lambda f: (f.hom.rays, f.hom.lines))
+        calls.clear()
         got = chamber_complex(cells, rows)
         assert got == bfs_chamber_complex(family)
+        assert bool(calls) == (len(rows) > 1)
         seen["lines"] += bool(p.lines)
         seen["rays"] += bool(p.rays)
         seen["rational"] += any(type(x) is not int and x.denominator > 1 for r in rows for x in r)
@@ -521,14 +530,60 @@ def _spied_closure(monkeypatch):
     return closure, calls
 
 
+def _line_images(cells, row):
+    """Per nonempty polyhedron: its image under `row`, an interval of Q,
+    and the images of its vertices, none when a line maps onto Q."""
+    out = []
+    for c in cells:
+        if c.empty:
+            continue
+        image = c.map_image([row])
+        out.append((image, set() if image.lines else {vdot(row, v) for v in c.vertices}))
+    return out
+
+
+def _gaps_are_chambers(images):
+    """Whether each gap between consecutive vertex images that an image
+    holds has a vertex image of such a holder at each finite end; then
+    each chamber is its gap, as the closure and the BFS find it."""
+    points = sorted(set().union(*(b for _, b in images)))
+    for lo, hi in zip([None, *points], [*points, None]):
+        if lo is None and hi is None:
+            x = F(0)
+        elif lo is None:
+            x = hi - 1
+        elif hi is None:
+            x = lo + 1
+        else:
+            x = (lo + hi) / 2
+        holders = [b for image, b in images if image.contains_point((x,))]
+        if holders and not all(e is None or any(e in b for b in holders) for e in (lo, hi)):
+            return False
+    return True
+
+
+def assert_line_cells(got, images):
+    """The cells cover the union of the images, and no cell of dimension
+    1 holds a vertex image in its relative interior."""
+    points = sorted(set().union(*(b for _, b in images)))
+    probes = points + [(a + b) / 2 for a, b in zip(points, points[1:])]
+    probes += [points[0] - 1, points[-1] + 1] if points else [F(0)]
+    for x in probes:
+        assert any(c.contains_point((x,)) for c in got) == any(i.contains_point((x,)) for i, _ in images), x
+    for c in got:
+        if c.dim() == 1:
+            assert all((b,) in c.vertices for b in points if c.contains_point((b,))), (c, points)
+
+
 def test_one_row_chambers_match_bfs_closure(monkeypatch):
-    # on one row `chamber_complex` reads the chambers off the vertex images,
-    # which agree with the closure and the BFS, and hands interleaved
-    # images to the closure
+    # on one row `chamber_complex` reads the cells off the vertex images and
+    # never calls the closure; where each chamber is its gap they agree with
+    # the closure and the BFS, and on interleaved images the cells are the
+    # covered gaps
     closure, calls = _spied_closure(monkeypatch)
     rng = random.Random(73)
     seen = dict.fromkeys(
-        ["lines to 0", "line not to 0", "rays", "point cell", "several cells", "several polyhedra", "fallback"], 0
+        ["lines to 0", "line not to 0", "rays", "point cell", "several cells", "several polyhedra", "interleaved"], 0
     )
     for _ in range(80):
         n = rng.randint(1, 3)
@@ -536,41 +591,41 @@ def test_one_row_chambers_match_bfs_closure(monkeypatch):
         if not any(row):
             row = (F(1),) + row[1:]
         kind, cells = _one_row_cells(rng, n, row)
-        calls.clear()
         got = chamber_complex(cells, [row])
-        assert got == closure(cells, [row]), (kind, cells, row)
-        fell_back = bool(calls)
-        if not fell_back:
-            # on interleaved images the closure and the BFS test different
-            # relative-interior points and can disagree
+        assert not calls
+        images = _line_images(cells, row)
+        assert_line_cells(got, images)
+        interleaved = not _gaps_are_chambers(images)
+        if not interleaved:
+            assert got == closure(cells, [row]), (kind, cells, row)
             assert got == bfs_chamber_complex(face_object_family(cells, [row])), (kind, cells, row)
-            # the route builds the cells and nothing else
-            assert len(polyhedra._line_chambers(cells, row)) == len(got.cells)
-        seen["fallback"] += fell_back
-        images = [vdot(row, x) for c in cells for x in c.lines]
-        seen["lines to 0"] += bool(images) and not any(images)
-        seen["line not to 0"] += any(images)
+        # the route builds the cells and nothing else
+        assert len(polyhedra._line_chambers(cells, row)) == len(got.cells)
+        seen["interleaved"] += interleaved
+        lines = [vdot(row, x) for c in cells for x in c.lines]
+        seen["lines to 0"] += bool(lines) and not any(lines)
+        seen["line not to 0"] += any(lines)
         seen["rays"] += any(vdot(row, r) for c in cells for r in c.rays)
         seen["point cell"] += len(got.cells) > 1 and any(c.dim() == 0 for c in got.cells)
-        seen["several cells"] += not fell_back and len(cells) > 1 and kind == "split"
-        seen["several polyhedra"] += not fell_back and kind in ("beside", "several")
+        seen["several cells"] += not interleaved and len(cells) > 1 and kind == "split"
+        seen["several polyhedra"] += not interleaved and kind in ("beside", "several")
     assert min(seen.values()) >= 5, seen
 
 
-def test_interleaved_images_fall_back_to_the_closure(monkeypatch):
+def test_interleaved_images_give_the_covered_gaps(monkeypatch):
     # the vertex images 1, 2, 3 of A and 0, 2, 4 of B interleave: the
-    # chamber at 1/2 is [0, 2], wider than its gap, so the closure decides,
-    # and its relative-interior test keeps neither [0, 1] nor [3, 4]
+    # chamber at 1/2 is [0, 2], wider than its gap; the cells are the gaps
+    # the images cover, and the closure is not called
     a = hull([(1, 0), (3, 0), (2, 1)])
     b = hull([(0, 5), (4, 5), (2, 6)])
     _, calls = _spied_closure(monkeypatch)
     got = chamber_complex([a, b], [(1, 0)])
-    assert calls == [[(1, 0)]]
-    assert got == bfs_chamber_complex(face_object_family([a, b], [(1, 0)]))
-    assert set(got.cells) == {hull([(0,)]), hull([(1,), (2,)]), hull([(2,), (3,)]), hull([(4,)])}
+    assert set(got.cells) == {hull([(0,), (1,)]), hull([(1,), (2,)]), hull([(2,), (3,)]), hull([(3,), (4,)])}
     # each alone is read off its vertex images
-    calls.clear()
     assert set(chamber_complex([b], [(1, 0)]).cells) == {hull([(0,), (2,)]), hull([(2,), (4,)])}
+    # two cells of one complex whose images interleave
+    got = chamber_complex([hull([(0, 0), (4, 0)]), hull([(2, 1), (3, 1)])], [(1, 0)])
+    assert set(got.cells) == {hull([(0,), (2,)]), hull([(2,), (3,)]), hull([(3,), (4,)])}
     assert not calls
 
 

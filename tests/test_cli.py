@@ -202,6 +202,20 @@ def test_toric_downgrade_golden(capsys):
     assert len(coeffs) == 2
 
 
+def test_toric_downgrade_cone_with_a_line_exit_one(tmp_path, capsys):
+    p = tmp_path / "line.json"
+    p.write_text(json.dumps({
+        "schema_version": "1",
+        "kind": "cone",
+        "payload": {"ambient": 2, "rays": [["1", "0"]], "lines": [["0", "1"]]},
+    }))
+    code = cli.main(["toric-downgrade", str(p), "--sublattice", '[["1","0"]]'])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: toric downgrade needs a pointed cone\n"
+
+
 def test_deform_upgrade_golden_byte_stable(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -479,6 +493,59 @@ def test_downgrade_rank4_terminates(tmp_path, projection):
     )
     assert proc.returncode in (0, 1, 2)
     assert "Traceback" not in proc.stderr
+
+
+# Each fresh process runs its argument lists through `cli.main` and prints
+# the exit code, stdout and stderr of each.
+_RUN_ALL = """
+import contextlib, io, json, sys
+from pdivisors import cli
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    print(json.dumps([argv, code, out.getvalue(), err.getvalue()]))
+"""
+
+FIXTURE_COMMANDS = [
+    ["eval", fixture("c3_like_threefold.json"), "--weight", "6"],
+    ["proper", fixture("c3_like_threefold.json")],
+    ["sections", fixture("c3_like_threefold.json"), "--weight", "6"],
+    ["upgrade", fixture("noncf_p2.json")],
+    ["bpf", fixture("noncf_p2.json")],
+    ["cox", fixture("psi0_fan.json")],
+    ["toric-downgrade", fixture("downgrade_difficulties.json"), "--sublattice", '[["1","0","0","0"]]'],
+    ["deform-upgrade", fixture("a1_deformation.json")],
+]
+
+
+def _run_under_seed(seed, commands):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", _RUN_ALL, json.dumps(commands)],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)),
+        timeout=120,
+        check=True,
+    ).stdout
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # the removed points of an open line, `inf` among them, once reached the
+    # order of the basis factors through a set
+    from pdivisors.base import INF, BaseVariety, point_label
+    from pdivisors.pdivisor import PolyhedralDivisor
+    from pdivisors.polyhedra import Cone, hull
+
+    base = BaseVariety.open_projective_line([INF, 5, -9, F(7, 2)])
+    d = PolyhedralDivisor(base, 1, Cone.zero(1), {point_label(0): hull([(2,)])})
+    p = tmp_path / "open.json"
+    p.write_bytes(cli.emit(d, "pdivisor"))
+    sections = [["sections", str(p), "--weight", "1", "--pole-bound", "1"]]
+    runs = {seed: _run_under_seed(seed, sections + FIXTURE_COMMANDS * (seed < 3)) for seed in range(1, 11)}
+    assert len({out.splitlines()[0] for out in runs.values()}) == 1
+    assert json.loads(runs[1].splitlines()[0])[1] == 0
+    assert runs[1] == runs[2] and len(runs[1].splitlines()) == 1 + len(FIXTURE_COMMANDS)
 
 
 def test_import_leaves_out_dataclasses_and_inspect():

@@ -11,6 +11,7 @@ from pdivisors.errors import NotSurjective, ZeroVector
 from pdivisors.lattice import (
     Lattice,
     LatticeMap,
+    _reduce_mod_columns,
     multiplicity,
     primitive_and_multiplicity,
     smith_split,
@@ -91,12 +92,26 @@ def test_split_random_surjections():
 
 
 def test_split_canonical_is_pivot_independent():
-    pr = LatticeMap(Lattice(3, "M"), Lattice(1, "Mbar"), [[2, 3, 5]])
-    a = smith_split(pr, canonical=True)
-    b = smith_split(pr, canonical=True, pivot_order=[2, 0, 1])
-    assert a[0].matrix == b[0].matrix
-    assert a[2].matrix == b[2].matrix
-    assert a[1].matrix == b[1].matrix
+    # every section is s + K a for an integer matrix a, and reducing it
+    # modulo the kernel columns gives the canonical section back
+    rng = random.Random(23)
+    cases = [LatticeMap(Lattice(3, "M"), Lattice(1, "Mbar"), [[2, 3, 5]])]
+    while len(cases) < 30:
+        m = rng.randint(2, 5)
+        mbar = rng.randint(1, m - 1)
+        pr = LatticeMap(Lattice(m), Lattice(mbar), [[rng.randint(-4, 4) for _ in range(m)] for _ in range(mbar)])
+        if is_surjective(pr):
+            cases.append(pr)
+    for pr in cases:
+        s_star, _, kern = smith_split(pr)
+        k = kern.source.rank
+        ker_cols = [list(c) for c in zip(*kern.matrix)]
+        for _ in range(5):
+            a = [[rng.randint(-3, 3) for _ in range(pr.target.rank)] for _ in range(k)]
+            moved = [[x + y for x, y in zip(sr, ka)] for sr, ka in zip(s_star.matrix, mat_mul(kern.matrix, a))]
+            assert compose(pr, LatticeMap(pr.target, pr.source, moved)) == identity_on(pr.target)
+            back = [_reduce_mod_columns(list(c), ker_cols) for c in zip(*moved)]
+            assert back == [list(c) for c in zip(*s_star.matrix)]
 
 
 def test_primitive_and_multiplicity():

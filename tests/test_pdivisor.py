@@ -15,12 +15,13 @@ from pdivisors.base import (
     point_label,
     ray_label,
 )
-from pdivisors.errors import AmbientMismatch, WeightOutsideCone
+from pdivisors.errors import AmbientMismatch, NotPointed, UnsupportedBase, WeightOutsideCone
 from pdivisors.lattice import Lattice, LatticeMap
 from pdivisors.linalg import vdot, vec
 from pdivisors.pdivisor import (
     PolyhedralDivisor,
     PullbackTriple,
+    as_curve_divisor,
     principal_pdivisor,
     toric_downgrade,
 )
@@ -312,6 +313,34 @@ def test_toric_downgrade_full_sublattice():
     assert base.rank_n == 0
     assert dbar.tail == delta
     assert dbar.coeffs == {}
+
+
+def test_toric_downgrade_needs_a_pointed_cone():
+    delta = Cone.from_rays([(1, 0)], [(0, 1)])
+    with pytest.raises(NotPointed):
+        toric_downgrade(delta, LatticeMap(Lattice(1), Lattice(2), [[1], [0]]))
+
+
+def test_as_curve_divisor():
+    # on A^1 the ray +1 becomes the point 0 of the projective line, and
+    # infinity stays unmarked
+    tail = Cone.from_rays([(1,)])
+    a = Polyhedron.from_generators([(F(1, 2),)], [(1,)], n=1)
+    b = Polyhedron.from_generators([(-1,)], [(1,)], n=1)
+    a1 = BaseVariety.toric([Cone.from_rays([(1,)])])
+    d = as_curve_divisor(PolyhedralDivisor(a1, 1, tail, {a1.ray((1,)): a}))
+    assert d.base == P1 and d.tail == tail
+    assert d.coeffs == {point_label(0): a}
+    # on the complete line the ray -1 becomes the point at infinity
+    line = BaseVariety.toric([Cone.from_rays([(1,)]), Cone.from_rays([(-1,)])])
+    d = as_curve_divisor(PolyhedralDivisor(line, 1, tail, {line.ray((1,)): a, line.ray((-1,)): b}))
+    assert d.coeffs == {point_label(0): a, point_label(INF): b}
+    assert d.evaluate((F(2),)).coeffs == {point_label(0): F(1), point_label(INF): F(-2)}
+    # only invariant labels on a one-dimensional toric base convert
+    with pytest.raises(UnsupportedBase):
+        as_curve_divisor(PolyhedralDivisor(P1, 1, tail, {point_label(0): a}))
+    with pytest.raises(UnsupportedBase):
+        as_curve_divisor(PolyhedralDivisor(line, 1, tail, {declared_label("D", [((1,), 1)]): a}))
 
 
 def test_toric_downgrade_orthant():

@@ -473,7 +473,8 @@ def test_common_refinement_1d():
 
 def test_common_refinement_self():
     cells = [hull([(0,), (1,)]), hull([(1,), (2,)])]
-    c = PolyhedralComplex(cells, validate=True)
+    c = PolyhedralComplex(cells)
+    c.validate()
     assert common_refinement([c, c]) == c
 
 
