@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import weakref
 from fractions import Fraction
+from operator import mul
 
 from ._record import _Frozen, _Record
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     UnsupportedBase,
     ZeroFunction,
 )
-from .linalg import Vec, frac, integral_solve, rank, smith_normal_form, solve, vdot, vec
+from .linalg import Vec, _lattice_vector, frac, integral_solve, rank, smith_normal_form, solve, vdot
 from .polyhedra import Cone, Polyhedron
 
 
@@ -96,8 +97,9 @@ class PrimeDivisorLabel(_Frozen):
     kind "ray": a torus-invariant divisor of a toric base (geometry = ray).
     kind "declared": a non-invariant prime on a toric base, carried with an
     invariant linear-equivalence representative (ray -> coefficient) so that
-    class-level predicates can substitute it: `class_rep` is a tuple of
-    (ray, Fraction) pairs.
+    class-level predicates can substitute it: `class_rep` is a sorted tuple
+    of (ray, Fraction) pairs.
+    Every ray, of a "ray" label and in a `class_rep`, is an `int` tuple.
 
     Labels are interned (hash-consed, Filliatre-Conchon 2006): a class and
     its six fields give one object, kept in `_LABELS` for as long as
@@ -140,7 +142,7 @@ def spare_points(taken) -> list[Fraction]:
 
 
 def ray_label(ray, degree=None) -> PrimeDivisorLabel:
-    r = vec(ray)
+    r = _lattice_vector(ray, "rays")
     pid = "ray(" + ",".join(str(x) for x in r) + ")"
     return PrimeDivisorLabel(
         id=pid, kind="ray", ray=r, degree=frac(degree) if degree is not None else None
@@ -148,7 +150,7 @@ def ray_label(ray, degree=None) -> PrimeDivisorLabel:
 
 
 def declared_label(name, class_rep, degree=None) -> PrimeDivisorLabel:
-    rep = tuple(sorted((vec(r), frac(c)) for r, c in class_rep))
+    rep = tuple(sorted((_lattice_vector(r, "rays"), frac(c)) for r, c in class_rep))
     return PrimeDivisorLabel(
         id=name,
         kind="declared",
@@ -163,11 +165,11 @@ def binomial_label(name, a, b, rays, degree=None) -> PrimeDivisorLabel:
     Its divisor class representative follows from
     div(chi^a - chi^b) = D + sum_rho min(<v_rho,a>, <v_rho,b>) D_rho.
     """
-    a, b = vec(a), vec(b)
+    a, b = _lattice_vector(a, "characters"), _lattice_vector(b, "characters")
     rep = []
     for r in rays:
-        r = vec(r)
-        m = min(vdot(r, a), vdot(r, b))
+        r = _lattice_vector(r, "rays")
+        m = min(sum(map(mul, r, a)), sum(map(mul, r, b)))
         if m != 0:
             rep.append((r, -m))
     return declared_label(name, rep, degree)
@@ -184,6 +186,7 @@ class BaseVariety:
         self.semiprojective = semiprojective
         self.name = name or kind
         self._declared: dict[str, PrimeDivisorLabel] = {}
+        self._degrees: dict[tuple, Fraction] = {}  # ray -> degree, on a toric base
         if kind == "open_p1" and not removed:
             raise ValueError("an open subset of P^1 must remove at least one point")
 
@@ -208,10 +211,9 @@ class BaseVariety:
             if not c.is_pointed():
                 raise UnsupportedBase("toric base fans must be pointed")
         bv = BaseVariety("toric", fan=cones, rank_n=n, semiprojective=semiprojective, name=name)
-        bv._degrees = {}
-        if degrees:
-            for r, d in degrees.items():
-                bv._degrees[vec(r)] = frac(d)
+        bv._degrees = {
+            _lattice_vector(r, "degree keys"): frac(d) for r, d in (degrees or {}).items()
+        }
         return bv
 
     # -- structure --------------------------------------------------------
@@ -238,15 +240,12 @@ class BaseVariety:
         return sorted(out)
 
     def ray_degree(self, ray) -> Fraction | None:
-        return getattr(self, "_degrees", {}).get(vec(ray))
+        return self._degrees.get(ray)
 
     def has_degree_map(self) -> bool:
-        if self.kind == "P1":
-            return True
         if self.kind == "toric":
-            degs = getattr(self, "_degrees", {})
-            return bool(degs) and all(vec(r) in degs for r in self.rays())
-        return False
+            return bool(self._degrees) and all(r in self._degrees for r in self.rays())
+        return self.kind == "P1"
 
     def label_degree(self, label: PrimeDivisorLabel) -> Fraction:
         if self.kind == "P1":
@@ -284,27 +283,22 @@ class BaseVariety:
     def ray(self, r) -> PrimeDivisorLabel:
         if self.kind != "toric":
             raise UnsupportedBase("ray labels live on toric bases")
-        r = vec(r)
+        r = _lattice_vector(r, "rays")
         if r not in set(self.rays()):
-            raise ValueError(f"{r} is not a ray of the fan")
+            raise ValueError(f"({','.join(map(str, r))}) is not a ray of the fan")
         return ray_label(r, self.ray_degree(r))
 
     # -- fan predicates ----------------------------------------------------
 
     def fan_is_complete(self) -> bool:
-        if self.kind != "toric":
-            return False
-        n = self.rank_n
-        maxes = [c for c in self.fan]
-        if any(c.dim() != n for c in maxes):
+        if self.kind != "toric" or any(c.dim() != self.rank_n for c in self.fan):
             return False
         # complete iff no maximal cone has a boundary facet; the fan is
         # pointed, so a facet is the cone over the rays tight on its normal
-        for c in maxes:
+        for c in self.fan:
             for a in c.ineqs:
-                tight = [r for r in c.rays if vdot(a, r) == 0]
-                shared = sum(1 for d in maxes if all(d.contains(r) for r in tight))
-                if shared < 2:
+                tight = [r for r in c.rays if not sum(map(mul, a, r))]
+                if sum(1 for d in self.fan if all(d.contains(r) for r in tight)) < 2:
                     return False
         return True
 
@@ -323,35 +317,27 @@ class BaseVariety:
         cone c that face is spanned by the rays of c tight on every
         inequality of c that is tight at x.
         """
-        x = vec(x)
         best = None
         for c in self.fan:
             if not c.contains(x):
                 continue
             tight = [a for a in c.ineqs if vdot(a, x) == 0]
-            rays = [r for r in c.rays if all(vdot(a, r) == 0 for a in tight)]
+            rays = [r for r in c.rays if not any(sum(map(mul, a, r)) for a in tight)]
             dim = rank(rays) if rays else 0
             if best is None or dim < best[0]:
                 best = (dim, rays)
         return None if best is None else best[1]
 
     def subfan_without_rays(self, removed_rays) -> list[Cone]:
-        removed = {vec(r) for r in removed_rays}
+        removed = set(removed_rays)
         keep = []
         for c in self.fan:
             faces = [c] if not (set(c.rays) & removed) else [
                 f for f in c.faces() if not (set(f.rays) & removed)
             ]
             keep.extend(faces)
-        out = []
-        for c in keep:
-            if not any(d is not c and d.contains_cone(c) and d != c for d in keep):
-                out.append(c)
-        uniq = []
-        for c in sorted(out, key=lambda c: (c.rays, c.lines)):
-            if c not in uniq:
-                uniq.append(c)
-        return uniq
+        maximal = {c for c in keep if not any(d is not c and d.contains_cone(c) and d != c for d in keep)}
+        return sorted(maximal, key=lambda c: (c.rays, c.lines))
 
 
 def cone_index(c: Cone) -> int:
@@ -477,7 +463,7 @@ class CurveFunction:
         data = {}
         for a, k in (factors or {}).items():
             a = INF if is_inf(a) else frac(a)
-            k = int(k)
+            (k,) = _lattice_vector((k,), "exponents")
             if k:
                 data[a] = data.get(a, 0) + k
         self.factors = {a: k for a, k in data.items() if k}
@@ -526,29 +512,45 @@ class CurveFunction:
 
 
 class ToricFunction:
-    """Product of characters and declared binomial primes on a toric base."""
+    """Product of characters and declared binomial primes on a toric base:
+    `chars` maps characters, `int` tuples, and `declared` maps declared
+    prime labels to nonzero `int` exponents (`NonIntegral` otherwise)."""
 
     def __init__(self, char_exponents=None, declared_factors=None):
-        # char_exponents: dict m-vector -> int ; declared_factors: dict label -> int
         chars = {}
         for m, k in (char_exponents or {}).items():
-            m = vec(m)
-            k = int(k)
+            m = _lattice_vector(m, "characters")
+            (k,) = _lattice_vector((k,), "exponents")
             if k:
                 chars[m] = chars.get(m, 0) + k
         self.chars = {m: k for m, k in chars.items() if k}
         decl = {}
         for lab, k in (declared_factors or {}).items():
-            k = int(k)
+            (k,) = _lattice_vector((k,), "exponents")
             if k:
                 decl[lab] = decl.get(lab, 0) + k
         self.declared = decl
+
+    def __eq__(self, other):
+        return isinstance(other, ToricFunction) and (
+            (self.chars, self.declared) == (other.chars, other.declared)
+        )
+
+    def __hash__(self):
+        return hash((frozenset(self.chars.items()), frozenset(self.declared.items())))
+
+    def __repr__(self):
+        bits = [f"chi^({','.join(map(str, m))})" + (f"^{k}" if k != 1 else "")
+                for m, k in sorted(self.chars.items())]
+        bits += [lab.id + (f"^{k}" if k != 1 else "")
+                 for lab, k in sorted(self.declared.items(), key=lambda kv: kv[0].id)]
+        return "*".join(bits) or "1"
 
     def order_along(self, label: PrimeDivisorLabel) -> int:
         if label.kind == "ray":
             total = 0
             for m, k in self.chars.items():
-                total += k * int(vdot(label.ray, m))
+                total += k * sum(map(mul, label.ray, m))
             for lab, k in self.declared.items():
                 rep = dict(lab.class_rep)
                 # ord of a declared prime's equation along an invariant ray
@@ -776,7 +778,7 @@ def _invariant_representative(d: QDivisor) -> dict:
             cr[l.ray] = cr.get(l.ray, Fraction(0)) + c
         elif l.kind == "declared":
             for r, rc in l.class_rep:
-                cr[vec(r)] = cr.get(vec(r), Fraction(0)) + c * rc
+                cr[r] = cr.get(r, Fraction(0)) + c * rc
         else:
             raise UnsupportedBase("mixed labels")
     return cr

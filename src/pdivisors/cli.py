@@ -182,11 +182,10 @@ def base_to_json(b: BaseVariety):
         return {"kind": "P1"}
     if b.kind == "open_p1":
         return {"kind": "open_p1", "removed": [rational_to_str(x) for x in b.removed]}
-    degs = getattr(b, "_degrees", {})
     return {
         "kind": "toric",
         "max_cones": [cone_to_json(c) for c in b.fan],
-        "degrees": {",".join(map(str, map(rational_to_str, r))): rational_to_str(d) for r, d in degs.items()} or None,
+        "degrees": {",".join(map(str, map(rational_to_str, r))): rational_to_str(d) for r, d in b._degrees.items()} or None,
         "declared": [
             {
                 "id": lab.id,

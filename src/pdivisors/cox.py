@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from ._record import _Record
 from .base import point_label, spare_points
-from .errors import FormsDisagree, NoDegreeMap, NotSurjective, TorsionCokernel
+from .errors import FormsDisagree, MarksMissingSupport, NoDegreeMap, NotSurjective, TorsionCokernel
 from .lattice import Lattice, LatticeMap, multiplicity, smith_split
-from .linalg import mat_vec, vec
+from .linalg import mat_vec
 from .pdivisor import PolyhedralDivisor
 from .polyhedra import Cone, Polyhedron
 from .tvariety import DivisorialFan, invariant_index
@@ -63,9 +63,9 @@ def cox_sequence(fan: DivisorialFan, primes=None) -> CoxData:
     primes = [point_label(p) if not hasattr(p, "kind") else p for p in primes]
     for label in fan.marked_primes():
         if fan.slice_of(label).cells and label not in primes:
-            raise ValueError(f"primes must contain the marked prime {label.id}")
+            raise MarksMissingSupport(f"primes must contain the marked prime {label.id}")
     if not primes:
-        raise ValueError("the prime set must be nonempty")
+        raise MarksMissingSupport("the prime set must be nonempty")
     if len(primes) < 2:
         primes.append(point_label(spare_points(primes)[0]))
     primes = sorted(primes, key=lambda l: l.id)
@@ -99,7 +99,7 @@ def cox_sequence(fan: DivisorialFan, primes=None) -> CoxData:
         primes=tuple(primes),
         pairs=pairs,
         rays=rays,
-        quotient_rows=tuple(tuple(Fraction(x) for x in r) for r in q_rows),
+        quotient_rows=tuple(map(tuple, q_rows)),
         pi=pi,
         section=s_star,
         retraction=t,
@@ -178,12 +178,12 @@ def _second_form(cd: CoxData) -> PolyhedralDivisor:
         verts = [tuple(a - b for a, b in zip(pt, shift)) for pt in pts]
         # the shifted points lie in the kernel of the quotient part
         for w in verts:
-            img = mat_vec(qpart_rows, vec(w))
+            img = mat_vec(qpart_rows, w)
             if any(x != 0 for x in img):
                 raise FormsDisagree("shifted generators miss the kernel sublattice")
         poly = Polyhedron.from_generators(verts, tail_gens, (), m)
         out[label] = poly.map_image(push_rows)
-    sigma_t = Cone.from_rays([mat_vec(push_rows, vec(g)) for g in tail_gens], n=k + n)
+    sigma_t = Cone.from_rays([mat_vec(push_rows, g) for g in tail_gens], n=k + n)
     return PolyhedralDivisor(cd.fan.base, k + n, sigma_t, out)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from ._record import _Record
 from .base import (
@@ -25,7 +26,7 @@ from .base import (
 )
 from .errors import NotAdmissible, RoutesDisagree, SumMismatch, UnsupportedBase
 from .lattice import Lattice, LatticeMap
-from .linalg import frac, int_identity, vdot, vec, zero_vec
+from .linalg import _cleared, frac, int_identity, vdot, zero_vec
 from .pdivisor import PolyhedralDivisor, PullbackTriple
 from .polyhedra import Cone, Polyhedron, normal_fan
 from .tvariety import DivisorialFan
@@ -47,13 +48,13 @@ class DeformationInput(_Record):
     def __init__(self, delta: Cone, degree: tuple, deltas: tuple,
                  multiplicities: tuple | None = None):
         self.delta = delta
-        self.degree = vec(degree)
+        self.degree, den = _cleared(degree)
         ntot = delta.n
         if len(self.degree) != ntot:
             raise ValueError("degree covector has the wrong length")
-        if any(x.denominator != 1 for x in self.degree):
+        if den != 1:
             raise ValueError("the degree must be an integral covector")
-        k = int(self.degree[-1])
+        k = self.degree[-1]
         if k <= 0 or any(x != 0 for x in self.degree[:-1]):
             raise UnsupportedBase(
                 "normalize coordinates so the degree is k times the last coordinate"
@@ -144,11 +145,8 @@ def check_admissible(din: DeformationInput):
         # an empty summand sums to an empty slice and has no normal fan
         raise SumMismatch("the summands must be nonempty")
     for cell in normal_fan(summands, din.sigma.dual().as_polyhedron()):
-        u = cell.relint_point()
-        scale = 1
-        for x in u:
-            scale = scale * frac(x).denominator // gcd(scale, frac(x).denominator)
-        u = tuple(frac(x) * scale for x in u)
+        # the integral weight on the ray of a relative interior point
+        u = _cleared(cell.relint_point())[0]
         free = []
         for i, p in enumerate(summands):
             m = min(vdot(v, u) for v in p.vertices)
@@ -391,7 +389,7 @@ def structure_map(din: DeformationInput):
         ok, wit = is_principal(d)
         if not ok:
             raise RoutesDisagree("P0 - Q is not principal on the line")
-        triple = PullbackTriple(base_map=None, target_base=None, lattice_map=f_map, shift=((vec((1,)), wit),))
+        triple = PullbackTriple(base_map=None, target_base=None, lattice_map=f_map, shift=(((1,), wit),))
         return triple, wit
     if din.multiplicities is not None:
         raise UnsupportedBase("the structure triple is built for the unmixed case")
@@ -414,7 +412,7 @@ def structure_map(din: DeformationInput):
     h_ray = tuple(-1 for _ in range(l - 1))
     pullback_coeffs = {}
     for r in fb.base.rays():
-        img = tuple(vdot(vec(row), r) for row in rows)
+        img = tuple(sum(map(mul, row, r)) for row in rows)
         mult = _toric_divisor_multiplicity(target, img, h_ray)
         if mult:
             pullback_coeffs[fb.base.ray(r)] = mult
@@ -428,7 +426,7 @@ def structure_map(din: DeformationInput):
         base_map=base_map,
         target_base=target,
         lattice_map=f_map,
-        shift=((vec((1,)), wit),),
+        shift=(((1,), wit),),
     )
     return triple, wit
 

@@ -1,8 +1,9 @@
 """Free abelian groups, dual pairs, integer maps and their splittings.
 
 A lattice is just a rank with a name; a lattice map stores its matrix as
-`int` rows and maps a point of `int` or `Fraction` entries on its cleared
-integers, to a tuple of Fraction, one built per entry.  The
+`int` rows, each checked integral where it enters, and maps a point of
+`int` or `Fraction` entries on its cleared integers, to a tuple of
+Fraction, one built per entry.  The
 interesting content is `smith_split`, which splits a surjection of lattices
 into a section, a compatible cosection and a kernel basis, canonicalized so
 that repeated runs (and hand-written tests) see identical matrices.  It
@@ -14,17 +15,16 @@ to give the cosection.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from ._record import _Frozen
-from .errors import AmbientMismatch, NonIntegral, NotSurjective, ZeroVector
+from .errors import AmbientMismatch, NotSurjective, ZeroVector
 from .linalg import (
     Vec,
     _cleared,
     _echelon,
     _int_row,
-    frac,
+    _lattice_vector,
     int_identity,
     smith_normal_form,
 )
@@ -45,15 +45,12 @@ class LatticeMap:
     def __init__(self, source: Lattice, target: Lattice, matrix):
         self.source = source
         self.target = target
-        rows = [tuple(map(frac, row)) for row in matrix] if matrix else []
+        rows = tuple(_lattice_vector(row, "lattice maps") for row in matrix or ())
         if len(rows) != target.rank:
             raise ValueError("matrix row count must equal target rank")
-        for row in rows:
-            if len(row) != source.rank:
-                raise ValueError("matrix column count must equal source rank")
-            if any(x.denominator != 1 for x in row):
-                raise NonIntegral("lattice maps must have integer entries")
-        self.matrix = tuple(tuple(x.numerator for x in row) for row in rows)
+        if any(len(row) != source.rank for row in rows):
+            raise ValueError("matrix column count must equal source rank")
+        self.matrix = rows
 
     def __call__(self, v: Vec) -> Vec:
         if len(v) != self.source.rank:
@@ -79,8 +76,7 @@ class LatticeMap:
 
 def multiplicity(v) -> int:
     """Smallest positive integer m with m*v integral (1 for the zero vector)."""
-    denoms = [frac(x).denominator for x in v]
-    return lcm(*denoms) if denoms else 1
+    return _cleared(v)[1]
 
 
 def primitive_and_multiplicity(v) -> tuple[Vec, int]:

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals and integers.
 
-Vectors are tuples of numbers, matrices are tuples of row tuples.  Integral
-data (rays, normals, lattice maps) is `int`, rational points and values
+Vectors are tuples of numbers, matrices are tuples of row tuples.  A lattice
+vector (a ray, a normal, a character, a lattice-map row) is an `int` tuple,
+checked once where it enters (`_lattice_vector`); rational points and values
 handed out are `Fraction`, and the vector helpers accept either (`vdot`
 returns a Fraction).  Inside the library a rational point travels as its
 cleared integers (`_cleared`: the point X / d as the pair (X, d)), so a
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from .errors import NonIntegral
 
 Vec = tuple  # tuple of int or Fraction
 Mat = tuple  # tuple of row tuples
@@ -40,17 +43,8 @@ def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vscale(s, a: Vec) -> Vec:
-    s = frac(s)
-    return tuple(s * x for x in a)
-
-
 def vdot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), F0)
-
-
-def is_zero_vec(a: Vec) -> bool:
-    return all(x == 0 for x in a)
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
@@ -74,6 +68,16 @@ def _cleared(x) -> tuple[tuple, int]:
     x = [v if type(v) is int else frac(v) for v in x]
     d = lcm(*(v.denominator for v in x))
     return tuple(v.numerator * (d // v.denominator) for v in x), d
+
+
+def _lattice_vector(v, what: str) -> tuple:
+    """The `int` tuple of a lattice vector whose entries are integers of any
+    type (`int`, `Fraction`, a numeral string); `NonIntegral`, naming `what`
+    the vector is, otherwise."""
+    x, d = _cleared(v)
+    if d != 1:
+        raise NonIntegral(f"{what} must have integer entries")
+    return x
 
 
 def _least(pairs) -> Fraction:

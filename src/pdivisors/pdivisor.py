@@ -10,6 +10,7 @@ to infinity.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from ._record import _Frozen
 from .base import (
@@ -32,7 +33,7 @@ from .errors import (
     WeightOutsideCone,
 )
 from .lattice import LatticeMap
-from .linalg import _cleared, is_zero_vec, smith_normal_form, solve, vdot, vec
+from .linalg import _cleared, smith_normal_form, solve, vec
 from .polyhedra import (
     Cone,
     PolyhedralComplex,
@@ -289,7 +290,6 @@ class PullbackTriple(_Frozen):
 def _principal_shifts(fshift, base) -> dict:
     shifts = {}
     for v, f in fshift:
-        v = vec(v)
         dv = f.divisor(base)
         for label, c in dv.coeffs.items():
             if is_inf(c):
@@ -299,7 +299,7 @@ def _principal_shifts(fshift, base) -> dict:
                 shifts[label] = tuple(a + b for a, b in zip(shifts[label], w))
             else:
                 shifts[label] = w
-    return {l: w for l, w in shifts.items() if not is_zero_vec(w)}
+    return {l: w for l, w in shifts.items() if any(w)}
 
 
 def principal_pdivisor(fshift, base: BaseVariety, n: int) -> PolyhedralDivisor:
@@ -317,7 +317,7 @@ def _toric_base_pullback(d, base_map: LatticeMap, new_base: BaseVariety):
     rows = base_map.matrix
     coeffs = {}
     for r in new_base.rays():
-        img = tuple(vdot(row, r) for row in rows)
+        img = tuple(sum(map(mul, row, r)) for row in rows)
         rays = d.base.carrier_rays(img)
         if rays is None:
             raise IndeterminateBaseMap(f"ray image {img} misses the target fan")

@@ -80,8 +80,6 @@ from .linalg import (
     frac,
     int_identity,
     mat_vec,
-    vec,
-    vscale,
     zero_vec,
 )
 
@@ -891,7 +889,7 @@ class Polyhedron(_Frozen):
         if s == 0:
             return Polyhedron.from_generators([zero_vec(self.n)], self.rays, self.lines, self.n)
         return Polyhedron.from_generators(
-            [vscale(s, v) for v in self.vertices], self.rays, self.lines, self.n
+            [tuple(s * x for x in v) for v in self.vertices], self.rays, self.lines, self.n
         )
 
     def map_image(self, rows, shift=None) -> "Polyhedron":
@@ -964,7 +962,7 @@ class Polyhedron(_Frozen):
     # -- lattice points ----------------------------------------------------
 
     def lattice_points(self) -> list[Vec]:
-        """All integer points; requires boundedness."""
+        """All integer points, as sorted `int` tuples; requires boundedness."""
         if self.empty:
             return []
         if self.rays or self.lines:
@@ -974,12 +972,7 @@ class Polyhedron(_Frozen):
             vals = [v[i] for v in self.vertices]
             bounds.append((min(vals), max(vals)))
         ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in bounds]
-        out = []
-        for pt in itertools.product(*ranges):
-            fp = vec(pt)
-            if self.contains_point(fp):
-                out.append(fp)
-        return sorted(out)
+        return [pt for pt in itertools.product(*ranges) if self.contains_point(pt)]
 
     def lattice_window(self, ray_steps: int = 1) -> list[Vec]:
         """Lattice points of conv(vertices) + ray_steps * (unit ray zonotope).
@@ -990,11 +983,10 @@ class Polyhedron(_Frozen):
         if self.empty:
             return []
         box = Polyhedron.from_generators(self.vertices, n=self.n)
-        for g in list(self.rays) + [l for l in self.lines] + [vscale(-1, l) for l in self.lines]:
-            seg = Polyhedron.from_generators([zero_vec(self.n), vscale(ray_steps, g)], n=self.n)
-            box = box.minkowski(seg)
-        pts = box.lattice_points()
-        return [p for p in pts if self.contains_point(p)]
+        for g in (*self.rays, *self.lines, *(tuple(-x for x in l) for l in self.lines)):
+            step = tuple(ray_steps * x for x in g)
+            box = box.minkowski(Polyhedron.from_generators([(0,) * self.n, step], n=self.n))
+        return [p for p in box.lattice_points() if self.contains_point(p)]
 
 
 # The views of a polyhedron P in Q^n, read off its `hom`.

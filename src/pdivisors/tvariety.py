@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedBase,
     WeightOutsideBox,
 )
-from .linalg import F0, Vec, _cleared, _int_row, _kernel, _least, frac, int_identity, solve, vdot, vec, vsub, zero_vec
+from .linalg import F0, Vec, _cleared, _int_row, _kernel, _lattice_vector, _least, frac, int_identity, solve, vdot, vec, vsub, zero_vec
 from .polyhedra import (
     Cone,
     PolyhedralComplex,
@@ -198,11 +198,12 @@ def invariant_index(fan: DivisorialFan, rays=None, verts=None, primes=()):
     A missing `rays` or `verts` is the fan's own, kept on the fan
     (`DivisorialFan._own_index`).  On a contraction-free fan a given index
     must name exactly the fan's tail rays and the slice vertices of each
-    marked prime; the rays come back as the fan's own `int` tuples, in the
-    given order, and a part that is the fan's own object is taken without a
-    comparison.  An unmarked prime carries the trivial slice, whose only
-    vertex is 0: it appears only with that vertex, and each unmarked prime
-    in `primes` is added with it.
+    marked prime; given rays (`NonIntegral` unless integral) come back as
+    the fan's own `int` tuples, in the given order, and a part that is the
+    fan's own object is taken without a comparison.  On another fan a given
+    index is taken as it is.  An unmarked prime carries the trivial slice,
+    whose only vertex is 0: it appears only with that vertex, and each
+    unmarked prime in `primes` is added with it.
     """
     own_verts = {}
     if rays is None or verts is None or fan.is_contraction_free():
@@ -210,7 +211,7 @@ def invariant_index(fan: DivisorialFan, rays=None, verts=None, primes=()):
         if rays is None:
             rays = own_rays
         elif rays is not own_rays:
-            given = [vec(r) for r in rays]
+            given = [_lattice_vector(r, "rays") for r in rays]
             if set(given) != set(own_rays):
                 raise ValueError("rays differ from the tail rays of the fan")
             own = dict(zip(own_rays, own_rays))
@@ -223,7 +224,7 @@ def invariant_index(fan: DivisorialFan, rays=None, verts=None, primes=()):
                 if given is not vs and set(vs) != set(map(vec, given)):
                     raise ValueError(f"verts differ from the slice vertices of the marked prime {label.id}")
     else:
-        rays = tuple(vec(r) for r in rays)
+        rays = tuple(map(tuple, rays))
     verts = {
         label: vs if vs is own_verts.get(label) else tuple(vec(v) for v in vs)
         for label, vs in verts.items()
@@ -261,7 +262,7 @@ class TInvariantDivisor:
         for r, a in (ray_coeffs or {}).items():
             r = tuple(r)
             if r not in rc:
-                raise ValueError(f"{vec(r)} is not an invariant ray")
+                raise ValueError(f"({','.join(map(str, r))}) is not an invariant ray")
             rc[r] = frac(a)
         self.ray_coeffs = MappingProxyType(rc)
         vc = {}

@@ -17,7 +17,7 @@ from operator import mul
 from ._record import _Record
 from .base import INF, BaseVariety, cone_index, cone_is_smooth
 from .errors import AmbientMismatch, NoDegreeMap
-from .linalg import _cleared, _int_row, smith_normal_form, vdot, vec
+from .linalg import _cleared, _int_row, smith_normal_form, vec
 from .pdivisor import PolyhedralDivisor, PropernessReport
 from .polyhedra import Cone, Polyhedron, _canonical, _primitive_rows
 from .tvariety import DivisorialFan, invariant_index
@@ -45,7 +45,7 @@ class InvariantPDivisorOnFan:
         for given, p in (ray_coeffs or {}).items():
             r = invariant_rays.get(tuple(given))
             if r is None:
-                raise ValueError(f"{vec(given)} is not an invariant ray of the fan")
+                raise ValueError(f"({','.join(map(str, given))}) is not an invariant ray of the fan")
             if p.empty:
                 raise ValueError("ray coefficients must be nonempty")
             if p.tail() != tail:
@@ -282,8 +282,8 @@ def _stellar(cones, w):
             continue
         # every facet of c not containing w, in the order of c.ineqs
         for a in c.ineqs:
-            if vdot(a, w) == 0:
+            if not sum(map(mul, a, w)):
                 continue
-            facet = [r for r in c.rays if vdot(a, r) == 0]
+            facet = [r for r in c.rays if not sum(map(mul, a, r))]
             out.append(Cone.from_rays(facet + [w], c.lines, c.n))
     return out

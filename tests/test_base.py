@@ -24,7 +24,10 @@ from pdivisors.base import (
 )
 from pdivisors import base as base_module
 from pdivisors.errors import NegativePoleBound, NoDegreeMap, NonIntegral, TooManySections, UnsupportedBase
-from pdivisors.polyhedra import Cone
+from pdivisors.lattice import Lattice, LatticeMap
+from pdivisors.pdivisor import PolyhedralDivisor
+from pdivisors.polyhedra import Cone, Polyhedron
+from pdivisors.tvariety import DivisorialFan, invariant_index
 
 F = Fraction
 P1 = BaseVariety.projective_line()
@@ -342,3 +345,51 @@ def test_equal_labels_hash_equally():
     assert ray_label((1, 2), 3) != ray_label((1, 2), 4)
     assert declared_label("D", [((1, 0), 1)]) != declared_label("D", [((1, 0), 2)])
     assert len({point_label(0), point_label(1), ray_label((0, 1)), ray_label((0, 1), 2)}) == 4
+
+
+# -- lattice vectors enter as int tuples ------------------------------------
+
+
+P2_CONES = [Cone.from_rays(c) for c in ([(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)])]
+HALF = (F(1, 2), 0)
+P2 = BaseVariety.toric(P2_CONES, name="P2")
+QUADRANT_FAN = DivisorialFan(
+    P1, [PolyhedralDivisor(P1, 2, P2_CONES[0], {point_label(INF): Polyhedron.empty_polyhedron(2)})]
+)
+
+# each entry that takes a lattice vector, given (1/2, 0), or an exponent 1/2 or 3/2
+NONINTEGRAL_ENTRIES = {
+    "ray_label": lambda: ray_label(HALF),
+    "declared_label": lambda: declared_label("D", [((0, 1), 1), (HALF, 1)]),
+    "binomial_label character": lambda: binomial_label("B", HALF, (0, 0), P2.rays()),
+    "binomial_label ray": lambda: binomial_label("B", (0, 1), (0, 0), [HALF]),
+    "BaseVariety.toric degree key": lambda: BaseVariety.toric(P2_CONES, degrees={(1, 0): 1, HALF: 1}),
+    "BaseVariety.ray": lambda: P2.ray(HALF),
+    "ToricFunction character": lambda: ToricFunction({HALF: 1}),
+    "ToricFunction exponent": lambda: ToricFunction({(1, 0): F(3, 2)}),
+    "ToricFunction declared exponent": lambda: ToricFunction({}, {declared_label("D", [((1, 0), 1)]): F(1, 2)}),
+    "CurveFunction exponent": lambda: CurveFunction({0: F(1, 2)}),
+    "LatticeMap row": lambda: LatticeMap(Lattice(2), Lattice(1), [HALF]),
+    "invariant_index rays": lambda: invariant_index(QUADRANT_FAN, rays=[(0, 1), HALF]),
+}
+
+
+@pytest.mark.parametrize("entry", list(NONINTEGRAL_ENTRIES))
+def test_nonintegral_lattice_vectors_raise(entry):
+    # once, (1/2, 0) became a ray nobody asked for, a character of order 0
+    # along (1, 0), or a degree key that matched no ray, and x^(1/2) was 1
+    with pytest.raises(NonIntegral, match="must have integer entries"):
+        NONINTEGRAL_ENTRIES[entry]()
+
+
+def test_toric_functions_print_and_compare_canonically():
+    d = declared_label("D", [((1, 0), 1)])
+    f = ToricFunction({(0, 1): 1, (1, 0): -2}, {d: 3})
+    g = ToricFunction({("1", "0"): F(-2), (F(0), F(1)): 1}, {d: 3})
+    assert repr(f) == repr(g) == "chi^(0,1)*chi^(1,0)^-2*D^3"
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    assert f != ToricFunction({(0, 1): 1, (1, 0): -2}) and f != CurveFunction({})
+    assert repr(ToricFunction()) == repr(ToricFunction({(1, 1): 0})) == "1"
+    # the characters of a section basis print sorted
+    basis = global_sections(qdiv(P2, [(P2.ray((1, 0)), 1)])).basis
+    assert [repr(f) for f in basis] == ["chi^(-1,0)", "chi^(-1,1)", "chi^(0,0)"]

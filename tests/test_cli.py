@@ -533,7 +533,7 @@ def _run_under_seed(seed, commands):
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     # the removed points of an open line, `inf` among them, once reached the
     # order of the basis factors through a set
-    from pdivisors.base import INF, BaseVariety, point_label
+    from pdivisors.base import INF, BaseVariety, point_label, ray_label
     from pdivisors.pdivisor import PolyhedralDivisor
     from pdivisors.polyhedra import Cone, hull
 
@@ -541,11 +541,37 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     d = PolyhedralDivisor(base, 1, Cone.zero(1), {point_label(0): hull([(2,)])})
     p = tmp_path / "open.json"
     p.write_bytes(cli.emit(d, "pdivisor"))
-    sections = [["sections", str(p), "--weight", "1", "--pole-bound", "1"]]
+    # the characters of a toric basis once printed as object addresses
+    cones = [Cone.from_rays(c) for c in ([(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)])]
+    p2 = BaseVariety.toric(cones, degrees={(1, 0): 1, (0, 1): 1, (-1, -1): 1}, name="P2")
+    t = tmp_path / "p2.json"
+    d2 = PolyhedralDivisor(p2, 1, Cone.from_rays([(1,)]), {ray_label((1, 0), 1): hull([(1,)], [(1,)])})
+    t.write_bytes(cli.emit(d2, "pdivisor"))
+    sections = [["sections", str(p), "--weight", "1", "--pole-bound", "1"], ["sections", str(t), "--weight", "1"]]
     runs = {seed: _run_under_seed(seed, sections + FIXTURE_COMMANDS * (seed < 3)) for seed in range(1, 11)}
-    assert len({out.splitlines()[0] for out in runs.values()}) == 1
-    assert json.loads(runs[1].splitlines()[0])[1] == 0
-    assert runs[1] == runs[2] and len(runs[1].splitlines()) == 1 + len(FIXTURE_COMMANDS)
+    assert len({tuple(out.splitlines()[:2]) for out in runs.values()}) == 1
+    first, toric = (json.loads(line) for line in runs[1].splitlines()[:2])
+    assert first[1] == toric[1] == 0
+    assert json.loads(toric[2])["basis"] == ["chi^(-1,0)", "chi^(-1,1)", "chi^(0,0)"]
+    assert runs[1] == runs[2] and len(runs[1].splitlines()) == len(sections) + len(FIXTURE_COMMANDS)
+
+
+def test_cox_on_a_fan_without_marked_primes_exits_one(tmp_path, capsys):
+    # one member over P^1 with tail pos(1) and no coefficient: no prime to
+    # build the class-group presentation on, which once ended in a traceback
+    from pdivisors.base import BaseVariety
+    from pdivisors.pdivisor import PolyhedralDivisor
+    from pdivisors.polyhedra import Cone
+    from pdivisors.tvariety import DivisorialFan
+
+    p1 = BaseVariety.projective_line()
+    fan = DivisorialFan(p1, [PolyhedralDivisor(p1, 1, Cone.from_rays([(1,)]), {})])
+    p = tmp_path / "fan.json"
+    p.write_bytes(cli.emit(fan, "divisorial_fan"))
+    assert cli.main(["cox", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the prime set must be nonempty\n"
 
 
 def test_import_leaves_out_dataclasses_and_inspect():

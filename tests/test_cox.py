@@ -16,7 +16,7 @@ from helpers import (
 )
 from pdivisors.base import INF, BaseVariety, global_sections, point_label
 from pdivisors.cox import CoxData, cox_correct, cox_raw, cox_sequence, cox_upgrade
-from pdivisors.errors import EmptyCoefficient, TorsionCokernel
+from pdivisors.errors import EmptyCoefficient, MarksMissingSupport, TorsionCokernel
 from pdivisors.lattice import Lattice, LatticeMap, multiplicity, smith_split
 from pdivisors.linalg import mat_vec, smith_normal_form, vec
 from pdivisors.pdivisor import PolyhedralDivisor, as_curve_divisor, toric_downgrade
@@ -190,3 +190,13 @@ def test_cox_correct_with_an_unmarked_prime():
     out, rep = cox_correct(cd)
     assert rep.proper and rep0.proper
     assert out.n == out0.n
+
+
+def test_prime_sets_without_the_marked_primes_raise():
+    # the primes must hold every marked prime, and there must be one
+    fan = complete_cstar_fan()
+    with pytest.raises(MarksMissingSupport, match="marked prime 0"):
+        cox_sequence(fan, [point_label(1), point_label(INF)])
+    bare = DivisorialFan(P1, [PolyhedralDivisor(P1, 1, Cone.from_rays([(1,)]), {})])
+    with pytest.raises(MarksMissingSupport, match="nonempty"):
+        cox_sequence(bare)
