@@ -98,8 +98,9 @@ class PrimeDivisorLabel(_Frozen):
     kind "declared": a non-invariant prime on a toric base, carried with an
     invariant linear-equivalence representative (ray -> coefficient) so that
     class-level predicates can substitute it: `class_rep` is a sorted tuple
-    of (ray, Fraction) pairs.
-    Every ray, of a "ray" label and in a `class_rep`, is an `int` tuple.
+    of (ray, coefficient) pairs.
+    Every ray, of a "ray" label and in a `class_rep`, is an `int` tuple, and
+    every coefficient of a `class_rep` an `int`.
 
     Labels are interned (hash-consed, Filliatre-Conchon 2006): a class and
     its six fields give one object, kept in `_LABELS` for as long as
@@ -150,7 +151,9 @@ def ray_label(ray, degree=None) -> PrimeDivisorLabel:
 
 
 def declared_label(name, class_rep, degree=None) -> PrimeDivisorLabel:
-    rep = tuple(sorted((_lattice_vector(r, "rays"), frac(c)) for r, c in class_rep))
+    rep = tuple(sorted(
+        (_lattice_vector(r, "rays"), _lattice_vector((c,), "class representatives")[0]) for r, c in class_rep
+    ))
     return PrimeDivisorLabel(
         id=name,
         kind="declared",
@@ -554,7 +557,7 @@ class ToricFunction:
             for lab, k in self.declared.items():
                 rep = dict(lab.class_rep)
                 # ord of a declared prime's equation along an invariant ray
-                total += k * int(-rep.get(label.ray, Fraction(0)))
+                total -= k * rep.get(label.ray, 0)
             return total
         if label.kind == "declared":
             return self.declared.get(label, 0)

@@ -26,7 +26,7 @@ from .base import (
 )
 from .errors import NotAdmissible, RoutesDisagree, SumMismatch, UnsupportedBase
 from .lattice import Lattice, LatticeMap
-from .linalg import _cleared, frac, int_identity, vdot, zero_vec
+from .linalg import _cleared, _lattice_vector, frac, int_identity, vdot, zero_vec
 from .pdivisor import PolyhedralDivisor, PullbackTriple
 from .polyhedra import Cone, Polyhedron, normal_fan
 from .tvariety import DivisorialFan
@@ -48,12 +48,10 @@ class DeformationInput(_Record):
     def __init__(self, delta: Cone, degree: tuple, deltas: tuple,
                  multiplicities: tuple | None = None):
         self.delta = delta
-        self.degree, den = _cleared(degree)
+        self.degree = _lattice_vector(degree, "degree covectors")
         ntot = delta.n
         if len(self.degree) != ntot:
             raise ValueError("degree covector has the wrong length")
-        if den != 1:
-            raise ValueError("the degree must be an integral covector")
         k = self.degree[-1]
         if k <= 0 or any(x != 0 for x in self.degree[:-1]):
             raise UnsupportedBase(

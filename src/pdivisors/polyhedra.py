@@ -43,6 +43,14 @@ translations add its integer rays, and face and containment tests
 compare integer dot products instead of building a cone.  Point
 tests clear a point's denominators once and compare integers.
 
+A fiber slice (`map_fiber_slice`) builds only its image, not the fiber.
+An extreme ray of C ∩ L, for a cone C and a linear subspace L of
+codimension r, lies in a face of C of dimension at most r + 1 (modulo the
+lineality space), so the fiber's generators come from the rays, lines and
+incidence of the polyhedron's `hom` by one step per equation
+(`_fiber_generators`): a shift along a line, or the DD step that
+`_dd_pointed` takes per row (`_dd_step`).
+
 Two chamber algorithms have one entry point each: `chamber_complex(polys,
 rows)` projects the faces of the polyhedra `polys` itself, and
 `normal_fan(polys, domain)` refines the vertex regions of each polyhedron
@@ -96,13 +104,11 @@ def _dd_pointed(rows: list[tuple], d: int, base_idx: list[int] | None = None) ->
     `base_idx` are the lex-first independent rows, the pivot columns of the
     transposed rows; a caller that has eliminated those already passes them.
     Classic incremental double description with the combinatorial adjacency
-    test (Fukuda-Prodon, "Double description method revisited", 1996).  The
-    tight set of a ray, the processed rows it lies on, is kept as that mask
-    all along, so the result holds the full ray-row incidence.  Two rays
-    are adjacent exactly when no third ray is tight on every row both are
-    tight on.  Adjacent rays span a 2-face of the d-dimensional cone, which
-    lies on at least d - 2 independent rows, so a pair with fewer common
-    rows is skipped before that scan.
+    test (Fukuda-Prodon, "Double description method revisited", 1996), one
+    `_dd_step` per row.  The tight set of a ray, the processed rows it lies
+    on, is kept as that mask all along, so the result holds the full
+    ray-row incidence.  Adjacent rays span a 2-face of the d-dimensional
+    cone, which lies on at least d - 2 independent rows.
     """
     if d == 0:
         return {}
@@ -136,33 +142,51 @@ def _dd_pointed(rows: list[tuple], d: int, base_idx: list[int] | None = None) ->
         if not minus:
             tight = [t | bit if v == 0 else t for t, v in zip(tight, vals)]
             continue
-        new_rays: list[tuple] = []
-        new_tight: list[int] = []
-        seen = set()
-        for p in plus:
-            tp = tight[p]
-            for q in minus:
-                common = tp & tight[q]
-                if common.bit_count() < least:
-                    continue
-                # a third ray tight on all of `common` makes p and q non-adjacent
-                if sum(t & common == common for t in tight) > 2:
-                    continue
-                vp, vq = vals[p], vals[q]
-                r = [vp * x - vq * y for x, y in zip(rays[q], rays[p])]
-                g = math.gcd(*r)
-                r = tuple(x // g for x in r)
-                if r in seen:
-                    continue
-                seen.add(r)
-                new_rays.append(r)
-                # r is a positive combination of rays p and q, and every row
-                # processed so far is >= 0 on both, so r is tight exactly where
-                # both are
-                new_tight.append(common | bit)
+        new_rays, new_tight = _dd_step(rays, tight, vals, plus, minus, least, bit)
         rays = [rays[j] for j in plus] + [rays[j] for j in zero] + new_rays
         tight = [tight[j] for j in plus] + [tight[j] | bit for j in zero] + new_tight
     return dict(zip(rays, tight))
+
+
+def _dd_step(rays, tight, vals, plus, minus, least: int, bit: int) -> tuple[list[tuple], list[int]]:
+    """The rays one double-description step adds on the hyperplane <a, w> = 0
+    of a row a, with their tight sets: `vals[j]` is <a, rays[j]>, `plus` and
+    `minus` are the indices of the positive and negative values.
+
+    `rays` are the extreme rays of the current cone (representatives modulo
+    its lineality space, on which a is 0) and `tight` their tight sets.  Each
+    adjacent pair of p in `plus` and q in `minus` gives the primitive ray
+    v_p q - v_q p, with the tight set tight[p] & tight[q] | bit.  Adjacency
+    is the combinatorial test: no third ray is tight on every row both are
+    tight on.  Adjacent rays span a 2-face, which lies on at least `least`
+    of the rows, so a pair with fewer common rows is skipped before that
+    scan.
+    """
+    new_rays: list[tuple] = []
+    new_tight: list[int] = []
+    seen = set()
+    for p in plus:
+        tp = tight[p]
+        for q in minus:
+            common = tp & tight[q]
+            if common.bit_count() < least:
+                continue
+            # a third ray tight on all of `common` makes p and q non-adjacent
+            if sum(t & common == common for t in tight) > 2:
+                continue
+            vp, vq = vals[p], vals[q]
+            r = [vp * x - vq * y for x, y in zip(rays[q], rays[p])]
+            g = math.gcd(*r)
+            r = tuple(x // g for x in r)
+            if r in seen:
+                continue
+            seen.add(r)
+            new_rays.append(r)
+            # r is a positive combination of rays p and q, and every row
+            # processed so far is >= 0 on both, so r is tight exactly where
+            # both are
+            new_tight.append(common | bit)
+    return new_rays, new_tight
 
 
 def _dd(ineqs: tuple, eqs: tuple, n: int) -> tuple[list[Vec], list[Vec], list[int]]:
@@ -280,13 +304,14 @@ def _frame(ineqs, eqs, n: int):
 
 
 # Bound of the construction memo, sized to hold a round trip's working set.
-# Faces do not go through it.  The benchmark's 213 roundtrip inputs of seed
-# 101, run in order from a cold memo, make 24,428 lookups of 2,455 distinct
-# keys: an LRU of 512 entries misses 4,336 times, one of 4096 only on the
-# 2,455 first lookups.  Over 1,000 roundtrip inputs of seed 107 (5,056
-# distinct keys) the misses are 20.3 per input at 512 and 5.4 at 4096.
-# Geometry's 123 inputs of seed 101 make 1,354 lookups of 1,115 keys, so the
-# size does not matter there.  An entry is one cone, with its dual once cut
+# Faces do not go through it, nor the fibers `map_fiber_slice` maps, only
+# their images.  The benchmark's 213 roundtrip inputs of seed 101, run in
+# order from a cold memo, make 22,769 lookups of 1,880 distinct keys: an LRU
+# of 512 entries misses 2,975 times, one of 4096 only on the 1,880 first
+# lookups.  Over 1,000 roundtrip inputs of seed 107 (3,708 distinct keys)
+# the misses are 13.3 per input at 512 and 3.7 at 4096.  Geometry's 123
+# inputs of seed 101 make 1,231 lookups of 992 keys, so the size does not
+# matter there.  An entry is one cone, with its dual once cut
 # and, from its second use as a homogenization on, the polyhedron over it
 # and its views.  Against entries of bare tuples this raises peak memory by
 # 4% on roundtrip (19.7 -> 20.6 MiB) and not at all on geometry (19.8 ->
@@ -1021,10 +1046,73 @@ def minkowski_sum(a: Polyhedron, b: Polyhedron) -> Polyhedron:
 
 
 def map_fiber_slice(p: Polyhedron, rows, target_point, retraction_rows) -> Polyhedron:
-    """retraction image of p intersected with the fiber {x : A x = target}."""
+    """The image under x -> R x (R = `retraction_rows`) of the fiber
+    p ∩ {x : A x = target} (A = `rows`): the fibers of Billera-Sturmfels,
+    "Fiber polytopes", 1992.
+
+    The fiber is not built: an extreme ray of C ∩ L, L of codimension r,
+    lies in a face of the cone C of dimension at most r + 1, so the
+    generators of the fiber's homogenization come from `p.hom` by one step
+    per equation (`_fiber_generators`).  Their image is the one
+    construction.
+    """
     if len(rows) != len(target_point):
         raise AmbientMismatch("the fiber needs one target value per row")
-    return p.with_equalities(list(zip(rows, target_point))).map_image(retraction_rows)
+    n = p.n
+    _ambient(n, rows)
+    _ambient(n, retraction_rows)
+    m = len(retraction_rows)
+    gens, lines = _fiber_generators(p.hom, _hom_rows(zip(rows, target_point)))
+    # the vertex rays (X, t), t > 0, of the fiber's homogenization
+    if not any(g[n] for g in gens):
+        return Polyhedron.empty_polyhedron(m)
+    hrows = _cleared_rows([(*r, 0) for r in retraction_rows] + [(0,) * n + (1,)])
+    return Polyhedron(m, Cone.from_rays(_apply(hrows, gens), _apply(hrows, lines), m + 1))
+
+
+def _fiber_generators(hom: Cone, eqs) -> tuple[list[tuple], list[tuple]]:
+    """Rays and lines that generate hom ∩ {x : <e, x> = 0 for e in eqs},
+    from the extreme rays, lines and ray-facet incidence of the canonical
+    cone `hom`, with no construction; the rays are the extreme ones.
+
+    Each equation e is one of two steps.  When a line l0 has <e, l0> = c0
+    > 0 (negated if need be), every other generator g moves into the
+    hyperplane as c0 g - <e, g> l0; the facets are 0 on l0, so the tight
+    sets stay.  Otherwise e is 0 on every line and the step is one
+    double-description step as an equation (`_dd_step`): the rays on the
+    hyperplane stay, and each adjacent pair across it adds a ray.  A
+    2-face of the cone cut by k such equations lies in a face of `hom` of
+    dimension at most k + 2 modulo the lineality space, so two adjacent
+    rays share at least d - 2 - k facets of `hom`, d = dim(hom) - dim(lines).
+    """
+    rays, lines = list(hom.rays), list(hom.lines)
+    tight = [sum(1 << i for i, a in enumerate(hom.ineqs) if not sum(map(mul, a, r))) for r in rays]
+    least = hom.dim() - len(lines) - 2
+    for e in eqs:
+        lvals = [sum(map(mul, e, l)) for l in lines]
+        k = next((i for i, v in enumerate(lvals) if v), None)
+        if k is not None:
+            c0, l0 = lvals.pop(k), lines.pop(k)
+            if c0 < 0:
+                c0, l0 = -c0, tuple(-x for x in l0)
+            rays = [_shifted(g, c0, sum(map(mul, e, g)), l0) for g in rays]
+            lines = [_shifted(l, c0, v, l0) for l, v in zip(lines, lvals)]
+            continue
+        vals = [sum(map(mul, e, r)) for r in rays]
+        plus = [j for j, v in enumerate(vals) if v > 0]
+        minus = [j for j, v in enumerate(vals) if v < 0]
+        zero = [j for j, v in enumerate(vals) if v == 0]
+        new_rays, new_tight = _dd_step(rays, tight, vals, plus, minus, least, 0)
+        rays = [rays[j] for j in zero] + new_rays
+        tight = [tight[j] for j in zero] + new_tight
+        least -= 1
+    return rays, lines
+
+
+def _shifted(g, c0: int, v: int, l0) -> tuple:
+    """The primitive row on c0 g - v l0: g moved along l0 into the
+    hyperplane of a row e with <e, l0> = c0 > 0 and <e, g> = v."""
+    return _int_row([c0 * x - v * y for x, y in zip(g, l0)])
 
 
 class PolyhedralComplex:

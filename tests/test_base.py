@@ -357,10 +357,15 @@ QUADRANT_FAN = DivisorialFan(
     P1, [PolyhedralDivisor(P1, 2, P2_CONES[0], {point_label(INF): Polyhedron.empty_polyhedron(2)})]
 )
 
-# each entry that takes a lattice vector, given (1/2, 0), or an exponent 1/2 or 3/2
+# each entry that takes a lattice vector, given (1/2, 0), or an exponent or a
+# class-representative coefficient 1/2 or 3/2
 NONINTEGRAL_ENTRIES = {
     "ray_label": lambda: ray_label(HALF),
     "declared_label": lambda: declared_label("D", [((0, 1), 1), (HALF, 1)]),
+    # the coefficient 1/2 was truncated to an order 0 along (1, 0)
+    "declared_label coefficient": lambda: ToricFunction(
+        {}, {declared_label("D", [((1, 0), F(1, 2))]): 1}
+    ).order_along(ray_label((1, 0))),
     "binomial_label character": lambda: binomial_label("B", HALF, (0, 0), P2.rays()),
     "binomial_label ray": lambda: binomial_label("B", (0, 1), (0, 0), [HALF]),
     "BaseVariety.toric degree key": lambda: BaseVariety.toric(P2_CONES, degrees={(1, 0): 1, HALF: 1}),

@@ -21,7 +21,7 @@ from pdivisors.deform import (
     family_pdivisor,
     structure_map,
 )
-from pdivisors.errors import NotAdmissible, RoutesDisagree, SumMismatch
+from pdivisors.errors import NonIntegral, NotAdmissible, RoutesDisagree, SumMismatch
 from pdivisors.linalg import vec
 from pdivisors.polyhedra import Cone, Polyhedron, hull
 
@@ -66,8 +66,9 @@ def test_two_lattice_free_faces_rejected():
 
 def test_degree_and_multiplicities_checked():
     delta = Cone.from_rays([(1, 1), (-1, 1)])
-    # 5/2 was truncated to k = 2, and the summands took the blame
-    with pytest.raises(ValueError, match="integral"):
+    # 5/2 was truncated to k = 2, and the summands took the blame; it is a
+    # non-integral lattice vector like any other
+    with pytest.raises(NonIntegral, match="degree covectors must have integer entries"):
         DeformationInput(delta, (0, F(5, 2)), (point_poly(F(-1, 2)), interval(0, 1)))
     # a multiplicity 0 made k = gcd(0) = 0, and 3/2 was truncated to 1
     for m in (0, F(3, 2)):

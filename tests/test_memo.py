@@ -186,6 +186,33 @@ def test_chamber_complex_builds_no_face(monkeypatch):
         assert len(runs) == budget
 
 
+def test_fiber_slice_builds_only_its_image(monkeypatch):
+    # the fiber's generators come from the rays and incidence of `hom`, so
+    # a slice runs no cut and looks up one construction: its image, or the
+    # empty polyhedron
+    Polyhedron = polyhedra.Polyhedron
+    with_line = Polyhedron.from_generators([(0, 0, 0), (1, 0, F(1, 2)), (0, 2, 1)], [(1, 1, 0)], [(0, 1, -1)])
+    cases = [
+        (Polyhedron.from_generators([(0, 0), (2, 0), (0, 2)]), [(1, 1)], (1,), [(1, 0)], False),
+        (with_line, [(0, 1, 0)], (F(1, 3),), [(1, 0, 0), (0, 0, 1)], False),
+        (with_line, [(1, 0, 0), (0, 0, 1)], (1, 2), [(0, 1, 1)], False),
+        (with_line, [(0, 1, 1)], (-1,), [(1, 0, 0)], True),
+        # a fiber at infinity only: the ray (1, 0) lies in y = 0, no vertex in y = 1
+        (Polyhedron.from_generators([(0, 0)], [(1, 0)]), [(0, 1)], (1,), [(1, 1)], True),
+    ]
+
+    def no_cut(*args):
+        raise AssertionError("map_fiber_slice built the fiber")
+
+    monkeypatch.setattr(polyhedra, "_cut", no_cut)
+    monkeypatch.setattr(Polyhedron, "with_equalities", no_cut)
+    lookups = _counting(monkeypatch, "_canonical")
+    for p, rows, target, retraction, empty in cases:
+        lookups.clear()
+        assert polyhedra.map_fiber_slice(p, rows, target, retraction).empty == empty
+        assert len(lookups) == 1
+
+
 def _checked_round_trips(count, seed):
     """The benchmark's round trip on `count` seeded divisors: downgrade, the
     graded pieces at two fiber weights against the sections of the

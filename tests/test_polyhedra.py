@@ -444,6 +444,51 @@ def test_map_fiber_slice_segment():
     assert s2.empty
 
 
+def _fiber_cases(seed, count):
+    """Seeded (p, rows, target, retraction) in Q^2 to Q^5 with 1-3 rows:
+    polyhedra with and without rays and lines, some cut to a hyperplane so
+    they are not full-dimensional, and rational targets, some the image of
+    a vertex."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        verts = [tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+        rays = [r for r in ([rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(0, 2))) if any(r)]
+        lines = [l for l in ([rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.choice((0, 0, 1, 2)))) if any(l)]
+        p = Polyhedron.from_generators(verts, rays, lines, n)
+        if rng.random() < 0.25:
+            p = p.with_equalities([(tuple(rng.randint(-1, 1) for _ in range(n)), rng.randint(-1, 1))])
+        rows = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, min(3, n)))]
+        if p.empty or rng.random() < 0.7:
+            target = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in rows)
+        else:
+            v = rng.choice(p.vertices)
+            target = tuple(vdot(vec(r), v) for r in rows)
+        retraction = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n))]
+        out.append((p, rows, target, retraction))
+    return out
+
+
+def test_map_fiber_slice_matches_the_cut_and_image():
+    # the fiber's generators come from the rays and incidence of p.hom; the
+    # route that builds the fiber and then its image is the oracle
+    seen = {"lines": 0, "not full-dimensional": 0, "through a vertex": 0, "empty": 0, "line step": 0}
+    for p, rows, target, retraction in _fiber_cases(seed=27, count=400):
+        got = map_fiber_slice(p, rows, target, retraction)
+        want = p.with_equalities(list(zip(rows, target))).map_image(retraction)
+        for name in ("empty", "vertices", "rays", "lines", "ineqs", "eqs"):
+            assert getattr(got, name) == getattr(want, name), (p, rows, target, retraction, name)
+        seen["lines"] += bool(p.lines)
+        seen["not full-dimensional"] += not p.empty and p.dim() < p.n
+        seen["through a vertex"] += any(
+            all(vdot(vec(r), v) == t for r, t in zip(rows, target)) for v in p.vertices
+        )
+        seen["empty"] += want.empty
+        seen["line step"] += any(vdot(vec(r), vec(l)) for r in rows for l in p.lines)
+    assert min(seen.values()) > 40, seen
+
+
 def test_cross_section_quadric():
     delta = Cone.from_rays([(1, 1), (-1, 1)])
     seg = delta.as_polyhedron().slice_at((0, 2), 1)
