@@ -28,7 +28,7 @@ from .errors import (
     ZeroFunction,
 )
 from .linalg import Vec, _lattice_vector, frac, integral_solve, rank, smith_normal_form, solve, vdot
-from .polyhedra import Cone, Polyhedron
+from .polyhedra import Cone, Polyhedron, _members
 
 
 class _PlusInfinity:
@@ -297,10 +297,10 @@ class BaseVariety:
         if self.kind != "toric" or any(c.dim() != self.rank_n for c in self.fan):
             return False
         # complete iff no maximal cone has a boundary facet; the fan is
-        # pointed, so a facet is the cone over the rays tight on its normal
+        # pointed, so a facet is the cone over the rays on its normal
         for c in self.fan:
-            for a in c.ineqs:
-                tight = [r for r in c.rays if not sum(map(mul, a, r))]
+            for f in c._incidence():
+                tight = [c.rays[i] for i in _members(f)]
                 if sum(1 for d in self.fan if all(d.contains(r) for r in tight)) < 2:
                     return False
         return True
@@ -324,8 +324,7 @@ class BaseVariety:
         for c in self.fan:
             if not c.contains(x):
                 continue
-            tight = [a for a in c.ineqs if vdot(a, x) == 0]
-            rays = [r for r in c.rays if not any(sum(map(mul, a, r)) for a in tight)]
+            rays = c._carrier([x])
             dim = rank(rays) if rays else 0
             if best is None or dim < best[0]:
                 best = (dim, rays)

@@ -19,6 +19,7 @@ from .base import (
     PrimeDivisorLabel,
     QDivisor,
     is_inf,
+    point_label,
     positivity,
     ray_label,
 )
@@ -205,7 +206,10 @@ class PolyhedralDivisor:
             raise NoDegreeMap("degree polyhedron needs a projective base with degrees")
         out = self.tail.as_polyhedron()
         for label, p in self.coeffs.items():
-            out = out.minkowski(p.scale(base.label_degree(label)))
+            deg = base.label_degree(label)
+            if deg < 0:
+                raise NoDegreeMap(f"prime {label.id} has the negative degree {deg}")
+            out = out.minkowski(p.scale(deg))
         return out
 
     # -- shifting and pullback ----------------------------------------------
@@ -347,13 +351,11 @@ def as_curve_divisor(d: PolyhedralDivisor) -> PolyhedralDivisor:
     The ray +1 becomes the point 0 and the ray -1 the point at infinity; an
     affine base (single ray) leaves the other point unmarked.
     """
-    from .base import INF, point_label
-
     base = d.base
     if base.kind != "toric" or base.rank_n != 1:
         raise UnsupportedBase("curve conversion needs a one-dimensional toric base")
     p1 = BaseVariety.projective_line()
-    mapping = {(Fraction(1),): point_label(0), (Fraction(-1),): point_label(INF)}
+    mapping = {(1,): point_label(0), (-1,): point_label(INF)}
     coeffs = {}
     for label, p in d.coeffs.items():
         if label.kind != "ray":

@@ -5,8 +5,9 @@ primitive `int` tuples the double description method (`_dd`)
 computes.  A pointed cone in Q^1 to Q^3 needs no DD: its extreme rays are
 the candidates on n - 1 rows (cross products of two rows in Q^3) that lie
 in the cone up to sign (`_small_rays`).  The DD keeps the tight set of each
-ray as an `int` bit mask, skips a pair of rays with fewer than d - 2
-common tight rows before its adjacency scan, and works in the input
+ray as an `int` bit mask, adds one row at a time by one row step
+(`_dd_step`), skips a pair of rays with fewer than d - 2 common tight
+rows before its adjacency scan, and works in the input
 coordinates (the identity frame) when there are no equations and the rows
 have full rank; otherwise it changes to a basis of the equations' kernel
 and of the rows' span there.
@@ -22,13 +23,15 @@ construction takes two steps: the public constructors check the row
 lengths and normalize the rows to that key (`_primitive_rows`), and
 `_canonical`/`_cut` build from a key.  Rows of a canonical cone are a key
 as they are, so intersections, `as_polyhedron`, tails and the slices and
-regions cut from a polyhedron merge or pass them through.  Faces run no
-DD: both sides of a face are read off its parent's generator-facet
-incidence.  On a pointed parent a face's facet normals are the parent's
-normals projected onto its span, solved by the adjugate of a Gram matrix
-on the side with fewer rows (its rays or its equations), and the
-equations of rays and of facets of a full-dimensional cone are written
-out; a face in Q^5 or below takes at most one elimination.  A polyhedron
+regions cut from a polyhedron merge or pass them through.  A cone
+computes its ray-facet incidence once and keeps it (`Cone._incidence`);
+faces, fiber slices and face tests read it.  Faces run no DD: both sides
+of a face are read off its parent's incidence.  On a pointed parent a
+face's facet normals are the parent's normals projected onto its span,
+solved by the adjugate of a Gram matrix on the side with fewer rows (its
+rays or its equations), and the equations of rays and of facets of a
+full-dimensional cone are written out; a face in Q^5 or below takes at
+most one elimination.  A polyhedron
 stores one cone, its homogenization `hom`, and derives its generators,
 halfspaces and tail cone from it on first access; only its vertices are
 Fractions.
@@ -48,8 +51,8 @@ An extreme ray of C ∩ L, for a cone C and a linear subspace L of
 codimension r, lies in a face of C of dimension at most r + 1 (modulo the
 lineality space), so the fiber's generators come from the rays, lines and
 incidence of the polyhedron's `hom` by one step per equation
-(`_fiber_generators`): a shift along a line, or the DD step that
-`_dd_pointed` takes per row (`_dd_step`).
+(`_fiber_generators`): a shift along a line, or the row step of the DD
+(`_dd_step`) on the equation.
 
 Two chamber algorithms have one entry point each: `chamber_complex(polys,
 rows)` projects the faces of the polyhedra `polys` itself, and
@@ -129,42 +132,32 @@ def _dd_pointed(rows: list[tuple], d: int, base_idx: list[int] | None = None) ->
     # ray j is tight exactly on the base rows other than row j
     full = sum(1 << k for k in base_idx)
     tight = [full ^ (1 << k) for k in base_idx]
-    base = set(base_idx)
-    least = d - 2
     for i, a in enumerate(rows):
-        if i in base:
-            continue
-        bit = 1 << i
-        vals = [sum(map(mul, a, r)) for r in rays]
-        plus = [j for j, v in enumerate(vals) if v > 0]
-        zero = [j for j, v in enumerate(vals) if v == 0]
-        minus = [j for j, v in enumerate(vals) if v < 0]
-        if not minus:
-            tight = [t | bit if v == 0 else t for t, v in zip(tight, vals)]
-            continue
-        new_rays, new_tight = _dd_step(rays, tight, vals, plus, minus, least, bit)
-        rays = [rays[j] for j in plus] + [rays[j] for j in zero] + new_rays
-        tight = [tight[j] for j in plus] + [tight[j] | bit for j in zero] + new_tight
+        if i not in base_idx:
+            rays, tight = _dd_step(rays, tight, a, d - 2, 1 << i)
     return dict(zip(rays, tight))
 
 
-def _dd_step(rays, tight, vals, plus, minus, least: int, bit: int) -> tuple[list[tuple], list[int]]:
-    """The rays one double-description step adds on the hyperplane <a, w> = 0
-    of a row a, with their tight sets: `vals[j]` is <a, rays[j]>, `plus` and
-    `minus` are the indices of the positive and negative values.
-
-    `rays` are the extreme rays of the current cone (representatives modulo
-    its lineality space, on which a is 0) and `tight` their tight sets.  Each
-    adjacent pair of p in `plus` and q in `minus` gives the primitive ray
-    v_p q - v_q p, with the tight set tight[p] & tight[q] | bit.  Adjacency
-    is the combinatorial test: no third ray is tight on every row both are
+def _dd_step(rays, tight, a, least: int, bit: int) -> tuple[list[tuple], list[int]]:
+    """One double-description step, that of `_dd_pointed` and of
+    `_fiber_generators`: the rays and tight sets of the current cone cut by
+    the row a, as <a, w> >= 0 with the tight-set bit `bit`, or as the
+    equation <a, w> = 0 when `bit` is 0.  `rays` are the extreme rays of the
+    current cone (representatives modulo its lineality space, on which a is
+    0) and `tight` their tight sets.  A ray on the hyperplane stays and gains
+    `bit`, one on the positive side stays for an inequality only, and each
+    adjacent pair of p and q on opposite sides adds the primitive ray
+    <a, p> q - <a, q> p, tight on tight[p] & tight[q] | bit.  Adjacency is
+    the combinatorial test: no third ray is tight on every row both are
     tight on.  Adjacent rays span a 2-face, which lies on at least `least`
-    of the rows, so a pair with fewer common rows is skipped before that
-    scan.
+    rows, so a pair with fewer common rows is skipped before that scan.
     """
-    new_rays: list[tuple] = []
-    new_tight: list[int] = []
-    seen = set()
+    vals = [sum(map(mul, a, r)) for r in rays]
+    plus = [j for j, v in enumerate(vals) if v > 0]
+    minus = [j for j, v in enumerate(vals) if v < 0]
+    kept = [j for j, v in enumerate(vals) if not v or bit and v > 0]
+    new_rays = [rays[j] for j in kept]
+    new_tight = [tight[j] if vals[j] else tight[j] | bit for j in kept]
     for p in plus:
         tp = tight[p]
         for q in minus:
@@ -177,14 +170,10 @@ def _dd_step(rays, tight, vals, plus, minus, least: int, bit: int) -> tuple[list
             vp, vq = vals[p], vals[q]
             r = [vp * x - vq * y for x, y in zip(rays[q], rays[p])]
             g = math.gcd(*r)
-            r = tuple(x // g for x in r)
-            if r in seen:
-                continue
-            seen.add(r)
-            new_rays.append(r)
-            # r is a positive combination of rays p and q, and every row
-            # processed so far is >= 0 on both, so r is tight exactly where
-            # both are
+            # r lies in the relative interior of the 2-face of p and q, so no
+            # other pair gives it; every row processed so far is >= 0 on p
+            # and q, so r is tight exactly where both are
+            new_rays.append(tuple(x // g for x in r))
             new_tight.append(common | bit)
     return new_rays, new_tight
 
@@ -339,14 +328,7 @@ def _canonical(n: int, gens: tuple, lines: tuple) -> "Cone":
     canonicalizes an H-description.
     """
     ineqs, eqs, facet_tight = _dd(gens, lines, n)
-    # transpose: bit j of a generator's mask, the generator is tight on facet j
-    tight = [0] * len(gens)
-    for j, t in enumerate(facet_tight):
-        bit = 1 << j
-        while t:
-            low = t & -t
-            tight[low.bit_length() - 1] |= bit
-            t ^= low
+    tight = _transposed(facet_tight, len(gens))
     full = (1 << len(ineqs)) - 1
     lineal = [g for g, t in zip(gens, tight) if t == full]
     pointed = [(g, t) for g, t in zip(gens, tight) if t != full]
@@ -455,22 +437,17 @@ def _mix_basis(coords, basis) -> tuple:
     return tuple(out)
 
 
-def _face_sets(gens, normals) -> tuple[list[int], list[int]]:
-    """Generator index sets of all faces, the full set first, and the
-    incidence: for each normal, the set of generators tight on it.  A set
-    is an `int` bit mask, bit i for generator i (`_members` lists them).
+def _face_sets(cone: "Cone") -> list[int]:
+    """Ray index sets of all faces of a canonical cone, the full set first,
+    each an `int` bit mask, bit i for `cone.rays[i]` (`_members` lists them).
 
-    `gens` are the extreme rays and `normals` the facet normals of a
-    canonical cone.  Every face is cut out by the facets containing it, so
-    its generator set is the intersection of their incidence sets, and
-    distinct faces have distinct sets (Fukuda-Prodon, "Double description
-    method revisited", 1996).  `Cone._face` reads each face off the same
-    incidence.
+    Every face is cut out by the facets containing it, so its ray set is the
+    intersection of their masks in the cone's incidence (`Cone._incidence`),
+    and distinct faces have distinct sets (Fukuda-Prodon, "Double
+    description method revisited", 1996).
     """
-    incidence = [
-        sum(1 << i for i, g in enumerate(gens) if not sum(map(mul, a, g))) for a in normals
-    ]
-    seen = dict.fromkeys([(1 << len(gens)) - 1])
+    incidence = cone._incidence()
+    seen = dict.fromkeys([(1 << len(cone.rays)) - 1])
     frontier = list(seen)
     while frontier:
         nxt = []
@@ -481,12 +458,21 @@ def _face_sets(gens, normals) -> tuple[list[int], list[int]]:
                     seen[t] = None
                     nxt.append(t)
         frontier = nxt
-    return list(seen), incidence
+    return list(seen)
 
 
 def _members(s: int) -> list[int]:
     """The indices in the bit mask s, ascending."""
     return [i for i in range(s.bit_length()) if s >> i & 1]
+
+
+def _transposed(masks, size: int) -> list[int]:
+    """`size` masks, bit j of mask i set when bit i of masks[j] is."""
+    out = [0] * size
+    for j, t in enumerate(masks):
+        for i in _members(t):
+            out[i] |= 1 << j
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -499,14 +485,15 @@ class Cone(_Frozen):
 
     A cone is read-only, so one object serves every construction of it: the
     memo (`_canonical`) hands out the same `Cone` for one key, and the cone
-    keeps what it computes once in its last three slots: its dual, its hash
-    and the polyhedron homogenized to it (see `Polyhedron`).
+    keeps what it computes once in its last four slots: its dual, its hash,
+    the polyhedron homogenized to it (see `Polyhedron`) and its ray-facet
+    incidence (`_incidence`).
     """
 
-    __slots__ = ("n", "rays", "lines", "ineqs", "eqs", "_dual", "_hash", "_poly")
+    __slots__ = ("n", "rays", "lines", "ineqs", "eqs", "_dual", "_hash", "_poly", "_inc")
 
     def __init__(self, n, rays, lines, ineqs, eqs):
-        self._init(n, tuple(rays), tuple(lines), tuple(ineqs), tuple(eqs), None, None, None)
+        self._init(n, tuple(rays), tuple(lines), tuple(ineqs), tuple(eqs), None, None, None, None)
 
     @classmethod
     def from_rays(cls, rays, lines=(), n=None) -> "Cone":
@@ -551,6 +538,25 @@ class Cone(_Frozen):
             object.__setattr__(d, "_dual", self)
             object.__setattr__(self, "_dual", d)
         return d
+
+    def _incidence(self) -> list[int]:
+        """The ray-facet incidence: per facet, in the order of `ineqs`, an
+        `int` bit mask with bit i set when `rays[i]` lies on it.  Computed on
+        first use and kept; faces, fiber slices and face tests read it."""
+        inc = self._inc
+        if inc is None:
+            inc = [sum(1 << i for i, r in enumerate(self.rays) if not sum(map(mul, a, r))) for a in self.ineqs]
+            object.__setattr__(self, "_inc", inc)
+        return inc
+
+    def _carrier(self, points) -> list[tuple]:
+        """The rays of the least face that holds the points, which lie in the
+        cone: the rays on every facet that is 0 on all of the points."""
+        s = (1 << len(self.rays)) - 1
+        for a, f in zip(self.ineqs, self._incidence()):
+            if not any(sum(map(mul, a, x)) for x in points):
+                s &= f
+        return [self.rays[i] for i in _members(s)]
 
     def contains(self, x) -> bool:
         if len(x) != self.n:
@@ -603,13 +609,12 @@ class Cone(_Frozen):
 
     def faces(self) -> list["Cone"]:
         """All faces, the cone itself first."""
-        sets, incidence = _face_sets(self.rays, self.ineqs)
-        return [self] + [self._face(s, incidence) for s in sets[1:]]
+        return [self] + [self._face(s) for s in _face_sets(self)[1:]]
 
-    def _face(self, s, incidence) -> "Cone":
-        """The face on the generator index set `s`, a bit mask, read off the
-        incidence of `_face_sets` with no DD; its fields are those
-        `from_rays` gives.
+    def _face(self, s) -> "Cone":
+        """The face on the ray index set `s`, a bit mask, read off the
+        incidence (`_incidence`) with no DD; its fields are those `from_rays`
+        gives.
 
         Its rays are the generators in `s` and its lines the cone's.  Its
         equations cut out the span: the cone's equations and the facets
@@ -622,7 +627,7 @@ class Cone(_Frozen):
         is simplicial and dim F <= codim F, else off the equations
         (`_projections`); in Q^5 and below one side has at most two rows.
         """
-        n, lines = self.n, self.lines
+        n, lines, incidence = self.n, self.lines, self._incidence()
         rays = [self.rays[i] for i in _members(s)]
         tight = [a for a, f in zip(self.ineqs, incidence) if s & f == s]
         cut = {}
@@ -963,23 +968,20 @@ class Polyhedron(_Frozen):
             return False
         if self.empty:
             return True
-        # self.hom lies in the face of other.hom cut out by the facets tight
-        # on it, and is a face exactly when it holds that face's generators:
-        # the lines of other.hom and its rays tight on those facets
+        # self.hom lies in the least face of other.hom that holds its rays,
+        # and is a face exactly when it holds that face's generators
         hom = other.hom
-        tight = [a for a in hom.ineqs if not any(sum(map(mul, a, r)) for r in self.hom.rays)]
-        rays = [r for r in hom.rays if not any(sum(map(mul, a, r)) for a in tight)]
-        return self.hom._contains_gens(rays, hom.lines)
+        return self.hom._contains_gens(hom._carrier(self.hom.rays), hom.lines)
 
     def faces(self) -> list["Polyhedron"]:
         """All nonempty faces, the polyhedron itself first."""
         hom, n = self.hom, self.n
-        sets, incidence = _face_sets(hom.rays, hom.ineqs)
+        sets = _face_sets(hom)
         # generator sets without a vertex are faces at infinity of the
         # homogenized cone, not faces of the polyhedron
         vertex_bits = sum(1 << i for i, r in enumerate(hom.rays) if r[n])
         return [
-            self if s == sets[0] else Polyhedron(n, hom._face(s, incidence))
+            self if s == sets[0] else Polyhedron(n, hom._face(s))
             for s in sets
             if s & vertex_bits
         ]
@@ -1072,21 +1074,20 @@ def map_fiber_slice(p: Polyhedron, rows, target_point, retraction_rows) -> Polyh
 
 def _fiber_generators(hom: Cone, eqs) -> tuple[list[tuple], list[tuple]]:
     """Rays and lines that generate hom ∩ {x : <e, x> = 0 for e in eqs},
-    from the extreme rays, lines and ray-facet incidence of the canonical
-    cone `hom`, with no construction; the rays are the extreme ones.
+    from the extreme rays, lines and incidence of the canonical cone `hom`,
+    with no construction; the rays are the extreme ones.
 
     Each equation e is one of two steps.  When a line l0 has <e, l0> = c0
     > 0 (negated if need be), every other generator g moves into the
     hyperplane as c0 g - <e, g> l0; the facets are 0 on l0, so the tight
-    sets stay.  Otherwise e is 0 on every line and the step is one
-    double-description step as an equation (`_dd_step`): the rays on the
-    hyperplane stay, and each adjacent pair across it adds a ray.  A
-    2-face of the cone cut by k such equations lies in a face of `hom` of
-    dimension at most k + 2 modulo the lineality space, so two adjacent
-    rays share at least d - 2 - k facets of `hom`, d = dim(hom) - dim(lines).
+    sets stay.  Otherwise e is 0 on every line and takes the DD's row step
+    as an equation (`_dd_step`).  A 2-face of the cone cut by k such
+    equations lies in a face of `hom` of dimension at most k + 2 modulo the
+    lineality space, so two adjacent rays share at least d - 2 - k facets of
+    `hom`, d = dim(hom) - dim(lines).
     """
     rays, lines = list(hom.rays), list(hom.lines)
-    tight = [sum(1 << i for i, a in enumerate(hom.ineqs) if not sum(map(mul, a, r))) for r in rays]
+    tight = _transposed(hom._incidence(), len(rays))
     least = hom.dim() - len(lines) - 2
     for e in eqs:
         lvals = [sum(map(mul, e, l)) for l in lines]
@@ -1098,13 +1099,7 @@ def _fiber_generators(hom: Cone, eqs) -> tuple[list[tuple], list[tuple]]:
             rays = [_shifted(g, c0, sum(map(mul, e, g)), l0) for g in rays]
             lines = [_shifted(l, c0, v, l0) for l, v in zip(lines, lvals)]
             continue
-        vals = [sum(map(mul, e, r)) for r in rays]
-        plus = [j for j, v in enumerate(vals) if v > 0]
-        minus = [j for j, v in enumerate(vals) if v < 0]
-        zero = [j for j, v in enumerate(vals) if v == 0]
-        new_rays, new_tight = _dd_step(rays, tight, vals, plus, minus, least, 0)
-        rays = [rays[j] for j in zero] + new_rays
-        tight = [tight[j] for j in zero] + new_tight
+        rays, tight = _dd_step(rays, tight, e, least, 0)
         least -= 1
     return rays, lines
 
@@ -1210,7 +1205,7 @@ def _projected_faces(polys, rows) -> list[Polyhedron]:
         gens = _apply(hrows, hom.rays)
         lines = _primitive_rows(_apply(hrows, hom.lines))
         vertex_bits = sum(1 << i for i, r in enumerate(hom.rays) if r[n])
-        for s in _face_sets(hom.rays, hom.ineqs)[0]:
+        for s in _face_sets(hom):
             # a set without a vertex is a face at infinity of `hom`, none of p
             if s & vertex_bits:
                 keys.add((_primitive_rows(gens[i] for i in _members(s)), lines))

@@ -19,7 +19,7 @@ from .base import INF, BaseVariety, cone_index, cone_is_smooth
 from .errors import AmbientMismatch, NoDegreeMap
 from .linalg import _cleared, _int_row, smith_normal_form, vec
 from .pdivisor import PolyhedralDivisor, PropernessReport
-from .polyhedra import Cone, Polyhedron, _canonical, _primitive_rows
+from .polyhedra import Cone, Polyhedron, _members
 from .tvariety import DivisorialFan, invariant_index
 
 
@@ -154,7 +154,7 @@ def upgrade_coefficients(d: InvariantPDivisorOnFan) -> PolyhedralDivisor:
         if not any(g[-1] for g in gens):
             coeffs[label] = Polyhedron.empty_polyhedron(ntot)
             continue
-        hullpart = Polyhedron(ntot, _canonical(ntot + 1, _primitive_rows(gens), _primitive_rows(lines)))
+        hullpart = Polyhedron(ntot, Cone.from_rays(gens, lines, ntot + 1))
         coeffs[label] = hullpart.minkowski(sig_poly)
     return PolyhedralDivisor(d.fan.base, ntot, sigma_t, coeffs)
 
@@ -281,9 +281,9 @@ def _stellar(cones, w):
             out.append(c)
             continue
         # every facet of c not containing w, in the order of c.ineqs
-        for a in c.ineqs:
+        for a, f in zip(c.ineqs, c._incidence()):
             if not sum(map(mul, a, w)):
                 continue
-            facet = [r for r in c.rays if not sum(map(mul, a, r))]
+            facet = [c.rays[i] for i in _members(f)]
             out.append(Cone.from_rays(facet + [w], c.lines, c.n))
     return out

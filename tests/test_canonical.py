@@ -305,8 +305,13 @@ def test_faces_homogenize_vertices_on_integers():
         gens = [v + (Fraction(1),) for v in p.vertices] + [r + (0,) for r in p.rays]
         ints = [x + (d,) for x, d in map(_cleared, p.vertices)] + [r + (0,) for r in p.rays]
         assert list(map(_int_row, ints)) == list(map(_int_row, gens))
-        normals = [a + (-b,) for a, b in p.ineqs]
-        assert polyhedra._face_sets(ints, normals) == polyhedra._face_sets(gens, normals)
+        # the incidence of `hom` on its integer rays is that of the Fraction
+        # generators (v, 1) and (r, 0) on the normals (a, -b) of <a, x> >= b
+        hom, n = p.hom, p.n
+        points = [tuple(Fraction(x, r[n]) for x in r[:n]) + (1,) if r[n] else r for r in hom.rays]
+        oracle = [sum(1 << i for i, g in enumerate(points) if not sum(x * y for x, y in zip(a, g))) for a in hom.ineqs]
+        assert hom._incidence() == oracle
+        assert sorted(map(_int_row, points)) == sorted(map(_int_row, gens))
 
 
 # -- one construction per operation ------------------------------------------
@@ -693,13 +698,13 @@ def test_int_row_on_int_bool_and_fraction_rows():
 
 def from_rays_faces(c):
     """The faces of a cone, each built by a construction on its generators."""
-    sets = polyhedra._face_sets(c.rays, c.ineqs)[0]
+    sets = polyhedra._face_sets(c)
     return [c] + [Cone.from_rays([c.rays[i] for i in polyhedra._members(s)], c.lines, c.n) for s in sets[1:]]
 
 
 def from_rays_polyhedron_faces(p):
     hom, n = p.hom, p.n
-    sets = polyhedra._face_sets(hom.rays, hom.ineqs)[0]
+    sets = polyhedra._face_sets(hom)
     return [
         p if s == sets[0] else Polyhedron(n, Cone.from_rays([hom.rays[i] for i in polyhedra._members(s)], hom.lines, n + 1))
         for s in sets

@@ -574,6 +574,26 @@ def test_cox_on_a_fan_without_marked_primes_exits_one(tmp_path, capsys):
     assert captured.err == "error: the prime set must be nonempty\n"
 
 
+def test_correct_with_a_negative_degree_exits_one(tmp_path, capsys):
+    # the rank-1 fan pos(1), pos(-1) with the degree -1 at ray(1) and a
+    # coefficient there: the degree polyhedron once scaled it by -1 and
+    # ended in a traceback
+    from pdivisors.base import BaseVariety
+    from pdivisors.pdivisor import PolyhedralDivisor
+    from pdivisors.polyhedra import Cone, Polyhedron
+
+    base = BaseVariety.toric([Cone.from_rays([(1,)]), Cone.from_rays([(-1,)])], degrees={(1,): -1, (-1,): 1})
+    coeff = Polyhedron.from_generators([(1,)], [(1,)])
+    d = PolyhedralDivisor(base, 1, Cone.from_rays([(1,)]), {base.ray((1,)): coeff})
+    p = tmp_path / "divisor.json"
+    p.write_bytes(cli.emit(d, "pdivisor"))
+    assert json.loads(p.read_text())["payload"]["base"]["degrees"] == {"1": "-1", "-1": "1"}
+    assert cli.main(["correct", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: prime ray(1) has the negative degree -1\n"
+
+
 def test_import_leaves_out_dataclasses_and_inspect():
     # every pdiv process pays its imports, and dataclasses alone pulls in
     # inspect, ast, dis and tokenize; -S keeps site-packages hooks out

@@ -14,7 +14,9 @@ the construction on the face's generators.
 `_dd` returns the tight set of each ray on every route (the pairs in
 Q^1-Q^3, the identity frame, the frame of `_frame`), and `_canonical`
 reads its generator-facet incidence off them; both are checked against
-dot products.  A counting guard pins the eliminations per face.
+dot products.  A counting guard pins the eliminations per face.  A cone
+keeps its ray-facet incidence (`Cone._incidence`): it is checked against
+dot products, and a second read of it computes nothing.
 """
 
 from __future__ import annotations
@@ -79,10 +81,9 @@ def test_face_route_matches_from_rays_on_every_branch(monkeypatch):
     )
     faces = 0
     for c in _face_parents(seed=21):
-        sets, incidence = polyhedra._face_sets(c.rays, c.ineqs)
-        for s in sets[1:]:
+        for s in polyhedra._face_sets(c)[1:]:
             calls.clear()
-            got = c._face(s, incidence)
+            got = c._face(s)
             want = Cone.from_rays([c.rays[i] for i in polyhedra._members(s)], c.lines, c.n)
             assert _slots(got) == _slots(want), (c, polyhedra._members(s))
             faces += 1
@@ -178,9 +179,9 @@ def test_faces_make_at_most_one_elimination_per_face(monkeypatch):
         counts[-1] += 1
         return echelon(*args)
 
-    def counting_face(self, s, incidence):
+    def counting_face(self, s):
         counts.append(0)
-        return face(self, s, incidence)
+        return face(self, s)
 
     monkeypatch.setattr(polyhedra, "_echelon", counting_echelon)
     monkeypatch.setattr(Cone, "_face", counting_face)
@@ -188,3 +189,41 @@ def test_faces_make_at_most_one_elimination_per_face(monkeypatch):
     assert len(counts) == faces > 1000
     assert max(counts) <= 1
     assert sum(counts) <= 0.8 * faces
+
+
+def _dot_incidence(c):
+    """The ray-facet incidence of a cone by dot products."""
+    return [sum(1 << i for i, r in enumerate(c.rays) if not sum(map(int.__mul__, a, r))) for a in c.ineqs]
+
+
+def test_cone_keeps_the_incidence_of_dot_products(monkeypatch):
+    seen = dict.fromkeys(["lines", "equations", "duals", "faces"], 0)
+    for c in _face_parents(seed=31):
+        d = c.dual()
+        for cone in (c, d):
+            assert cone._incidence() == _dot_incidence(cone)
+        seen["lines"] += bool(c.lines)
+        seen["equations"] += bool(c.eqs)
+        seen["duals"] += 1
+        for f in c.faces()[1:]:
+            assert f._incidence() == _dot_incidence(f)
+            seen["faces"] += 1
+    assert min(seen.values()) >= 20, seen
+    # once read, the incidence is kept: a second `faces()` or a fiber slice
+    # of the same polyhedron computes none
+    computed = []
+    accessor = Cone._incidence
+
+    def spy(self):
+        computed.append(self._inc is None)
+        return accessor(self)
+
+    monkeypatch.setattr(Cone, "_incidence", spy)
+    for p in _polytopes(seed=37):
+        n = p.n
+        first = p.faces()
+        computed.clear()
+        assert p.faces() == first
+        unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        polyhedra.map_fiber_slice(p, unit[:1], (p.vertices[0][0],), unit[1:])
+        assert computed and not any(computed)

@@ -7,6 +7,8 @@ never a float."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import math
 import random
 import sys
@@ -347,14 +349,30 @@ def _fields(obj):
 
 
 def test_every_memo_key_is_canonical_rows(monkeypatch):
-    keys = []
+    keys, upgrading = [], []
+    # the package binds the name `upgrade` to the function, not the module
+    upgrade_module = importlib.import_module("pdivisors.upgrade")
+    coefficients = upgrade_module.upgrade_coefficients
 
     def recording(n, gens, lines):
         keys.append((gens, lines))
         return memo(n, gens, lines)
 
+    def counting_coefficients(d):
+        start = len(keys)
+        out = coefficients(d)
+        upgrading.append(len(keys) - start)
+        return out
+
     monkeypatch.setattr(polyhedra, "_canonical", recording)
+    monkeypatch.setattr(upgrade_module, "upgrade_coefficients", counting_coefficients)
+    before = memo.cache_info()
     _round_trips(20, seed=1)
+    after = memo.cache_info()
+    # every lookup goes through the one memo entry in `polyhedra`, those of
+    # `upgrade_coefficients` too, so the recording sees every key
+    assert len(keys) == after.hits + after.misses - before.hits - before.misses
+    assert len(upgrading) == 20 and min(upgrading) > 0
     inputs = _fast_path_inputs(seed=29)
     built = [pair for args in inputs for pair in _fast_paths(*args)]
     rows = polyhedra._primitive_rows
@@ -699,3 +717,16 @@ def test_round_trips_hold_no_float(monkeypatch):
     assert {polyhedra.Cone, polyhedra.Polyhedron, ConcavePL, LatticeMap, QDivisor, Fraction} <= kinds
     for obj in seen:
         assert all(type(x) in (int, Fraction) for x in _numbers(obj)), obj
+
+
+def test_only_polyhedra_imports_the_memo():
+    # a module that imports `_canonical` by name keeps the memo it found at
+    # import, so a test that patches `polyhedra._canonical` misses its lookups
+    modules = sorted(Path(polyhedra.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        if path.name == "polyhedra.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        names = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names]
+        assert "_canonical" not in names, path.name
