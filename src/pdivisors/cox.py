@@ -45,25 +45,19 @@ class CoxData(_Record):
         return tuple(Fraction(1) if i == index else Fraction(0) for i in range(m))
 
 
-def cox_sequence(fan: DivisorialFan, primes=None) -> CoxData:
+def cox_sequence(fan: DivisorialFan) -> CoxData:
     """Assemble and split the presentation of the class-group dual.
 
-    `primes` must include every prime with a nontrivial slice; when omitted
-    the marked primes are used (padded to two on the projective line so the
-    degree quotient is nontrivial).  The presentation is split by the
-    canonical `smith_split`; the construction holds for any splitting, and
-    every other one differs from it by an integer matrix A (section
-    s + K A, retraction t - A pi).
+    The primes are the marked primes of the fan, padded to two on the
+    projective line so the degree quotient is nontrivial.  The presentation
+    is split by the canonical `smith_split`; the construction holds for any
+    splitting, and every other one differs from it by an integer matrix A
+    (section s + K A, retraction t - A pi).
     """
     base = fan.base
     if base.kind != "P1":
         raise NoDegreeMap("the construction needs a base with class group Z")
-    if primes is None:
-        primes = list(fan.marked_primes())
-    primes = [point_label(p) if not hasattr(p, "kind") else p for p in primes]
-    for label in fan.marked_primes():
-        if fan.slice_of(label).cells and label not in primes:
-            raise MarksMissingSupport(f"primes must contain the marked prime {label.id}")
+    primes = list(fan.marked_primes())
     if not primes:
         raise MarksMissingSupport("the prime set must be nonempty")
     if len(primes) < 2:

@@ -1114,15 +1114,11 @@ class PolyhedralComplex:
     """Finite polyhedral complex, stored by its maximal cells."""
 
     def __init__(self, cells):
-        cells = [c for c in cells if not c.empty]
-        # drop cells contained in another cell
-        keep = []
-        for c in cells:
-            if any(d is not c and d.contains(c) and d != c for d in cells):
-                continue
-            keep.append(c)
-        uniq = sorted(set(keep), key=_cell_key)
-        self.cells = tuple(uniq)
+        cells = {c for c in cells if not c.empty}
+        # keep each cell no other cell contains: distinct cells are unequal
+        self.cells = tuple(sorted(
+            (c for c in cells if not any(d is not c and d.contains(c) for d in cells)), key=_cell_key
+        ))
 
     def __eq__(self, other):
         return isinstance(other, PolyhedralComplex) and self.cells == other.cells
@@ -1305,42 +1301,32 @@ def _chamber_closure(polys, rows) -> PolyhedralComplex:
     face images containing any one of its relative-interior points, so the
     intersection closure filtered by a relative-interior membership test
     yields exactly the chamber cells.
+
+    A cell is canonical, so it names itself: the closure is a dict of
+    cells in the order they are found.  A member meets the later members
+    only (c & f = f & c), and a new cell meets every member.  A member
+    that contains the cell, or lies in it, is skipped by an integer test:
+    c & f is c or f, a cell already found.  An intersection reached from
+    two cells runs its DD twice, since the two keys differ.
     """
     family = _projected_faces(polys, rows)
+    closure = dict.fromkeys(family)
+    todo = [(c, family[k + 1:]) for k, c in enumerate(family)]
+    for c, members in todo:
+        for f in members:
+            if f.contains(c) or c.contains(f):
+                continue
+            i = c.intersect(f)
+            if not i.empty and i not in closure:
+                closure[i] = None
+                todo.append((i, family))
 
-    def members(c, known=frozenset()):
-        return known | {k for k, f in enumerate(family) if k not in known and f.contains(c)}
-
-    # a closure cell is the intersection of the members containing it, so
-    # that member set names it; c & f is that of members(c) | {f}
-    closure = {members(f): f for f in family}
-    formed = set(closure)
-    frontier = list(closure.items())
-    while frontier:
-        nxt = []
-        for s, c in frontier:
-            for k, f in enumerate(family):
-                if k in s:
-                    continue
-                key = s | {k}
-                if key in formed:
-                    continue
-                formed.add(key)
-                i = c.intersect(f)
-                if i.empty:
-                    continue
-                t = members(i, key)
-                if t not in closure:
-                    closure[t] = i
-                    formed.add(t)
-                    nxt.append((t, i))
-        frontier = nxt
-    cells = []
-    for s, c in closure.items():
+    def is_chamber(c):
+        # no member outside those containing c holds its relative interior
         x = c.hom.relint_point()
-        if not any(k not in s and f.hom.contains(x) for k, f in enumerate(family)):
-            cells.append(c)
-    return PolyhedralComplex(cells)
+        return not any(f.hom.contains(x) and not f.contains(c) for f in family)
+
+    return PolyhedralComplex(filter(is_chamber, closure))
 
 
 def linearity_regions(pieces, domain: Polyhedron) -> PolyhedralComplex:

@@ -201,7 +201,8 @@ def invariant_index(fan: DivisorialFan, rays=None, verts=None, primes=()):
     marked prime; given rays (`NonIntegral` unless integral) come back as
     the fan's own `int` tuples, in the given order, and a part that is the
     fan's own object is taken without a comparison.  On another fan a given
-    index is taken as it is.  An unmarked prime carries the trivial slice,
+    index is taken as it is, its rays as `int` tuples (`NonIntegral` unless
+    integral).  An unmarked prime carries the trivial slice,
     whose only vertex is 0: it appears only with that vertex, and each
     unmarked prime in `primes` is added with it.
     """
@@ -224,7 +225,7 @@ def invariant_index(fan: DivisorialFan, rays=None, verts=None, primes=()):
                 if given is not vs and set(vs) != set(map(vec, given)):
                     raise ValueError(f"verts differ from the slice vertices of the marked prime {label.id}")
     else:
-        rays = tuple(map(tuple, rays))
+        rays = tuple(_lattice_vector(r, "rays") for r in rays)
     verts = {
         label: vs if vs is own_verts.get(label) else tuple(vec(v) for v in vs)
         for label, vs in verts.items()

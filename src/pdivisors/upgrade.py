@@ -119,15 +119,14 @@ class InvariantPDivisorOnFan:
 
 def upgrade_tailcone(d: InvariantPDivisorOnFan) -> Cone:
     """pos of (tail x 0) together with each ray coefficient at its height,
-    read off the rays of each coefficient's `hom`: at the height r = R / e
-    a vertex ray (X, t) gives (X e, t R) and a tail ray (X, 0) gives (X, 0)."""
+    read off the rays of each coefficient's `hom`: at the lattice ray r a
+    vertex ray (X, t) gives (X, t r) and a tail ray (X, 0) gives (X, 0)."""
     n, zero = d.n, (0,) * d.fan.n
     gens = [g + zero for g in d.tail.rays]
     lines = [l + zero for l in d.tail.lines]
     for r in d.rays:
         hom = d.ray_coefficient(r).hom
-        R, e = _cleared(r)
-        gens += [tuple(e * x for x in g[:n]) + tuple(g[n] * y for y in R) for g in hom.rays]
+        gens += [g[:n] + tuple(g[n] * y for y in r) for g in hom.rays]
         lines += [l[:n] + zero for l in hom.lines]
     return Cone.from_rays(gens, lines, n + d.fan.n)
 

@@ -71,17 +71,18 @@ def curve_mul(f: CurveFunction, g: CurveFunction) -> CurveFunction:
     return CurveFunction(out)
 
 
-def counting_dd(monkeypatch):
-    """The DD runs from now on: the calls of the key-level core
-    `polyhedra._dd`, which every construction runs on a memo miss."""
+def counting(monkeypatch, name):
+    """The calls of `polyhedra.<name>` from now on, one argument tuple each.
+    On "_dd" they are the DD runs: every construction runs the key-level
+    core `polyhedra._dd` on a memo miss."""
     calls = []
-    dd = polyhedra._dd
+    fn = getattr(polyhedra, name)
 
-    def counting(*args):
+    def counted(*args):
         calls.append(args)
-        return dd(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(polyhedra, "_dd", counting)
+    monkeypatch.setattr(polyhedra, name, counted)
     return calls
 
 

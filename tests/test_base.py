@@ -28,6 +28,7 @@ from pdivisors.lattice import Lattice, LatticeMap
 from pdivisors.pdivisor import PolyhedralDivisor
 from pdivisors.polyhedra import Cone, Polyhedron
 from pdivisors.tvariety import DivisorialFan, invariant_index
+from test_upgrade import noncf_p2_fan
 
 F = Fraction
 P1 = BaseVariety.projective_line()
@@ -376,6 +377,10 @@ NONINTEGRAL_ENTRIES = {
     "CurveFunction exponent": lambda: CurveFunction({0: F(1, 2)}),
     "LatticeMap row": lambda: LatticeMap(Lattice(2), Lattice(1), [HALF]),
     "invariant_index rays": lambda: invariant_index(QUADRANT_FAN, rays=[(0, 1), HALF]),
+    # on a fan that is not contraction-free too
+    "invariant_index rays, fan not contraction-free": lambda: invariant_index(
+        noncf_p2_fan(), rays=[(F(1, 2),)], verts={point_label(INF): [(-1,)], point_label(0): [(0,)]}
+    ),
 }
 
 

@@ -24,7 +24,7 @@ import random
 from fractions import Fraction
 
 from fraction_route import fraction_primitive, fraction_rank
-from helpers import counting_dd, dd_cone
+from helpers import counting, dd_cone
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -162,7 +162,7 @@ def test_construction_property(n, gens, lines, scale):
 
 
 def test_cold_construction_runs_one_dd_and_warm_none(monkeypatch):
-    calls = counting_dd(monkeypatch)
+    calls = counting(monkeypatch, "_dd")
     constructions = [
         lambda: Cone.from_rays([(1, 0, 0), (1, 1, 0), (0, 1, 0), (1, 2, 3)], [(0, 0, 1)]),
         lambda: Cone.from_inequalities([(1, 0, 0), (0, 1, 0), (1, 1, 1)], [(0, 0, 0)]),
@@ -382,7 +382,7 @@ def _random_rows(rng, k, n):
 
 
 def test_chamber_complex_matches_bfs_closure(monkeypatch):
-    _, calls = _spied_closure(monkeypatch)
+    calls = counting(monkeypatch, "_chamber_closure")
     rng = random.Random(61)
     seen = {1: 0, 2: 0, 3: 0, "split": 0, "several": 0}
     for _ in range(60):
@@ -415,6 +415,18 @@ def test_chamber_complex_matches_bfs_closure(monkeypatch):
     assert min(seen.values()) >= 5, seen
 
 
+def test_a_chamber_that_no_two_images_cut_out():
+    # the 4-simplex onto a convex pentagon: each triangle of the five vertex
+    # images is a face image, and the inner pentagon of the diagonals is a
+    # chamber that no two of them cut out, so the closure meets the cells it
+    # finds with the members again
+    simplex = hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    rows = [(2, 3, 1, -1), (0, 2, 3, 2)]
+    got = chamber_complex([simplex], rows)
+    assert got == bfs_chamber_complex(face_object_family([simplex], rows))
+    assert sorted(len(c.vertices) for c in got.cells) == [3] * 10 + [5]
+
+
 def face_object_family(polys, rows):
     """The projected faces as face objects gave them: every nonempty face
     of every polyhedron, built and then mapped."""
@@ -438,7 +450,7 @@ def _kernel_face_rows(rng, p):
 
 
 def test_projected_faces_match_face_objects(monkeypatch):
-    _, calls = _spied_closure(monkeypatch)
+    calls = counting(monkeypatch, "_chamber_closure")
     rng = random.Random(67)
     seen = dict.fromkeys(["lines", "rays", "rational", "empty", "split", "kernel face", "several"], 0)
     for _ in range(60):
@@ -522,19 +534,6 @@ def _one_row_cells(rng, n, row):
     return kind, cells
 
 
-def _spied_closure(monkeypatch):
-    """The closure itself and the list of the rows of its calls from now on."""
-    closure = polyhedra._chamber_closure
-    calls = []
-
-    def spy(polys, rows):
-        calls.append(rows)
-        return closure(polys, rows)
-
-    monkeypatch.setattr(polyhedra, "_chamber_closure", spy)
-    return closure, calls
-
-
 def _line_images(cells, row):
     """Per nonempty polyhedron: its image under `row`, an interval of Q,
     and the images of its vertices, none when a line maps onto Q."""
@@ -585,7 +584,8 @@ def test_one_row_chambers_match_bfs_closure(monkeypatch):
     # never calls the closure; where each chamber is its gap they agree with
     # the closure and the BFS, and on interleaved images the cells are the
     # covered gaps
-    closure, calls = _spied_closure(monkeypatch)
+    closure = polyhedra._chamber_closure
+    calls = counting(monkeypatch, "_chamber_closure")
     rng = random.Random(73)
     seen = dict.fromkeys(
         ["lines to 0", "line not to 0", "rays", "point cell", "several cells", "several polyhedra", "interleaved"], 0
@@ -623,7 +623,7 @@ def test_interleaved_images_give_the_covered_gaps(monkeypatch):
     # the images cover, and the closure is not called
     a = hull([(1, 0), (3, 0), (2, 1)])
     b = hull([(0, 5), (4, 5), (2, 6)])
-    _, calls = _spied_closure(monkeypatch)
+    calls = counting(monkeypatch, "_chamber_closure")
     got = chamber_complex([a, b], [(1, 0)])
     assert set(got.cells) == {hull([(0,), (1,)]), hull([(1,), (2,)]), hull([(2,), (3,)]), hull([(3,), (4,)])}
     # each alone is read off its vertex images
@@ -777,7 +777,7 @@ def test_faces_match_from_rays_route_field_by_field():
 def test_faces_run_no_dd(monkeypatch):
     cones, polys = _face_cases(seed=89, count=60)
     memo.cache_clear()
-    calls = counting_dd(monkeypatch)
+    calls = counting(monkeypatch, "_dd")
     faces = [f for x in cones + polys for f in x.faces()]
     assert calls == [] and len(faces) > 500
     # a construction on a cold memo still runs its one DD

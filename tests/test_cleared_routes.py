@@ -452,7 +452,7 @@ def test_values_and_graded_sections_build_no_hypograph(monkeypatch):
 def _upgrade_inputs():
     """The downgrades of the seeded divisors, one input whose tail has a
     line and whose heights and vertices are not integral, and one on a fan
-    that is not contraction-free, with a ray given as a fraction."""
+    that is not contraction-free, with a given ray that is not primitive."""
     out = [downgrade(d, ctx)[1] for d, ctx in DIVISORS]
     tail = Cone.from_rays([(1, 0)], [(0, 1)])
     tp = tail.as_polyhedron()
@@ -470,8 +470,8 @@ def _upgrade_inputs():
         noncf_p2_fan(),
         1,
         Cone.from_rays([(1,)]),
-        ray_coeffs={(F(1, 2),): Polyhedron.from_generators([(F(1, 3),)], [(1,)])},
-        rays=[(F(1, 2),)],
+        ray_coeffs={(2,): Polyhedron.from_generators([(F(1, 3),)], [(1,)])},
+        rays=[(2,)],
         verts={point_label(INF): [(-1,)], point_label(0): [(0,)]},
     ))
     return out

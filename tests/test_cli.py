@@ -172,6 +172,20 @@ def test_upgrade_noncf_exit_two(capsys):
     assert out["report"]["semiample"] is False
 
 
+def test_upgrade_noncf_with_a_fractional_ray_exits_one(tmp_path, capsys):
+    # on a fan that is not contraction-free the given rays are lattice
+    # vectors too, so the ray 1/2 is an error, not a divisor
+    doc = json.loads((FIX / "noncf_p2.json").read_text())
+    doc["payload"]["rays"] = [["1/2"]]
+    doc["payload"]["ray_coeffs"][0][0] = ["1/2"]
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["upgrade", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: rays must have integer entries")
+
+
 def test_upgrade_then_correct_pipeline(tmp_path, capsys):
     code, out = run(capsys, "upgrade", fixture("noncf_p2.json"))
     doc = {

@@ -180,23 +180,8 @@ def test_cox_raw_on_a_slice_without_cells():
         cox_correct(cd)
 
 
-def test_cox_correct_with_an_unmarked_prime():
-    # an unmarked prime passed among the primes enters with the vertex 0
-    fan = complete_cstar_fan()
-    out0, rep0 = cox_correct(cox_sequence(fan))
-    cd = cox_sequence(fan, [point_label(0), point_label(1), point_label(INF)])
-    assert (point_label(1), (F(0),)) in cd.pairs
-    assert cox_raw(cd).verts[point_label(1)] == ((F(0),),)
-    out, rep = cox_correct(cd)
-    assert rep.proper and rep0.proper
-    assert out.n == out0.n
-
-
-def test_prime_sets_without_the_marked_primes_raise():
-    # the primes must hold every marked prime, and there must be one
-    fan = complete_cstar_fan()
-    with pytest.raises(MarksMissingSupport, match="marked prime 0"):
-        cox_sequence(fan, [point_label(1), point_label(INF)])
+def test_a_fan_without_marked_primes_raises():
+    # the primes are the marked ones, and there must be one
     bare = DivisorialFan(P1, [PolyhedralDivisor(P1, 1, Cone.from_rays([(1,)]), {})])
     with pytest.raises(MarksMissingSupport, match="nonempty"):
         cox_sequence(bare)

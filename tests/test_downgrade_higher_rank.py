@@ -1,4 +1,4 @@
-"""The downgrade at rank 3 and 4, onto targets of rank 1 to 3.
+"""The downgrade at rank 3 to 5, onto targets of rank 1 to 3.
 
 When the weight projection has a target of rank 2 or more, the images of
 two evaluation chambers can overlap without being equal.  Each case checks
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import counting_dd
+from helpers import counting
 from pdivisors import cli, polyhedra
 from pdivisors.base import BaseVariety, global_sections, point_label
 from pdivisors.downgrade import DowngradeContext, downgrade
@@ -47,6 +47,11 @@ PROJECTIONS = {
         [[1, 1, 0, 0], [0, 0, 1, 1]],
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
         [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    ],
+    # the closure runs on 2 and 3 rows under the first, on 4 under the second
+    5: [
+        [[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]],
+        [[1, 1, 1, 1, 1]],
     ],
 }
 
@@ -122,8 +127,8 @@ OVERLAP = [[[1, 1, 0, 0], [0, 0, 1, 1]]]
 
 @pytest.mark.parametrize(
     "m, count, seed, projections",
-    [(3, 8, 303, PROJECTIONS[3]), (4, 6, 404, PROJECTIONS[4]), (4, 4, 405, OVERLAP)],
-    ids=["rank3", "rank4", "rank4-overlap"],
+    [(3, 8, 303, PROJECTIONS[3]), (4, 6, 404, PROJECTIONS[4]), (4, 4, 405, OVERLAP), (5, 2, 505, PROJECTIONS[5])],
+    ids=["rank3", "rank4", "rank4-overlap", "rank5"],
 )
 def test_random_round_trips(m, count, seed, projections):
     rng = random.Random(seed)
@@ -182,7 +187,7 @@ def test_pdiv_downgrade_dd_budget(tmp_path, capsys, monkeypatch, doc, projection
     p = tmp_path / "d.json"
     p.write_text(doc(), encoding="utf-8")
     polyhedra._canonical.cache_clear()
-    calls = counting_dd(monkeypatch)
+    calls = counting(monkeypatch, "_dd")
     assert cli.main(["downgrade", str(p), "--projection", projection]) == 0
     assert json.loads(capsys.readouterr().out)["kind"] == "downgrade"
     assert len(calls) <= budget

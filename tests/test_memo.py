@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from fraction_route import fraction_dd_cone
-from helpers import compose, dd_cone, identity_on, is_surjective, random_proper_rank2
+from helpers import compose, counting, dd_cone, identity_on, is_surjective, random_proper_rank2
 from test_canonical import _cases, fields
 from pdivisors import cli, linalg, polyhedra
 from pdivisors.base import (
@@ -62,19 +62,6 @@ def _round_trips(count, seed):
         upgrade(dbar)
 
 
-def _counting(monkeypatch, name):
-    """Count the calls of `polyhedra.<name>` from now on."""
-    calls = []
-    fn = getattr(polyhedra, name)
-
-    def counting(*args):
-        calls.append(args)
-        return fn(*args)
-
-    monkeypatch.setattr(polyhedra, name, counting)
-    return calls
-
-
 def test_memo_matches_uncached_dd(monkeypatch):
     seen = {}
 
@@ -104,7 +91,7 @@ def test_round_trip_working_set_fits_the_memo(monkeypatch):
     _round_trips(20, seed=1)
     distinct = memo.cache_info().currsize
     assert 512 < distinct < polyhedra.DD_CACHE_SIZE
-    runs = _counting(monkeypatch, "_dd")
+    runs = counting(monkeypatch, "_dd")
     _round_trips(20, seed=1)
     assert runs == []
     assert memo.cache_info().currsize == distinct
@@ -135,7 +122,7 @@ def test_held_coefficients_need_no_construction(monkeypatch):
     assert missing not in d.coeffs
     downgrades = _downgrades_with_defaults()
     assert downgrades
-    lookups = _counting(monkeypatch, "_canonical")
+    lookups = counting(monkeypatch, "_canonical")
     for label, p in held:
         assert d.coefficient(label) is p
     for dbar, _ in downgrades:
@@ -157,10 +144,9 @@ def test_held_coefficients_need_no_construction(monkeypatch):
 
 def test_chamber_complex_builds_no_face(monkeypatch):
     # the projected faces are generator sets on each polyhedron's incidence,
-    # so no face object is built; from a cold memo the closure runs as many
-    # DDs as the route that mapped one face object at a time (19, 35), less
-    # one on the first family: an empty intersection that is the zero cone
-    # already is its own homogenization, with no lookup of the zero key.  On
+    # so no face object is built.  From a cold memo the closure runs one DD
+    # per key of an intersection of a cell and a member where neither holds
+    # the other, so an intersection reached from two cells runs twice.  On
     # one row `chamber_complex` builds only its three cells.
     coeff = max(_divisors(1, seed=5)[0].coeffs.values(), key=lambda p: len(p.hom.rays))
     pi_rows = DowngradeContext.from_projection(LatticeMap(Lattice(2), Lattice(1), [[1, 1]])).pi_rows
@@ -175,11 +161,11 @@ def test_chamber_complex_builds_no_face(monkeypatch):
     monkeypatch.setattr(polyhedra.Cone, "_face", no_face)
     monkeypatch.setattr(polyhedra.Cone, "faces", no_face)
     monkeypatch.setattr(polyhedra.Polyhedron, "faces", no_face)
-    runs = _counting(monkeypatch, "_dd")
+    runs = counting(monkeypatch, "_dd")
     cases = [
         (polyhedra.chamber_complex, [coeff], pi_rows, 3),
-        (polyhedra._chamber_closure, [coeff], pi_rows, 18),
-        (polyhedra.chamber_complex, [with_line], line_rows, 35),
+        (polyhedra._chamber_closure, [coeff], pi_rows, 12),
+        (polyhedra.chamber_complex, [with_line], line_rows, 23),
     ]
     for route, polys, rows, budget in cases:
         memo.cache_clear()
@@ -208,7 +194,7 @@ def test_fiber_slice_builds_only_its_image(monkeypatch):
 
     monkeypatch.setattr(polyhedra, "_cut", no_cut)
     monkeypatch.setattr(Polyhedron, "with_equalities", no_cut)
-    lookups = _counting(monkeypatch, "_canonical")
+    lookups = counting(monkeypatch, "_canonical")
     for p, rows, target, retraction, empty in cases:
         lookups.clear()
         assert polyhedra.map_fiber_slice(p, rows, target, retraction).empty == empty
