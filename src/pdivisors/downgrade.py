@@ -71,8 +71,16 @@ def dualize(f: ConcavePL):
 
     Box* collects the linear functionals dominating the linear part on the
     domain's tailcone; Psi*(v) = min over the domain of <v,u> - f(u), with
-    one affine piece per vertex of the graph.
+    one affine piece per vertex of the graph.  Box* and the piece rows of
+    Psi* depend on f's hypograph only and are kept on its `hom`; Psi* is a
+    new function on each call, which builds its own hypograph on first use.
     """
+    box_star, rows = f.hypo.hom._keep("dualize", lambda: _dual_rows(f))
+    return box_star, ConcavePL._from_rows(box_star, rows)
+
+
+def _dual_rows(f: ConcavePL):
+    """Box* and the piece rows of Psi* of `dualize`."""
     n = f.domain.n
     flip = int_identity(n + 1)
     flip[n][n] = -1
@@ -91,9 +99,8 @@ def dualize(f: ConcavePL):
     box_star = Polyhedron.from_H(ineqs, eqs, n)
     # a vertex (X, T) / d of the graph, the ray (X, T, d) of `epi.hom`, is
     # the piece (X, T) / d: the row (X, -d, T)
-    rows = [(*g[:n], -g[n + 1], g[n]) for g in epi.hom.rays if g[n + 1]]
-    psi_star = ConcavePL._from_rows(box_star, rows)
-    return box_star, psi_star
+    rows = tuple((*g[:n], -g[n + 1], g[n]) for g in epi.hom.rays if g[n + 1])
+    return box_star, rows
 
 
 def subdivision_of_dual(f: ConcavePL) -> PolyhedralComplex:

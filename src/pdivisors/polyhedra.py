@@ -46,6 +46,15 @@ translations add its integer rays, and face and containment tests
 compare integer dot products instead of building a cone.  Point
 tests clear a point's denominators once and compare integers.
 
+A cone also keeps the results of the pure operations computed from it
+(`Cone._keep`), keyed by the operation and its normalized integer
+arguments: its `as_polyhedron` homogenization, its faces and its images,
+and, as a polyhedron's `hom`, that polyhedron's faces, images, fiber
+slices and chamber complexes, `downgrade.dualize` and the validation of
+a complex whose first cell it is.  A result is kept from the second
+request of its key on, so a cone asked once keeps none, and kept
+results die with their cone when the memo evicts it.
+
 A fiber slice (`map_fiber_slice`) builds only its image, not the fiber.
 An extreme ray of C ∩ L, for a cone C and a linear subspace L of
 codimension r, lies in a face of C of dimension at most r + 1 (modulo the
@@ -294,20 +303,22 @@ def _frame(ineqs, eqs, n: int):
 
 # Bound of the construction memo, sized to hold a round trip's working set.
 # Faces do not go through it, nor the fibers `map_fiber_slice` maps, only
-# their images.  The benchmark's 213 roundtrip inputs of seed 101, run in
-# order from a cold memo, make 22,769 lookups of 1,880 distinct keys: an LRU
-# of 512 entries misses 2,975 times, one of 4096 only on the 1,880 first
-# lookups.  Over 1,000 roundtrip inputs of seed 107 (3,708 distinct keys)
-# the misses are 13.3 per input at 512 and 3.7 at 4096.  Geometry's 123
-# inputs of seed 101 make 1,231 lookups of 992 keys, so the size does not
-# matter there.  An entry is one cone, with its dual once cut
-# and, from its second use as a homogenization on, the polyhedron over it
-# and its views.  Against entries of bare tuples this raises peak memory by
-# 4% on roundtrip (19.7 -> 20.6 MiB) and not at all on geometry (19.8 ->
-# 19.9 MiB), medians of twelve and four 30 s benchmark runs, 2-core x86_64,
-# Python 3.11.7.  Keeping the polyhedron from the first use on would raise
-# geometry's peak to 23.3 MiB (+17%, two runs), for its one-shot
-# constructions.
+# their images, nor a result a cone keeps (`Cone._keep`).  The benchmark's
+# 213 roundtrip inputs of seed 101, run in order from a cold memo, make
+# 14,376 lookups of 1,880 distinct keys: an LRU of 512 entries misses 2,963
+# times, one of 4096 only on the 1,880 first lookups.  Over 1,000 roundtrip
+# inputs of seed 107 (3,708 distinct keys) the misses are 13.2 per input at
+# 512 and 3.7 at 4096.  Geometry's 123 inputs of seed 101 make 1,231
+# lookups of 992 keys, so the size does not matter there.  An entry is one
+# cone, with its dual once cut, the results it keeps and, from its second
+# use as a homogenization on, the polyhedron over it and its views.
+# Against entries of bare tuples this raises peak memory by 4% on roundtrip
+# (19.7 -> 20.6 MiB) and not at all on geometry (19.8 -> 19.9 MiB), medians
+# of twelve and four 30 s benchmark runs, 2-core x86_64, Python 3.11.7.
+# Keeping the polyhedron from the first use on would raise geometry's peak
+# to 23.3 MiB (+17%, two runs), for its one-shot constructions.  The kept
+# results add 2-3% on roundtrip (19.15 -> 19.58 MiB at seed 101, medians of
+# ten runs) and keep nothing on geometry.
 DD_CACHE_SIZE = 4096
 
 
@@ -485,15 +496,18 @@ class Cone(_Frozen):
 
     A cone is read-only, so one object serves every construction of it: the
     memo (`_canonical`) hands out the same `Cone` for one key, and the cone
-    keeps what it computes once in its last four slots: its dual, its hash,
-    the polyhedron homogenized to it (see `Polyhedron`) and its ray-facet
-    incidence (`_incidence`).
+    keeps what it computes once in its last five slots: its dual, its hash,
+    the polyhedron homogenized to it (see `Polyhedron`), its ray-facet
+    incidence (`_incidence`) and the results of operations asked of it
+    more than once (`_keep`): `as_polyhedron`, faces, images, and, as a
+    polyhedron's `hom`, that polyhedron's faces, images, fiber slices,
+    chamber complexes, duals and complex validations.
     """
 
-    __slots__ = ("n", "rays", "lines", "ineqs", "eqs", "_dual", "_hash", "_poly", "_inc")
+    __slots__ = ("n", "rays", "lines", "ineqs", "eqs", "_dual", "_hash", "_poly", "_inc", "_kept")
 
     def __init__(self, n, rays, lines, ineqs, eqs):
-        self._init(n, tuple(rays), tuple(lines), tuple(ineqs), tuple(eqs), None, None, None, None)
+        self._init(n, tuple(rays), tuple(lines), tuple(ineqs), tuple(eqs), None, None, None, None, None)
 
     @classmethod
     def from_rays(cls, rays, lines=(), n=None) -> "Cone":
@@ -549,6 +563,23 @@ class Cone(_Frozen):
             object.__setattr__(self, "_inc", inc)
         return inc
 
+    def _keep(self, key, compute):
+        """The result of a pure operation on the cone, `compute()`, kept in
+        `_kept` under `key`: the operation's name, its normalized integer
+        arguments and the cones of its other inputs.  The first request of a key only notes it, so a cone
+        asked once keeps no result; from the second request on the result
+        is kept and handed out.  A result is read-only or a tuple, and
+        never None."""
+        kept = self._kept
+        if kept is None:
+            kept = {}
+            object.__setattr__(self, "_kept", kept)
+        out = kept.get(key)
+        if out is None:
+            out = compute()
+            kept[key] = out if key in kept else None
+        return out
+
     def _carrier(self, points) -> list[tuple]:
         """The rays of the least face that holds the points, which lie in the
         cone: the rays on every facet that is 0 on all of the points."""
@@ -596,11 +627,15 @@ class Cone(_Frozen):
         return tuple(sum(r[i] for r in self.rays) for i in range(self.n))
 
     def as_polyhedron(self) -> "Polyhedron":
-        # the apex (0, 1) and the rays (r, 0), sorted, and the lines (l, 0)
-        # are the key `from_generators` would normalize them to
+        return Polyhedron(self.n, self._keep("as_polyhedron", self._hom))
+
+    def _hom(self) -> "Cone":
+        """The homogenization of the cone as a polyhedron: the apex (0, 1)
+        and the rays (r, 0), sorted, and the lines (l, 0) are the key
+        `from_generators` would normalize them to."""
         n = self.n
         gens = tuple(sorted([(0,) * n + (1,), *(r + (0,) for r in self.rays)]))
-        return Polyhedron(n, _canonical(n + 1, gens, tuple(l + (0,) for l in self.lines)))
+        return _canonical(n + 1, gens, tuple(l + (0,) for l in self.lines))
 
     def intersect(self, other: "Cone") -> "Cone":
         if self.n != other.n:
@@ -609,7 +644,10 @@ class Cone(_Frozen):
 
     def faces(self) -> list["Cone"]:
         """All faces, the cone itself first."""
-        return [self] + [self._face(s) for s in _face_sets(self)[1:]]
+        return [self, *self._keep("faces", self._proper_faces)]
+
+    def _proper_faces(self) -> tuple["Cone", ...]:
+        return tuple(self._face(s) for s in _face_sets(self)[1:])
 
     def _face(self, s) -> "Cone":
         """The face on the ray index set `s`, a bit mask, read off the
@@ -658,8 +696,12 @@ class Cone(_Frozen):
 
     def map_image(self, rows) -> "Cone":
         _ambient(self.n, rows)
-        rows = _cleared_rows(rows)
-        return Cone.from_rays(_apply(rows, self.rays), _apply(rows, self.lines), len(rows))
+        rows = tuple(map(tuple, _cleared_rows(rows)))
+
+        def image():
+            return Cone.from_rays(_apply(rows, self.rays), _apply(rows, self.lines), len(rows))
+
+        return self._keep(("map_image", rows), image)
 
 
 def _ambient(n, rows, what: str = "") -> int:
@@ -975,16 +1017,16 @@ class Polyhedron(_Frozen):
 
     def faces(self) -> list["Polyhedron"]:
         """All nonempty faces, the polyhedron itself first."""
+        if self.empty:
+            return []
+        return [self, *self.hom._keep("polyhedron faces", self._proper_faces)]
+
+    def _proper_faces(self) -> tuple["Polyhedron", ...]:
         hom, n = self.hom, self.n
-        sets = _face_sets(hom)
         # generator sets without a vertex are faces at infinity of the
         # homogenized cone, not faces of the polyhedron
         vertex_bits = sum(1 << i for i, r in enumerate(hom.rays) if r[n])
-        return [
-            self if s == sets[0] else Polyhedron(n, hom._face(s))
-            for s in sets
-            if s & vertex_bits
-        ]
+        return tuple(Polyhedron(n, hom._face(s)) for s in _face_sets(hom)[1:] if s & vertex_bits)
 
     # -- lattice points ----------------------------------------------------
 
@@ -1064,12 +1106,17 @@ def map_fiber_slice(p: Polyhedron, rows, target_point, retraction_rows) -> Polyh
     _ambient(n, rows)
     _ambient(n, retraction_rows)
     m = len(retraction_rows)
-    gens, lines = _fiber_generators(p.hom, _hom_rows(zip(rows, target_point)))
-    # the vertex rays (X, t), t > 0, of the fiber's homogenization
-    if not any(g[n] for g in gens):
-        return Polyhedron.empty_polyhedron(m)
-    hrows = _cleared_rows([(*r, 0) for r in retraction_rows] + [(0,) * n + (1,)])
-    return Polyhedron(m, Cone.from_rays(_apply(hrows, gens), _apply(hrows, lines), m + 1))
+    eqs = tuple(_hom_rows(zip(rows, target_point)))
+    hrows = tuple(_cleared_rows([(*r, 0) for r in retraction_rows] + [(0,) * n + (1,)]))
+
+    def image():
+        gens, lines = _fiber_generators(p.hom, eqs)
+        # the vertex rays (X, t), t > 0, of the fiber's homogenization
+        if not any(g[n] for g in gens):
+            return Cone.zero(m + 1)
+        return Cone.from_rays(_apply(hrows, gens), _apply(hrows, lines), m + 1)
+
+    return Polyhedron(m, p.hom._keep(("map_fiber_slice", eqs, hrows), image))
 
 
 def _fiber_generators(hom: Cone, eqs) -> tuple[list[tuple], list[tuple]]:
@@ -1110,18 +1157,18 @@ def _shifted(g, c0: int, v: int, l0) -> tuple:
     return _int_row([c0 * x - v * y for x, y in zip(g, l0)])
 
 
-class PolyhedralComplex:
-    """Finite polyhedral complex, stored by its maximal cells."""
+class PolyhedralComplex(_Frozen):
+    """Finite polyhedral complex, stored by its maximal cells; read-only, so
+    a cone can keep one (`chamber_complex`)."""
+
+    __slots__ = ("cells",)
 
     def __init__(self, cells):
         cells = {c for c in cells if not c.empty}
         # keep each cell no other cell contains: distinct cells are unequal
-        self.cells = tuple(sorted(
+        self._init(tuple(sorted(
             (c for c in cells if not any(d is not c and d.contains(c) for d in cells)), key=_cell_key
-        ))
-
-    def __eq__(self, other):
-        return isinstance(other, PolyhedralComplex) and self.cells == other.cells
+        )))
 
     def __hash__(self):
         return hash(self.cells)
@@ -1133,6 +1180,11 @@ class PolyhedralComplex:
         return iter(self.cells)
 
     def validate(self):
+        cells = self.cells
+        if len(cells) > 1:
+            cells[0].hom._keep(("validate", tuple(c.hom for c in cells[1:])), self._validated)
+
+    def _validated(self) -> bool:
         for a, b in itertools.combinations(self.cells, 2):
             i = a.intersect(b)
             if i.empty:
@@ -1141,6 +1193,7 @@ class PolyhedralComplex:
                 raise ValueError(
                     f"cells intersect in a non-face: {a!r} vs {b!r}"
                 )
+        return True
 
     def all_faces(self) -> list[Polyhedron]:
         seen = {}
@@ -1224,14 +1277,20 @@ def chamber_complex(polys, rows) -> PolyhedralComplex:
     do it can leave out a region that the images cover.
     """
     polys = list(polys)
-    if polys:
-        n = polys[0].n
-        if any(p.n != n for p in polys):
-            raise AmbientMismatch("polyhedra live in different ambient spaces")
-        _ambient(n, rows)
-    if len(rows) == 1:
-        return PolyhedralComplex(_line_chambers(polys, rows[0]))
-    return _chamber_closure(polys, rows)
+    if not polys:
+        return PolyhedralComplex([])
+    n = polys[0].n
+    if any(p.n != n for p in polys):
+        raise AmbientMismatch("polyhedra live in different ambient spaces")
+    _ambient(n, rows)
+
+    def chambers():
+        if len(rows) == 1:
+            return PolyhedralComplex(_line_chambers(polys, rows[0]))
+        return _chamber_closure(polys, rows)
+
+    key = ("chamber_complex", tuple(p.hom for p in polys[1:]), tuple(map(_cleared, rows)))
+    return polys[0].hom._keep(key, chambers)
 
 
 def _line_chambers(polys, row) -> list[Polyhedron]:

@@ -123,6 +123,8 @@ def test_held_coefficients_need_no_construction(monkeypatch):
     downgrades = _downgrades_with_defaults()
     assert downgrades
     lookups = counting(monkeypatch, "_canonical")
+    as_polyhedron, tails = polyhedra.Cone.as_polyhedron, []
+    monkeypatch.setattr(polyhedra.Cone, "as_polyhedron", lambda c: tails.append(c) or as_polyhedron(c))
     for label, p in held:
         assert d.coefficient(label) is p
     for dbar, _ in downgrades:
@@ -130,8 +132,10 @@ def test_held_coefficients_need_no_construction(monkeypatch):
             assert dbar.ray_coefficient(r) is p
         for (label, v), p in dbar.vertex_coeffs.items():
             assert dbar.vertex_coefficient(label, v) is p
-    assert lookups == []
-    # a missing key gives the tailcone, built on demand
+    assert lookups == [] and tails == []
+    # a missing key gives the tailcone, built on demand: a tail cone keeps
+    # its polyhedron's `hom` from its second request on, so it may need no
+    # lookup
     assert d.coefficient(missing) == d.tail.as_polyhedron()
     for dbar, vertices in downgrades:
         trivial = dbar.tail.as_polyhedron()
@@ -139,7 +143,7 @@ def test_held_coefficients_need_no_construction(monkeypatch):
             assert dbar.ray_coefficient(r) == trivial
         for label, v in set(vertices) - set(dbar.vertex_coeffs):
             assert dbar.vertex_coefficient(label, v) == trivial
-    assert lookups
+    assert tails
 
 
 def test_chamber_complex_builds_no_face(monkeypatch):
@@ -256,8 +260,9 @@ def test_round_trips_clear_few_rational_points(monkeypatch):
 # dropped, the Fraction copies of the fan's integer tail rays, the degree
 # sums of the properness probes and the floors of curve sections made
 # 1,299 more here (3,597), and the Fraction round trip of lattice-map rows
-# 8 more (2,298).
-FRACTION_BUDGET = 2290
+# 8 more (2,298), and recomputing the results a cone now keeps
+# (`Cone._keep`) 3 more (2,290).
+FRACTION_BUDGET = 2287
 
 
 def test_round_trips_build_few_fractions(monkeypatch):
@@ -398,7 +403,12 @@ def test_cones_and_polyhedra_are_read_only():
     before = fields(cone)
     p = polyhedra.Polyhedron.from_H([((1, 0), 0), ((0, 1), 0)])
     view = p.vertices
-    for obj, names in (cone, polyhedra.Cone.__slots__), (p, polyhedra.Polyhedron.__slots__):
+    cx = polyhedra.chamber_complex([p], [(1, 1)])
+    for obj, names in (
+        (cone, polyhedra.Cone.__slots__),
+        (p, polyhedra.Polyhedron.__slots__),
+        (cx, polyhedra.PolyhedralComplex.__slots__),
+    ):
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(obj, name, ())
@@ -470,6 +480,93 @@ def test_one_shot_construction_keeps_no_polyhedron(monkeypatch):
         assert first == second == third and first is not second is not third, name
 
 
+def test_one_shot_operations_keep_no_result():
+    # a cone keeps an operation's result from its second request on, so an
+    # input imaged, sliced or faced once keeps only the keys it was asked
+    memo.cache_clear()
+    p = polyhedra.Polyhedron.from_generators([(0, 0, 0), (3, 1, 0), (0, 2, 5)], [(1, 1, 1)])
+    c = polyhedra.Cone.from_rays([(1, 0, 2), (0, 1, 1), (1, 1, 0), (2, 1, 3)])
+
+    def operations():
+        # each operation twice on one input, with other arguments, so a key
+        # that leaves out an argument hands out the other's result
+        return [
+            p.map_image([[1, 1, 0], [0, 1, 1]], [1, 0]),
+            p.map_image([[1, 1, 0], [0, 1, 2]]),
+            polyhedra.map_fiber_slice(p, [(1, 0, 0)], (1,), [(0, 1, 0), (0, 0, 1)]),
+            polyhedra.map_fiber_slice(p, [(1, 0, 0)], (2,), [(0, 1, 0), (0, 0, 1)]),
+            polyhedra.map_fiber_slice(p, [(1, 0, 0)], (1,), [(0, 1, 0), (0, 1, 1)]),
+            p.faces(),
+            c.faces(),
+            c.map_image([[1, 0, 1]]),
+            c.map_image([[1, 0, -1]]),
+            c.as_polyhedron(),
+            polyhedra.chamber_complex([p], [(1, 0, 0), (0, 1, 0)]),
+            polyhedra.chamber_complex([p], [(1, 0, 0), (0, 0, 1)]),
+            polyhedra.chamber_complex([p, p.translate((0, 0, 9))], [(1, 0, 0), (0, 1, 0)]),
+        ]
+
+    once = operations()
+    for cone in (p.hom, c):
+        assert cone._kept and all(v is None for v in cone._kept.values())
+    # the second request keeps the results, and hands out equal ones
+    assert operations() == once == operations()
+    assert all(v is not None for cone in (p.hom, c) for v in cone._kept.values())
+
+
+def _kept_fields(obj):
+    """`_fields` of a kept result, through the tuples it is made of."""
+    if isinstance(obj, tuple):
+        return tuple(map(_kept_fields, obj))
+    if isinstance(obj, (polyhedra.Cone, polyhedra.Polyhedron, polyhedra.PolyhedralComplex)):
+        return _fields(obj)
+    return obj
+
+
+def test_kept_results_match_a_run_with_nothing_kept(monkeypatch):
+    # every result a round trip takes from a cone equals, field by field,
+    # what the same computation gives with the memo off and nothing kept
+    keep = polyhedra.Cone._keep
+    hits = []
+
+    def recording(cone, key, compute):
+        kept = cone._kept
+        hit = kept is not None and kept.get(key) is not None
+        out = keep(cone, key, compute)
+        if hit:
+            hits.append((key, compute, out))
+        return out
+
+    memo.cache_clear()
+    monkeypatch.setattr(polyhedra.Cone, "_keep", recording)
+    _checked_round_trips(12, seed=9)
+    monkeypatch.setattr(polyhedra, "_canonical", memo.__wrapped__)
+    monkeypatch.setattr(polyhedra.Cone, "_keep", lambda cone, key, compute: compute())
+    names = {key if isinstance(key, str) else key[0] for key, _, _ in hits}
+    assert names == {
+        "as_polyhedron", "faces", "polyhedron faces", "map_image", "map_fiber_slice", "chamber_complex",
+        "dualize", "validate",
+    }
+    for key, compute, out in hits:
+        assert _kept_fields(compute()) == _kept_fields(out), key
+
+
+def test_mutated_faces_leave_kept_faces_intact():
+    memo.cache_clear()
+    cone = polyhedra.Cone.from_rays([(1, 0, 0), (0, 1, 0), (1, 1, 1)])
+    p = polyhedra.Polyhedron.from_generators([(0, 0), (2, 0), (0, 1)], [(1, 1)])
+    for obj in (cone, p):
+        # the second request keeps the faces, the third hands them out
+        expected = obj.faces()
+        for _ in range(3):
+            faces = obj.faces()
+            assert faces == expected
+            faces.append(obj)
+            del faces[0]
+            faces.reverse()
+        assert obj.faces() == expected
+
+
 def test_report_same_with_memo_cold_warm_or_off(tmp_path, monkeypatch):
     doc = str(FIX / "downgrade_difficulties.json")
     argv = ["toric-downgrade", doc, "--sublattice", '[["1","0","0","0"]]']
@@ -484,7 +581,9 @@ def test_report_same_with_memo_cold_warm_or_off(tmp_path, monkeypatch):
     hits = memo.cache_info().hits
     warm = report("warm.json")
     assert memo.cache_info().hits > hits
+    # off: no memo and no result kept on a cone
     monkeypatch.setattr(polyhedra, "_canonical", memo.__wrapped__)
+    monkeypatch.setattr(polyhedra.Cone, "_keep", lambda cone, key, compute: compute())
     off = report("off.json")
     assert cold == warm == off
 
