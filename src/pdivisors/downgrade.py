@@ -10,6 +10,7 @@ recovers the same variety for the subtorus action.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -228,7 +229,28 @@ def downgrade_box_psi(d: PolyhedralDivisor, ctx: DowngradeContext, ubar) -> PLDi
 
 def _slices_by_faces(coeff: Polyhedron, pi_rows) -> PolyhedralComplex:
     """The second slice route: the chamber complex of the projected faces."""
-    return chamber_complex([coeff], pi_rows)
+    return chamber_complex(coeff, pi_rows)
+
+
+def _evaluation_graph(d: PolyhedralDivisor) -> Polyhedron:
+    """Gamma in Q^(n+1), the epigraph of u -> -sum_P min_{v in D_P} <v, u>
+    over the weight cone: the function is linear on each evaluation chamber,
+    so Gamma is spanned by the chambers' rays and lines lifted to its graph
+    and the vertical ray, and its lower faces lie over the chambers' faces.
+    """
+    n = d.n
+    verts = [[g for g in p.hom.rays if g[n]] for p in d.coeffs.values()]
+    q = math.lcm(*(g[n] for vs in verts for g in vs))
+    # a vertex X / t of D_P, the ray (X, t) of its `hom`, is (q / t) X / q
+    verts = [[tuple(q // g[n] * x for x in g[:n]) for g in vs] for vs in verts if vs]
+
+    def lifted(r):
+        return (*(q * x for x in r), -sum(min(sum(map(mul, X, r)) for X in vs) for vs in verts))
+
+    chambers = [c.hom for c in d.evaluation_chambers()]
+    rays = [lifted(g[:n]) for g in {g for c in chambers for g in c.rays if not g[n]}]
+    lines = [lifted(g[:n]) for g in {g for c in chambers for g in c.lines}]
+    return Polyhedron.from_generators([(0,) * (n + 1)], [*rays, (0,) * n + (1,)], lines, n + 1)
 
 
 def downgrade(d: PolyhedralDivisor, ctx: DowngradeContext):
@@ -245,10 +267,10 @@ def downgrade(d: PolyhedralDivisor, ctx: DowngradeContext):
     if not report.proper:
         raise NotProper(f"input is not a p-divisor: {report.as_dict()}")
     # one weight per chamber of the projected faces of the evaluation
-    # chambers: when Mbar has rank 2 or more, the images of two chambers can
-    # overlap without being equal, and a weight per evaluation chamber would
-    # miss break lines
-    projected = chamber_complex(d.evaluation_chambers(), ctx.pr.matrix)
+    # chambers, the lower faces of their graph: when Mbar has rank 2 or more,
+    # the images of two chambers can overlap without being equal, and a
+    # weight per evaluation chamber would miss break lines
+    projected = chamber_complex(_evaluation_graph(d), [(*row, 0) for row in ctx.pr.matrix])
     total = None
     for cone in projected:
         pl = downgrade_box_psi(d, ctx, cone.tail().relint_point())

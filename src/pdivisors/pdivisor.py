@@ -381,12 +381,13 @@ def toric_downgrade(delta: Cone, sub: LatticeMap):
         raise NotPointed("toric downgrade needs a pointed cone")
     ntilde = delta.n
     k = sub.source.rank
+    if k > ntilde:
+        raise NotSplit(f"{k} sublattice generators exceed the lattice rank {ntilde}")
     # quotient projection killing the sublattice, from the Smith form
     # U . sub . V = D
     quot_rank = ntilde - k
     u, dmat, v = smith_normal_form(sub.matrix)
-    diag = [dmat[i][i] for i in range(min(ntilde, k))]
-    if any(abs(x) != 1 for x in diag[:k]):
+    if any(abs(dmat[i][i]) != 1 for i in range(k)):
         raise NotSplit("sublattice is not saturated (torsion quotient)")
     # rows k.. of U kill the image and are unimodular onto the quotient
     q_rows = [u[i] for i in range(k, ntilde)]
@@ -395,7 +396,7 @@ def toric_downgrade(delta: Cone, sub: LatticeMap):
     dpoly = delta.as_polyhedron()
     # image fan: chamber complex of the projected faces
     cones = []
-    for c in chamber_complex([dpoly], q_rows):
+    for c in chamber_complex(dpoly, q_rows):
         t = c.tail()
         if not t.is_pointed():
             raise UnsupportedBase("image fan is not pointed; base is not a toric variety")

@@ -63,16 +63,15 @@ incidence of the polyhedron's `hom` by one step per equation
 (`_fiber_generators`): a shift along a line, or the row step of the DD
 (`_dd_step`) on the equation.
 
-Two chamber algorithms have one entry point each: `chamber_complex(polys,
-rows)` projects the faces of the polyhedra `polys` itself, and
+Two chamber algorithms have one entry point each: `chamber_complex(p,
+rows)` projects the faces of one polyhedron `p` itself, and
 `normal_fan(polys, domain)` refines the vertex regions of each polyhedron
-over `domain`.  On one row every family is answered by the gaps between
-consecutive vertex images that an image covers, so only the cells are
-built (`_line_chambers`); on two or more rows the intersection closure of
-the projected faces gives the chambers, reading each face's generator set
-off the polyhedron's incidence and mapping the generators as integers
-(`_chamber_closure`).  The closure assumes that the vertex images of
-different polyhedra do not interleave.
+over `domain`.  On one row the cells are the gaps between consecutive
+vertex images, so only the cells are built (`_line_chambers`); on two or
+more rows the intersection closure of the projected faces of the largest
+dimension gives the chambers, reading each face's generator set off the
+polyhedron's incidence and mapping the generators as integers
+(`_chamber_closure`).
 
 The empty polyhedron is a first-class value, the zero cone homogenized:
 sums and intersections treat it as absorbing, images of it are empty.
@@ -1238,111 +1237,69 @@ def common_refinement(complexes) -> PolyhedralComplex:
     return PolyhedralComplex(cells)
 
 
-def _projected_faces(polys, rows) -> list[Polyhedron]:
-    """The distinct images of the nonempty faces of the polyhedra `polys`
-    under the linear map with rows `rows`, sorted by their integer data.
+def _projected_faces(p: Polyhedron, rows) -> list[Polyhedron]:
+    """The distinct images of the nonempty faces of `p` under the linear map
+    with rows `rows`, sorted by their integer data.
 
-    A face is its generator set on the incidence of the polyhedron's `hom`
-    (`_face_sets`), so the generators of `hom` are mapped once and no face
-    is built; faces with the same image generators give one construction.
+    A face is its generator set on the incidence of `p.hom` (`_face_sets`),
+    so the generators of `hom` are mapped once and no face is built; faces
+    with the same image generators give one construction.
     """
-    m = len(rows)
-    keys = set()
-    for p in polys:
-        hom, n = p.hom, p.n
-        hrows = _cleared_rows([(*r, 0) for r in rows] + [(0,) * n + (1,)])
-        gens = _apply(hrows, hom.rays)
-        lines = _primitive_rows(_apply(hrows, hom.lines))
-        vertex_bits = sum(1 << i for i, r in enumerate(hom.rays) if r[n])
-        for s in _face_sets(hom):
-            # a set without a vertex is a face at infinity of `hom`, none of p
-            if s & vertex_bits:
-                keys.add((_primitive_rows(gens[i] for i in _members(s)), lines))
-    family = {Polyhedron(m, _canonical(m + 1, *key)) for key in keys}
+    m, hom, n = len(rows), p.hom, p.n
+    hrows = _cleared_rows([(*r, 0) for r in rows] + [(0,) * n + (1,)])
+    gens = _apply(hrows, hom.rays)
+    lines = _primitive_rows(_apply(hrows, hom.lines))
+    vertex_bits = sum(1 << i for i, r in enumerate(hom.rays) if r[n])
+    # a set without a vertex is a face at infinity of `hom`, none of p
+    keys = {_primitive_rows(gens[i] for i in _members(s)) for s in _face_sets(hom) if s & vertex_bits}
+    family = {Polyhedron(m, _canonical(m + 1, key, lines)) for key in keys}
     return sorted(family, key=lambda f: (f.hom.rays, f.hom.lines))
 
 
-def chamber_complex(polys, rows) -> PolyhedralComplex:
-    """Chamber complex of the images of all faces of `polys` under the
-    linear map with rows `rows` (Billera-Sturmfels, "Fiber polytopes", 1992).
-
-    `polys` is an iterable of polyhedra in one Q^n: a list of one
-    polyhedron or the cells of one polyhedral complex; each row has n
-    entries.  On one row the cells are the gaps between consecutive vertex
-    images that an image covers, read off them with only the cells built
-    (`_line_chambers`); on one polyhedron each gap is the chamber of its
-    points.  On two or more rows the intersection closure of the projected
-    faces gives the chambers (`_chamber_closure`); it assumes that the
-    vertex images of different polyhedra do not interleave, and where they
-    do it can leave out a region that the images cover.
+def chamber_complex(p: Polyhedron, rows) -> PolyhedralComplex:
+    """Chamber complex of the images of all faces of the polyhedron `p`
+    under the linear map with rows `rows`, each of `p.n` entries
+    (Billera-Sturmfels, "Fiber polytopes", 1992): its cells are the chambers
+    of the generic points of the image.  On one row they are the gaps
+    between consecutive vertex images (`_line_chambers`); on two or more
+    rows the intersection closure of the projected faces of the largest
+    dimension gives them (`_chamber_closure`).
     """
-    polys = list(polys)
-    if not polys:
+    _ambient(p.n, rows)
+    if p.empty:
         return PolyhedralComplex([])
-    n = polys[0].n
-    if any(p.n != n for p in polys):
-        raise AmbientMismatch("polyhedra live in different ambient spaces")
-    _ambient(n, rows)
 
     def chambers():
         if len(rows) == 1:
-            return PolyhedralComplex(_line_chambers(polys, rows[0]))
-        return _chamber_closure(polys, rows)
+            return PolyhedralComplex(_line_chambers(p, rows[0]))
+        return _chamber_closure(p, rows)
 
-    key = ("chamber_complex", tuple(p.hom for p in polys[1:]), tuple(map(_cleared, rows)))
-    return polys[0].hom._keep(key, chambers)
+    return p.hom._keep(("chamber_complex", tuple(map(_cleared, rows))), chambers)
 
 
-def _line_chambers(polys, row) -> list[Polyhedron]:
-    """The cells of `chamber_complex` under the map x -> <row, x> to Q.
-
-    A polyhedron whose lines map to 0 has the images of its vertices as
-    breakpoints: its image runs from the least to the largest, unbounded
-    at an end a ray maps towards; one with a line of nonzero image maps
-    onto Q with no breakpoint.  The cells are the gaps between consecutive
-    breakpoints of all the polyhedra that an image covers, and each
-    breakpoint whose two neighbouring gaps are not covered, so they cover
-    the union of the images and no cell holds a breakpoint in its relative
-    interior.  On one polyhedron each cell is the chamber of its points:
-    among the face images holding a point x of an open gap, the edges (or
-    rays) that leave the vertices at the gap's two ends in the direction
-    of x hold the gap (simplex method: a vertex off the optimum has an
-    improving edge or ray), so their intersection is the gap's closure.
-    Where the vertex images of different polyhedra interleave, the face
-    images through a point can meet in more than its gap; the gap is still
-    the cell.
+def _line_chambers(p: Polyhedron, row) -> list[Polyhedron]:
+    """The cells of `chamber_complex` of a nonempty `p` under x -> <row, x>:
+    Q when a line maps onto it, else the gaps between consecutive vertex
+    images, unbounded beyond an end that a ray maps past, or the one vertex
+    image.  Each gap is the chamber of its points: among the face images
+    holding a point x of it, the edges (or rays) that leave the vertices at
+    its two ends towards x hold it (simplex method: a vertex off the optimum
+    has an improving edge or ray), so their intersection is its closure.
     """
     row, d = _cleared(row)
-    points, images = set(), []  # per nonempty polyhedron: least and largest, None if unbounded
-    for p in polys:
-        if p.empty:
-            continue
-        hom = p.hom
-        # `row` has n entries, so <row, g> reads the x of a generator (x, t)
-        if any(sum(map(mul, row, l)) for l in hom.lines):
-            images.append((None, None))
-            continue
-        breaks, below, above = set(), False, False
-        for g in hom.rays:
-            v, t = sum(map(mul, row, g)), g[-1]
-            if t:
-                breaks.add(Fraction(v, d * t))
-            else:
-                below, above = below or v < 0, above or v > 0
-        points |= breaks
-        images.append((None if below else min(breaks), None if above else max(breaks)))
-    points = sorted(points)
-    covered, cells = [], []
-    for lo, hi in zip([None, *points], [*points, None]):
-        covered.append(any(
-            (least is None or lo is not None and least <= lo)
-            and (largest is None or hi is not None and largest >= hi)
-            for least, largest in images
-        ))
-        if covered[-1]:
-            cells.append(_line_cell(lo, hi))
-    cells += [_line_cell(b, b) for i, b in enumerate(points) if not covered[i] and not covered[i + 1]]
-    return cells
+    hom = p.hom
+    # `row` has n entries, so <row, g> reads the x of a generator (x, t)
+    if any(sum(map(mul, row, l)) for l in hom.lines):
+        return [_line_cell(None, None)]
+    points, below, above = set(), False, False
+    for g in hom.rays:
+        v, t = sum(map(mul, row, g)), g[-1]
+        if t:
+            points.add(Fraction(v, d * t))
+        else:
+            below, above = below or v < 0, above or v > 0
+    ends = [None] * below + sorted(points) + [None] * above
+    return [_line_cell(lo, hi) for lo, hi in zip(ends, ends[1:])] or [_line_cell(ends[0], ends[0])]
 
 
 def _line_cell(lo, hi) -> Polyhedron:
@@ -1354,12 +1311,13 @@ def _line_cell(lo, hi) -> Polyhedron:
     return Polyhedron(1, _canonical(2, tuple(sorted(gens)), ()))
 
 
-def _chamber_closure(polys, rows) -> PolyhedralComplex:
-    """`chamber_complex` by the intersection closure of the projected faces
-    (`_projected_faces`).  Every chamber equals the intersection of the
-    face images containing any one of its relative-interior points, so the
-    intersection closure filtered by a relative-interior membership test
-    yields exactly the chamber cells.
+def _chamber_closure(p: Polyhedron, rows) -> PolyhedralComplex:
+    """`chamber_complex` of a nonempty `p` by the intersection closure of
+    its projected faces of the largest dimension k (`_projected_faces`):
+    the image is convex of dimension k, and a generic point of it lies in
+    no face image of lower dimension, so the k-dimensional images cut out
+    every maximal chamber.  The closure filtered by a relative-interior
+    membership test yields exactly those.
 
     A cell is canonical, so it names itself: the closure is a dict of
     cells in the order they are found.  A member meets the later members
@@ -1368,7 +1326,9 @@ def _chamber_closure(polys, rows) -> PolyhedralComplex:
     c & f is c or f, a cell already found.  An intersection reached from
     two cells runs its DD twice, since the two keys differ.
     """
-    family = _projected_faces(polys, rows)
+    family = _projected_faces(p, rows)
+    top = max(f.dim() for f in family)
+    family = [f for f in family if f.dim() == top]
     closure = dict.fromkeys(family)
     todo = [(c, family[k + 1:]) for k, c in enumerate(family)]
     for c, members in todo:

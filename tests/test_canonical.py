@@ -5,13 +5,13 @@ the generator-facet incidence.  These tests compare it, and every `Cone`
 and `Polyhedron` built on it, with a copy of the route it replaced, which
 ran the DD a second time on the first result.  The point tests clear
 denominators once and compare integers; they are checked against the
-`Fraction` dot products they replaced.  The chamber closure keyed by
-member sets, its projected faces read off the incidence, the face test
-without a construction and the images on the homogenized cone are checked
-against copies of the routes they replaced; on one row the cells read
-off the vertex images are checked against the closure and the BFS where
-each chamber is its gap, and where the images interleave they must cover
-the images with no vertex image inside a cell.
+`Fraction` dot products they replaced.  The chamber closure of one
+polyhedron's face images of the largest dimension, its projected faces
+read off the incidence, the face test without a construction and the
+images on the homogenized cone are checked against copies of the routes
+they replaced; on one row the cells read off the vertex images are
+checked against the closure and the BFS, and they cover the image with
+no vertex image inside a cell.
 Faces are read off the incidence with no DD, and a polyhedron computes its
 views on first access; both are checked against copies of the routes they
 replaced, field by field.
@@ -384,34 +384,24 @@ def _random_rows(rng, k, n):
 def test_chamber_complex_matches_bfs_closure(monkeypatch):
     calls = counting(monkeypatch, "_chamber_closure")
     rng = random.Random(61)
-    seen = {1: 0, 2: 0, 3: 0, "split": 0, "several": 0}
+    seen = {1: 0, 2: 0, 3: 0, "several": 0}
     for _ in range(60):
         n = rng.randint(2, 3)
         k = rng.randint(1, n)
         p = _random_polyhedron(rng, n, lines=False)
         rows = _random_rows(rng, k, n)
-        cells = [p]
-        a = tuple(rng.randint(-1, 1) for _ in range(n))
-        if rng.random() < 0.5 and any(a):
-            # two cells of p with common support, as the evaluation chambers
-            b = rng.randint(-1, 1)
-            halves = [p.intersect(Polyhedron.from_H([(a, b)], n=n)), p.intersect(Polyhedron.from_H([(tuple(-x for x in a), -b)], n=n))]
-            if all(not h.empty for h in halves):
-                cells = halves
-                seen["split"] += 1
-        family = [f.map_image(rows) for c in cells for f in c.faces()]
-        if rng.random() < 0.3:
-            # an empty polyhedron adds no face
-            cells.append(Polyhedron.empty_polyhedron(n))
+        family = face_object_family(p, rows)
         calls.clear()
-        got = chamber_complex(cells, rows)
+        got = chamber_complex(p, rows)
         assert got == bfs_chamber_complex(family)
         # one row never reaches the closure
         assert bool(calls) == (k > 1)
         seen[k] += 1
         seen["several"] += len(got.cells) > 1
-    empty = Polyhedron.empty_polyhedron(2)
-    assert chamber_complex([], [(1, 0)]) == bfs_chamber_complex([]) == chamber_complex([empty], [(1, 0)])
+    # the empty polyhedron has no face: no closure runs
+    calls.clear()
+    assert chamber_complex(Polyhedron.empty_polyhedron(2), [(1, 0), (0, 1)]) == bfs_chamber_complex([])
+    assert not calls
     assert min(seen.values()) >= 5, seen
 
 
@@ -422,15 +412,52 @@ def test_a_chamber_that_no_two_images_cut_out():
     # finds with the members again
     simplex = hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     rows = [(2, 3, 1, -1), (0, 2, 3, 2)]
-    got = chamber_complex([simplex], rows)
-    assert got == bfs_chamber_complex(face_object_family([simplex], rows))
+    got = chamber_complex(simplex, rows)
+    assert got == bfs_chamber_complex(face_object_family(simplex, rows))
     assert sorted(len(c.vertices) for c in got.cells) == [3] * 10 + [5]
 
 
-def face_object_family(polys, rows):
+def face_object_family(p, rows):
     """The projected faces as face objects gave them: every nonempty face
-    of every polyhedron, built and then mapped."""
-    return {f.map_image(rows) for p in polys for f in p.faces()}
+    of p, built and then mapped."""
+    return {f.map_image(rows) for f in p.faces()}
+
+
+def _crosses_interior(image, f):
+    """Whether the face image f meets the relative interior of the image
+    of the polyhedron in its own relative interior."""
+    x = f.relint_point()
+    return all(vdot(a, x) > b for a, b in image.ineqs)
+
+
+def test_top_dimensional_images_give_the_chambers():
+    # the closure meets only the face images of the largest dimension; a
+    # lower-dimensional image through the interior of the image is a union
+    # of faces of the chambers, so the closure of all images gives the same
+    # maximal cells
+    rng = random.Random(71)
+    seen = dict.fromkeys(["lines", "crossing", "crossing with lines", "several", "n = 5"], 0)
+    for _ in range(60):
+        # few vertices: the BFS closure of all images grows fast with them
+        n = rng.randint(2, 5)
+        pts = [tuple(F(rng.randint(-3, 3), rng.choice([1, 1, 2])) for _ in range(n)) for _ in range(rng.randint(2, 4))]
+        rays = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(rng.choice([0, 1]))]
+        lines = [tuple(rng.randint(-1, 1) for _ in range(n))] if rng.random() < 0.6 else []
+        p = Polyhedron.from_generators(pts, rays, lines, n)
+        rows = _random_rows(rng, rng.randint(2, min(n, 3)), n)
+        family = face_object_family(p, rows)
+        got = chamber_complex(p, rows)
+        assert got == bfs_chamber_complex(family)
+        image = p.map_image(rows)
+        top = image.dim()
+        assert {c.dim() for c in got.cells} == {top}
+        crossing = any(f.dim() < top and _crosses_interior(image, f) for f in family)
+        seen["lines"] += bool(p.lines)
+        seen["crossing"] += crossing
+        seen["crossing with lines"] += crossing and bool(p.lines)
+        seen["several"] += len(got.cells) > 1
+        seen["n = 5"] += n == 5
+    assert min(seen.values()) >= 5, seen
 
 
 def _kernel_face_rows(rng, p):
@@ -452,18 +479,10 @@ def _kernel_face_rows(rng, p):
 def test_projected_faces_match_face_objects(monkeypatch):
     calls = counting(monkeypatch, "_chamber_closure")
     rng = random.Random(67)
-    seen = dict.fromkeys(["lines", "rays", "rational", "empty", "split", "kernel face", "several"], 0)
+    seen = dict.fromkeys(["lines", "rays", "rational", "kernel face", "several"], 0)
     for _ in range(60):
         n = rng.randint(2, 3)
         p = _random_polyhedron(rng, n)
-        cells = [p]
-        a = tuple(rng.randint(-1, 1) for _ in range(n))
-        if rng.random() < 0.4 and any(a):
-            b = rng.randint(-1, 1)
-            halves = [p.intersect(Polyhedron.from_H([(a, b)], n=n)), p.intersect(Polyhedron.from_H([(tuple(-x for x in a), -b)], n=n))]
-            if all(not h.empty for h in halves):
-                cells = halves
-                seen["split"] += 1
         drawn = _kernel_face_rows(rng, p) if rng.random() < 0.4 else None
         if drawn:
             rows, face = drawn
@@ -471,13 +490,10 @@ def test_projected_faces_match_face_objects(monkeypatch):
             seen["kernel face"] += 1
         else:
             rows = _random_rows(rng, rng.randint(1, n), n)
-        if rng.random() < 0.3:
-            cells.append(Polyhedron.empty_polyhedron(n))
-            seen["empty"] += 1
-        family = face_object_family(cells, rows)
-        assert polyhedra._projected_faces(cells, rows) == sorted(family, key=lambda f: (f.hom.rays, f.hom.lines))
+        family = face_object_family(p, rows)
+        assert polyhedra._projected_faces(p, rows) == sorted(family, key=lambda f: (f.hom.rays, f.hom.lines))
         calls.clear()
-        got = chamber_complex(cells, rows)
+        got = chamber_complex(p, rows)
         assert got == bfs_chamber_complex(family)
         assert bool(calls) == (len(rows) > 1)
         seen["lines"] += bool(p.lines)
@@ -502,78 +518,15 @@ def _one_row_polyhedron(rng, n, row):
     return Polyhedron.from_generators(pts, rays, lines, n)
 
 
-def _one_row_cells(rng, n, row):
-    """(kind, cells): one polyhedron, the cells of one cut by one or two
-    hyperplanes, one with a point beside its image, or a few unrelated
-    polyhedra."""
-    kind = rng.choice(["one", "split", "split", "beside", "several"])
-    p = _one_row_polyhedron(rng, n, row)
-    if kind == "one":
-        return kind, [p]
-    if kind == "several":
-        return kind, [p] + [_one_row_polyhedron(rng, n, row) for _ in range(rng.randint(1, 2))]
-    if kind == "beside":
-        image = p.map_image([row])
-        if image.lines or not image.vertices:
-            return "one", [p]
-        right = not image.rays or image.rays[0][0] < 0
-        end = max(v[0] for v in image.vertices) + 1 if right else min(v[0] for v in image.vertices) - 1
-        # a point that maps to end, away from the image of p
-        j = next(i for i, x in enumerate(row) if x)
-        q = tuple(F(end) / row[j] if i == j else F(0) for i in range(n))
-        return kind, [p, Polyhedron.point(q)]
-    cells = [p]
-    for _ in range(rng.randint(1, 2)):
-        a = tuple(rng.randint(-1, 1) for _ in range(n))
-        if not any(a):
-            continue
-        b = rng.randint(-1, 1)
-        up, down = Polyhedron.from_H([(a, b)], n=n), Polyhedron.from_H([(tuple(-x for x in a), -b)], n=n)
-        cells = [c.intersect(h) for c in cells for h in (up, down)]
-        cells = [c for c in cells if not c.empty and c.dim() == p.dim()]
-    return kind, cells
-
-
-def _line_images(cells, row):
-    """Per nonempty polyhedron: its image under `row`, an interval of Q,
-    and the images of its vertices, none when a line maps onto Q."""
-    out = []
-    for c in cells:
-        if c.empty:
-            continue
-        image = c.map_image([row])
-        out.append((image, set() if image.lines else {vdot(row, v) for v in c.vertices}))
-    return out
-
-
-def _gaps_are_chambers(images):
-    """Whether each gap between consecutive vertex images that an image
-    holds has a vertex image of such a holder at each finite end; then
-    each chamber is its gap, as the closure and the BFS find it."""
-    points = sorted(set().union(*(b for _, b in images)))
-    for lo, hi in zip([None, *points], [*points, None]):
-        if lo is None and hi is None:
-            x = F(0)
-        elif lo is None:
-            x = hi - 1
-        elif hi is None:
-            x = lo + 1
-        else:
-            x = (lo + hi) / 2
-        holders = [b for image, b in images if image.contains_point((x,))]
-        if holders and not all(e is None or any(e in b for b in holders) for e in (lo, hi)):
-            return False
-    return True
-
-
-def assert_line_cells(got, images):
-    """The cells cover the union of the images, and no cell of dimension
+def assert_line_cells(got, p, row):
+    """The cells cover the image of p under `row`, and no cell of dimension
     1 holds a vertex image in its relative interior."""
-    points = sorted(set().union(*(b for _, b in images)))
+    image = p.map_image([row])
+    points = [] if image.lines else sorted({vdot(row, v) for v in p.vertices})
     probes = points + [(a + b) / 2 for a, b in zip(points, points[1:])]
     probes += [points[0] - 1, points[-1] + 1] if points else [F(0)]
     for x in probes:
-        assert any(c.contains_point((x,)) for c in got) == any(i.contains_point((x,)) for i, _ in images), x
+        assert any(c.contains_point((x,)) for c in got) == image.contains_point((x,)), x
     for c in got:
         if c.dim() == 1:
             assert all((b,) in c.vertices for b in points if c.contains_point((b,))), (c, points)
@@ -581,57 +534,34 @@ def assert_line_cells(got, images):
 
 def test_one_row_chambers_match_bfs_closure(monkeypatch):
     # on one row `chamber_complex` reads the cells off the vertex images and
-    # never calls the closure; where each chamber is its gap they agree with
-    # the closure and the BFS, and on interleaved images the cells are the
-    # covered gaps
+    # never calls the closure; they agree with the closure and the BFS
     closure = polyhedra._chamber_closure
     calls = counting(monkeypatch, "_chamber_closure")
     rng = random.Random(73)
-    seen = dict.fromkeys(
-        ["lines to 0", "line not to 0", "rays", "point cell", "several cells", "several polyhedra", "interleaved"], 0
-    )
+    seen = dict.fromkeys(["lines to 0", "line not to 0", "rays", "point cell", "several cells"], 0)
     for _ in range(80):
         n = rng.randint(1, 3)
         row = tuple(F(rng.randint(-2, 2), rng.choice([1, 1, 3])) for _ in range(n))
         if not any(row):
             row = (F(1),) + row[1:]
-        kind, cells = _one_row_cells(rng, n, row)
-        got = chamber_complex(cells, [row])
+        p = _one_row_polyhedron(rng, n, row)
+        got = chamber_complex(p, [row])
         assert not calls
-        images = _line_images(cells, row)
-        assert_line_cells(got, images)
-        interleaved = not _gaps_are_chambers(images)
-        if not interleaved:
-            assert got == closure(cells, [row]), (kind, cells, row)
-            assert got == bfs_chamber_complex(face_object_family(cells, [row])), (kind, cells, row)
+        assert_line_cells(got, p, row)
+        assert got == closure(p, [row]), (p, row)
+        assert got == bfs_chamber_complex(face_object_family(p, [row])), (p, row)
         # the route builds the cells and nothing else
-        assert len(polyhedra._line_chambers(cells, row)) == len(got.cells)
-        seen["interleaved"] += interleaved
-        lines = [vdot(row, x) for c in cells for x in c.lines]
+        assert len(polyhedra._line_chambers(p, row)) == len(got.cells)
+        lines = [vdot(row, x) for x in p.lines]
         seen["lines to 0"] += bool(lines) and not any(lines)
         seen["line not to 0"] += any(lines)
-        seen["rays"] += any(vdot(row, r) for c in cells for r in c.rays)
-        seen["point cell"] += len(got.cells) > 1 and any(c.dim() == 0 for c in got.cells)
-        seen["several cells"] += not interleaved and len(cells) > 1 and kind == "split"
-        seen["several polyhedra"] += not interleaved and kind in ("beside", "several")
+        seen["rays"] += any(vdot(row, r) for r in p.rays)
+        seen["point cell"] += any(c.dim() == 0 for c in got.cells)
+        seen["several cells"] += len(got.cells) > 1
     assert min(seen.values()) >= 5, seen
-
-
-def test_interleaved_images_give_the_covered_gaps(monkeypatch):
-    # the vertex images 1, 2, 3 of A and 0, 2, 4 of B interleave: the
-    # chamber at 1/2 is [0, 2], wider than its gap; the cells are the gaps
-    # the images cover, and the closure is not called
-    a = hull([(1, 0), (3, 0), (2, 1)])
+    # the vertex images 0, 2, 4 of a triangle give two gaps
     b = hull([(0, 5), (4, 5), (2, 6)])
-    calls = counting(monkeypatch, "_chamber_closure")
-    got = chamber_complex([a, b], [(1, 0)])
-    assert set(got.cells) == {hull([(0,), (1,)]), hull([(1,), (2,)]), hull([(2,), (3,)]), hull([(3,), (4,)])}
-    # each alone is read off its vertex images
-    assert set(chamber_complex([b], [(1, 0)]).cells) == {hull([(0,), (2,)]), hull([(2,), (4,)])}
-    # two cells of one complex whose images interleave
-    got = chamber_complex([hull([(0, 0), (4, 0)]), hull([(2, 1), (3, 1)])], [(1, 0)])
-    assert set(got.cells) == {hull([(0,), (2,)]), hull([(2,), (3,)]), hull([(3,), (4,)])}
-    assert not calls
+    assert set(chamber_complex(b, [(1, 0)]).cells) == {hull([(0,), (2,)]), hull([(2,), (4,)])}
 
 
 def test_is_face_of_matches_dd_face():

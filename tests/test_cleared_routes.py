@@ -27,7 +27,7 @@ from test_upgrade import noncf_p2_fan
 
 from pdivisors import polyhedra, tvariety
 from pdivisors.base import INF, CurveFunction, QDivisor, is_inf, point_label, positivity
-from pdivisors.downgrade import DowngradeContext, downgrade, downgrade_box_psi, dualize, fan_from
+from pdivisors.downgrade import DowngradeContext, _evaluation_graph, downgrade, downgrade_box_psi, dualize, fan_from
 from pdivisors.errors import AmbientMismatch, WeightOutsideBox, WeightOutsideCone
 from pdivisors.lattice import Lattice, LatticeMap
 from pdivisors.linalg import _cleared, vdot, vec
@@ -293,7 +293,7 @@ def test_weights_and_downgrade_pieces_match_fraction_route():
     checked = values = 0
     for d, ctx in DIVISORS:
         _fan, dbar = downgrade(d, ctx)
-        projected = chamber_complex(d.evaluation_chambers(), ctx.pr.matrix)
+        projected = chamber_complex(_evaluation_graph(d), [(*row, 0) for row in ctx.pr.matrix])
         ubars = [cone.tail().relint_point() for cone in projected]
         ubars += [u for u in _fiber_weights(ctx, rng, 8) if d.weight_cone().as_polyhedron().map_image(ctx.pr.matrix).contains_point(u)]
         for ubar in ubars:
@@ -324,7 +324,7 @@ def test_support_divisor_matches_fraction_route():
     # integer vertex rays of their cells and the box
     checked = fractional = 0
     for d, ctx in DIVISORS:
-        for cone in chamber_complex(d.evaluation_chambers(), ctx.pr.matrix):
+        for cone in chamber_complex(_evaluation_graph(d), [(*row, 0) for row in ctx.pr.matrix]):
             psi = downgrade_box_psi(d, ctx, cone.tail().relint_point())
             fan, duals, dstar = fan_from(psi, [label for label in d.marked() if label.kind == "point"])
             want_rays = {r: -min(vdot(r, u) for u in psi.box.vertices) for r in fan.rays()}

@@ -230,6 +230,22 @@ def test_toric_downgrade_cone_with_a_line_exit_one(tmp_path, capsys):
     assert captured.err == "error: toric downgrade needs a pointed cone\n"
 
 
+def test_toric_downgrade_more_generators_than_rank_exit_one(tmp_path, capsys):
+    # four generators in Q^3 once read rows past the 3x3 Smith transform
+    p = tmp_path / "orthant.json"
+    p.write_text(json.dumps({
+        "schema_version": "1",
+        "kind": "cone",
+        "payload": {"ambient": 3, "rays": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "lines": []},
+    }))
+    sub = '[["1","0","0"],["0","1","0"],["0","0","1"],["1","1","1"]]'
+    code = cli.main(["toric-downgrade", str(p), "--sublattice", sub])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: 4 sublattice generators exceed the lattice rank 3\n"
+
+
 def test_deform_upgrade_golden_byte_stable(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

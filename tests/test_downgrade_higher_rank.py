@@ -1,4 +1,4 @@
-"""The downgrade at rank 3 to 5, onto targets of rank 1 to 3.
+"""The downgrade at rank 3 to 6, onto targets of rank 1 to 3.
 
 When the weight projection has a target of rank 2 or more, the images of
 two evaluation chambers can overlap without being equal.  Each case checks
@@ -18,13 +18,14 @@ from pathlib import Path
 import pytest
 
 from helpers import counting
+from test_canonical import bfs_chamber_complex
 from pdivisors import cli, polyhedra
 from pdivisors.base import BaseVariety, global_sections, point_label
-from pdivisors.downgrade import DowngradeContext, downgrade
+from pdivisors.downgrade import DowngradeContext, _evaluation_graph, downgrade
 from pdivisors.lattice import Lattice, LatticeMap
 from pdivisors.linalg import vec
 from pdivisors.pdivisor import PolyhedralDivisor
-from pdivisors.polyhedra import Cone, hull
+from pdivisors.polyhedra import Cone, chamber_complex, hull
 from pdivisors.tvariety import TInvariantDivisor, box_and_psi, graded_sections
 from pdivisors.upgrade import upgrade
 
@@ -70,9 +71,9 @@ def minimal_case():
     })
 
 
-def random_proper(rng, m):
-    """Rejection-sample a proper rank-m divisor on the line, or None."""
-    tail = orthant(m)
+def random_divisor(rng, m, tail):
+    """A rank-m divisor on the line with tail `tail` and two or three random
+    coefficients; it need not be proper."""
     tp = tail.as_polyhedron()
     coeffs = {}
     for label in (point_label(0), point_label(1), point_label(F(-1)))[: rng.randint(2, 3)]:
@@ -81,7 +82,12 @@ def random_proper(rng, m):
             for _ in range(rng.randint(1, 2))
         ]
         coeffs[label] = hull(verts).minkowski(tp)
-    d = PolyhedralDivisor(P1, m, tail, coeffs)
+    return PolyhedralDivisor(P1, m, tail, coeffs)
+
+
+def random_proper(rng, m):
+    """Rejection-sample a proper rank-m divisor on the line, or None."""
+    d = random_divisor(rng, m, orthant(m))
     return d if d.is_proper().proper else None
 
 
@@ -127,8 +133,14 @@ OVERLAP = [[[1, 1, 0, 0], [0, 0, 1, 1]]]
 
 @pytest.mark.parametrize(
     "m, count, seed, projections",
-    [(3, 8, 303, PROJECTIONS[3]), (4, 6, 404, PROJECTIONS[4]), (4, 4, 405, OVERLAP), (5, 2, 505, PROJECTIONS[5])],
-    ids=["rank3", "rank4", "rank4-overlap", "rank5"],
+    [
+        (3, 8, 303, PROJECTIONS[3]),
+        (4, 6, 404, PROJECTIONS[4]),
+        (4, 4, 405, OVERLAP),
+        (5, 2, 505, PROJECTIONS[5]),
+        (6, 1, 5, [[[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1]]]),
+    ],
+    ids=["rank3", "rank4", "rank4-overlap", "rank5", "rank6"],
 )
 def test_random_round_trips(m, count, seed, projections):
     rng = random.Random(seed)
@@ -143,6 +155,43 @@ def test_random_round_trips(m, count, seed, projections):
         assert_round_trip(d, projections[done % len(projections)])
         done += 1
     assert done >= len(projections)
+
+
+def _overlapping(images):
+    """Whether two distinct images of the largest dimension meet in it."""
+    top = max(i.dim() for i in images)
+    tops = [i for i in images if i.dim() == top]
+    return any(a.intersect(b).dim() == top for a, b in itertools.combinations(tops, 2))
+
+
+def test_graph_chambers_match_the_evaluation_chamber_family():
+    # the downgrade takes its weights from the chambers of one polyhedron,
+    # the graph of the evaluation over the weight cone; they are those of
+    # the projected faces of the evaluation chambers, as the BFS closure of
+    # that family finds them
+    rng = random.Random(37)
+    cases = [(minimal_case(), OVERLAP[0])]
+    while len(cases) < 100:
+        m = rng.randint(2, 4)
+        if rng.random() < 0.5:
+            # a lower-dimensional tail gives a weight cone with lines
+            units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+            d = random_divisor(rng, m, Cone.from_rays(rng.sample(units, rng.randint(1, m))))
+        else:
+            d = random_proper(rng, m)
+        if d is not None:
+            cases.append((d, [[rng.randint(-1, 1) for _ in range(m)] for _ in range(rng.randint(1, min(3, m)))]))
+    seen = dict.fromkeys(["several", "lineality", "overlap", "rows 1", "rows 2", "rows 3"], 0)
+    for d, rows in cases:
+        chambers = d.evaluation_chambers()
+        family = {f.map_image(rows) for c in chambers for f in c.faces()}
+        got = chamber_complex(_evaluation_graph(d), [(*row, 0) for row in rows])
+        assert got == bfs_chamber_complex(family), (d, rows)
+        seen["several"] += len(got.cells) > 1
+        seen["lineality"] += bool(d.weight_cone().lines)
+        seen["overlap"] += _overlapping([c.map_image(rows) for c in chambers])
+        seen[f"rows {len(rows)}"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_pdiv_downgrade_minimal_case(tmp_path, capsys):

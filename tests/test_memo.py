@@ -147,11 +147,12 @@ def test_held_coefficients_need_no_construction(monkeypatch):
 
 
 def test_chamber_complex_builds_no_face(monkeypatch):
-    # the projected faces are generator sets on each polyhedron's incidence,
+    # the projected faces are generator sets on the polyhedron's incidence,
     # so no face object is built.  From a cold memo the closure runs one DD
-    # per key of an intersection of a cell and a member where neither holds
-    # the other, so an intersection reached from two cells runs twice.  On
-    # one row `chamber_complex` builds only its three cells.
+    # per key of an intersection of a cell and a member of the largest
+    # dimension where neither holds the other, so an intersection reached
+    # from two cells runs twice.  On one row `chamber_complex` builds only
+    # its three cells.
     coeff = max(_divisors(1, seed=5)[0].coeffs.values(), key=lambda p: len(p.hom.rays))
     pi_rows = DowngradeContext.from_projection(LatticeMap(Lattice(2), Lattice(1), [[1, 1]])).pi_rows
     with_line = polyhedra.Polyhedron.from_generators(
@@ -167,14 +168,14 @@ def test_chamber_complex_builds_no_face(monkeypatch):
     monkeypatch.setattr(polyhedra.Polyhedron, "faces", no_face)
     runs = counting(monkeypatch, "_dd")
     cases = [
-        (polyhedra.chamber_complex, [coeff], pi_rows, 3),
-        (polyhedra._chamber_closure, [coeff], pi_rows, 12),
-        (polyhedra.chamber_complex, [with_line], line_rows, 23),
+        (polyhedra.chamber_complex, coeff, pi_rows, 3),
+        (polyhedra._chamber_closure, coeff, pi_rows, 11),
+        (polyhedra.chamber_complex, with_line, line_rows, 17),
     ]
-    for route, polys, rows, budget in cases:
+    for route, p, rows, budget in cases:
         memo.cache_clear()
         runs.clear()
-        assert len(route(polys, rows).cells) == 3
+        assert len(route(p, rows).cells) == 3
         assert len(runs) == budget
 
 
@@ -260,9 +261,11 @@ def test_round_trips_clear_few_rational_points(monkeypatch):
 # dropped, the Fraction copies of the fan's integer tail rays, the degree
 # sums of the properness probes and the floors of curve sections made
 # 1,299 more here (3,597), and the Fraction round trip of lattice-map rows
-# 8 more (2,298), and recomputing the results a cone now keeps
-# (`Cone._keep`) 3 more (2,290).
-FRACTION_BUDGET = 2287
+# 8 more (2,298), recomputing the results a cone now keeps
+# (`Cone._keep`) 3 more (2,290), and the one-row chamber route, which read
+# the vertex of each evaluation chamber where the graph of the evaluation
+# has one, 8 more (2,287).
+FRACTION_BUDGET = 2279
 
 
 def test_round_trips_build_few_fractions(monkeypatch):
@@ -403,7 +406,7 @@ def test_cones_and_polyhedra_are_read_only():
     before = fields(cone)
     p = polyhedra.Polyhedron.from_H([((1, 0), 0), ((0, 1), 0)])
     view = p.vertices
-    cx = polyhedra.chamber_complex([p], [(1, 1)])
+    cx = polyhedra.chamber_complex(p, [(1, 1)])
     for obj, names in (
         (cone, polyhedra.Cone.__slots__),
         (p, polyhedra.Polyhedron.__slots__),
@@ -501,9 +504,8 @@ def test_one_shot_operations_keep_no_result():
             c.map_image([[1, 0, 1]]),
             c.map_image([[1, 0, -1]]),
             c.as_polyhedron(),
-            polyhedra.chamber_complex([p], [(1, 0, 0), (0, 1, 0)]),
-            polyhedra.chamber_complex([p], [(1, 0, 0), (0, 0, 1)]),
-            polyhedra.chamber_complex([p, p.translate((0, 0, 9))], [(1, 0, 0), (0, 1, 0)]),
+            polyhedra.chamber_complex(p, [(1, 0, 0), (0, 1, 0)]),
+            polyhedra.chamber_complex(p, [(1, 0, 0), (0, 0, 1)]),
         ]
 
     once = operations()

@@ -294,12 +294,10 @@ def test_chambers_and_regions_reject_rows_of_another_length():
     # `zip` used to cut these rows and slopes
     cases = {
         # one row of length 3 on Q^2 gave conv{5, 7}
-        "chamber_complex long row": lambda: chamber_complex([triangle], [(1, 0, 5)]),
+        "chamber_complex long row": lambda: chamber_complex(triangle, [(1, 0, 5)]),
         # (1,) acted as (1, 0)
-        "chamber_complex short row": lambda: chamber_complex([triangle], [(1,)]),
-        "chamber_complex rows": lambda: chamber_complex([triangle], [(1, 0), (0, 1, 1)]),
-        "chamber_complex mixed, one row": lambda: chamber_complex([triangle, segment], [(1, 0)]),
-        "chamber_complex mixed, two rows": lambda: chamber_complex([triangle, segment], [(1, 0), (0, 1)]),
+        "chamber_complex short row": lambda: chamber_complex(triangle, [(1,)]),
+        "chamber_complex rows": lambda: chamber_complex(triangle, [(1, 0), (0, 1, 1)]),
         # two cells came back
         "linearity_regions": lambda: linearity_regions([((1, 0, 0), 0), ((0, 1), 1)], triangle),
         "normal_fan": lambda: normal_fan([segment], plane),
@@ -309,8 +307,8 @@ def test_chambers_and_regions_reject_rows_of_another_length():
             build()
             pytest.fail(name)
     # the same calls with rows of the right length
-    assert set(chamber_complex([triangle], [(1, 0)]).cells) == {hull([(0,), (2,)])}
-    assert len(chamber_complex([triangle], [(1, 0), (0, 1)]).cells) == 1
+    assert set(chamber_complex(triangle, [(1, 0)]).cells) == {hull([(0,), (2,)])}
+    assert len(chamber_complex(triangle, [(1, 0), (0, 1)]).cells) == 1
     assert len(linearity_regions([((1, 0), 0), ((0, 1), 1)], triangle).cells) == 2
     assert len(normal_fan([triangle], plane).cells) == 3
 
@@ -528,7 +526,7 @@ def test_chamber_complex_pathology_ray():
     cols = [(0, 0, 1, 0), (0, 1, 1, 0), (0, 0, 0, 1), (1, 1, 0, 1)]
     delta = Cone.from_rays(cols)
     proj = [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    cc = chamber_complex([delta.as_polyhedron()], proj)
+    cc = chamber_complex(delta.as_polyhedron(), proj)
     rays = cc.rays()
     assert vec((1, 1, 1)) in rays
     maximal = [c for c in cc.cells if c.dim() == 3]
