@@ -387,7 +387,10 @@ def toric_downgrade(delta: Cone, sub: LatticeMap):
     # U . sub . V = D
     quot_rank = ntilde - k
     u, dmat, v = smith_normal_form(sub.matrix)
-    if any(abs(dmat[i][i]) != 1 for i in range(k)):
+    diagonal = [abs(dmat[i][i]) for i in range(k)]
+    if 0 in diagonal:
+        raise NotSplit("sublattice generators are linearly dependent")
+    if any(x != 1 for x in diagonal):
         raise NotSplit("sublattice is not saturated (torsion quotient)")
     # rows k.. of U kill the image and are unimodular onto the quotient
     q_rows = [u[i] for i in range(k, ntilde)]

@@ -68,10 +68,10 @@ rows)` projects the faces of one polyhedron `p` itself, and
 `normal_fan(polys, domain)` refines the vertex regions of each polyhedron
 over `domain`.  On one row the cells are the gaps between consecutive
 vertex images, so only the cells are built (`_line_chambers`); on two or
-more rows the intersection closure of the projected faces of the largest
-dimension gives the chambers, reading each face's generator set off the
-polyhedron's incidence and mapping the generators as integers
-(`_chamber_closure`).
+more rows a walk crosses the facets of the chambers, one `_cut` per step
+(`_chamber_walk`), since the chambers tile the convex image face to face.
+The face images are generator sets read off the polyhedron's incidence
+and mapped as integers (`_projected_faces`).
 
 The empty polyhedron is a first-class value, the zero cone homogenized:
 sums and intersections treat it as absorbing, images of it are empty.
@@ -721,9 +721,9 @@ def _cut(n: int, ineqs: tuple, eqs: tuple) -> Cone:
     return _canonical(n, ineqs, eqs).dual()
 
 
-def _merged(a: tuple, b: tuple) -> tuple:
-    """`_primitive_rows` of the rows of a and b, each `_primitive_rows`."""
-    return tuple(sorted({*a, *b}))
+def _merged(*parts: tuple) -> tuple:
+    """`_primitive_rows` of the rows of the parts, each `_primitive_rows`."""
+    return tuple(sorted(set().union(*parts)))
 
 
 def _cleared_rows(rows) -> list[tuple]:
@@ -1262,8 +1262,8 @@ def chamber_complex(p: Polyhedron, rows) -> PolyhedralComplex:
     (Billera-Sturmfels, "Fiber polytopes", 1992): its cells are the chambers
     of the generic points of the image.  On one row they are the gaps
     between consecutive vertex images (`_line_chambers`); on two or more
-    rows the intersection closure of the projected faces of the largest
-    dimension gives them (`_chamber_closure`).
+    rows a walk across their facets finds them, since they tile the convex
+    image face to face (`_chamber_walk`).
     """
     _ambient(p.n, rows)
     if p.empty:
@@ -1272,7 +1272,7 @@ def chamber_complex(p: Polyhedron, rows) -> PolyhedralComplex:
     def chambers():
         if len(rows) == 1:
             return PolyhedralComplex(_line_chambers(p, rows[0]))
-        return _chamber_closure(p, rows)
+        return _chamber_walk(p, rows)
 
     return p.hom._keep(("chamber_complex", tuple(map(_cleared, rows))), chambers)
 
@@ -1311,41 +1311,39 @@ def _line_cell(lo, hi) -> Polyhedron:
     return Polyhedron(1, _canonical(2, tuple(sorted(gens)), ()))
 
 
-def _chamber_closure(p: Polyhedron, rows) -> PolyhedralComplex:
-    """`chamber_complex` of a nonempty `p` by the intersection closure of
-    its projected faces of the largest dimension k (`_projected_faces`):
-    the image is convex of dimension k, and a generic point of it lies in
-    no face image of lower dimension, so the k-dimensional images cut out
-    every maximal chamber.  The closure filtered by a relative-interior
-    membership test yields exactly those.
+def _chamber_walk(p: Polyhedron, rows) -> PolyhedralComplex:
+    """`chamber_complex` of a nonempty `p` by a walk from chamber to chamber
+    over its projected faces of the largest dimension k, as cones on `hom`.
 
-    A cell is canonical, so it names itself: the closure is a dict of
-    cells in the order they are found.  A member meets the later members
-    only (c & f = f & c), and a new cell meets every member.  A member
-    that contains the cell, or lies in it, is skipped by an integer test:
-    c & f is c or f, a cell already found.  An intersection reached from
-    two cells runs its DD twice, since the two keys differ.
+    The chambers tile the convex image face to face, and each image is a
+    union of them.  So past a facet {a = 0} of a chamber, at the sum x of
+    its rays, lies the image's boundary or the one chamber cut out by the
+    images that hold x and leave a >= 0 (a is not in their dual); crossing
+    each facet of each chamber found reaches all (Avis-Fukuda, "Reverse
+    search for enumeration", 1996); no chamber lies past the face at
+    infinity, where x has t = 0.  The start is the first image cut down by
+    each image that meets it in full dimension without holding it, so every
+    image holds it or misses its interior.  Cells are canonical: the list
+    of those found is the work list and the dedupe.
     """
-    family = _projected_faces(p, rows)
-    top = max(f.dim() for f in family)
-    family = [f for f in family if f.dim() == top]
-    closure = dict.fromkeys(family)
-    todo = [(c, family[k + 1:]) for k, c in enumerate(family)]
-    for c, members in todo:
-        for f in members:
-            if f.contains(c) or c.contains(f):
+    m = len(rows)
+    top = [f.hom for f in _projected_faces(p, rows)]
+    k = max(f.dim() for f in top)
+    top = [f for f in top if f.dim() == k]
+    c = top[0]
+    for f in top[1:]:
+        if not f._contains_gens(c.rays, c.lines) and (i := c.intersect(f)).dim() == k:
+            c = i
+    cells = [c]
+    for c in cells:
+        for a, s in zip(c.ineqs, c._incidence()):
+            x = tuple(map(sum, zip(*(c.rays[i] for i in _members(s)))))
+            if not x or not x[m]:
                 continue
-            i = c.intersect(f)
-            if not i.empty and i not in closure:
-                closure[i] = None
-                todo.append((i, family))
-
-    def is_chamber(c):
-        # no member outside those containing c holds its relative interior
-        x = c.hom.relint_point()
-        return not any(f.hom.contains(x) and not f.contains(c) for f in family)
-
-    return PolyhedralComplex(filter(is_chamber, closure))
+            beyond = [f.ineqs for f in top if f._contains_gens([x], ()) and not f.dual()._contains_gens([a], ())]
+            if beyond and (d := _cut(m + 1, _merged(*beyond), c.eqs)) not in cells:
+                cells.append(d)
+    return PolyhedralComplex(Polyhedron(m, c) for c in cells)
 
 
 def linearity_regions(pieces, domain: Polyhedron) -> PolyhedralComplex:

@@ -5,13 +5,14 @@ the generator-facet incidence.  These tests compare it, and every `Cone`
 and `Polyhedron` built on it, with a copy of the route it replaced, which
 ran the DD a second time on the first result.  The point tests clear
 denominators once and compare integers; they are checked against the
-`Fraction` dot products they replaced.  The chamber closure of one
-polyhedron's face images of the largest dimension, its projected faces
-read off the incidence, the face test without a construction and the
-images on the homogenized cone are checked against copies of the routes
-they replaced; on one row the cells read off the vertex images are
-checked against the closure and the BFS, and they cover the image with
-no vertex image inside a cell.
+`Fraction` dot products they replaced.  The chamber walk over one
+polyhedron's face images of the largest dimension is checked against a
+BFS closure of all face images, and where that is too slow, against the
+chambers of sample points; its projected faces read off the incidence,
+the face test without a construction and the images on the homogenized
+cone are checked against copies of the routes they replaced.  On one row
+the cells read off the vertex images are checked against the walk and
+the BFS, and they cover the image with no vertex image inside a cell.
 Faces are read off the incidence with no DD, and a polyhedron computes its
 views on first access; both are checked against copies of the routes they
 replaced, field by field.
@@ -382,7 +383,7 @@ def _random_rows(rng, k, n):
 
 
 def test_chamber_complex_matches_bfs_closure(monkeypatch):
-    calls = counting(monkeypatch, "_chamber_closure")
+    calls = counting(monkeypatch, "_chamber_walk")
     rng = random.Random(61)
     seen = {1: 0, 2: 0, 3: 0, "several": 0}
     for _ in range(60):
@@ -394,11 +395,11 @@ def test_chamber_complex_matches_bfs_closure(monkeypatch):
         calls.clear()
         got = chamber_complex(p, rows)
         assert got == bfs_chamber_complex(family)
-        # one row never reaches the closure
+        # one row never reaches the walk
         assert bool(calls) == (k > 1)
         seen[k] += 1
         seen["several"] += len(got.cells) > 1
-    # the empty polyhedron has no face: no closure runs
+    # the empty polyhedron has no face: no walk runs
     calls.clear()
     assert chamber_complex(Polyhedron.empty_polyhedron(2), [(1, 0), (0, 1)]) == bfs_chamber_complex([])
     assert not calls
@@ -408,8 +409,8 @@ def test_chamber_complex_matches_bfs_closure(monkeypatch):
 def test_a_chamber_that_no_two_images_cut_out():
     # the 4-simplex onto a convex pentagon: each triangle of the five vertex
     # images is a face image, and the inner pentagon of the diagonals is a
-    # chamber that no two of them cut out, so the closure meets the cells it
-    # finds with the members again
+    # chamber that no two of them cut out; the walk reaches it across a
+    # facet of a neighbouring cell
     simplex = hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     rows = [(2, 3, 1, -1), (0, 2, 3, 2)]
     got = chamber_complex(simplex, rows)
@@ -431,10 +432,10 @@ def _crosses_interior(image, f):
 
 
 def test_top_dimensional_images_give_the_chambers():
-    # the closure meets only the face images of the largest dimension; a
+    # the walk meets only the face images of the largest dimension; a
     # lower-dimensional image through the interior of the image is a union
-    # of faces of the chambers, so the closure of all images gives the same
-    # maximal cells
+    # of faces of the chambers, so the BFS closure of all images gives the
+    # same maximal cells
     rng = random.Random(71)
     seen = dict.fromkeys(["lines", "crossing", "crossing with lines", "several", "n = 5"], 0)
     for _ in range(60):
@@ -460,6 +461,44 @@ def test_top_dimensional_images_give_the_chambers():
     assert min(seen.values()) >= 5, seen
 
 
+def _chamber_of(images, y):
+    """The intersection of the images that hold the point y."""
+    holders = [f for f in images if f.contains_point(y)]
+    return Polyhedron.from_H([h for f in holders for h in f.ineqs], [h for f in holders for h in f.eqs], len(y))
+
+
+def test_chambers_of_sample_points_are_the_cells_on_many_images():
+    # a polytope plus rays in Q^5 with 7 vertices and 2 rays onto 3 rows has
+    # 186 face images, too many for a closure of their intersections.  The
+    # cells are checked against the images of face objects: the chamber of
+    # the image of a point of p, the intersection of the images of the
+    # largest dimension holding it, is a cell, and each cell is the chamber
+    # of its relative-interior point
+    rng = random.Random(71)
+    n = 5
+    pts = [tuple(F(rng.randint(-3, 3), rng.choice([1, 1, 2])) for _ in range(n)) for _ in range(7)]
+    rays = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(2)]
+    p = Polyhedron.from_generators(pts, rays, [], n)
+    rows = _random_rows(rng, 3, n)
+    assert (len(p.vertices), len(p.rays)) == (7, 2)
+    got = chamber_complex(p, rows)
+    top = p.map_image(rows).dim()
+    assert {c.dim() for c in got.cells} == {top}
+    images = [f for f in face_object_family(p, rows) if f.dim() == top]
+    for c in got.cells:
+        assert _chamber_of(images, c.relint_point()) == c
+    cells = set(got.cells)
+    chambers = set()
+    for _ in range(200):
+        w = [rng.randint(1, 100) for _ in p.vertices]
+        s = [rng.randint(0, 3) for _ in p.rays]
+        z = [sum(x * y for x, y in zip(w, col)) / sum(w) for col in zip(*p.vertices)]
+        z = [x + sum(a * b for a, b in zip(s, col)) for x, col in zip(z, zip(*p.rays))]
+        chambers.add(_chamber_of(images, tuple(vdot(row, z) for row in rows)))
+    assert chambers <= cells
+    assert len(chambers) > 10 and len(cells) > 300
+
+
 def _kernel_face_rows(rng, p):
     """Rational rows whose kernel holds a face of p of dimension >= 1 and
     the face, or None when p has no such face short of the whole space."""
@@ -477,7 +516,7 @@ def _kernel_face_rows(rng, p):
 
 
 def test_projected_faces_match_face_objects(monkeypatch):
-    calls = counting(monkeypatch, "_chamber_closure")
+    calls = counting(monkeypatch, "_chamber_walk")
     rng = random.Random(67)
     seen = dict.fromkeys(["lines", "rays", "rational", "kernel face", "several"], 0)
     for _ in range(60):
@@ -534,9 +573,9 @@ def assert_line_cells(got, p, row):
 
 def test_one_row_chambers_match_bfs_closure(monkeypatch):
     # on one row `chamber_complex` reads the cells off the vertex images and
-    # never calls the closure; they agree with the closure and the BFS
-    closure = polyhedra._chamber_closure
-    calls = counting(monkeypatch, "_chamber_closure")
+    # never calls the walk; they agree with the walk and the BFS
+    walk = polyhedra._chamber_walk
+    calls = counting(monkeypatch, "_chamber_walk")
     rng = random.Random(73)
     seen = dict.fromkeys(["lines to 0", "line not to 0", "rays", "point cell", "several cells"], 0)
     for _ in range(80):
@@ -548,7 +587,7 @@ def test_one_row_chambers_match_bfs_closure(monkeypatch):
         got = chamber_complex(p, [row])
         assert not calls
         assert_line_cells(got, p, row)
-        assert got == closure(p, [row]), (p, row)
+        assert got == walk(p, [row]), (p, row)
         assert got == bfs_chamber_complex(face_object_family(p, [row])), (p, row)
         # the route builds the cells and nothing else
         assert len(polyhedra._line_chambers(p, row)) == len(got.cells)

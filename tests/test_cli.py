@@ -246,6 +246,27 @@ def test_toric_downgrade_more_generators_than_rank_exit_one(tmp_path, capsys):
     assert captured.err == "error: 4 sublattice generators exceed the lattice rank 3\n"
 
 
+@pytest.mark.parametrize("sub, err", [
+    ('[["1","0","0"],["2","0","0"]]', "error: sublattice generators are linearly dependent\n"),
+    ('[["0","0","0"]]', "error: sublattice generators are linearly dependent\n"),
+    ('[["2","0","0"]]', "error: sublattice is not saturated (torsion quotient)\n"),
+])
+def test_toric_downgrade_dependent_generators_are_not_torsion(tmp_path, capsys, sub, err):
+    # a zero on the Smith diagonal means dependent generators, an entry
+    # beyond 1 a torsion quotient
+    p = tmp_path / "cone.json"
+    p.write_text(json.dumps({
+        "schema_version": "1",
+        "kind": "cone",
+        "payload": {"ambient": 3, "rays": [["1", "1", "0"], ["1", "2", "2"], ["2", "1", "0"]], "lines": []},
+    }))
+    code = cli.main(["toric-downgrade", str(p), "--sublattice", sub])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_deform_upgrade_golden_byte_stable(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -220,7 +220,7 @@ def test_downgrade_roundtrip_upgrade_identity():
 
 def test_wrong_first_slice_route_raises_on_a_rank_one_fiber(monkeypatch):
     # on a rank-1 fiber the second slice route reads the chambers off the
-    # vertex images, with no closure; it still checks the first route,
+    # vertex images, with no walk; it still checks the first route,
     # whose slice at 0 is shifted here by one
     dg = importlib.import_module("pdivisors.downgrade")
     d = quadric_cone_total_space()
@@ -238,11 +238,11 @@ def test_wrong_first_slice_route_raises_on_a_rank_one_fiber(monkeypatch):
         fan._slices[label] = wrong
         return fan, duals
 
-    def no_closure(polys, rows):
-        raise AssertionError("a one-row chamber complex ran the closure")
+    def no_walk(p, rows):
+        raise AssertionError("a one-row chamber complex ran the walk")
 
     monkeypatch.setattr(dg, "fan_and_duals", shifted)
-    monkeypatch.setattr(polyhedra, "_chamber_closure", no_closure)
+    monkeypatch.setattr(polyhedra, "_chamber_walk", no_walk)
     with pytest.raises(RoutesDisagree, match="slice routes disagree at 0"):
         dg.downgrade(d, ctx)
 

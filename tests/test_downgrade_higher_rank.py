@@ -49,7 +49,7 @@ PROJECTIONS = {
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
         [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
     ],
-    # the closure runs on 2 and 3 rows under the first, on 4 under the second
+    # the walk runs on 2 and 3 rows under the first, on 4 under the second
     5: [
         [[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]],
         [[1, 1, 1, 1, 1]],
@@ -138,7 +138,10 @@ OVERLAP = [[[1, 1, 0, 0], [0, 0, 1, 1]]]
         (4, 6, 404, PROJECTIONS[4]),
         (4, 4, 405, OVERLAP),
         (5, 2, 505, PROJECTIONS[5]),
-        (6, 1, 5, [[[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1]]]),
+        (6, 3, 5, [
+            [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]],
+            [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1]],
+        ]),
     ],
     ids=["rank3", "rank4", "rank4-overlap", "rank5", "rank6"],
 )

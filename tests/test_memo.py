@@ -148,11 +148,10 @@ def test_held_coefficients_need_no_construction(monkeypatch):
 
 def test_chamber_complex_builds_no_face(monkeypatch):
     # the projected faces are generator sets on the polyhedron's incidence,
-    # so no face object is built.  From a cold memo the closure runs one DD
-    # per key of an intersection of a cell and a member of the largest
-    # dimension where neither holds the other, so an intersection reached
-    # from two cells runs twice.  On one row `chamber_complex` builds only
-    # its three cells.
+    # so no face object is built.  From a cold memo the walk runs one DD per
+    # face image, one per intersection that cuts down its start and one per
+    # key of a chamber beyond a facet, so a chamber reached from two cells
+    # runs twice.  On one row `chamber_complex` builds only its three cells.
     coeff = max(_divisors(1, seed=5)[0].coeffs.values(), key=lambda p: len(p.hom.rays))
     pi_rows = DowngradeContext.from_projection(LatticeMap(Lattice(2), Lattice(1), [[1, 1]])).pi_rows
     with_line = polyhedra.Polyhedron.from_generators(
@@ -169,8 +168,8 @@ def test_chamber_complex_builds_no_face(monkeypatch):
     runs = counting(monkeypatch, "_dd")
     cases = [
         (polyhedra.chamber_complex, coeff, pi_rows, 3),
-        (polyhedra._chamber_closure, coeff, pi_rows, 11),
-        (polyhedra.chamber_complex, with_line, line_rows, 17),
+        (polyhedra._chamber_walk, coeff, pi_rows, 11),
+        (polyhedra.chamber_complex, with_line, line_rows, 14),
     ]
     for route, p, rows, budget in cases:
         memo.cache_clear()
