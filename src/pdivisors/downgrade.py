@@ -24,7 +24,7 @@ from .errors import (
     WeightOutsideCone,
 )
 from .lattice import LatticeMap, smith_split
-from .linalg import _cleared, int_identity, transpose, vec, zero_vec
+from .linalg import _cleared, transpose, vec, zero_vec
 from .pdivisor import PolyhedralDivisor
 from .polyhedra import (
     PolyhedralComplex,
@@ -73,34 +73,28 @@ def dualize(f: ConcavePL):
     Box* collects the linear functionals dominating the linear part on the
     domain's tailcone; Psi*(v) = min over the domain of <v,u> - f(u), with
     one affine piece per vertex of the graph.  Box* and the piece rows of
-    Psi* depend on f's hypograph only and are kept on its `hom`; Psi* is a
-    new function on each call, which builds its own hypograph on first use.
+    Psi* depend on f's hypograph only: `_dual_rows` reads them off its
+    `hom`, where they are kept.  Psi* is a new function on each call, which
+    builds its own hypograph on first use.
     """
     box_star, rows = f.hypo.hom._keep("dualize", lambda: _dual_rows(f))
     return box_star, ConcavePL._from_rows(box_star, rows)
 
 
 def _dual_rows(f: ConcavePL):
-    """Box* and the piece rows of Psi* of `dualize`."""
-    n = f.domain.n
-    flip = int_identity(n + 1)
-    flip[n][n] = -1
-    epi = f.hypo.map_image(flip)  # epigraph of -f
-    rec = epi.tail()
-    ineqs = []
-    eqs = []
-    for g in rec.rays:
-        w, r = g[:n], g[n]
-        if all(x == 0 for x in w):
-            continue  # the vertical ray only says t can grow
-        ineqs.append((w, -r))
-    for g in rec.lines:
-        w, r = g[:n], g[n]
-        eqs.append((w, -r))
-    box_star = Polyhedron.from_H(ineqs, eqs, n)
-    # a vertex (X, T) / d of the graph, the ray (X, T, d) of `epi.hom`, is
-    # the piece (X, T) / d: the row (X, -d, T)
-    rows = tuple((*g[:n], -g[n + 1], g[n]) for g in epi.hom.rays if g[n + 1])
+    """Box* and the piece rows of Psi* of `dualize`, read off the hypograph's
+    `hom`: the flip t -> -t onto the epigraph of -f permutes coordinates up
+    to sign, so it maps canonical rays to canonical rays and lines to lines."""
+    n, hom = f.domain.n, f.hypo.hom
+    # a tail ray or line (w, r) of the hypograph gives <w, u> >= r or = r;
+    # the downward ray (0, -1) only says t can fall
+    ineqs = [(g[:n], g[n]) for g in hom.rays if not g[n + 1] and any(g[:n])]
+    box_star = Polyhedron.from_H(ineqs, [(g[:n], g[n]) for g in hom.lines], n)
+    # a vertex (X, T) / d of the graph, the ray (X, T, d) of `hom`, is the
+    # piece v -> <X, v> / d - T / d: the row (X, -d, -T), in the order of
+    # the epigraph's rays (X, -T, d)
+    epi = sorted((*g[:n], -g[n], g[n + 1]) for g in hom.rays if g[n + 1])
+    rows = tuple((*g[:n], -g[n + 1], g[n]) for g in epi)
     return box_star, rows
 
 

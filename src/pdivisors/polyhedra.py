@@ -1263,8 +1263,11 @@ def chamber_complex(p: Polyhedron, rows) -> PolyhedralComplex:
     of the generic points of the image.  On one row they are the gaps
     between consecutive vertex images (`_line_chambers`); on two or more
     rows a walk across their facets finds them, since they tile the convex
-    image face to face (`_chamber_walk`).
+    image face to face (`_chamber_walk`).  A `p` that is not a `Polyhedron`,
+    such as a list of them, raises `TypeError`.
     """
+    if not isinstance(p, Polyhedron):
+        raise TypeError(f"chamber_complex takes a Polyhedron, not {type(p).__name__}")
     _ambient(p.n, rows)
     if p.empty:
         return PolyhedralComplex([])

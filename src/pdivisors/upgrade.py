@@ -3,9 +3,9 @@
 Input: a polyhedral divisor whose coefficients attach to the invariant
 primes (tail rays and slice vertices) of a divisorial fan describing the
 base.  Output: a polyhedral divisor in the product lattice over the fan's
-own base, together with a properness report and hypothesis flags.  The
-construction accepts fans that are not contraction-free and simply reports
-the violated hypotheses; the failure mode itself is informative output.
+own base, with hypothesis flags and a properness report made on first
+access.  The construction accepts fans that are not contraction-free and
+simply reports the violated hypotheses, an informative output in itself.
 """
 
 from __future__ import annotations
@@ -134,17 +134,17 @@ def upgrade_tailcone(d: InvariantPDivisorOnFan) -> Cone:
 def upgrade_coefficients(d: InvariantPDivisorOnFan) -> PolyhedralDivisor:
     """conv of the vertex coefficients at their heights, plus the tailcone,
     homogenized from the rays of each coefficient's `hom`: the vertex X / t
-    at the height v = V / e is the ray (X e, t V, t e)."""
+    at the height v = V / e is the ray (X e, t V, t e); the sum with the
+    tailcone adds its rays and lines, all in one construction."""
     sigma_t = upgrade_tailcone(d)
     n, zero = d.n, (0,) * d.fan.n
     ntot = n + d.fan.n
-    sig_poly = sigma_t.as_polyhedron()
     coeffs = {}
     # a prime the fan marks but `d.verts` omits has no vertex: the hull of
     # none is empty
     for label in dict.fromkeys([*d.verts, *d.fan.marked_primes()]):
         gens = []
-        lines = []
+        lines = [l + (0,) for l in sigma_t.lines]
         for v in d.verts.get(label, ()):
             hom = d.vertex_coefficient(label, v).hom
             V, e = _cleared(v)
@@ -153,20 +153,24 @@ def upgrade_coefficients(d: InvariantPDivisorOnFan) -> PolyhedralDivisor:
         if not any(g[-1] for g in gens):
             coeffs[label] = Polyhedron.empty_polyhedron(ntot)
             continue
-        hullpart = Polyhedron(ntot, Cone.from_rays(gens, lines, ntot + 1))
-        coeffs[label] = hullpart.minkowski(sig_poly)
+        gens += [r + (0,) for r in sigma_t.rays]
+        coeffs[label] = Polyhedron(ntot, Cone.from_rays(gens, lines, ntot + 1))
     return PolyhedralDivisor(d.fan.base, ntot, sigma_t, coeffs)
 
 
 class UpgradeResult(_Record):
-    __slots__ = ("divisor", "report", "contraction_free", "base_smooth")
+    """`report`, the divisor's `is_proper()`, is made on first access."""
 
-    def __init__(self, divisor: PolyhedralDivisor, report: PropernessReport,
-                 contraction_free: bool, base_smooth: bool):
+    __slots__ = ("divisor", "contraction_free", "base_smooth")
+
+    def __init__(self, divisor: PolyhedralDivisor, contraction_free: bool, base_smooth: bool):
         self.divisor = divisor
-        self.report = report
         self.contraction_free = contraction_free
         self.base_smooth = base_smooth
+
+    @property
+    def report(self) -> PropernessReport:
+        return self.divisor.is_proper()
 
     @property
     def hypotheses_hold(self) -> bool:
@@ -182,7 +186,7 @@ def upgrade(d: InvariantPDivisorOnFan) -> UpgradeResult:
         smooth = fan.base.fan_is_smooth()
     else:
         smooth = True  # curves here are P^1 or opens in it
-    return UpgradeResult(out, out.is_proper(), cf, smooth)
+    return UpgradeResult(out, cf, smooth)
 
 
 def correct_pic_z(d: PolyhedralDivisor) -> tuple[PolyhedralDivisor, PropernessReport]:

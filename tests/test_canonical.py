@@ -406,6 +406,16 @@ def test_chamber_complex_matches_bfs_closure(monkeypatch):
     assert min(seen.values()) >= 5, seen
 
 
+def test_chamber_complex_rejects_what_is_not_a_polyhedron():
+    # a list of polyhedra, the input it once took, or a cone is refused up
+    # front with the expected type named, not a bare AttributeError
+    square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    for p in ([square], (square,), square.hom, None):
+        with pytest.raises(TypeError, match="Polyhedron"):
+            chamber_complex(p, [(1, 0)])
+    assert len(chamber_complex(square, [(1, 0)]).cells) == 1
+
+
 def test_a_chamber_that_no_two_images_cut_out():
     # the 4-simplex onto a convex pentagon: each triangle of the five vertex
     # images is a face image, and the inner pentagon of the diagonals is a

@@ -140,11 +140,13 @@ def view_upgrade_tailcone(d: InvariantPDivisorOnFan) -> Cone:
     return Cone.from_rays(gens, lines, d.n + d.fan.n)
 
 
-def view_upgrade_coefficients(d: InvariantPDivisorOnFan) -> PolyhedralDivisor:
-    """`upgrade_coefficients` from the Fraction views of each coefficient."""
+def view_upgrade_coefficients(d: InvariantPDivisorOnFan, minkowski: bool = False) -> PolyhedralDivisor:
+    """`upgrade_coefficients` from the Fraction views of each coefficient:
+    the hull of the vertex coefficients at their heights and the tailcone's
+    rays and lines in one `from_generators`, or, with `minkowski`, the hull
+    alone plus the tailcone by `Polyhedron.minkowski`."""
     sigma_t = view_upgrade_tailcone(d)
     zero, ntot = (0,) * d.fan.n, d.n + d.fan.n
-    sig_poly = sigma_t.as_polyhedron()
     coeffs = {}
     for label in dict.fromkeys([*d.verts, *d.fan.marked_primes()]):
         verts, rays, lines = [], [], []
@@ -155,8 +157,12 @@ def view_upgrade_coefficients(d: InvariantPDivisorOnFan) -> PolyhedralDivisor:
             lines += [l + zero for l in p.lines]
         if not verts:
             coeffs[label] = Polyhedron.empty_polyhedron(ntot)
-            continue
-        coeffs[label] = Polyhedron.from_generators(verts, rays, lines, ntot).minkowski(sig_poly)
+        elif minkowski:
+            coeffs[label] = Polyhedron.from_generators(verts, rays, lines, ntot).minkowski(sigma_t.as_polyhedron())
+        else:
+            rays += sigma_t.rays
+            lines += sigma_t.lines
+            coeffs[label] = Polyhedron.from_generators(verts, rays, lines, ntot)
     return PolyhedralDivisor(d.fan.base, ntot, sigma_t, coeffs)
 
 
@@ -503,6 +509,11 @@ def test_upgrade_reads_hom_rays_like_the_views(monkeypatch):
         assert got == keys
         assert tail == want_tail and out == want
         assert all(out.coefficient(l) == p for l, p in want.coeffs.items())
+        # one construction gives what the hull and then the sum with the
+        # tailcone gave
+        summed = view_upgrade_coefficients(d, minkowski=True).coeffs
+        assert summed.keys() == out.coeffs.keys()
+        assert all(out.coeffs[l] == p for l, p in summed.items())
         lines += bool(tail.lines)
         rational += any(x.denominator > 1 for vs in d.verts.values() for v in vs for x in v)
     assert len(inputs) == 15 and lines >= 1 and rational >= 5

@@ -11,6 +11,7 @@ from helpers import interval, point_poly
 from pdivisors.base import BaseVariety, global_sections, point_label
 from pdivisors.downgrade import (
     DowngradeContext,
+    _dual_rows,
     downgrade,
     downgrade_box_psi,
     dualize,
@@ -90,6 +91,67 @@ def test_dual_linear_part_is_box_support():
     for w in [(1,), (-1,)]:
         want = min(vdot(w, (u,)) for u in (F(-1), F(2)))
         assert psi_star.linear_part(w) == want
+
+
+def epigraph_of_negative(f: ConcavePL) -> Polyhedron:
+    """The epigraph of -f, built as the image of the hypograph under t -> -t."""
+    n = f.domain.n
+    return f.hypo.map_image([[int(i == j) * (-1 if i == n else 1) for j in range(n + 1)] for i in range(n + 1)])
+
+
+def flip_dual_rows(f: ConcavePL):
+    """`_dual_rows` on the epigraph of -f: Box* from the rays and lines of
+    its tail, the piece (X, T) / d of Psi* from each vertex ray (X, T, d)
+    of its `hom`."""
+    n = f.domain.n
+    epi = epigraph_of_negative(f)
+    rec = epi.tail()
+    ineqs = [(g[:n], -g[n]) for g in rec.rays if any(g[:n])]
+    eqs = [(g[:n], -g[n]) for g in rec.lines]
+    rows = tuple((*g[:n], -g[n + 1], g[n]) for g in epi.hom.rays if g[n + 1])
+    return Polyhedron.from_H(ineqs, eqs, n), rows
+
+
+def _random_function(rng):
+    """A concave function on a random polyhedron in Q^1..Q^3, with rays,
+    lines and lower-dimensional domains; on a domain with lines most
+    functions have one slope along them, so that the hypograph has lines."""
+    n = rng.randint(1, 3)
+    verts = [tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)) for _ in range(rng.randint(1, n + 2))]
+    rays = [r for r in (tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(rng.randint(0, 2))) if any(r)]
+    lines = [l for l in (tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(rng.randint(0, 1))) if any(l)]
+    dom = Polyhedron.from_generators(verts, rays, lines, n)
+    along = rng.random() < 0.8
+    c = F(rng.randint(-2, 2), rng.randint(1, 3))
+    pieces = []
+    for _ in range(rng.randint(1, 4)):
+        a = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+        for l in dom.lines if along else ():
+            k = (c - vdot(a, l)) / vdot(l, l)
+            a = [x + k * y for x, y in zip(a, l)]
+        pieces.append((tuple(a), F(rng.randint(-4, 4), rng.randint(1, 3))))
+    return ConcavePL(dom, pieces)
+
+
+def test_dual_rows_match_the_flipped_hypograph():
+    # the flip t -> -t maps the canonical rays of the hypograph's `hom` to
+    # those of the epigraph of -f and its lines to theirs up to sign, so
+    # Box* and the rows, in order, are those of the flip's image
+    rng = random.Random(11)
+    with_lines = unbounded = lower_dim = 0
+    for _ in range(300):
+        f = _random_function(rng)
+        n, hom = f.domain.n, f.hypo.hom
+        epi = epigraph_of_negative(f)
+        assert epi.hom.rays == tuple(sorted((*g[:n], -g[n], g[n + 1]) for g in hom.rays))
+        flipped = {(*g[:n], -g[n], g[n + 1]) for g in hom.lines}
+        assert all(g in flipped or tuple(-x for x in g) in flipped for g in epi.hom.lines)
+        assert len(epi.hom.lines) == len(hom.lines)
+        assert _dual_rows(f) == flip_dual_rows(f)
+        with_lines += bool(hom.lines)
+        unbounded += not f.domain.is_bounded()
+        lower_dim += f.domain.dim() < n
+    assert with_lines >= 50 and unbounded >= 100 and lower_dim >= 50
 
 
 def test_subdivision_of_dual_pointed():

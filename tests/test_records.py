@@ -58,7 +58,7 @@ RECORDS = [
      (PR, "base", PR, ((1,), "f")), True),
     (SupportFunction, ({"p": ()},), {}, ({"q": ()},), False),
     (BpfReport, ("not_free", {}, ("p",)), {"failing": ()}, ("free", {}, ("p",)), False),
-    (UpgradeResult, ("d", "report", True, False), {}, ("d", "report", True, True), False),
+    (UpgradeResult, ("d", True, False), {}, ("d", True, True), False),
 ]
 IDS = [row[0].__name__ for row in RECORDS]
 

@@ -151,6 +151,32 @@ def test_upgrade_cf_proper():
     assert res.divisor.coefficient(point_label(INF)) == st.as_polyhedron().translate((0, -1))
 
 
+def test_upgrade_makes_its_report_on_first_access(monkeypatch):
+    # `upgrade` computes no properness; the first `report` runs the one
+    # computation, kept on the divisor, and it is the report of an equal
+    # divisor built afresh
+    properness = PolyhedralDivisor._properness
+    runs = []
+
+    def counted(d):
+        runs.append(d)
+        return properness(d)
+
+    monkeypatch.setattr(PolyhedralDivisor, "_properness", counted)
+    for d, proper in ((noncf_input(), False), (cf_input(), True)):
+        runs.clear()
+        res = upgrade(d)
+        assert runs == []
+        report = res.report
+        assert runs == [res.divisor]
+        assert res.report is report and runs == [res.divisor]
+        out = res.divisor
+        fresh = PolyhedralDivisor(out.base, out.n, out.tail, dict(out.coeffs))
+        assert fresh is not out and fresh == out
+        assert report == fresh.is_proper() and report.proper == proper
+        assert len(runs) == 2
+
+
 def test_correction_matches_cf_route():
     noncf = upgrade(noncf_input()).divisor
     corrected, rep = correct_pic_z(noncf)
