@@ -26,7 +26,7 @@ from .base import (
 )
 from .errors import NotAdmissible, RoutesDisagree, SumMismatch, UnsupportedBase
 from .lattice import Lattice, LatticeMap
-from .linalg import _cleared, _lattice_vector, frac, int_identity, vdot, zero_vec
+from .linalg import _lattice_vector, frac, int_identity
 from .pdivisor import PolyhedralDivisor, PullbackTriple
 from .polyhedra import Cone, Polyhedron, normal_fan
 from .tvariety import DivisorialFan
@@ -84,10 +84,7 @@ class DeformationInput(_Record):
 
     @property
     def sigma(self) -> Cone:
-        p = self.slice_at(0)
-        if p.empty:
-            return Cone.zero(self.n)
-        return Cone.from_rays(list(p.rays), list(p.lines), self.n)
+        return self.slice_at(0).tail()
 
     @property
     def delta_plus(self) -> Polyhedron:
@@ -100,13 +97,8 @@ class DeformationInput(_Record):
 
 def _embed_at_height(p: Polyhedron, height) -> Polyhedron:
     """Delta x {height} inside N + Z (rays stay at height zero)."""
-    h = frac(height)
-    if p.empty:
-        return Polyhedron.empty_polyhedron(p.n + 1)
-    verts = [tuple(v) + (h,) for v in p.vertices]
-    rays = [tuple(r) + (Fraction(0),) for r in p.rays]
-    lines = [tuple(l) + (Fraction(0),) for l in p.lines]
-    return Polyhedron.from_generators(verts, rays, lines, p.n + 1)
+    n = p.n
+    return p.map_image([*int_identity(n), (0,) * n], (0,) * n + (height,))
 
 
 def check_admissible(din: DeformationInput):
@@ -144,13 +136,10 @@ def check_admissible(din: DeformationInput):
         raise SumMismatch("the summands must be nonempty")
     for cell in normal_fan(summands, din.sigma.dual().as_polyhedron()):
         # the integral weight on the ray of a relative interior point
-        u = _cleared(cell.relint_point())[0]
+        u = cell._relint()[0]
         free = []
         for i, p in enumerate(summands):
-            m = min(vdot(v, u) for v in p.vertices)
-            face = Polyhedron.from_H(
-                list(p.ineqs), list(p.eqs) + [(u, m)], p.n
-            )
+            face = p.with_equalities([(u, p._vertex_min(u))])
             if not face.lattice_window(1):
                 free.append(i)
         if len(free) > 1:
@@ -334,12 +323,12 @@ def deformation_upgrade(din: DeformationInput):
     if dm.empty:
         q_coeff = sig_poly
     else:
-        scaled = dm.scale(one)
-        gens = [tuple(v) + (-one,) for v in scaled.vertices]
-        gens.append(zero_vec(ntot))
-        rays = [tuple(r) + (Fraction(0),) for r in scaled.rays]
-        hull_part = Polyhedron.from_generators(gens, rays, (), ntot)
-        q_coeff = hull_part.minkowski(sig_poly)
+        # conv((dm / k) x {-1/k} and the origin) plus dm's tail at height 0:
+        # a ray (X, t) of dm's `hom` goes to (X, -t, k t)
+        n = din.n
+        rays = [(*g[:n], -g[n], k * g[n]) for g in dm.hom.rays] + [(0,) * ntot + (1,)]
+        lines = [(*g[:n], 0, 0) for g in dm.hom.lines]
+        q_coeff = Polyhedron(ntot, Cone.from_rays(rays, lines, ntot + 1)).minkowski(sig_poly)
     coeffs[fb.q] = q_coeff
     route_a = PolyhedralDivisor(fb.base, ntot, sigma_tilde, coeffs)
     # route (b)

@@ -151,13 +151,9 @@ def smith_split(pr: LatticeMap):
         return s_star, t, kern
     u, d, v = smith_normal_form(a)
     diag = [d[i][i] for i in range(min(mbar, m))]
-    if len([x for x in diag if x != 0]) < mbar or any(abs(x) != 1 for x in diag if x != 0):
+    # the diagonal of D is nonnegative, so D = [I | 0] exactly on a surjection
+    if len([x for x in diag if x != 0]) < mbar or any(x != 1 for x in diag if x != 0):
         raise NotSurjective(f"invariant factors {diag} are not all unit")
-    # normalize signs so that D = [I | 0]
-    for i in range(mbar):
-        if d[i][i] == -1:
-            for r in range(m):
-                v[r][i] = -v[r][i]
     # section S = V[:, :mbar] . U ; kernel K = column HNF of V[:, mbar:]
     s_cols = [
         [sum(v[r][k] * u[k][j] for k in range(mbar)) for r in range(m)] for j in range(mbar)

@@ -187,7 +187,8 @@ def solve(rows, b) -> Vec | None:
 def smith_normal_form(a):
     """Smith normal form with transforms: returns (U, D, V) with U A V = D.
 
-    U and V are unimodular integer matrices, D is diagonal with d_i | d_{i+1}.
+    U and V are unimodular integer matrices, D is diagonal with d_i | d_{i+1}
+    and d_i >= 0.
     """
     d = [list(map(int, row)) for row in a]
     m = len(d)

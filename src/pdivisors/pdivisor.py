@@ -230,8 +230,7 @@ class PolyhedralDivisor:
         if len(rows) != self.n:
             raise AmbientMismatch("lattice map target must be the divisor lattice")
         new_n = fmap.source.rank
-        tail_p = self.tail.as_polyhedron().preimage(rows, new_n)
-        new_tail = Cone.from_rays(tail_p.rays, tail_p.lines, new_n)
+        new_tail = self.tail.as_polyhedron().preimage(rows, new_n).tail()
         coeffs = {}
         for label, p in self.coeffs.items():
             coeffs[label] = p.preimage(rows, new_n)

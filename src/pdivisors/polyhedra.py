@@ -99,7 +99,6 @@ from .linalg import (
     frac,
     int_identity,
     mat_vec,
-    zero_vec,
 )
 
 # ---------------------------------------------------------------------------
@@ -300,24 +299,14 @@ def _frame(ineqs, eqs, n: int):
     return sbasis, aprime, rspace, _echelon_kernel(rspace, pivots, len(sbasis))
 
 
-# Bound of the construction memo, sized to hold a round trip's working set.
-# Faces do not go through it, nor the fibers `map_fiber_slice` maps, only
-# their images, nor a result a cone keeps (`Cone._keep`).  The benchmark's
-# 213 roundtrip inputs of seed 101, run in order from a cold memo, make
-# 14,376 lookups of 1,880 distinct keys: an LRU of 512 entries misses 2,963
-# times, one of 4096 only on the 1,880 first lookups.  Over 1,000 roundtrip
-# inputs of seed 107 (3,708 distinct keys) the misses are 13.2 per input at
-# 512 and 3.7 at 4096.  Geometry's 123 inputs of seed 101 make 1,231
-# lookups of 992 keys, so the size does not matter there.  An entry is one
-# cone, with its dual once cut, the results it keeps and, from its second
-# use as a homogenization on, the polyhedron over it and its views.
-# Against entries of bare tuples this raises peak memory by 4% on roundtrip
-# (19.7 -> 20.6 MiB) and not at all on geometry (19.8 -> 19.9 MiB), medians
-# of twelve and four 30 s benchmark runs, 2-core x86_64, Python 3.11.7.
-# Keeping the polyhedron from the first use on would raise geometry's peak
-# to 23.3 MiB (+17%, two runs), for its one-shot constructions.  The kept
-# results add 2-3% on roundtrip (19.15 -> 19.58 MiB at seed 101, medians of
-# ten runs) and keep nothing on geometry.
+# Bound of the construction memo, sized to hold a round trip's working set:
+# the roundtrip benchmark's inputs miss an LRU of 4096 entries only on a
+# key's first lookup, and one of 512 over and over (figures in CHANGES.md,
+# PRs 19, 27 and 30, and BENCH_30.json).  Faces do not go through the memo,
+# nor the fibers `map_fiber_slice` maps, nor a result a cone keeps
+# (`Cone._keep`).  An entry is one cone, with its dual once cut, the results
+# it keeps and, from its second use as a homogenization on, the polyhedron
+# over it and its views.
 DD_CACHE_SIZE = 4096
 
 
@@ -958,10 +947,8 @@ class Polyhedron(_Frozen):
         if s < 0:
             raise ValueError("only nonnegative scaling is defined here")
         if s == 0:
-            return Polyhedron.from_generators([zero_vec(self.n)], self.rays, self.lines, self.n)
-        return Polyhedron.from_generators(
-            [tuple(s * x for x in v) for v in self.vertices], self.rays, self.lines, self.n
-        )
+            return self.tail().as_polyhedron()
+        return self.map_image([tuple(s * x for x in r) for r in int_identity(self.n)])
 
     def map_image(self, rows, shift=None) -> "Polyhedron":
         """Image under x -> A x (+ shift): the image of `hom` under
@@ -1050,10 +1037,13 @@ class Polyhedron(_Frozen):
         """
         if self.empty:
             return []
-        box = Polyhedron.from_generators(self.vertices, n=self.n)
-        for g in (*self.rays, *self.lines, *(tuple(-x for x in l) for l in self.lines)):
-            step = tuple(ray_steps * x for x in g)
-            box = box.minkowski(Polyhedron.from_generators([(0,) * self.n, step], n=self.n))
+        n, hom = self.n, self.hom
+        box = Polyhedron(n, _canonical(n + 1, tuple(r for r in hom.rays if r[n]), ()))
+        # each ray and each line both ways adds the segment [0, ray_steps g],
+        # whose `hom` has the rays (0, 1) and (ray_steps g, 1)
+        lines = [l[:n] for l in hom.lines]
+        for g in [r[:n] for r in hom.rays if not r[n]] + lines + [tuple(-x for x in l) for l in lines]:
+            box = box._moved([(0,) * n + (1,), (*(ray_steps * x for x in g), 1)], ())
         return [p for p in box.lattice_points() if self.contains_point(p)]
 
 

@@ -449,10 +449,14 @@ class ConcavePL:
         return _regions([((*r[:n], r[n + 1]), -r[n]) for r in self._rows], self.domain)
 
     def scale(self, k) -> "ConcavePL":
+        """k f for k > 0: each row (A, -q, C) becomes (p A, -r q, p C) for
+        k = p / r, with no hypograph built."""
         k = frac(k)
         if k <= 0:
             raise ValueError("only positive scaling")
-        return ConcavePL(self.domain, [(tuple(k * x for x in a), k * c) for a, c in self.pieces])
+        p, r, n = k.numerator, k.denominator, self.domain.n
+        rows = [(*(p * x for x in row[:n]), r * row[n], p * row[n + 1]) for row in self._rows]
+        return ConcavePL._from_rows(self.domain, rows)
 
     def lineality(self) -> list[Vec]:
         """Directions w with domain and value translation-invariant: the
@@ -608,22 +612,16 @@ def psi0_pdivisor(fan: DivisorialFan):
     """
     from .pdivisor import PolyhedralDivisor
 
-    tail = Cone.from_rays(fan.rays(), n=fan.n) if fan.rays() else Cone.zero(fan.n)
+    n = fan.n
+    tail = Cone.from_rays(fan.rays(), n=n)
     coeffs = {}
     for label in fan.marked_primes():
-        sl = fan.slice_of(label)
-        if not sl.cells:
-            coeffs[label] = Polyhedron.empty_polyhedron(fan.n)
-            continue
-        verts = []
-        rays = []
-        lines = []
-        for c in sl.cells:
-            verts.extend(c.vertices)
-            rays.extend(c.rays)
-            lines.extend(c.lines)
-        coeffs[label] = Polyhedron.from_generators(verts, rays, lines, fan.n)
-    return PolyhedralDivisor(fan.base, fan.n, tail, coeffs)
+        # the hull of the cells is spanned by their `hom`s; an empty slice
+        # spans the zero cone, the `hom` of the empty polyhedron
+        cells = fan.slice_of(label).cells
+        hom = Cone.from_rays([g for c in cells for g in c.hom.rays], [l for c in cells for l in c.hom.lines], n + 1)
+        coeffs[label] = Polyhedron(n, hom)
+    return PolyhedralDivisor(fan.base, n, tail, coeffs)
 
 
 def graded_sections(d: TInvariantDivisor, u, pole_bound=None) -> SectionSpace:
@@ -863,8 +861,9 @@ def sharpness(psi: PLDivisorMap) -> str:
             if region.empty:
                 continue
             bounded = region.is_bounded()
+            window = region.lattice_window()
             for k in range(1, SHARPNESS_K_BOUND + 1):
-                for u in region.lattice_window():
+                for u in window:
                     dv = psi.evaluate(u)
                     val = dv.coefficient(label)
                     if is_inf(val):

@@ -199,10 +199,9 @@ def correct_pic_z(d: PolyhedralDivisor) -> tuple[PolyhedralDivisor, PropernessRe
     base = d.base
     if not (base.kind == "P1" or (base.kind == "toric" and base.has_degree_map())):
         raise NoDegreeMap("the correction needs a projective base with degrees")
-    degp = d.degree_polyhedron()
-    gens = list(degp.vertices) + list(degp.rays)
-    gens = [g for g in gens if any(x != 0 for x in g)]
-    sigma_hat = Cone.from_rays(gens, degp.lines, d.n)
+    # the cone over the degree polyhedron: `hom` with its last entry dropped
+    n, hom = d.n, d.degree_polyhedron().hom
+    sigma_hat = Cone.from_rays([g[:n] for g in hom.rays], [l[:n] for l in hom.lines], n)
     new_tail = Cone.from_rays(
         list(d.tail.rays) + list(sigma_hat.rays),
         list(d.tail.lines) + list(sigma_hat.lines),

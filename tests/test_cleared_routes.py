@@ -1,13 +1,15 @@
 """Rational points travel as cleared integers; a Fraction is built only for
 a value handed out.
 
-Each integer route is checked against the Fraction route it replaced, on
+Each integer route is checked against the Fraction route it replaced.  On
 seeded divisors: calling a `LatticeMap`, `PolyhedralDivisor.evaluate` and
 the properness probes with `relint_point`, `InvariantPDivisorOnFan.weights_at`,
 the pieces of `downgrade_box_psi`, the support divisor of `fan_from`,
 `PLDivisorMap.evaluate` and `ConcavePL.value`, and the generators of the
-upgrade, read off each coefficient's `hom`; every value handed out is a
-`Fraction`.  A `ConcavePL` keeps its cleared piece
+upgrade, read off each coefficient's `hom`.  On random polyhedra with rays
+and lines: `Polyhedron.scale`, `ConcavePL.scale`, `deform._embed_at_height`
+and `Polyhedron.lattice_window`, built on `hom` or the piece rows.  Every
+value handed out is a `Fraction`.  A `ConcavePL` keeps its cleared piece
 rows and builds its hypograph and canonical pieces on first use: it equals
 one built eagerly from the hypograph of its pieces, and graded sections
 build none.  Entry points that take a vector reject one of another length.
@@ -27,6 +29,7 @@ from test_upgrade import noncf_p2_fan
 
 from pdivisors import polyhedra, tvariety
 from pdivisors.base import INF, CurveFunction, QDivisor, is_inf, point_label, positivity
+from pdivisors.deform import _embed_at_height
 from pdivisors.downgrade import DowngradeContext, _evaluation_graph, downgrade, downgrade_box_psi, dualize, fan_from
 from pdivisors.errors import AmbientMismatch, WeightOutsideBox, WeightOutsideCone
 from pdivisors.lattice import Lattice, LatticeMap
@@ -562,3 +565,93 @@ def test_fan_vectors_of_another_length_raise():
             with pytest.raises(AmbientMismatch):
                 call(wrong)
         assert call(right[name]) == call(tuple(map(F, right[name])))
+
+
+# -- polyhedra built from polyhedra ----------------------------------------------
+
+
+def _random_polyhedra(seed, count, empty=True):
+    """Random polyhedra in Q^1 to Q^3 with Fraction vertices, most with rays
+    or a line, and a few empty ones."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        if empty and rng.random() < 0.05:
+            out.append(Polyhedron.empty_polyhedron(n))
+            continue
+        out.append(Polyhedron.from_generators(
+            [tuple(F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n)) for _ in range(rng.randint(1, 3))],
+            [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(rng.choice([0, 1, 2]))],
+            [tuple(rng.randint(-1, 1) for _ in range(n))] if rng.random() < 0.3 else [],
+            n,
+        ))
+    assert sum(bool(p.rays) for p in out) >= 10 and sum(bool(p.lines) for p in out) >= 10
+    return out
+
+
+def _fields(p):
+    h = p.hom
+    return p.n, h.rays, h.lines, h.ineqs, h.eqs
+
+
+def test_scale_matches_the_fraction_route():
+    rng = random.Random(35)
+    for p in _random_polyhedra(35, 120):
+        for s in (0, F(rng.randint(1, 7), rng.randint(1, 4))):
+            if p.empty:
+                want = p
+            elif s == 0:
+                # the tail polyhedron, the limit of s P
+                want = Polyhedron.from_generators([(F(0),) * p.n], p.rays, p.lines, p.n)
+            else:
+                want = Polyhedron.from_generators([tuple(s * x for x in v) for v in p.vertices], p.rays, p.lines, p.n)
+            assert _fields(p.scale(s)) == _fields(want)
+
+
+def test_concave_scale_matches_the_fraction_route():
+    rng = random.Random(36)
+    for domain in _random_polyhedra(36, 60, empty=False):
+        n = domain.n
+        pieces = [
+            (tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)), F(rng.randint(-4, 4), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        f = ConcavePL(domain, pieces)
+        k = F(rng.randint(1, 6), rng.randint(1, 4))
+        g = f.scale(k)
+        # the rows are scaled as they are: neither function builds a hypograph
+        assert f._hypo is None and g._hypo is None
+        want = ConcavePL(domain, [(tuple(k * x for x in a), k * c) for a, c in f.pieces])
+        assert g.domain is domain and g == want and g.pieces == want.pieces
+        u = domain.relint_point()
+        assert g.value(u) == fraction_value(want, u) == k * f.value(u)
+
+
+def test_embedding_at_a_height_matches_the_fraction_route():
+    rng = random.Random(37)
+    for p in _random_polyhedra(37, 120):
+        h = rng.choice([0, F(rng.randint(-5, 5), rng.randint(1, 4))])
+        if p.empty:
+            want = Polyhedron.empty_polyhedron(p.n + 1)
+        else:
+            want = Polyhedron.from_generators(
+                [v + (h,) for v in p.vertices], [r + (0,) for r in p.rays], [l + (0,) for l in p.lines], p.n + 1
+            )
+        assert _fields(_embed_at_height(p, h)) == _fields(want)
+
+
+def test_lattice_window_matches_the_fraction_route():
+    rng = random.Random(38)
+    nonempty = 0
+    for p in _random_polyhedra(38, 120):
+        steps = rng.randint(0, 2)
+        want = []
+        if not p.empty:
+            box = Polyhedron.from_generators(p.vertices, n=p.n)
+            for g in (*p.rays, *p.lines, *(tuple(-x for x in l) for l in p.lines)):
+                box = box.minkowski(Polyhedron.from_generators([(0,) * p.n, tuple(steps * x for x in g)], n=p.n))
+            want = [x for x in box.lattice_points() if p.contains_point(x)]
+        assert p.lattice_window(steps) == want
+        nonempty += bool(want)
+    assert nonempty >= 60

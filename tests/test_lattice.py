@@ -169,6 +169,7 @@ def test_snf_transforms():
                 else:
                     assert prod[i][j] == 0 == d[i][j]
         diag = [d[i][i] for i in range(min(m, n))]
+        assert all(x >= 0 for x in diag)
         for x, y in zip(diag, diag[1:]):
             if y != 0:
                 assert x != 0 and y % x == 0

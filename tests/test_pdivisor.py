@@ -13,6 +13,7 @@ from pdivisors.base import (
     declared_label,
     is_inf,
     point_label,
+    positivity,
     ray_label,
 )
 from pdivisors.errors import AmbientMismatch, NotPointed, UnsupportedBase, WeightOutsideCone
@@ -175,6 +176,21 @@ def test_sigma_only_divisor_fails_bigness():
     d = PolyhedralDivisor(P1, 1, Cone.from_rays([(1,)]), {})
     rep = d.is_proper()
     assert rep.semiample and not rep.big and rep.fulldim_weightcone
+
+
+def test_non_qcartier_prime_fails_properness():
+    # the cone over a square: no m has <m, rho> = -a_rho on all four rays
+    # when a is 1 at (1, 0, 1) and 0 at the others, so that prime is not
+    # Q-Cartier
+    rays = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    base = BaseVariety.toric([Cone.from_rays(rays)], name="square")
+    coeff = Polyhedron.from_generators([(1,)], [(1,)], n=1)
+    d = PolyhedralDivisor(base, 1, Cone.from_rays([(1,)]), {base.ray((1, 0, 1)): coeff})
+    flags = positivity(d.evaluate((1,)))
+    assert not flags.qcartier and not flags.semiample and flags.big
+    rep = d.is_proper()
+    assert rep.qcartier is False and not rep.proper
+    assert rep.failures == (("qcartier", (1,)), ("semiample", (1,)))
 
 
 def test_degree_polyhedron():

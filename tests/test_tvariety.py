@@ -345,6 +345,47 @@ def test_sharpness_failure():
     assert sharpness(psi) == "fails"
 
 
+def test_sharpness_at_a_multiple():
+    # Psi = 1/2 at 0 needs k = 2 for an integral order
+    box = hull([(0,)])
+    psi = PLDivisorMap(P1, box, {point_label(0): ConcavePL(box, [((0,), F(1, 2))])})
+    assert sharpness(psi) == "asymptotically_sharp"
+
+
+def test_sharpness_inconclusive_on_an_unbounded_region():
+    # the failing value of `test_sharpness_failure` on the whole line: the
+    # window finds no witness, and the region goes on past it
+    line = Polyhedron.from_generators([(0,)], lines=[(1,)])
+    psi = PLDivisorMap(P1, line, {point_label(0): ConcavePL(line, [((0,), F(-1))])})
+    assert sharpness(psi) == "inconclusive"
+
+
+def test_bpf_inconclusive_on_an_unbounded_region():
+    # one member over Q^1 with the point coefficient {1/2} at 0: its class
+    # there is unbounded, and Psi_0(u) = u/2 + 1/3 is never integral
+    p0, pinf = point_label(0), point_label(INF)
+    m = PolyhedralDivisor(P1, 1, Cone.zero(1), {p0: point_poly(F(1, 2)), pinf: Polyhedron.empty_polyhedron(1)})
+    d = TInvariantDivisor(DivisorialFan(P1, [m]), vertex_coeffs={(p0, (F(1, 2),)): F(1, 3)})
+    rep = is_basepoint_free(d)
+    assert rep.status == "inconclusive"
+    assert list(rep.witnesses) == [(0, "generic")]
+
+
+def test_bpf_not_free_on_an_empty_region():
+    # the slice at 0 has the vertices 0 and 1; the first member's class there
+    # needs u = 0 on its tail ray and u >= 1 to attain the minimum at 0
+    p0, pinf = point_label(0), point_label(INF)
+    empty = Polyhedron.empty_polyhedron(1)
+    members = [
+        PolyhedralDivisor(P1, 1, Cone.from_rays([(-1,)]), {p0: halfline(0, -1), pinf: empty}),
+        PolyhedralDivisor(P1, 1, Cone.from_rays([(1,)]), {p0: halfline(1, 1), pinf: empty}),
+    ]
+    d = TInvariantDivisor(DivisorialFan(P1, members), vertex_coeffs={(p0, (F(0),)): 1})
+    rep = is_basepoint_free(d)
+    assert rep.status == "not_free" and rep.witnesses == {}
+    assert rep.failing == ((0, "0"),)
+
+
 def test_concavity_of_psi_exact():
     fan = complete_cstar_fan()
     rng = random.Random(103)
