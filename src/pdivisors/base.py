@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedBase,
     ZeroFunction,
 )
-from .linalg import Vec, _lattice_vector, frac, integral_solve, rank, smith_normal_form, solve, vdot
+from .linalg import Vec, _hermite, _lattice_vector, frac, integral_solve, rank, solve, vdot
 from .polyhedra import Cone, Polyhedron, _members
 
 
@@ -345,18 +345,19 @@ class BaseVariety:
 def cone_index(c: Cone) -> int:
     """Index of the lattice spanned by the rays of c in its saturation.
 
-    The product of the Smith invariant factors of the ray matrix; 0 when the
-    rays are linearly dependent, that is when c is not simplicial.
+    The product of the pivots of the Hermite form [H | 0] of the ray matrix
+    (|det H|, the gcd of its maximal minors); 0 when the rays are linearly
+    dependent, that is when c is not simplicial.
     """
     k = len(c.rays)
-    if k > c.n:
+    cols, pivots = _hermite(zip(*c.rays), k)
+    if len(pivots) < k:
         return 0
-    _, d, _ = smith_normal_form(c.rays)
-    return abs(math.prod(d[i][i] for i in range(k)))
+    return math.prod(col[i] for col, i in zip(cols, pivots))
 
 
 def cone_is_smooth(c: Cone) -> bool:
-    """Simplicial with an extendable lattice basis (all SNF factors 1)."""
+    """Simplicial with an extendable lattice basis (all Hermite pivots 1)."""
     return c.is_pointed() and cone_index(c) == 1
 
 

@@ -68,7 +68,8 @@ def cox_sequence(fan: DivisorialFan) -> CoxData:
     p = len(primes)
     n = fan.n
     # quotient Z^P / Z (1, ..., 1), the degrees of the points of P^1, by
-    # the rows e_i - e_0 (those the Smith form of the all-ones column gives)
+    # the rows e_i - e_0: they vanish on (1, ..., 1), and with e_0 they
+    # form a basis of the dual of Z^P
     q_rows = [[int(j == i) - int(j == 0) for j in range(p)] for i in range(1, p)]
     # the presentation matrix
     cols = []

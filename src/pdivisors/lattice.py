@@ -7,14 +7,15 @@ Fraction, one built per entry.  The
 interesting content is `smith_split`, which splits a surjection of lattices
 into a section, a compatible cosection and a kernel basis, canonicalized so
 that repeated runs (and hand-written tests) see identical matrices.  It
-works on integer lists throughout: one Smith normal form gives the section
-and the kernel, and one fraction-free elimination inverts [section | kernel]
-to give the cosection.
+works on integer lists throughout: one Hermite normal form with its
+transform gives the section and the kernel, and one fraction-free
+elimination inverts [section | kernel] to give the cosection.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from operator import mul
 
 from ._record import _Frozen
@@ -23,10 +24,11 @@ from .linalg import (
     Vec,
     _cleared,
     _echelon,
+    _hermite,
     _int_row,
     _lattice_vector,
-    int_identity,
-    smith_normal_form,
+    _reduce_mod_columns,
+    _with_identity,
 )
 
 
@@ -90,45 +92,6 @@ def primitive_and_multiplicity(v) -> tuple[Vec, int]:
     return direction, multiplicity(v)
 
 
-def _hnf_columns(cols: list[list[int]]) -> list[list[int]]:
-    """Column Hermite normal form (lower-triangular style), as column list."""
-    cols = [list(c) for c in cols]
-    if not cols:
-        return []
-    m = len(cols[0])
-    j = 0
-    for i in range(m):
-        piv = next((k for k in range(j, len(cols)) if cols[k][i] != 0), None)
-        if piv is None:
-            continue
-        cols[j], cols[piv] = cols[piv], cols[j]
-        # clear row i on the right of the pivot column via gcd steps
-        for k in range(j + 1, len(cols)):
-            while cols[k][i] != 0:
-                q = cols[j][i] // cols[k][i]
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[k])]
-                cols[j], cols[k] = cols[k], cols[j]
-        if cols[j][i] < 0:
-            cols[j] = [-a for a in cols[j]]
-        for k in range(j):
-            q = cols[k][i] // cols[j][i]
-            if q:
-                cols[k] = [a - q * b for a, b in zip(cols[k], cols[j])]
-        j += 1
-    return [c for c in cols if any(c)]
-
-
-def _reduce_mod_columns(col: list[int], hnf_cols: list[list[int]]) -> list[int]:
-    """Canonical representative of col modulo the column lattice (HNF input)."""
-    col = list(col)
-    for h in hnf_cols:
-        i = next(k for k in range(len(h)) if h[k] != 0)
-        q = col[i] // h[i]
-        if q:
-            col = [a - q * b for a, b in zip(col, h)]
-    return col
-
-
 def smith_split(pr: LatticeMap):
     """Split a surjection pr: M -> Mbar of lattices.
 
@@ -142,24 +105,18 @@ def smith_split(pr: LatticeMap):
     it.  Every other splitting has section s_star + kernel . A and cosection
     t - A . pr for an integer matrix A, and reduces to this one.
     """
-    a = pr.matrix
     mbar, m = pr.target.rank, pr.source.rank
-    if mbar == 0:
-        kern = LatticeMap(pr.source, pr.source, int_identity(m))
-        t = LatticeMap(pr.source, pr.source, int_identity(m))
-        s_star = LatticeMap(pr.target, pr.source, [[] for _ in range(m)])
-        return s_star, t, kern
-    u, d, v = smith_normal_form(a)
-    diag = [d[i][i] for i in range(min(mbar, m))]
-    # the diagonal of D is nonnegative, so D = [I | 0] exactly on a surjection
-    if len([x for x in diag if x != 0]) < mbar or any(x != 1 for x in diag if x != 0):
-        raise NotSurjective(f"invariant factors {diag} are not all unit")
-    # section S = V[:, :mbar] . U ; kernel K = column HNF of V[:, mbar:]
-    s_cols = [
-        [sum(v[r][k] * u[k][j] for k in range(mbar)) for r in range(m)] for j in range(mbar)
-    ]
-    ker_cols = _hnf_columns([[v[r][i] for r in range(m)] for i in range(mbar, m)])
-    s_cols = [_reduce_mod_columns(c, ker_cols) for c in s_cols]
+    # pr V = [H | 0]; pr is onto exactly when H = I, that is when every
+    # row holds a pivot 1 (the entries left of a pivot 1 are 0)
+    v, pivots = _hermite(_with_identity(pr.matrix, m), mbar)
+    if len(pivots) < mbar:
+        raise NotSurjective(f"the map has rank {len(pivots)}, its target {mbar}")
+    if any(c[i] != 1 for c, i in zip(v, pivots)):
+        raise NotSurjective(f"the image has index {prod(c[i] for c, i in zip(v, pivots))} in the target")
+    # section: the first mbar columns of V; kernel: the Hermite basis of
+    # the rest, and each section column reduced modulo it
+    ker_cols = _hermite([c[mbar:] for c in v[mbar:]], m)[0]
+    s_cols = [_reduce_mod_columns(c[mbar:], ker_cols) for c in v[:mbar]]
     cols = s_cols + ker_cols
     # [S | K] is unimodular with inverse [pr; t]: t is the last m - mbar rows
     # of the inverse, read off one elimination of [S | K | I]

@@ -10,7 +10,8 @@ point test compares integer dot products and a minimum of ratios compares
 them by cross-multiplication (`_least`); a `Fraction` is built only for a
 value that leaves the library.  Rank, kernel and `solve`
 run on one fraction-free elimination over integer rows (`_echelon`), and
-integer matrices on one Smith normal form.  Nothing here eliminates over
+lattice computations on one Hermite normal form with its unimodular
+transform (`_hermite`).  Nothing here eliminates over
 Fractions, and nothing ever touches a float.
 """
 
@@ -180,110 +181,86 @@ def solve(rows, b) -> Vec | None:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form with transforms (integer matrices as lists of int lists)
+# Hermite normal form with its transform (integer columns as int lists)
 # ---------------------------------------------------------------------------
 
 
-def smith_normal_form(a):
-    """Smith normal form with transforms: returns (U, D, V) with U A V = D.
+def _hermite(cols, rows: int) -> tuple[list[list[int]], list[int]]:
+    """Column Hermite normal form of the first `rows` entries of integer
+    columns, the remaining entries carried along; returns (cols, pivots).
 
-    U and V are unimodular integer matrices, D is diagonal with d_i | d_{i+1}
-    and d_i >= 0.
+    Unimodular column operations bring the top block A to [H | 0]: column j
+    of H has its first nonzero entry, the pivot, at row pivots[j], pivots
+    increase and are positive, and each entry left of a pivot in its row
+    lies in [0, pivot).  A row is cleared by gcd steps and the entries left
+    of its pivot are reduced at once, so they stay below the pivot (the
+    reduction of Kannan-Bachem, SIAM J. Comput. 1979).  With the identity
+    stacked under A the carried entries are the transform V, A V = [H | 0].
+    The columns past the pivots are zero on top; with `rows` the full
+    length they are zero, and the pivot columns are the Hermite basis of
+    the column lattice.
     """
-    d = [list(map(int, row)) for row in a]
-    m = len(d)
-    n = len(d[0]) if m else 0
-    u = int_identity(m)
-    v = int_identity(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, k):
-        d[dst] = [x + k * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, k):
-        for row in d:
-            row[dst] += k * row[src]
-        for row in v:
-            row[dst] += k * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(m, n):
-        # find pivot: nonzero entry of minimal absolute value in the submatrix
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        if d[t][t] < 0:
-            negate_row(t)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    add_row(t, i, -q)
-                    if d[i][t] != 0:
-                        swap_rows(t, i)
-                        if d[t][t] < 0:
-                            negate_row(t)
-                        dirty = True
-            for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    add_col(t, j, -q)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                        if d[t][t] < 0:
-                            negate_row(t)
-                        dirty = True
-        # enforce divisibility d[t][t] | d[i][j]: add the first failing row
-        # once and search the pivot again, which makes the pivot strictly
-        # smaller; adding a row once per failing entry can cycle
-        bad = next(
-            (i for i in range(t + 1, m) for j in range(t + 1, n) if d[i][j] % d[t][t]),
-            None,
-        )
-        if bad is not None:
-            add_row(bad, t, 1)
+    cols = [list(c) for c in cols]
+    pivots = []
+    j = 0
+    for i in range(rows):
+        piv = next((k for k in range(j, len(cols)) if cols[k][i]), None)
+        if piv is None:
             continue
-        t += 1
-    return u, d, v
+        cols[j], cols[piv] = cols[piv], cols[j]
+        for k in range(j + 1, len(cols)):
+            while cols[k][i]:
+                q = cols[j][i] // cols[k][i]
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[k])]
+                cols[j], cols[k] = cols[k], cols[j]
+        if cols[j][i] < 0:
+            cols[j] = [-a for a in cols[j]]
+        for k in range(j):
+            q = cols[k][i] // cols[j][i]
+            if q:
+                cols[k] = [a - q * b for a, b in zip(cols[k], cols[j])]
+        pivots.append(i)
+        j += 1
+    return cols, pivots
+
+
+def _with_identity(a, n: int) -> list[list[int]]:
+    """The n columns of A stacked on the identity, the input of `_hermite`
+    that carries the transform."""
+    return [[int(row[j]) for row in a] + [int(i == j) for i in range(n)] for j in range(n)]
+
+
+def _reduce_mod_columns(col: list[int], hnf_cols: list[list[int]]) -> list[int]:
+    """Canonical representative of col modulo the lattice of Hermite basis
+    columns: the entry at each pivot row ends in [0, pivot)."""
+    col = list(col)
+    for h in hnf_cols:
+        i = next(k for k in range(len(h)) if h[k] != 0)
+        q = col[i] // h[i]
+        if q:
+            col = [a - q * b for a, b in zip(col, h)]
+    return col
 
 
 def integral_solve(a, b) -> list[int] | None:
-    """One integer solution of A x = b (integer A, b), or None."""
-    u, d, v = smith_normal_form(a)
-    m = len(a)
-    n = len(a[0]) if a else 0
-    ub = [sum(u[i][k] * int(b[k]) for k in range(m)) for i in range(m)]
-    y = [0] * n
-    for i in range(min(m, n)):
-        if d[i][i] != 0:
-            if ub[i] % d[i][i] != 0:
+    """An integer solution of A x = b (integer A, b), or None.
+
+    A V = [H | 0] gives x = V y with y found by forward substitution on H.
+    The solution is the least one modulo the kernel: reduced modulo the
+    Hermite basis of ker A, the columns of V past the pivots.
+    """
+    m, n = len(a), len(a[0]) if a else 0
+    cols, pivots = _hermite(_with_identity(a, n), m)
+    y = []
+    for i in range(m):
+        rest = int(b[i]) - sum(yj * c[i] for yj, c in zip(y, cols))
+        if len(y) < len(pivots) and pivots[len(y)] == i:
+            q, r = divmod(rest, cols[len(y)][i])
+            if r:
                 return None
-            y[i] = ub[i] // d[i][i]
-        elif ub[i] != 0:
+            y.append(q)
+        elif rest:
             return None
-    for i in range(min(m, n), m):
-        if ub[i] != 0:
-            return None
-    return [sum(v[i][k] * y[k] for k in range(n)) for i in range(n)]
+    kernel = _hermite([c[m:] for c in cols[len(pivots):]], n)[0]
+    x = [sum(yj * c[m + k] for yj, c in zip(y, cols)) for k in range(n)]
+    return _reduce_mod_columns(x, kernel)

@@ -34,7 +34,7 @@ from .errors import (
     WeightOutsideCone,
 )
 from .lattice import LatticeMap
-from .linalg import _cleared, smith_normal_form, solve, vec
+from .linalg import _cleared, _hermite, _with_identity, solve, transpose, vec
 from .polyhedra import (
     Cone,
     PolyhedralComplex,
@@ -374,7 +374,10 @@ def toric_downgrade(delta: Cone, sub: LatticeMap):
     `sub` embeds the subtorus cocharacter lattice Nbar into the big lattice.
     Returns (base, divisor, report): the toric base on the image fan of the
     quotient projection, the polyhedral divisor with fiber coefficients, and
-    its properness report.
+    its properness report.  The quotient coordinates and the retraction onto
+    Nbar are columns of the unimodular transform V of the Hermite form
+    sub^T V = [H | 0]; another basis of the quotient would give the same
+    variety in other coordinates.
     """
     if not delta.is_pointed():
         raise NotPointed("toric downgrade needs a pointed cone")
@@ -382,19 +385,18 @@ def toric_downgrade(delta: Cone, sub: LatticeMap):
     k = sub.source.rank
     if k > ntilde:
         raise NotSplit(f"{k} sublattice generators exceed the lattice rank {ntilde}")
-    # quotient projection killing the sublattice, from the Smith form
-    # U . sub . V = D
+    # H has k pivots when the generators are independent, and is I when
+    # they span a saturated sublattice
     quot_rank = ntilde - k
-    u, dmat, v = smith_normal_form(sub.matrix)
-    diagonal = [abs(dmat[i][i]) for i in range(k)]
-    if 0 in diagonal:
+    v, pivots = _hermite(_with_identity(transpose(sub.matrix), ntilde), k)
+    if len(pivots) < k:
         raise NotSplit("sublattice generators are linearly dependent")
-    if any(x != 1 for x in diagonal):
+    if any(c[i] != 1 for c, i in zip(v, pivots)):
         raise NotSplit("sublattice is not saturated (torsion quotient)")
-    # rows k.. of U kill the image and are unimodular onto the quotient
-    q_rows = [u[i] for i in range(k, ntilde)]
-    # retraction onto Nbar: s = V . (first k rows of U)
-    s_rows = [[sum(v[i][t] * u[t][j] for t in range(k)) for j in range(ntilde)] for i in range(k)]
+    # the columns of V past k kill the sublattice and map the big lattice
+    # onto the quotient; the first k retract onto Nbar (s . sub = H = I)
+    q_rows = [c[k:] for c in v[k:]]
+    s_rows = [c[k:] for c in v[:k]]
     dpoly = delta.as_polyhedron()
     # image fan: chamber complex of the projected faces
     cones = []

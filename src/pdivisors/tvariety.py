@@ -861,10 +861,10 @@ def sharpness(psi: PLDivisorMap) -> str:
             if region.empty:
                 continue
             bounded = region.is_bounded()
-            window = region.lattice_window()
+            # the values at the window points do not depend on k
+            values = [psi.evaluate(u) for u in region.lattice_window()]
             for k in range(1, SHARPNESS_K_BOUND + 1):
-                for u in window:
-                    dv = psi.evaluate(u)
+                for dv in values:
                     val = dv.coefficient(label)
                     if is_inf(val):
                         continue

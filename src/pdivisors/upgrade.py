@@ -11,13 +11,13 @@ simply reports the violated hypotheses, an informative output in itself.
 from __future__ import annotations
 
 from itertools import product
-from math import lcm
+from math import prod
 from operator import mul
 
 from ._record import _Record
-from .base import INF, BaseVariety, cone_index, cone_is_smooth
+from .base import INF, BaseVariety, cone_is_smooth
 from .errors import AmbientMismatch, NoDegreeMap
-from .linalg import _cleared, _int_row, smith_normal_form, vec
+from .linalg import _cleared, _hermite, _int_row, vec
 from .pdivisor import PolyhedralDivisor, PropernessReport
 from .polyhedra import Cone, Polyhedron, _members
 from .tvariety import DivisorialFan, invariant_index
@@ -250,26 +250,33 @@ def _parallelotope_point(c: Cone):
 
     The lattice points of the half-open parallelotope {sum l_j r_j : 0 <= l_j
     < 1} of a simplicial cone represent the quotient of the saturated
-    lattice by the lattice of the rays.  With the Smith normal form
-    U A V = D of the ray matrix A, that quotient is the sum of the Z/d_i,
-    and its element c has the coefficients l = frac(c D^-1 U).  The point is
-    the lexicographically least nonzero one.  A cone that is not simplicial
-    gets the primitive vector on the sum of its rays, a point of its
-    relative interior.
+    lattice by the lattice of the rays.  With the Hermite form A V = [H | 0]
+    of the ray matrix A, a point l A is integral exactly when y = l H is, so
+    the y with 0 <= y_i < h_ii represent that quotient and give the
+    coefficients l = frac(y H^-1).  The point is the lexicographically
+    least nonzero one.  A cone that is not simplicial gets the primitive
+    vector on the sum of its rays, a point of its relative interior.
     """
     rays = c.rays
-    if not cone_index(c):
+    k = len(rays)
+    h, pivots = _hermite(zip(*rays), k)
+    if len(pivots) < k:
         return _int_row([sum(col) for col in zip(*rays)])
-    u, d, _ = smith_normal_form(rays)
-    diag = [abs(d[i][i]) for i in range(len(rays))]
-    # l_j = num_j / den with num_j = sum_i c_i (den / d_i) u_ij mod den
-    den = lcm(*diag)
-    steps = [[den // di * x for x in row] for di, row in zip(diag, u)]
+    # H[i][j] = h[j][i] is lower triangular; the rows of den H^-1, den =
+    # det H, solve w H = den e_i from the last entry up
+    diag = [h[i][i] for i in range(k)]
+    den = prod(diag)
+    steps = []
+    for i in range(k):
+        w = [0] * k
+        for j in reversed(range(k)):
+            w[j] = (den * (i == j) - sum(w[t] * h[j][t] for t in range(j + 1, k))) // h[j][j]
+        steps.append(w)
     candidates = []
-    for cs in product(*map(range, diag)):
-        if not any(cs):
+    for ys in product(*map(range, diag)):
+        if not any(ys):
             continue
-        num = [sum(ci * row[j] for ci, row in zip(cs, steps)) % den for j in range(len(rays))]
+        num = [sum(yi * row[j] for yi, row in zip(ys, steps)) % den for j in range(k)]
         candidates.append(tuple(sum(map(mul, num, col)) // den for col in zip(*rays)))
     if not candidates:
         raise ValueError("no subdivision point found (cone already smooth?)")

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from pdivisors.base import INF, BaseVariety, CurveFunction, is_inf, point_label
 from pdivisors.lattice import LatticeMap, multiplicity
-from fraction_route import fraction_rank
-from pdivisors.linalg import smith_normal_form, vdot, vec
+from fraction_route import fraction_det, fraction_rank
+from pdivisors.linalg import vdot, vec
 from pdivisors import polyhedra
 from pdivisors.pdivisor import PolyhedralDivisor
 from pdivisors.polyhedra import Cone, Polyhedron, hull
@@ -56,11 +57,21 @@ def identity_on(lat) -> LatticeMap:
     return LatticeMap(lat, lat, [[int(i == j) for j in range(lat.rank)] for i in range(lat.rank)])
 
 
+def minors_gcd(a, k: int) -> int:
+    """The gcd of the k x k minors of the integer matrix a, every minor
+    computed (0 when all vanish, 1 for k = 0): the product of the first k
+    invariant factors."""
+    m, n = len(a), len(a[0]) if a else 0
+    return math.gcd(*(
+        int(fraction_det([[a[i][j] for j in cs] for i in rs]))
+        for rs in itertools.combinations(range(m), k)
+        for cs in itertools.combinations(range(n), k)
+    ))
+
+
 def is_surjective(f: LatticeMap) -> bool:
-    """The invariant factors of f's matrix are target-rank many units."""
-    d = smith_normal_form(f.matrix)[1] if f.matrix else []
-    diag = [x for x in (d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))) if x]
-    return len(diag) == f.target.rank and all(abs(x) == 1 for x in diag)
+    """The maximal minors of f's matrix are target-rank square and coprime."""
+    return f.target.rank <= f.source.rank and minors_gcd(f.matrix, f.target.rank) == 1
 
 
 def curve_mul(f: CurveFunction, g: CurveFunction) -> CurveFunction:

@@ -1,27 +1,37 @@
 from __future__ import annotations
 
+import itertools
 import random
+import time
 from fractions import Fraction
+from math import prod
+from operator import mul
 
 import pytest
 from exact_lp import lp_feasible, lp_min
-from helpers import compose, identity_on, is_surjective, mat_mul
+from fraction_route import fraction_det, fraction_rank
+from helpers import compose, identity_on, is_surjective, mat_mul, minors_gcd
 
+from pdivisors.base import cone_index
 from pdivisors.errors import NotSurjective, ZeroVector
 from pdivisors.lattice import (
     Lattice,
     LatticeMap,
-    _reduce_mod_columns,
     multiplicity,
     primitive_and_multiplicity,
     smith_split,
 )
+from pdivisors.polyhedra import Cone
 from pdivisors.linalg import (
+    _hermite,
     _kernel,
+    _reduce_mod_columns,
+    _with_identity,
+    integral_solve,
     mat_vec,
     rank,
-    smith_normal_form,
     solve,
+    transpose,
     vec,
 )
 
@@ -143,37 +153,126 @@ def test_primitive_direction_scale_invariant():
         assert d1 == d2
 
 
-def test_snf_transforms():
+def _check_hermite(a):
+    """A V = [H | 0] with V unimodular and H in Hermite form: increasing
+    pivot rows, each pivot positive and the first nonzero entry of its
+    column, the entries left of it in [0, pivot), and zero columns after
+    the pivots.  Returns (H columns, pivots)."""
+    m, n = len(a), len(a[0])
+    cols, pivots = _hermite(_with_identity(a, n), m)
+    h = [c[:m] for c in cols]
+    v = [c[m:] for c in cols]
+    assert [list(c) for c in zip(*mat_mul(a, transpose(v)))] == h
+    assert abs(fraction_det(transpose(v))) == 1
+    assert pivots == sorted(set(pivots))
+    for j, i in enumerate(pivots):
+        assert h[j][i] > 0 and not any(h[j][:i])
+        assert all(0 <= h[k][i] < h[j][i] for k in range(j))
+    assert not any(any(c) for c in h[len(pivots):])
+    return h, pivots
+
+
+def _unimodular(rng, n):
+    """A random unimodular n x n matrix: elementary column operations
+    applied to the identity."""
+    w = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        f = rng.choice((-2, -1, 1, 2))
+        for row in w:
+            if i == j:
+                row[i] = -row[i]
+            else:
+                row[j] += f * row[i]
+    return w
+
+
+def test_hermite_transforms():
     rng = random.Random(3)
     cases = []
     for _ in range(40):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         cases.append([[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)])
-    # the divisibility step once cycled on these (the second is the
-    # projection of a `pdiv downgrade` that never returned)
+    # the divisibility step of a Smith normal form once cycled on these (the
+    # second is the projection of a `pdiv downgrade` that never returned)
     cases += [[[2, 0, 0], [0, 3, 5]], [[4, -3, 0, -3], [-2, 4, 4, -4]]]
     rng = random.Random(2026)
     for _ in range(600):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
         cases.append([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
+    assert len(cases) == 642
     for a in cases:
-        m, n = len(a), len(a[0])
-        u, d, v = smith_normal_form(a)
-        prod = mat_mul(mat_mul(vec_rows(u), vec_rows(a)), vec_rows(v))
-        for i in range(m):
-            for j in range(n):
-                if i == j:
-                    assert prod[i][j] == d[i][j]
-                else:
-                    assert prod[i][j] == 0 == d[i][j]
-        diag = [d[i][i] for i in range(min(m, n))]
-        assert all(x >= 0 for x in diag)
-        for x, y in zip(diag, diag[1:]):
-            if y != 0:
-                assert x != 0 and y % x == 0
-    assert smith_normal_form([[2, 0, 0], [0, 3, 5]])[1] == [[1, 0, 0], [0, 2, 0]]
+        h, pivots = _check_hermite(a)
+        # the pivots count the rank, and their product is the gcd of the
+        # maximal minors of the pivot rows: on r = m rows the product of
+        # the invariant factors
+        r = len(pivots)
+        assert r == fraction_rank(a)
+        assert prod(h[j][i] for j, i in enumerate(pivots)) == minors_gcd([a[i] for i in pivots], r)
+        # the form is one per column lattice: A W has it too, W unimodular
+        w = _unimodular(rng, len(a[0]))
+        assert _check_hermite([list(row) for row in mat_mul(a, w)]) == (h, pivots)
+    assert _check_hermite([[2, 0, 0], [0, 3, 5]]) == ([[2, 0], [0, 1], [0, 0]], [0, 1])
+
+
+def test_hermite_property():
+    rng = random.Random(7)
+    for _ in range(3000):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, 6)
+        _check_hermite([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+
+
+def test_cone_index_of_a_matrix_that_blew_up_the_smith_form():
+    # a Smith normal form eliminating on these rows did not finish in 30 s,
+    # its entries 158 bits long after three pivots
+    rows = [
+        [6, 7, 0, -7, -6, -7],
+        [3, 4, 6, -7, -1, 7],
+        [-2, 5, 1, 6, 4, 2],
+        [8, 5, 1, -8, -6, 5],
+        [-7, -1, -5, -8, 8, -5],
+        [-7, 5, -8, 0, -7, 1],
+    ]
+    c = Cone.from_rays(rows)
+    start = time.perf_counter()
+    assert cone_index(c) == 1_249_866 == abs(fraction_det(rows))
+    assert time.perf_counter() - start < 5
+    h, _ = _check_hermite(rows)
+    assert max(abs(x) for col in h for x in col).bit_length() <= 21
+
+
+def test_integral_solve_least_witness():
+    rng = random.Random(13)
+    for _ in range(150):
+        m = rng.randint(1, 3)
+        n = rng.randint(1, 3)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        cols, pivots = _hermite(_with_identity(a, n), m)
+        kernel = _hermite([c[m:] for c in cols[len(pivots):]], n)[0]
+        # brute force: the solutions y in a box, grouped by right-hand side
+        found = {}
+        for y in itertools.product(range(-2, 3), repeat=n):
+            found.setdefault(tuple(sum(map(mul, row, y)) for row in a), []).append(list(y))
+        # solvable over Z exactly when the rank and the gcd of the minors of
+        # that size agree for A and [A | b]
+        r = fraction_rank(a)
+        g = minors_gcd(a, r)
+        for b in itertools.product(range(-2, 3), repeat=m):
+            x = integral_solve(a, b)
+            ab = [list(row) + [bb] for row, bb in zip(a, b)]
+            assert (x is not None) == (fraction_rank(ab) == r and minors_gcd(ab, r) == g)
+            assert x is not None or b not in found
+        # every solution is the witness plus a kernel vector, and reduces
+        # back to it modulo the kernel's Hermite basis
+        for b, ys in found.items():
+            x = integral_solve(a, b)
+            assert tuple(sum(map(mul, row, x)) for row in a) == b
+            assert _reduce_mod_columns(x, kernel) == x
+            for y in ys:
+                assert _reduce_mod_columns(y, kernel) == x
 
 
 def vec_rows(a):
