@@ -525,23 +525,15 @@ def cmd_sections(args):
 
 def cmd_bpf(args):
     # the document reuses the invariant-pdivisor layout with single-point
-    # rank-one coefficients standing for the scalar a_rho and b_{P,v}
-    d, doc = _load(args.input, "invariant_pdivisor")
-    fan = d.fan
+    # rank-one coefficients standing for the scalar a_rho and b_{P,v}: at
+    # the weight 1 each coefficient is its point
+    d, _ = _load(args.input, "invariant_pdivisor")
     if d.n != 1:
         raise SchemaError("bpf documents carry rank-one coefficient points")
-    rc = {}
-    for r in d.rays:
-        p = d.ray_coefficient(r)
+    for p in [*map(d.ray_coefficient, d.rays), *d.vertex_coeffs.values()]:
         if not p.is_bounded() or len(p.vertices) != 1:
             raise SchemaError("bpf needs scalar (single point) coefficients")
-        rc[r] = p.vertices[0][0]
-    vc = {}
-    for (l, v), p in d.vertex_coeffs.items():
-        if not p.is_bounded() or len(p.vertices) != 1:
-            raise SchemaError("bpf needs scalar (single point) coefficients")
-        vc[(l, v)] = p.vertices[0][0]
-    div = TInvariantDivisor(fan, rc, vc, rays=d.rays, verts=d.verts)
+    div = TInvariantDivisor(d.fan, *d.weights_at((1,)), rays=d.rays, verts=d.verts)
     rep = is_basepoint_free(div, window_steps=args.window)
     code = {"free": 0, "not_free": 2, "inconclusive": 3}[rep.status]
     payload = {

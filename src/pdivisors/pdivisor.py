@@ -34,7 +34,7 @@ from .errors import (
     WeightOutsideCone,
 )
 from .lattice import LatticeMap
-from .linalg import _cleared, _hermite, _with_identity, solve, transpose, vec
+from .linalg import _cleared, _hermite, _reduce_mod_columns, _with_identity, solve, transpose, vec
 from .polyhedra import (
     Cone,
     PolyhedralComplex,
@@ -368,6 +368,27 @@ def as_curve_divisor(d: PolyhedralDivisor) -> PolyhedralDivisor:
 # ---------------------------------------------------------------------------
 
 
+def _quotient_split(sub: LatticeMap, ntilde: int):
+    """(q_rows, s_rows) for the sublattice of Z^ntilde spanned by the
+    columns of `sub`, off the unimodular V of sub^T V = [H | 0]: the columns
+    of V past k kill the sublattice and map onto the quotient, and the first
+    k retract onto Nbar (s . sub = H = I), each reduced modulo the Hermite
+    basis of the q rows as `smith_split` reduces its section."""
+    k = sub.source.rank
+    if k > ntilde:
+        raise NotSplit(f"{k} sublattice generators exceed the lattice rank {ntilde}")
+    # H has k pivots when the generators are independent, and is I when
+    # they span a saturated sublattice
+    v, pivots = _hermite(_with_identity(transpose(sub.matrix), ntilde), k)
+    if len(pivots) < k:
+        raise NotSplit("sublattice generators are linearly dependent")
+    if any(c[i] != 1 for c, i in zip(v, pivots)):
+        raise NotSplit("sublattice is not saturated (torsion quotient)")
+    q_rows = [c[k:] for c in v[k:]]
+    q_basis = _hermite(q_rows, ntilde)[0]
+    return q_rows, [_reduce_mod_columns(c[k:], q_basis) for c in v[:k]]
+
+
 def toric_downgrade(delta: Cone, sub: LatticeMap):
     """Describe the toric variety of `delta` under the subtorus of `sub`.
 
@@ -375,28 +396,14 @@ def toric_downgrade(delta: Cone, sub: LatticeMap):
     Returns (base, divisor, report): the toric base on the image fan of the
     quotient projection, the polyhedral divisor with fiber coefficients, and
     its properness report.  The quotient coordinates and the retraction onto
-    Nbar are columns of the unimodular transform V of the Hermite form
-    sub^T V = [H | 0]; another basis of the quotient would give the same
-    variety in other coordinates.
+    Nbar are those of `_quotient_split`; another basis of the quotient would
+    give the same variety in other coordinates.
     """
     if not delta.is_pointed():
         raise NotPointed("toric downgrade needs a pointed cone")
-    ntilde = delta.n
     k = sub.source.rank
-    if k > ntilde:
-        raise NotSplit(f"{k} sublattice generators exceed the lattice rank {ntilde}")
-    # H has k pivots when the generators are independent, and is I when
-    # they span a saturated sublattice
-    quot_rank = ntilde - k
-    v, pivots = _hermite(_with_identity(transpose(sub.matrix), ntilde), k)
-    if len(pivots) < k:
-        raise NotSplit("sublattice generators are linearly dependent")
-    if any(c[i] != 1 for c, i in zip(v, pivots)):
-        raise NotSplit("sublattice is not saturated (torsion quotient)")
-    # the columns of V past k kill the sublattice and map the big lattice
-    # onto the quotient; the first k retract onto Nbar (s . sub = H = I)
-    q_rows = [c[k:] for c in v[k:]]
-    s_rows = [c[k:] for c in v[:k]]
+    quot_rank = delta.n - k
+    q_rows, s_rows = _quotient_split(sub, delta.n)
     dpoly = delta.as_polyhedron()
     # image fan: chamber complex of the projected faces
     cones = []

@@ -241,6 +241,31 @@ def invariant_index(fan: DivisorialFan, rays=None, verts=None, primes=()):
     return rays, verts
 
 
+def _index_items(rays, verts, ray_coeffs, vertex_coeffs, of: str = ""):
+    """The items of `ray_coeffs` and `vertex_coeffs` keyed by the index
+    (rays, verts): a ray key becomes the index's own ray, a vertex key
+    (prime, `vec(v)`), and a key the index lacks raises ValueError.  Each
+    key is checked as its iterator reaches it, in turn with a caller's
+    value checks."""
+    own = dict(zip(rays, rays))
+
+    def ray(item):
+        given, x = item
+        r = own.get(tuple(given))
+        if r is None:
+            raise ValueError(f"({','.join(map(str, given))}) is not an invariant ray{of}")
+        return r, x
+
+    def vertex(item):
+        (label, v), x = item
+        key = (label, vec(v))
+        if key[1] not in verts.get(label, ()):
+            raise ValueError(f"({label.id}, {v}) is not an invariant vertex")
+        return key, x
+
+    return map(ray, (ray_coeffs or {}).items()), map(vertex, (vertex_coeffs or {}).items())
+
+
 # ---------------------------------------------------------------------------
 # invariant divisors
 # ---------------------------------------------------------------------------
@@ -258,23 +283,12 @@ class TInvariantDivisor:
         self.fan = fan
         self.rays, verts = invariant_index(fan, rays, verts)
         self.verts = MappingProxyType(verts)
-        # a key keeps the index's own ray: an equal tuple finds it
+        ray_items, vertex_items = _index_items(self.rays, verts, ray_coeffs, vertex_coeffs)
         rc = dict.fromkeys(self.rays, F0)
-        for r, a in (ray_coeffs or {}).items():
-            r = tuple(r)
-            if r not in rc:
-                raise ValueError(f"({','.join(map(str, r))}) is not an invariant ray")
-            rc[r] = frac(a)
+        rc.update((r, frac(a)) for r, a in ray_items)
         self.ray_coeffs = MappingProxyType(rc)
-        vc = {}
-        for label, vs in verts.items():
-            for v in vs:
-                vc[(label, v)] = F0
-        for (label, v), b in (vertex_coeffs or {}).items():
-            key = (label, vec(v))
-            if key not in vc:
-                raise ValueError(f"({label.id}, {v}) is not an invariant vertex")
-            vc[key] = frac(b)
+        vc = {(label, v): F0 for label, vs in verts.items() for v in vs}
+        vc.update((key, frac(b)) for key, b in vertex_items)
         self.vertex_coeffs = MappingProxyType(vc)
         self._psi = None
 
@@ -714,8 +728,6 @@ def _section_with_orders(base, required, psi_values, slack_points):
         if is_inf(val):
             continue  # removed from the locus: unconstrained pole allowed
         orders[label] = Fraction(math.ceil(-val))
-    if any(is_inf(v) for v in orders.values()):
-        return None
     total = sum(orders.values(), Fraction(0))
     if base.kind == "open_p1":
         # absorb any excess at a removed point
@@ -740,14 +752,39 @@ def _section_with_orders(base, required, psi_values, slack_points):
     return CurveFunction(factors)
 
 
+def _witness(base, dv, label, k, marked, slack_points):
+    """The witness query of both searches, dv the divisor map at a weight:
+    a section s with ord_P(s) >= ceil(-k dv_P) at the marked points P and
+    ord(s) = -k dv, an integer, at `label` (None: the generic class), or
+    None.  Both searches ask only at primes with a function, so dv is
+    finite at `label`."""
+    required = {}
+    if label is not None:
+        target = -k * dv.coefficient(label)
+        if target.denominator != 1:
+            return None
+        required[label] = target
+    scaled = {l: c if is_inf(c := dv.coefficient(l)) else k * c for l in marked}
+    return _section_with_orders(base, required, scaled, slack_points)
+
+
+def _miss_fails(region: Polyhedron) -> bool:
+    """The verdict rule of both searches on a region whose window holds no
+    witness: they fail at once if the window holds all of its lattice points
+    (bounded or empty); otherwise the verdict is inconclusive unless a later
+    region fails."""
+    return not region.rays and not region.lines
+
+
 def is_basepoint_free(d: TInvariantDivisor, window_steps: int = 1) -> BpfReport:
     """Search for section witnesses member by member and class by class.
 
     For each member and each point class of the base (the marked points plus
     one generic class), a weight u and section s must exist with
     Psi_P(u) + ord_P(s) = 0 and the member's coefficient flat at u.  The
-    search enumerates lattice weights in a window of Box^D; an exhausted
-    unbounded window yields "inconclusive", never "not_free".
+    search enumerates lattice weights in a window of Box^D (`_witness` at
+    k = 1); a miss fails it or makes it inconclusive by `_miss_fails`, so an
+    unbounded window never yields "not_free".
     """
     fan = d.fan
     if fan.base.kind not in ("P1", "open_p1"):
@@ -766,7 +803,6 @@ def is_basepoint_free(d: TInvariantDivisor, window_steps: int = 1) -> BpfReport:
         classes = [l for l in marked if not member.coefficient(l).empty]
         classes.append(None)  # the generic class
         for label in classes:
-            found = None
             constraint_eqs = []
             attain_ineqs = []
             if label is None:
@@ -790,44 +826,24 @@ def is_basepoint_free(d: TInvariantDivisor, window_steps: int = 1) -> BpfReport:
             region = Polyhedron.from_H(
                 list(box.ineqs) + attain_ineqs, list(box.eqs) + constraint_eqs, box.n
             )
-            if region.empty:
-                return BpfReport(
-                    "not_free",
-                    witnesses,
-                    failing=((mi, label.id if label else "generic"),),
-                )
-            bounded = region.is_bounded()
-            for u in region.lattice_window(window_steps):
-                dv = pl.evaluate(u)
-                required = {}
-                if label is not None:
-                    val = dv.coefficient(label)
-                    if is_inf(val) or val.denominator != 1:
-                        continue
-                    required[label] = -val
-                else:
-                    required = {}
-                psi_vals = {l: dv.coefficient(l) for l in marked}
-                s = _section_with_orders(fan.base, required, psi_vals, slack_points)
-                if s is None:
-                    continue
-                # any slack zeros of s sit at unmarked points; generic-class
-                # instances at those points use a shifted slack point instead
-                found = (u, s)
-                break
-            if found is None:
-                if bounded:
-                    return BpfReport(
-                        "not_free",
-                        witnesses,
-                        failing=((mi, label.id if label else "generic"),),
-                    )
-                inconclusive = True
+            # any slack zeros of s sit at unmarked points; generic-class
+            # instances at those points use a shifted slack point instead
+            found = next(
+                (
+                    (u, s)
+                    for u in region.lattice_window(window_steps)
+                    if (s := _witness(fan.base, pl.evaluate(u), label, 1, marked, slack_points)) is not None
+                ),
+                None,
+            )
+            key = (mi, label.id if label else "generic")
+            if found is not None:
+                witnesses[key] = found
+            elif _miss_fails(region):
+                return BpfReport("not_free", witnesses, failing=(key,))
             else:
-                witnesses[(mi, label.id if label else "generic")] = found
-    if inconclusive:
-        return BpfReport("inconclusive", witnesses)
-    return BpfReport("free", witnesses)
+                inconclusive = True
+    return BpfReport("inconclusive" if inconclusive else "free", witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -841,8 +857,10 @@ SHARPNESS_K_BOUND = 12
 
 def sharpness(psi: PLDivisorMap) -> str:
     """Classify a divisor map as sharp / asymptotically_sharp / fails /
-    inconclusive by searching section witnesses at the vertices of each
-    prime's function modulo its lineality space.
+    inconclusive by searching section witnesses (`_witness`, k up to
+    `SHARPNESS_K_BOUND`) at the vertices of each prime's function modulo
+    its lineality space; a miss fails the search or makes it inconclusive
+    by `_miss_fails`, whatever the order of the primes.
     """
     base = psi.base
     if base.kind not in ("P1", "open_p1"):
@@ -850,41 +868,29 @@ def sharpness(psi: PLDivisorMap) -> str:
     marked = [l for l in psi.marked() if l.kind == "point"]
     slack_points = spare_points(marked)
     overall = "sharp"
+    inconclusive = False
     for label, f in psi.per_prime.items():
         if is_inf(f):
             continue
         lin = f.lineality()
         for (ubar, _val) in f.graph_vertices():
-            found_k = None
             slab = Polyhedron.from_generators([ubar], lines=lin, n=psi.box.n)
+            # ubar lies in the box, the domain of f, so the region holds it
             region = psi.box.intersect(slab)
-            if region.empty:
-                continue
-            bounded = region.is_bounded()
             # the values at the window points do not depend on k
             values = [psi.evaluate(u) for u in region.lattice_window()]
-            for k in range(1, SHARPNESS_K_BOUND + 1):
-                for dv in values:
-                    val = dv.coefficient(label)
-                    if is_inf(val):
-                        continue
-                    target = -k * val
-                    if target.denominator != 1:
-                        continue
-                    scaled = {}
-                    for l2 in marked:
-                        c2 = dv.coefficient(l2)
-                        scaled[l2] = INF if is_inf(c2) else k * c2
-                    s = _section_with_orders(base, {label: target}, scaled, slack_points)
-                    if s is not None:
-                        found_k = k
-                        break
-                if found_k is not None:
-                    break
+            found_k = next(
+                (
+                    k
+                    for k in range(1, SHARPNESS_K_BOUND + 1)
+                    if any(_witness(base, dv, label, k, marked, slack_points) is not None for dv in values)
+                ),
+                None,
+            )
             if found_k is None:
-                if bounded:
+                if _miss_fails(region):
                     return "fails"
-                return "inconclusive"
-            if found_k > 1:
+                inconclusive = True
+            elif found_k > 1:
                 overall = "asymptotically_sharp"
-    return overall
+    return "inconclusive" if inconclusive else overall

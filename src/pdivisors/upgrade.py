@@ -17,10 +17,10 @@ from operator import mul
 from ._record import _Record
 from .base import INF, BaseVariety, cone_is_smooth
 from .errors import AmbientMismatch, NoDegreeMap
-from .linalg import _cleared, _hermite, _int_row, vec
+from .linalg import _cleared, _hermite, _int_row
 from .pdivisor import PolyhedralDivisor, PropernessReport
 from .polyhedra import Cone, Polyhedron, _members
-from .tvariety import DivisorialFan, invariant_index
+from .tvariety import DivisorialFan, _index_items, invariant_index
 
 
 class InvariantPDivisorOnFan:
@@ -39,13 +39,9 @@ class InvariantPDivisorOnFan:
         self.tail = tail
         self.rays, self.verts = invariant_index(fan, rays, verts)
         trivial = tail.as_polyhedron()
-        # a key is the index's own ray, which an equal tuple finds
-        invariant_rays = dict(zip(self.rays, self.rays))
+        ray_items, vertex_items = _index_items(self.rays, self.verts, ray_coeffs, vertex_coeffs, " of the fan")
         rc = {}
-        for given, p in (ray_coeffs or {}).items():
-            r = invariant_rays.get(tuple(given))
-            if r is None:
-                raise ValueError(f"({','.join(map(str, given))}) is not an invariant ray of the fan")
+        for r, p in ray_items:
             if p.empty:
                 raise ValueError("ray coefficients must be nonempty")
             if p.tail() != tail:
@@ -54,10 +50,7 @@ class InvariantPDivisorOnFan:
                 rc[r] = p
         self.ray_coeffs = rc
         vc = {}
-        for (label, v), p in (vertex_coeffs or {}).items():
-            key = (label, vec(v))
-            if key[0] not in self.verts or key[1] not in self.verts[key[0]]:
-                raise ValueError(f"({label.id}, {v}) is not an invariant vertex")
+        for key, p in vertex_items:
             if not p.empty:
                 if p.tail() != tail:
                     raise ValueError("vertex coefficient tail differs from the tailcone")

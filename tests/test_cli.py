@@ -660,3 +660,29 @@ def test_import_leaves_out_dataclasses_and_inspect():
     loaded = set(proc.stdout.split())
     assert "pdivisors.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+def _bpf_doc(n, tail, **coeffs):
+    from helpers import complete_cstar_fan
+    from pdivisors.upgrade import InvariantPDivisorOnFan
+
+    return cli.emit(InvariantPDivisorOnFan(complete_cstar_fan(), n, tail, **coeffs), "invariant_pdivisor")
+
+
+def test_bpf_rejects_coefficients_that_are_no_scalars(tmp_path, capsys):
+    from helpers import halfline
+    from pdivisors.polyhedra import Cone
+
+    p = tmp_path / "bpf.json"
+    p.write_bytes(_bpf_doc(2, Cone.zero(2)))
+    assert cli.main(["bpf", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: bpf documents carry rank-one coefficient points\n"
+    # with a ray in the tail the ray (-1,), left to its default (the tail
+    # itself), has no single point either
+    p.write_bytes(_bpf_doc(1, Cone.from_rays([(1,)]), ray_coeffs={(1,): halfline(2, 1)}))
+    assert cli.main(["bpf", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: bpf needs scalar (single point) coefficients\n"

@@ -331,6 +331,32 @@ def test_toric_downgrade_full_sublattice():
     assert dbar.coeffs == {}
 
 
+def test_quotient_split_retraction_is_reduced():
+    # the retraction rows s are reduced modulo the lattice of the quotient
+    # rows q, which s . sub does not see: 18 bits at most on these draws,
+    # where the first columns of the Hermite transform, read as they are,
+    # reach 73
+    from pdivisors.errors import NotSplit
+    from pdivisors.pdivisor import _quotient_split
+
+    rng = random.Random(7)
+    saturated = 0
+    for _ in range(3000):
+        n = rng.randint(2, 6)
+        k = rng.randint(1, n - 1)
+        gens = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+        sub = LatticeMap(Lattice(k), Lattice(n), [[g[i] for g in gens] for i in range(n)])
+        try:
+            q_rows, s_rows = _quotient_split(sub, n)
+        except NotSplit:
+            continue
+        saturated += 1
+        assert [[vdot(s, g) for g in gens] for s in s_rows] == [[int(i == j) for j in range(k)] for i in range(k)]
+        assert all(vdot(q, g) == 0 for q in q_rows for g in gens)
+        assert max(abs(x).bit_length() for s in s_rows for x in s) <= 20
+    assert saturated == 2174
+
+
 def test_toric_downgrade_needs_a_pointed_cone():
     delta = Cone.from_rays([(1, 0)], [(0, 1)])
     with pytest.raises(NotPointed):

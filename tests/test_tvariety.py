@@ -360,6 +360,18 @@ def test_sharpness_inconclusive_on_an_unbounded_region():
     assert sharpness(psi) == "inconclusive"
 
 
+def test_sharpness_verdict_does_not_depend_on_the_order_of_the_primes():
+    # A misses on the whole line, which the window does not cover; B misses
+    # on the single point 0, so the search fails whichever prime comes first
+    line = Polyhedron.from_generators([(0,)], lines=[(1,)])
+    a = ConcavePL(line, [((0,), F(-1))])
+    b = ConcavePL(line, [((1,), F(-1)), ((-1,), F(-1))])
+    p0, p1 = point_label(0), point_label(1)
+    for per in ({p0: a, p1: b}, {p1: b}, {p0: b, p1: a}):
+        assert sharpness(PLDivisorMap(P1, line, per)) == "fails"
+    assert sharpness(PLDivisorMap(P1, line, {p0: a})) == "inconclusive"
+
+
 def test_bpf_inconclusive_on_an_unbounded_region():
     # one member over Q^1 with the point coefficient {1/2} at 0: its class
     # there is unbounded, and Psi_0(u) = u/2 + 1/3 is never integral
@@ -384,6 +396,54 @@ def test_bpf_not_free_on_an_empty_region():
     rep = is_basepoint_free(d)
     assert rep.status == "not_free" and rep.witnesses == {}
     assert rep.failing == ((0, "0"),)
+
+
+def test_witnesses_on_an_open_curve():
+    # the slack of a section goes to the removed point 5
+    base = BaseVariety.open_projective_line([5])
+    p0, p1 = point_label(0), point_label(1)
+    plus, minus = Cone.from_rays([(1,)]), Cone.from_rays([(-1,)])
+    fan = DivisorialFan(base, [
+        PolyhedralDivisor(base, 1, plus, {p0: halfline(F(1, 2), 1), p1: halfline(1, 1)}),
+        PolyhedralDivisor(base, 1, minus, {p0: halfline(F(1, 2), -1), p1: halfline(1, -1)}),
+    ])
+    d = TInvariantDivisor(fan, {(1,): 2}, {(p0, (F(1, 2),)): 1, (p1, (1,)): -1})
+    rep = is_basepoint_free(d)
+    assert rep.status == "free"
+    assert {k: (u, repr(s)) for k, (u, s) in rep.witnesses.items()} == {
+        (0, "0"): ((-2,), "(x-1)^3*(x-5)^-3"),
+        (0, "1"): ((-2,), "(x-1)^3*(x-5)^-3"),
+        (0, "generic"): ((-2,), "(x-1)^3*(x-5)^-3"),
+        (1, "0"): ((0,), "x^-1*(x-1)"),
+        (1, "1"): ((0,), "(x-1)*x^-1"),
+        (1, "generic"): ((0,), "x^-1*(x-1)"),
+    }
+
+
+@pytest.mark.parametrize("value, verdict, found", [
+    (F(-1), "sharp", ["x*(x-5)^-1", "x*(x-5)^-1"]),
+    (F(1, 2), "asymptotically_sharp", ["x^-1*(x-5)", "x^-1*(x-5)"]),
+])
+def test_sharpness_witnesses_on_an_open_curve(monkeypatch, value, verdict, found):
+    # the prime at infinity carries no function and is skipped; the search
+    # at each of the two vertices of the box finds one section
+    from pdivisors import tvariety
+
+    sections = []
+
+    def recorded(*args):
+        s = section_with_orders(*args)
+        if s is not None:
+            sections.append(repr(s))
+        return s
+
+    section_with_orders = tvariety._section_with_orders
+    monkeypatch.setattr(tvariety, "_section_with_orders", recorded)
+    base = BaseVariety.open_projective_line([5])
+    box = interval(-1, 2)
+    psi = PLDivisorMap(base, box, {point_label(0): ConcavePL(box, [((0,), value)]), point_label(INF): INF})
+    assert sharpness(psi) == verdict
+    assert sections == found
 
 
 def test_concavity_of_psi_exact():
