@@ -186,7 +186,8 @@ class BaseVariety:
         self.removed = tuple(removed)
         self.fan = tuple(fan)  # maximal cones (Cone objects)
         self.rank_n = rank_n
-        self.semiprojective = semiprojective
+        # P^1 is projective and its open subsets are affine
+        self.semiprojective = semiprojective or self.is_curve()
         self.name = name or kind
         self._declared: dict[str, PrimeDivisorLabel] = {}
         self._degrees: dict[tuple, Fraction] = {}  # ray -> degree, on a toric base
@@ -245,6 +246,10 @@ class BaseVariety:
     def ray_degree(self, ray) -> Fraction | None:
         return self._degrees.get(ray)
 
+    def is_curve(self) -> bool:
+        """P^1 or an open subset of it: the bases whose primes are points."""
+        return self.kind in ("P1", "open_p1")
+
     def has_degree_map(self) -> bool:
         if self.kind == "toric":
             return bool(self._degrees) and all(r in self._degrees for r in self.rays())
@@ -276,7 +281,7 @@ class BaseVariety:
         return label
 
     def point(self, x) -> PrimeDivisorLabel:
-        if self.kind not in ("P1", "open_p1"):
+        if not self.is_curve():
             raise UnsupportedBase("point labels only live on curve bases")
         x = INF if is_inf(x) else frac(x)
         if self.kind == "open_p1" and x in self.removed:
@@ -313,12 +318,14 @@ class BaseVariety:
                 return False
         return True
 
-    def carrier_rays(self, x) -> list[Vec] | None:
-        """Rays of the smallest fan face containing x, None if no cone does.
+    def carrier_coordinates(self, x) -> dict[Vec, Fraction] | None:
+        """x on the rays of the smallest fan face containing it, as ray ->
+        coefficient, or None if no cone contains x.
 
         Over overlapping cones the first face of least dimension wins.  In a
         cone c that face is spanned by the rays of c tight on every
-        inequality of c that is tight at x.
+        inequality of c that is tight at x, so its rays write x; on a face
+        that is not simplicial the coefficients are one solution.
         """
         best = None
         for c in self.fan:
@@ -328,7 +335,22 @@ class BaseVariety:
             dim = rank(rays) if rays else 0
             if best is None or dim < best[0]:
                 best = (dim, rays)
-        return None if best is None else best[1]
+        if best is None:
+            return None
+        rays = best[1]
+        return dict(zip(rays, solve([list(r) for r in zip(*rays)], x))) if rays else {}
+
+    def locus_is_affine(self, removed) -> bool:
+        """Whether the base without the primes `removed` is affine: an open
+        subset of P^1 always is, P^1 once a prime is removed, and a toric
+        base when the cones without a removed ray are the faces of one
+        cone; a declared prime cuts out no toric open set."""
+        if self.is_curve():
+            return self.kind == "open_p1" or bool(removed)
+        if self.kind != "toric":
+            raise UnsupportedBase(self.kind)
+        rays = [l.ray for l in removed if l.kind == "ray"]
+        return len(rays) == len(removed) and len(self.subfan_without_rays(rays)) == 1
 
     def subfan_without_rays(self, removed_rays) -> list[Cone]:
         removed = set(removed_rays)
@@ -440,11 +462,7 @@ class QDivisor:
 def degree(d: QDivisor):
     """Sum of coefficient * degree(P); INF if any coefficient is infinite."""
     base = d.base
-    if base.kind == "P1":
-        pass
-    elif base.kind == "toric" and base.fan_is_complete() and base.has_degree_map():
-        pass
-    else:
+    if not (base.has_degree_map() and (base.kind == "P1" or base.fan_is_complete())):
         raise NoDegreeMap(f"base {base.name} is not projective with a degree map")
     if d.infinity_primes():
         return INF
@@ -652,7 +670,7 @@ def global_sections(d: QDivisor, pole_bound: int | None = None) -> SectionSpace:
     if pole_bound is not None and pole_bound < 0:
         raise NegativePoleBound(f"the pole bound must be >= 0, got {pole_bound}")
     base = d.base
-    if base.kind in ("P1", "open_p1"):
+    if base.is_curve():
         # in a fixed order: the order of f0's factors is that of `work`
         removed = dict.fromkeys([*base.removed, *(l.point for l in d.infinity_primes())])
         work = {l.point: c for l, c in d.finite_part().items()}
@@ -731,7 +749,7 @@ def is_principal(d: QDivisor):
         if is_inf(c) or c.denominator != 1:
             raise NonIntegral("principality needs integral finite coefficients")
     base = d.base
-    if base.kind in ("P1", "open_p1"):
+    if base.is_curve():
         total = sum(d.coeffs.values(), Fraction(0))
         if total != 0:
             return False, None
@@ -758,7 +776,7 @@ class PositivityFlags(_Frozen):
 def positivity(d: QDivisor) -> PositivityFlags:
     """Q-Cartier / semiample / big flags of d restricted to its locus."""
     base = d.base
-    if base.kind in ("P1", "open_p1"):
+    if base.is_curve():
         if base.kind == "open_p1" or d.infinity_primes():
             return PositivityFlags(True, True, True)
         # the sign of the degree, summed over one common denominator

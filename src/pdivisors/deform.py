@@ -421,16 +421,7 @@ def structure_map(din: DeformationInput):
 def _toric_divisor_multiplicity(target: BaseVariety, point, h_ray):
     """Coefficient of the pullback of the h_ray prime at a ray mapping to
     `point`: the h_ray coordinate of the minimal cone expression."""
-    from .linalg import solve
-
-    if all(x == 0 for x in point):
-        return Fraction(0)
-    rays = target.carrier_rays(point)
-    if rays is None:
+    lam = target.carrier_coordinates(point)
+    if lam is None:
         raise UnsupportedBase("ray image misses the target fan")
-    lam = solve([list(x) for x in zip(*rays)], point)
-    out = Fraction(0)
-    for coef, r in zip(lam, rays):
-        if tuple(r) == tuple(h_ray):
-            out += coef
-    return out
+    return lam.get(h_ray, Fraction(0))

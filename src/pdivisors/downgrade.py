@@ -255,7 +255,7 @@ def downgrade(d: PolyhedralDivisor, ctx: DowngradeContext):
     coefficients.  The slices are computed both from the dual subdivisions
     and from the projected faces; the two routes must agree.
     """
-    if d.base.kind not in ("P1", "open_p1"):
+    if not d.base.is_curve():
         raise NotProper("the downgrade runs over smooth curve bases")
     report = d.is_proper()
     if not report.proper:

@@ -34,7 +34,7 @@ from .errors import (
     WeightOutsideCone,
 )
 from .lattice import LatticeMap
-from .linalg import _cleared, _hermite, _reduce_mod_columns, _with_identity, solve, transpose, vec
+from .linalg import _cleared, _hermite, _reduce_mod_columns, _with_identity, transpose, vec
 from .polyhedra import (
     Cone,
     PolyhedralComplex,
@@ -178,23 +178,9 @@ class PolyhedralDivisor:
         )
 
     def _locus_semiprojective(self) -> bool:
-        base = self.base
+        """The locus is semiprojective when the base is or when it is affine."""
         empties = self.empty_primes()
-        if base.kind == "P1":
-            return True  # projective, or affine after removing points
-        if base.kind == "open_p1":
-            return True  # affine curves
-        if base.kind == "toric":
-            removed = [l.ray for l in empties if l.kind == "ray"]
-            if any(l.kind != "ray" for l in empties):
-                return base.semiprojective
-            if not removed:
-                return base.semiprojective
-            sub = base.subfan_without_rays(removed)
-            if len(sub) == 1:
-                return True  # affine locus
-            return base.semiprojective
-        raise UnsupportedBase(base.kind)
+        return self.base.semiprojective or bool(empties) and self.base.locus_is_affine(empties)
 
     # -- degree ----------------------------------------------------------------
 
@@ -202,7 +188,7 @@ class PolyhedralDivisor:
         if self.empty_primes():
             raise EmptyCoefficient("degree needs all coefficients nonempty")
         base = self.base
-        if not (base.kind == "P1" or (base.kind == "toric" and base.has_degree_map())):
+        if not base.has_degree_map():
             raise NoDegreeMap("degree polyhedron needs a projective base with degrees")
         out = self.tail.as_polyhedron()
         for label, p in self.coeffs.items():
@@ -321,16 +307,13 @@ def _toric_base_pullback(d, base_map: LatticeMap, new_base: BaseVariety):
     coeffs = {}
     for r in new_base.rays():
         img = tuple(sum(map(mul, row, r)) for row in rows)
-        rays = d.base.carrier_rays(img)
-        if rays is None:
+        lam = d.base.carrier_coordinates(img)
+        if lam is None:
             raise IndeterminateBaseMap(f"ray image {img} misses the target fan")
-        if not rays:
-            continue
-        lam = solve([list(x) for x in zip(*rays)], img)
-        if lam is None or any(x < 0 for x in lam):
+        if any(x < 0 for x in lam.values()):
             raise IndeterminateBaseMap("ray image is not a nonnegative ray combination")
         total = None
-        for mult, rho in zip(lam, rays):
+        for rho, mult in lam.items():
             if mult == 0:
                 continue
             p = d.coefficient(ray_label(rho, d.base.ray_degree(rho))).scale(mult)
@@ -399,6 +382,8 @@ def toric_downgrade(delta: Cone, sub: LatticeMap):
     Nbar are those of `_quotient_split`; another basis of the quotient would
     give the same variety in other coordinates.
     """
+    if sub.target.rank != delta.n:
+        raise AmbientMismatch(f"the sublattice map targets Z^{sub.target.rank}, the cone lives in Q^{delta.n}")
     if not delta.is_pointed():
         raise NotPointed("toric downgrade needs a pointed cone")
     k = sub.source.rank

@@ -121,19 +121,7 @@ class DivisorialFan:
         return self._index
 
     def member_locus_affine(self, member) -> bool:
-        base = self.base
-        empties = member.empty_primes()
-        if base.kind == "open_p1":
-            return True
-        if base.kind == "P1":
-            return bool(empties)
-        if base.kind == "toric":
-            removed = [l.ray for l in empties if l.kind == "ray"]
-            if len(removed) != len(empties):
-                return False  # declared primes do not cut out toric opens
-            sub = base.subfan_without_rays(removed)
-            return len(sub) == 1
-        raise UnsupportedBase(base.kind)
+        return self.base.locus_is_affine(member.empty_primes())
 
     def rays(self) -> list[Vec]:
         return self._tailfan.rays()
@@ -164,7 +152,7 @@ def contraction_free_refinement(fan: DivisorialFan) -> DivisorialFan:
     """
     from .pdivisor import PolyhedralDivisor
 
-    if fan.base.kind not in ("P1", "open_p1"):
+    if not fan.base.is_curve():
         raise UnsupportedBase("the splitting is implemented for curve bases")
     marked = [l for l in fan.marked_primes() if l.kind == "point"]
     if len(marked) < 2:
@@ -787,7 +775,7 @@ def is_basepoint_free(d: TInvariantDivisor, window_steps: int = 1) -> BpfReport:
     unbounded window never yields "not_free".
     """
     fan = d.fan
-    if fan.base.kind not in ("P1", "open_p1"):
+    if not fan.base.is_curve():
         raise UnsupportedBase("base-point-freeness search runs on curve bases")
     if not fan.is_contraction_free():
         raise NotContractionFree("the criterion needs a contraction-free fan")
@@ -863,7 +851,7 @@ def sharpness(psi: PLDivisorMap) -> str:
     by `_miss_fails`, whatever the order of the primes.
     """
     base = psi.base
-    if base.kind not in ("P1", "open_p1"):
+    if not base.is_curve():
         raise UnsupportedBase("sharpness search runs on curve bases")
     marked = [l for l in psi.marked() if l.kind == "point"]
     slack_points = spare_points(marked)

@@ -172,14 +172,8 @@ class UpgradeResult(_Record):
 
 def upgrade(d: InvariantPDivisorOnFan) -> UpgradeResult:
     """Tailcone and coefficients combined, with hypothesis bookkeeping."""
-    out = upgrade_coefficients(d)
     fan = d.fan
-    cf = fan.is_contraction_free()
-    if fan.base.kind == "toric":
-        smooth = fan.base.fan_is_smooth()
-    else:
-        smooth = True  # curves here are P^1 or opens in it
-    return UpgradeResult(out, cf, smooth)
+    return UpgradeResult(upgrade_coefficients(d), fan.is_contraction_free(), fan.base.fan_is_smooth())
 
 
 def correct_pic_z(d: PolyhedralDivisor) -> tuple[PolyhedralDivisor, PropernessReport]:
@@ -190,7 +184,7 @@ def correct_pic_z(d: PolyhedralDivisor) -> tuple[PolyhedralDivisor, PropernessRe
     everywhere and X is unchanged.
     """
     base = d.base
-    if not (base.kind == "P1" or (base.kind == "toric" and base.has_degree_map())):
+    if not base.has_degree_map():
         raise NoDegreeMap("the correction needs a projective base with degrees")
     # the cone over the degree polyhedron: `hom` with its last entry dropped
     n, hom = d.n, d.degree_polyhedron().hom

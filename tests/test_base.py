@@ -23,11 +23,20 @@ from pdivisors.base import (
     ray_label,
 )
 from pdivisors import base as base_module
-from pdivisors.errors import NegativePoleBound, NoDegreeMap, NonIntegral, TooManySections, UnsupportedBase
+from pdivisors.errors import (
+    EmptyCoefficient,
+    NegativePoleBound,
+    NoDegreeMap,
+    NonIntegral,
+    PDivError,
+    TooManySections,
+    UnsupportedBase,
+)
 from pdivisors.lattice import Lattice, LatticeMap
 from pdivisors.pdivisor import PolyhedralDivisor
 from pdivisors.polyhedra import Cone, Polyhedron
 from pdivisors.tvariety import DivisorialFan, invariant_index
+from pdivisors.upgrade import correct_pic_z
 from test_upgrade import noncf_p2_fan
 
 F = Fraction
@@ -403,3 +412,95 @@ def test_toric_functions_print_and_compare_canonically():
     # the characters of a section basis print sorted
     basis = global_sections(qdiv(P2, [(P2.ray((1, 0)), 1)])).basis
     assert [repr(f) for f in basis] == ["chi^(-1,0)", "chi^(-1,1)", "chi^(0,0)"]
+
+
+# -- the locus and degree questions each base answers ------------------------
+
+
+def _plane_fan(*cones):
+    return [Cone.from_rays(c) for c in cones]
+
+
+LOCUS_BASES = {
+    "P1": P1,
+    "open P1": BaseVariety.open_projective_line([INF]),
+    "one cone": BaseVariety.toric(_plane_fan([(1, 0), (0, 1)]), name="A2"),
+    "complete with degrees": BaseVariety.toric(
+        P2_CONES, degrees={(1, 0): 1, (0, 1): 1, (-1, -1): 1}, name="P2"
+    ),
+    "declared prime": BaseVariety.toric(_plane_fan([(1, 0), (1, 1)], [(1, 1), (0, 1)]), name="Bl0(A2)"),
+    "not semiprojective": BaseVariety.toric(
+        _plane_fan([(1, 0)], [(0, 1)]), semiprojective=False, name="A2 minus 0"
+    ),
+}
+LOCUS_BASES["declared prime"].declare_prime(declared_label("D", [((1, 1), -1)]))
+REMOVED_PRIMES = {
+    "none": (),
+    "point": (point_label(0),),
+    "ray": (ray_label((1, 0)),),
+    "declared": (declared_label("D", [((1, 1), -1)]),),
+}
+EMPTY_COEFF = (EmptyCoefficient, "degree needs all coefficients nonempty")
+NO_POLYHEDRON = (NoDegreeMap, "degree polyhedron needs a projective base with degrees")
+NO_CORRECTION = (NoDegreeMap, "the correction needs a projective base with degrees")
+DECLARED_INF = (UnsupportedBase, "infinite coefficients on declared primes")
+
+
+def _no_degree(name):
+    return (NoDegreeMap, f"base {name} is not projective with a degree map")
+
+
+# (base, removed primes, member_locus_affine, is_proper().loc_semiprojective,
+#  degree at the weight 1, degree_polyhedron, correct_pic_z): an exception
+#  as its (class, message), "ok" for an accepted input
+LOCUS_TABLE = [
+    ("P1", "none", False, True, 0, "ok", "ok"),
+    ("P1", "point", True, True, INF, EMPTY_COEFF, EMPTY_COEFF),
+    ("P1", "ray", True, True, INF, EMPTY_COEFF, EMPTY_COEFF),
+    ("P1", "declared", True, True, INF, EMPTY_COEFF, EMPTY_COEFF),
+    ("open P1", "none", True, True, _no_degree("P1 minus points"), NO_POLYHEDRON, NO_CORRECTION),
+    ("open P1", "point", True, True, _no_degree("P1 minus points"), EMPTY_COEFF, NO_CORRECTION),
+    ("open P1", "ray", True, True, _no_degree("P1 minus points"), EMPTY_COEFF, NO_CORRECTION),
+    ("open P1", "declared", True, True, _no_degree("P1 minus points"), EMPTY_COEFF, NO_CORRECTION),
+    ("one cone", "none", True, True, _no_degree("A2"), NO_POLYHEDRON, NO_CORRECTION),
+    ("one cone", "point", False, True, _no_degree("A2"), EMPTY_COEFF, NO_CORRECTION),
+    ("one cone", "ray", True, True, _no_degree("A2"), EMPTY_COEFF, NO_CORRECTION),
+    ("one cone", "declared", False, DECLARED_INF, _no_degree("A2"), EMPTY_COEFF, NO_CORRECTION),
+    ("complete with degrees", "none", False, True, 0, "ok", "ok"),
+    ("complete with degrees", "point", False, True, INF, EMPTY_COEFF, EMPTY_COEFF),
+    ("complete with degrees", "ray", True, True, INF, EMPTY_COEFF, EMPTY_COEFF),
+    ("complete with degrees", "declared", False, DECLARED_INF, INF, EMPTY_COEFF, EMPTY_COEFF),
+    ("declared prime", "none", False, True, _no_degree("Bl0(A2)"), NO_POLYHEDRON, NO_CORRECTION),
+    ("declared prime", "point", False, True, _no_degree("Bl0(A2)"), EMPTY_COEFF, NO_CORRECTION),
+    ("declared prime", "ray", True, True, _no_degree("Bl0(A2)"), EMPTY_COEFF, NO_CORRECTION),
+    ("declared prime", "declared", False, DECLARED_INF, _no_degree("Bl0(A2)"), EMPTY_COEFF, NO_CORRECTION),
+    ("not semiprojective", "none", False, False, _no_degree("A2 minus 0"), NO_POLYHEDRON, NO_CORRECTION),
+    ("not semiprojective", "point", False, False, _no_degree("A2 minus 0"), EMPTY_COEFF, NO_CORRECTION),
+    ("not semiprojective", "ray", True, True, _no_degree("A2 minus 0"), EMPTY_COEFF, NO_CORRECTION),
+    ("not semiprojective", "declared", False, DECLARED_INF, _no_degree("A2 minus 0"), EMPTY_COEFF, NO_CORRECTION),
+]
+
+
+def _outcome(f):
+    try:
+        return f()
+    except PDivError as e:
+        return (type(e), str(e))
+
+
+@pytest.mark.parametrize(
+    "base, removed, affine, semiprojective, deg, polyhedron, correction",
+    LOCUS_TABLE,
+    ids=[f"{b}-{r}" for b, r, *_ in LOCUS_TABLE],
+)
+def test_locus_and_degree_questions(base, removed, affine, semiprojective, deg, polyhedron, correction):
+    # the divisor on the half-line tail whose coefficients are empty
+    # exactly at the removed primes
+    b = LOCUS_BASES[base]
+    e = Polyhedron.empty_polyhedron(1)
+    d = PolyhedralDivisor(b, 1, Cone.from_rays([(1,)]), {l: e for l in REMOVED_PRIMES[removed]})
+    assert DivisorialFan(b, [d]).member_locus_affine(d) is affine
+    assert _outcome(lambda: d.is_proper().loc_semiprojective) == semiprojective
+    assert _outcome(lambda: degree(d.evaluate((1,)))) == deg
+    assert _outcome(lambda: d.degree_polyhedron() and "ok") == polyhedron
+    assert _outcome(lambda: correct_pic_z(d) and "ok") == correction

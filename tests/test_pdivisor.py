@@ -363,6 +363,16 @@ def test_toric_downgrade_needs_a_pointed_cone():
         toric_downgrade(delta, LatticeMap(Lattice(1), Lattice(2), [[1], [0]]))
 
 
+@pytest.mark.parametrize("rows", [[[1], [0]], [[0], [0], [1], [1]]], ids=["Z^2", "Z^4"])
+def test_toric_downgrade_needs_the_lattice_of_the_cone(rows):
+    # on the orthant of Q^3, a map into Z^2 once raised a bare IndexError
+    # and one into Z^4 dropped its fourth entry
+    delta = Cone.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    sub = LatticeMap(Lattice(1), Lattice(len(rows)), rows)
+    with pytest.raises(AmbientMismatch, match=f"sublattice map targets Z\\^{len(rows)}, the cone lives in Q\\^3"):
+        toric_downgrade(delta, sub)
+
+
 def test_as_curve_divisor():
     # on A^1 the ray +1 becomes the point 0 of the projective line, and
     # infinity stays unmarked

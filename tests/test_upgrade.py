@@ -89,6 +89,21 @@ def test_noncf_refinement_preserves_slices():
     assert verts[point_label(INF)] == [(-1,)]
 
 
+def test_unmarked_slice_and_refinement_of_one_marked_point():
+    # one member marking the point 0 alone: an unmarked point has the
+    # tailfan as its slice, and the refinement pads the marks with the
+    # first spare point, 1
+    tail = Cone.from_rays([(1,)])
+    p0, p1 = point_label(0), point_label(1)
+    fan = DivisorialFan(P1, [PolyhedralDivisor(P1, 1, tail, {p0: halfline(1)})])
+    assert fan.slice_of(point_label(5)).cells == (tail.as_polyhedron(),)
+    cf = contraction_free_refinement(fan)
+    assert cf.marked_primes() == [p0, p1]
+    e = Polyhedron.empty_polyhedron(1)
+    assert [m.coeffs for m in cf.members] == [{p0: e}, {p0: halfline(1), p1: e}]
+    assert cf.is_contraction_free()
+
+
 def test_upgrade_tailcone_golden():
     st = upgrade_tailcone(noncf_input())
     assert st == Cone.from_rays([(1, 0), (1, 2)])
@@ -149,6 +164,19 @@ def test_upgrade_cf_proper():
     st = Cone.from_rays([(1, 2), (0, -1)])
     assert res.divisor.tail == st
     assert res.divisor.coefficient(point_label(INF)) == st.as_polyhedron().translate((0, -1))
+
+
+def test_upgrade_over_a_toric_base_reports_smoothness():
+    # one member with no empty coefficient over a complete plane: not
+    # contraction-free, and smooth on P^2 but not on P(1,1,2)
+    tail = Cone.from_rays([(1,)])
+    for rays, smooth in ([(1, 0), (0, 1), (-1, -1)], True), ([(1, 0), (0, 1), (-1, -2)], False):
+        base = BaseVariety.toric([Cone.from_rays([a, b]) for a, b in zip(rays, rays[1:] + rays[:1])])
+        fan = DivisorialFan(base, [PolyhedralDivisor(base, 1, tail)])
+        res = upgrade(InvariantPDivisorOnFan(fan, 1, tail, rays=[(1,)], verts={}))
+        assert res.base_smooth is smooth
+        assert not res.contraction_free and not res.hypotheses_hold
+        assert res.divisor.tail == Cone.from_rays([(1, 0), (0, 1)])
 
 
 def test_upgrade_makes_its_report_on_first_access(monkeypatch):
